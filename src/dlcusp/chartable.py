@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .classfun import ClassFunction, dual, induce, inner_product, tensor, trivial_character
-from .cyclotomic import ZERO, CycNumber, gauss_sum, root_of_unity
+from .cyclotomic import ZERO, CycNumber, _common_frame, _raw_dot, gauss_sum, root_of_unity
 from .group import (
     GroupElement,
     SubgroupData,
@@ -164,10 +164,13 @@ class CharacterData:
         induced = []
         borel_order = p * (p - 1)
         for rec, bucket in zip(table.classes, self._borel_buckets):
-            acc = ZERO
+            # theta(d) = zeta_m^(k d): gather the counts per exponent, then
+            # reduce once for the class
+            raw: dict[int, int] = {}
             for d, count in bucket.items():
-                acc = acc + theta.value_at_dlog(d).scale(count)
-            induced.append(acc.scale(Fraction(rec.centralizer_order, borel_order)))
+                e = theta.k * d % m
+                raw[e] = raw.get(e, 0) + count * rec.centralizer_order
+            induced.append(CycNumber._from_numerators(m, raw, borel_order))
         if induced != list(closed_fn.values):
             raise TableValidationError(f"split torus character k={k}: induction and closed form disagree at p={p}")
         return DLCharacter("split", k, closed_fn)
@@ -361,97 +364,41 @@ def _diag(p: int, a: int) -> GroupElement:
     return GroupElement(p, a, 0, 0, pow(a, -1, p))
 
 
-def _integer_rows(data: CharacterData) -> tuple[int, int, list[list[dict[int, int] | None]], list[list[dict[int, int] | None]]]:
-    """Character values lifted to a common order with denominators cleared.
-
-    Returns (common order, denominator, rows, conjugated rows); each value is
-    a raw integer exponent map (None when zero).  Raw means not canonical:
-    sums of products of these maps are reduced once per pairing, which is the
-    whole point of the fast path.
-    """
-    from math import lcm
-
-    n = 1
-    dens = 1
-    for irr in data.irreducibles:
-        for v in irr.chi.values:
-            n = lcm(n, v.order)
-            for c in v.terms.values():
-                dens = lcm(dens, c.denominator)
-    rows: list[list[dict[int, int] | None]] = []
-    conj: list[list[dict[int, int] | None]] = []
-    for irr in data.irreducibles:
-        row, crow = [], []
-        for v in irr.chi.values:
-            if v.is_zero():
-                row.append(None)
-                crow.append(None)
-                continue
-            m = n // v.order
-            lifted = {e * m: int(c * dens) for e, c in v.terms.items()}
-            row.append(lifted)
-            crow.append({(n - e) % n: c for e, c in lifted.items()})
-        rows.append(row)
-        conj.append(crow)
-    return n, dens, rows, conj
-
-
-def _raw_dot(n: int, pairs) -> dict[int, int]:
-    """sum of weight * a * b over (weight, a, b) triples of raw exponent maps."""
-    acc: dict[int, int] = {}
-    get = acc.get
-    for w, a, b in pairs:
-        for e1, c1 in a.items():
-            wc = w * c1
-            for e2, c2 in b.items():
-                e = e1 + e2
-                if e >= n:
-                    e -= n
-                acc[e] = get(e, 0) + wc * c2
-        get = acc.get
-    return acc
-
-
 def validate_table(data: CharacterData) -> dict:
     """Full orthogonality audit of the irreducible table.
 
-    Checks pairwise orthonormality, the degree-square sum, the second
-    (column) orthogonality relations, and closure under duality.  Raises
-    TableValidationError naming the first offending pair.
+    Checks that there is one irreducible per class, the degree-square sum,
+    pairwise orthonormality, and closure under duality.  Raises
+    TableValidationError naming the first offender.
+
+    The second (column) orthogonality relations follow and are not checked
+    separately.  Let X be the table (rows = irreducibles, columns = classes)
+    and D = diag(|c|).  Row orthonormality says X D X* = |G| I.  When X is
+    square this makes X invertible with X^-1 = D X* / |G|, so X* X =
+    |G| D^-1 = diag(|C(c)|), which is the column relations.  The squareness
+    is therefore checked here rather than assumed, since a cached table
+    never passes through the build.
     """
     table, irrs = data.table, data.irreducibles
     n = len(irrs)
+    if n != len(table.classes):
+        raise TableValidationError(f"{n} irreducibles for {len(table.classes)} classes at p={data.p}")
     if sum(irr.degree**2 for irr in irrs) != table.group_order:
         raise TableValidationError(f"degree squares do not sum to |G| at p={data.p}")
-    order, dens, rows, conj_rows = _integer_rows(data)
+    order, dens = _common_frame(v for irr in irrs for v in irr.chi.values)
+    rows = [[v._numerators(order, dens) for v in irr.chi.values] for irr in irrs]
+    conj_rows = [[v._numerators(order, dens, conjugate=True) for v in irr.chi.values] for irr in irrs]
     sizes = [r.size for r in table.classes]
-    scale = Fraction(1, dens * dens * table.group_order)
+    den = dens * dens * table.group_order
     for i in range(n):
-        vi = rows[i]
         for j in range(i, n):
-            cj = conj_rows[j]
-            raw = _raw_dot(
-                order,
-                ((sizes[c], vi[c], cj[c]) for c in range(len(sizes)) if vi[c] is not None and cj[c] is not None),
-            )
-            got = CycNumber(order, {e: v * scale for e, v in raw.items() if v})
+            triples = ((w, a, b) for w, a, b in zip(sizes, rows[i], conj_rows[j]) if a and b)
+            got = CycNumber._from_numerators(order, _raw_dot(order, triples), den)
             want = 1 if i == j else 0
             if got != want:
                 raise TableValidationError(
                     f"<{irrs[i].name}, {irrs[j].name}> = {got.to_text()} at p={data.p}"
                 )
-    ncls = len(table)
-    col_scale = Fraction(1, dens * dens)
-    for ci in range(ncls):
-        for cj in range(ci, ncls):
-            raw = _raw_dot(
-                order,
-                ((1, rows[r][ci], conj_rows[r][cj]) for r in range(n) if rows[r][ci] is not None and conj_rows[r][cj] is not None),
-            )
-            got = CycNumber(order, {e: v * col_scale for e, v in raw.items() if v})
-            want = table.classes[ci].centralizer_order if ci == cj else 0
-            if got != want:
-                raise TableValidationError(f"second orthogonality fails at classes ({ci},{cj}), p={data.p}")
     chis = {irr.chi for irr in irrs}
     for irr in irrs:
         if dual(irr.chi) not in chis:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .cyclotomic import ZERO, CycNumber, coerce, cyc_sum
+from .cyclotomic import ZERO, CycNumber, _common_frame, _raw_dot, coerce, cyc_sum
 from .group import ConjugacyTable, SubgroupData
 
 
@@ -78,14 +78,20 @@ def dual(phi: ClassFunction) -> ClassFunction:
 
 
 def inner_product(phi: ClassFunction, psi: ClassFunction) -> CycNumber:
-    """Hermitian pairing (1/|G|) sum |c| phi(c) conj(psi(c))."""
+    """Hermitian pairing (1/|G|) sum |c| phi(c) conj(psi(c)).
+
+    Both functions are lifted once to their common order with denominators
+    cleared, summed in integers, and reduced once at the end.
+    """
     phi._check(psi)
-    total = ZERO
-    for rec, a, b in zip(phi.table.classes, phi.values, psi.values):
-        if a.is_zero() or b.is_zero():
-            continue
-        total = total + (a * b.conj()).scale(rec.size)
-    return total.scale(Fraction(1, phi.table.group_order))
+    support = [
+        (rec.size, a, b)
+        for rec, a, b in zip(phi.table.classes, phi.values, psi.values)
+        if not (a.is_zero() or b.is_zero())
+    ]
+    n, den = _common_frame(v for _, a, b in support for v in (a, b))
+    raw = _raw_dot(n, ((w, a._numerators(n, den), b._numerators(n, den, conjugate=True)) for w, a, b in support))
+    return CycNumber._from_numerators(n, raw, den * den * phi.table.group_order)
 
 
 def induce(table: ConjugacyTable, sub: SubgroupData, values: Sequence[CycNumber | int | Fraction]) -> ClassFunction:

@@ -71,10 +71,10 @@ def load_character_data(p: int, cache_dir: Path | None) -> tuple[CharacterData, 
         if path.is_file():
             try:
                 doc = json.loads(path.read_text())
-                if doc.get("schema") == SCHEMA and doc.get("p") == p:
+                if isinstance(doc, dict) and doc.get("schema") == SCHEMA and doc.get("p") == p:
                     return CharacterData.from_json_dict(doc), True
-            except (ValueError, KeyError, OSError):
-                pass
+            except (ValueError, KeyError, TypeError, AttributeError, OSError):
+                pass  # a malformed document of any shape is rebuilt below
     data = CharacterData(p)
     if cache_dir is not None:
         _atomic_write(cache_path(cache_dir, p), _json_dump(data.to_json_dict()))
@@ -307,9 +307,11 @@ def _verify_one(p: int, cache_dir_str: str | None, reading: str) -> dict:
 
 def _run_pool(primes: list[int], jobs: int, cache_dir: Path | None, reading: str) -> list[dict]:
     cd = str(cache_dir) if cache_dir else None
-    if jobs <= 1 or len(primes) == 1:
+    # every worker starts up front, so never more than there is work or cores for
+    workers = min(jobs, len(primes), os.cpu_count() or 1)
+    if workers <= 1:
         return [_verify_one(p, cd, reading) for p in primes]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         rows = list(pool.map(_verify_one, primes, [cd] * len(primes), [reading] * len(primes)))
     return sorted(rows, key=lambda r: r["p"])
 
@@ -341,6 +343,8 @@ def _rebuild_results(rows: list[dict]) -> list[DecompositionResult]:
 
 
 def cmd_verify(parser, args) -> int:
+    if args.jobs < 1:
+        parser.error("--jobs must be at least 1")
     primes = _selected_primes(parser, args)
     rows = _run_pool(primes, args.jobs, _cache_dir_from_args(args), args.reading)
     lin = linearity_fit(_rebuild_results(rows))

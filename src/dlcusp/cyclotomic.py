@@ -59,8 +59,11 @@ def _field(n: int) -> _Field:
     return _Field(n)
 
 
-def _canonicalize(n: int, raw: dict[int, Fraction]) -> tuple[int, dict[int, Fraction]]:
-    """Rewrite exponents into the residue basis, merge terms, minimize order."""
+def _canonicalize(n: int, raw: dict[int, Fraction | int]) -> tuple[int, dict[int, Fraction | int]]:
+    """Rewrite exponents into the residue basis, merge terms, minimize order.
+
+    Coefficients are only added and negated, so integer ones stay integers.
+    """
     if n < 1:
         raise ValueError("cyclotomic order must be >= 1")
     terms: dict[int, Fraction] = {}
@@ -99,6 +102,42 @@ def _minimize(n: int, terms: dict[int, Fraction]) -> tuple[int, dict[int, Fracti
         if g == 1:
             return n, terms
     return n // g, {e // g: c for e, c in terms.items()}
+
+
+def _denominator(terms: dict[int, Fraction]) -> int:
+    """The least common denominator of a term map's coefficients."""
+    # a loop rather than lcm(*...): the star-argument tuples of one or two
+    # items, one per product, would pile up in the interpreter's tuple free list
+    den = 1
+    for c in terms.values():
+        if den % c.denominator:
+            den = lcm(den, c.denominator)
+    return den
+
+
+def _common_frame(values) -> tuple[int, int]:
+    """The least common order and the least common denominator of values."""
+    n = den = 1
+    for v in values:
+        n = lcm(n, v.order)
+        den = lcm(den, _denominator(v.terms))
+    return n, den
+
+
+def _raw_dot(n: int, triples) -> dict[int, int]:
+    """sum of w * a * b over (w, a, b) triples of raw integer exponent maps at
+    order n; the result is raw too (not reduced into the residue basis)."""
+    acc: dict[int, int] = {}
+    get = acc.get
+    for w, a, b in triples:
+        for e1, c1 in a.items():
+            wc = w * c1
+            for e2, c2 in b.items():
+                e = e1 + e2
+                if e >= n:
+                    e -= n
+                acc[e] = get(e, 0) + wc * c2
+    return acc
 
 
 def _merge(n: int, a: dict[int, Fraction], b: dict[int, Fraction], sign: int) -> tuple[int, dict[int, Fraction]]:
@@ -160,6 +199,23 @@ class CycNumber:
         m = n // self.order
         return {e * m: c for e, c in self.terms.items()}
 
+    def _numerators(self, n: int, den: int, conjugate: bool = False) -> dict[int, int]:
+        """den * self (or its conjugate) at order n as a raw integer exponent
+        map; den must be a multiple of every coefficient's denominator."""
+        m = n // self.order
+        sign = -m if conjugate else m
+        return {(e * sign) % n: c.numerator * (den // c.denominator) for e, c in self.terms.items()}
+
+    @classmethod
+    def _from_numerators(cls, n: int, raw: dict[int, int], den: int) -> "CycNumber":
+        """The canonical value of (sum raw[e] zeta_n^e) / den.
+
+        The reduction only adds and negates coefficients, so it runs on the
+        integers and each surviving term becomes one Fraction at the end.
+        """
+        n, terms = _canonicalize(n, raw)
+        return cls._raw(n, {e: Fraction(c, den) for e, c in terms.items()})
+
     def __add__(self, other) -> "CycNumber":
         other = coerce(other)
         if other is NotImplemented:
@@ -192,16 +248,9 @@ class CycNumber:
         if self.order == 1:
             return other.scale(self.as_rational())
         n = lcm(self.order, other.order)
-        a, b = self._lift(n), other._lift(n)
-        raw: dict[int, Fraction] = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = e1 + e2
-                if e >= n:
-                    e -= n
-                prev = raw.get(e)
-                raw[e] = c1 * c2 if prev is None else prev + c1 * c2
-        return CycNumber._raw(*_canonicalize(n, raw))
+        da, db = _denominator(self.terms), _denominator(other.terms)
+        raw = _raw_dot(n, ((1, self._numerators(n, da), other._numerators(n, db)),))
+        return CycNumber._from_numerators(n, raw, da * db)
 
     __rmul__ = __mul__
 
@@ -299,7 +348,14 @@ def root_of_unity(n: int, k: int = 1) -> CycNumber:
     """zeta_n^k as an exact value."""
     if n < 1:
         raise ValueError("order must be >= 1")
-    return CycNumber(n, {k % n: _ONE})
+    return _root_of_unity(n, k % n)
+
+
+@lru_cache(maxsize=None)
+def _root_of_unity(n: int, k: int) -> CycNumber:
+    # values are immutable, so one shared instance per (n, k mod n) is safe;
+    # a prime p asks for O(p) of them (the torus characters' values)
+    return CycNumber(n, {k: _ONE})
 
 
 def cyc_sum(values) -> CycNumber:

@@ -4,19 +4,116 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 
 from dlcusp.chartable import CharacterData
 from dlcusp.classfun import ClassFunction, dual, induce, induced_pairing, inner_product
-from dlcusp.cyclotomic import CycNumber, root_of_unity
+from dlcusp.cyclotomic import ZERO, CycNumber, root_of_unity
 from dlcusp.group import GroupElement
 
 
-def random_cyc(rng: random.Random, order: int, max_terms: int = 4) -> CycNumber:
+def random_cyc(rng: random.Random, order: int, max_terms: int = 4, dens=None) -> CycNumber:
+    """Random sparse value; denominators are drawn from dens when given."""
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
         e = rng.randrange(order)
-        terms[e] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        terms[e] = Fraction(rng.randint(-9, 9), rng.randint(1, 9) if dens is None else rng.choice(dens))
     return CycNumber(order, terms)
+
+
+def naive_dot(triples) -> CycNumber:
+    """sum w * a * b over (w, a, b): Fraction products summed at the common
+    order and reduced once by the public constructor.  The reference for the
+    integer-numerator kernel behind products and pairings."""
+    triples = list(triples)
+    n = lcm(*(v.order for _, a, b in triples for v in (a, b)))
+    raw: dict[int, Fraction] = {}
+    for w, a, b in triples:
+        ma, mb = n // a.order, n // b.order
+        for e1, c1 in a.terms.items():
+            for e2, c2 in b.terms.items():
+                e = (e1 * ma + e2 * mb) % n
+                raw[e] = raw.get(e, 0) + w * c1 * c2
+    return CycNumber(n, raw)
+
+
+def naive_inner_product(phi: ClassFunction, psi: ClassFunction) -> CycNumber:
+    triples = ((rec.size, a, b.conj()) for rec, a, b in zip(phi.table.classes, phi.values, psi.values))
+    return naive_dot(triples).scale(Fraction(1, phi.table.group_order))
+
+
+# Small denominators, as in the character table (whose values lie in
+# 1/2 Z[zeta]); the torus orders p -+ 1 at p = 101; and 4p at p = 7 and
+# p = 101, where the Gauss sum's field meets Q(i).
+INTEGER_KERNEL_DENS = (1, 2, 3, 6)
+INTEGER_KERNEL_ORDERS = (12, 28, 100, 102, 404)
+
+
+def check_integer_mul(seed: int = 4101, orders=INTEGER_KERNEL_ORDERS, rounds: int = 12) -> int:
+    """x * y equals the Fraction reference, at equal and at mixed orders."""
+    rng = random.Random(seed)
+    checked = 0
+    for n1 in orders:
+        for n2 in orders:
+            for _ in range(rounds):
+                x = random_cyc(rng, n1, dens=INTEGER_KERNEL_DENS)
+                y = random_cyc(rng, n2, dens=INTEGER_KERNEL_DENS)
+                got = x * y
+                want = naive_dot([(1, x, y)])
+                assert got == want and got.order == want.order, (x, y)
+                checked += 1
+    return checked
+
+
+def check_integer_inner_product(data: CharacterData, seed: int = 31, orders=INTEGER_KERNEL_ORDERS, rounds=20) -> int:
+    """inner_product on random class functions (zeros included) equals the
+    per-class Fraction reference."""
+    rng = random.Random(seed)
+    table = data.table
+
+    def value():
+        return ZERO if rng.random() < 0.2 else random_cyc(rng, rng.choice(orders), dens=INTEGER_KERNEL_DENS)
+
+    for _ in range(rounds):
+        phi = ClassFunction(table, [value() for _ in range(len(table))])
+        psi = ClassFunction(table, [value() for _ in range(len(table))])
+        assert inner_product(phi, psi) == naive_inner_product(phi, psi)
+    for irr in data.irreducibles:
+        assert inner_product(irr.chi, irr.chi) == naive_inner_product(irr.chi, irr.chi) == 1
+    return rounds + len(data.irreducibles)
+
+
+def check_root_memo(orders=(1, 2, 12, 100, 102, 404)) -> int:
+    """A memoized root of unity equals a freshly built one, for any k."""
+    checked = 0
+    for n in orders:
+        for k in range(-n, 2 * n, max(1, n // 7)):
+            fresh = CycNumber(n, {k % n: 1})
+            assert root_of_unity(n, k) == fresh
+            assert root_of_unity(n, k).to_text() == fresh.to_text()
+            assert root_of_unity(n, k + n) is root_of_unity(n, k)  # one shared value per (n, k mod n)
+            checked += 1
+    return checked
+
+
+def check_second_orthogonality(data: CharacterData) -> int:
+    """Column relations sum_chi chi(c) conj(chi(c')) = |C(c)| [c = c'].
+
+    validate_table does not check these: they follow from row orthonormality
+    of the square table.  This oracle keeps them checked, through the
+    Fraction reference rather than the integer kernel.
+    """
+    classes = data.table.classes
+    irrs = data.irreducibles
+    assert len(irrs) == len(classes)
+    checked = 0
+    for ci in range(len(classes)):
+        for cj in range(ci, len(classes)):
+            got = naive_dot((1, irr.chi.values[ci], irr.chi.values[cj].conj()) for irr in irrs)
+            want = classes[ci].centralizer_order if ci == cj else 0
+            assert got == want, (ci, cj, got)
+            checked += 1
+    return checked
 
 
 def check_ring_axioms(seed: int = 20240611, orders=(12, 24, 168, 840), rounds: int = 12) -> int:

@@ -156,7 +156,8 @@ def test_criterion_10_character_table_validity():
     for p in PRIMES:
         report = validate_table(get_data(p))
         assert report["orthonormal"] and report["second_orthogonality"] and report["dual_closed"], p
-    ok(10, f"orthonormality, degree-square sum, and second orthogonality hold at all {len(PRIMES)} primes")
+    ok(10, "square table, degree-square sum and orthonormality (hence second orthogonality) "
+           f"hold at all {len(PRIMES)} primes")
 
 
 def test_criterion_11_property_suites():

@@ -145,6 +145,54 @@ def test_validate_table_catches_corruption(data7):
         validate_table(broken)
 
 
+@pytest.mark.parametrize("p", (7, 11, 13, 31))
+def test_second_orthogonality_oracle(p):
+    """The column relations validate_table derives from row orthonormality."""
+    assert propchecks.check_second_orthogonality(get_data(p)) == (p + 4) * (p + 5) // 2
+
+
+def test_cached_table_missing_an_irreducible_is_rejected(data7):
+    """Squareness is the hypothesis that makes the column relations follow;
+    a cached document never passes through the build, so validate checks it."""
+    doc = data7.to_json_dict()
+    del doc["irreducibles"][3]
+    broken = CharacterData.from_json_dict(doc)
+    with pytest.raises(TableValidationError, match=r"^10 irreducibles for 11 classes at p=7$"):
+        validate_table(broken)
+
+
+def _with_value(data, label, class_kind, new_value):
+    """A shallow copy of data whose irreducible `label` takes new_value(v) at
+    the first class of class_kind where it is non-zero."""
+    import copy
+
+    irr = data.irreducible(*label)
+    idx = next(
+        i for i, (rec, v) in enumerate(zip(data.table.classes, irr.chi.values))
+        if rec.kind == class_kind and not v.is_zero()
+    )
+    values = list(irr.chi.values)
+    values[idx] = new_value(values[idx])
+    broken = copy.copy(data)
+    broken.irreducibles = tuple(
+        type(irr)(label, ClassFunction(data.table, values), irr.degree) if other.label == label else other
+        for other in data.irreducibles
+    )
+    return broken
+
+
+def test_negated_principal_series_value_is_caught(data7):
+    broken = _with_value(data7, ("principal", 1), "split_semisimple", lambda v: -v)
+    with pytest.raises(TableValidationError, match=r"^<trivial, principal\(1\)> = .* at p=7$"):
+        validate_table(broken)
+
+
+def test_changed_exceptional_value_at_unipotent_class_is_caught(data7):
+    broken = _with_value(data7, ("exceptional_split_plus",), "unipotent", lambda v: v + 1)
+    with pytest.raises(TableValidationError, match=r"^<trivial, exceptional_split_plus> = .* at p=7$"):
+        validate_table(broken)
+
+
 def test_dual_closure():
     for p in (7, 11, 13):
         propchecks.check_dual_closure(get_data(p))

@@ -120,6 +120,10 @@ def test_hermitian_and_sesquilinear(data7):
         assert inner_product(psi, scaled) == zeta.conj() * inner_product(psi, phi)
 
 
+def test_inner_product_matches_fraction_reference(data7):
+    assert propchecks.check_integer_inner_product(data7) > 0
+
+
 def test_decompose_multiplicities_borel_induction(data7):
     irrs = [irr.chi for irr in data7.irreducibles]
     ind_b = data7.dl("split", 0).chi

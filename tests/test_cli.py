@@ -129,6 +129,45 @@ def test_verify_jobs_match_serial(capsys, cache_dir):
     assert serial == parallel
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_exits_2(capsys, jobs):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--range", "7", "7", "--jobs", jobs, "--no-cache"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cpus, workers", [(4, 3), (2, 2), (None, None)])
+def test_pool_size_is_clamped(capsys, monkeypatch, cache_dir, cpus, workers):
+    """min(jobs, primes, cores) workers, and no pool at all for one; the pool is
+    a fake, so no large pool is ever started."""
+    import os
+
+    import dlcusp.cli
+
+    started = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return list(map(fn, *iterables))
+
+    monkeypatch.setattr(dlcusp.cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    code, _ = run(capsys, "verify", "--range", "7", "13", "--jobs", "64", "--cache-dir", str(cache_dir),
+                  "--no-timestamp")
+    assert code == 0
+    assert started == ([] if workers is None else [workers])
+
+
 def test_corollaries(capsys, cache_dir):
     code, out = run(capsys, "corollaries", "--range", "23", "71", "--cache-dir", str(cache_dir), "--no-timestamp")
     assert code == 0
@@ -151,6 +190,20 @@ def test_cache_corruption_recovers(capsys, cache_dir):
     code, out = run(capsys, "decompose", "13", "--format", "json", "--cache-dir", str(cache_dir))
     assert code == 0
     assert json.loads(bad.read_text())["p"] == 13  # rebuilt and rewritten
+
+
+@pytest.mark.parametrize("shape", ["array", "string", "number", "null", "inner"])
+def test_cache_of_any_malformed_shape_is_rebuilt(capsys, tmp_path, shape):
+    if shape == "inner":  # right schema and prime, a number where the irreducibles go
+        doc = CharacterData(7).to_json_dict()
+        doc["irreducibles"] = [5]
+    else:
+        doc = {"array": [1, 2], "string": "sl2", "number": 7, "null": None}[shape]
+    bad = tmp_path / "sl2_p7.json"
+    bad.write_text(json.dumps(doc))
+    code, out = run(capsys, "decompose", "7", "--format", "json", "--cache-dir", str(tmp_path))
+    assert code == 0 and json.loads(out)["exact"]
+    assert json.loads(bad.read_text())["p"] == 7  # rebuilt and rewritten
 
 
 def test_cache_rejects_wrong_prime_or_schema(cache_dir):

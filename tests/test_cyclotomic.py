@@ -129,6 +129,14 @@ def test_canonical_uniqueness_randomized():
     assert propchecks.check_canonical_uniqueness() > 0
 
 
+def test_integer_mul_matches_fraction_reference():
+    assert propchecks.check_integer_mul() > 0
+
+
+def test_memoized_root_of_unity_matches_fresh_value():
+    assert propchecks.check_root_memo() > 0
+
+
 def test_high_precision_embedding_oracle():
     """The reducer preserves the complex value: check at 80 significant digits."""
     import random
