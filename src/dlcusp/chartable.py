@@ -14,10 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
-from .classfun import ClassFunction, dual, induce, inner_product, tensor, trivial_character
-from .cyclotomic import ZERO, CycNumber, _common_frame, _raw_dot, gauss_sum, root_of_unity
+from .classfun import ClassFunction, induce, inner_product, tensor, trivial_character
+from .cyclotomic import ZERO, CycNumber, _common_frame, _PackedBasis, _raw_dot, gauss_sum, root_of_unity
 from .group import (
+    ConjugacyTable,
     GroupElement,
     SubgroupData,
     TorusData,
@@ -308,18 +310,7 @@ class CharacterData:
         return {
             "schema": SCHEMA,
             "p": self.p,
-            "classes": [
-                {
-                    "rep": list(r.rep.entries()),
-                    "size": r.size,
-                    "centralizer_order": r.centralizer_order,
-                    "trace": r.trace,
-                    "kind": r.kind,
-                    "inverse_class": r.inverse_class,
-                    "key": list(r.key),
-                }
-                for r in self.table.classes
-            ],
+            "classes": _class_records(self.table),
             "irreducibles": [
                 {"label": list(irr.label), "degree": irr.degree, "values": chi_text(irr.chi)}
                 for irr in self.irreducibles
@@ -331,23 +322,20 @@ class CharacterData:
     def _load_characters(self, doc: dict):
         if doc.get("schema") != SCHEMA or doc.get("p") != self.p:
             raise ValueError("character-table document does not match this prime/schema")
-        own = [
-            {
-                "rep": list(r.rep.entries()),
-                "size": r.size,
-                "centralizer_order": r.centralizer_order,
-                "trace": r.trace,
-                "kind": r.kind,
-                "inverse_class": r.inverse_class,
-                "key": list(r.key),
-            }
-            for r in self.table.classes
-        ]
-        if doc["classes"] != own:
+        if doc["classes"] != _class_records(self.table):
             raise ValueError("cached class data disagrees with a fresh build")
+        # a table repeats few values many times: parse (and check) each
+        # distinct text once, and let equal cells share one value
+        parsed: dict[str, CycNumber] = {}
+
+        def parse(text: str) -> CycNumber:
+            value = parsed.get(text)
+            if value is None:
+                value = parsed[text] = CycNumber.from_text(text)
+            return value
 
         def parse_chi(texts: list[str]) -> ClassFunction:
-            return ClassFunction(self.table, [CycNumber.from_text(t) for t in texts])
+            return ClassFunction(self.table, [parse(t) for t in texts])
 
         self.irreducibles = tuple(
             Irreducible(tuple(d["label"]), parse_chi(d["values"]), d["degree"]) for d in doc["irreducibles"]
@@ -358,6 +346,22 @@ class CharacterData:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "CharacterData":
         return cls(int(doc["p"]), _cached=doc)
+
+
+def _class_records(table: ConjugacyTable) -> list[dict]:
+    """The per-class records a cache document stores and is checked against."""
+    return [
+        {
+            "rep": list(r.rep.entries()),
+            "size": r.size,
+            "centralizer_order": r.centralizer_order,
+            "trace": r.trace,
+            "kind": r.kind,
+            "inverse_class": r.inverse_class,
+            "key": list(r.key),
+        }
+        for r in table.classes
+    ]
 
 
 def _diag(p: int, a: int) -> GroupElement:
@@ -378,6 +382,27 @@ def validate_table(data: CharacterData) -> dict:
     |G| D^-1 = diag(|C(c)|), which is the column relations.  The squareness
     is therefore checked here rather than assumed, since a cached table
     never passes through the build.
+
+    The table holds few distinct values (p + 12 of (p + 4)^2 cells for
+    every p from 11 to 101), so both remaining checks work on value ids
+    (0 for zero): equal ids are equal values, so the table is closed under
+    duality iff its id rows are.  For the pairs, each value is written as
+    den-scaled integer numerators at the common order N (den the common
+    denominator), and each product w a conj(b) of a class size and two
+    values is computed once, when first needed, as one int packing its
+    coordinates in the residue basis at N (_PackedBasis).  A pair of rows is
+    then one integer sum over classes, compared with delta_ij |G| den^2.
+
+    This is exact.  A single root of unity has coordinates in {0, +-1}: the
+    basis is a tensor product of prime-power power bases, and rewriting one
+    disallowed power of zeta_{q^k} gives q - 1 distinct allowed powers with
+    coefficient -1.  So with L the largest l1 norm of a numerator map, each
+    coordinate of w a conj(b) is at most w L^2 in absolute value, and each
+    coordinate of the class sum at most sum_c w_c L^2 = |G| L^2.  With
+    bits = (|G| max(L, den)^2).bit_length() + 2, every digit and the
+    target's lie below 2^(bits - 1); balanced digits are unique, so integer
+    equality is equality in Q(zeta_N).  A mismatch is recomputed with the
+    term-by-term kernel to name the value in the message.
     """
     table, irrs = data.table, data.irreducibles
     n = len(irrs)
@@ -385,25 +410,67 @@ def validate_table(data: CharacterData) -> dict:
         raise TableValidationError(f"{n} irreducibles for {len(table.classes)} classes at p={data.p}")
     if sum(irr.degree**2 for irr in irrs) != table.group_order:
         raise TableValidationError(f"degree squares do not sum to |G| at p={data.p}")
-    order, dens = _common_frame(v for irr in irrs for v in irr.chi.values)
-    rows = [[v._numerators(order, dens) for v in irr.chi.values] for irr in irrs]
-    conj_rows = [[v._numerators(order, dens, conjugate=True) for v in irr.chi.values] for irr in irrs]
+    ids: dict[CycNumber, int] = {ZERO: 0}
+    by_object: dict[int, int] = {}  # a loaded table's equal cells share one object
+
+    def value_id(v: CycNumber) -> int:
+        k = by_object.get(id(v))
+        if k is None:
+            k = by_object[id(v)] = ids.setdefault(v, len(ids))
+        return k
+
+    rows = [[value_id(v) for v in irr.chi.values] for irr in irrs]
+    values = list(ids)
+    order, dens = _common_frame(values)
+    nums = [v._numerators(order, dens) for v in values]
+    conj_nums = [v._numerators(order, dens, conjugate=True) for v in values]
+    largest = max(max(sum(map(abs, a.values())) for a in nums), dens)  # max(L, den)
+    basis = _PackedBasis(order, (table.group_order * largest * largest).bit_length() + 2)
     sizes = [r.size for r in table.classes]
+    products = _Products(basis, nums, conj_nums, sizes)
     den = dens * dens * table.group_order
+    target = basis.pack({0: den})
     for i in range(n):
+        keys = products.keys_of(rows[i])
         for j in range(i, n):
-            triples = ((w, a, b) for w, a, b in zip(sizes, rows[i], conj_rows[j]) if a and b)
-            got = CycNumber._from_numerators(order, _raw_dot(order, triples), den)
-            want = 1 if i == j else 0
-            if got != want:
+            total = sum(products[key + b] for key, b in zip(keys, compress(rows[j], rows[i])) if b)
+            if total != (target if i == j else 0):
+                triples = ((w, nums[a], conj_nums[b]) for w, a, b in zip(sizes, rows[i], rows[j]) if a and b)
+                got = CycNumber._from_numerators(order, _raw_dot(order, triples), den)
                 raise TableValidationError(
                     f"<{irrs[i].name}, {irrs[j].name}> = {got.to_text()} at p={data.p}"
                 )
-    chis = {irr.chi for irr in irrs}
-    for irr in irrs:
-        if dual(irr.chi) not in chis:
+    # equal ids are equal values, so duality closes the table iff it closes the id rows
+    id_rows = {tuple(row) for row in rows}
+    inverse = [r.inverse_class for r in table.classes]
+    for irr, row in zip(irrs, rows):
+        if tuple(row[c] for c in inverse) not in id_rows:
             raise TableValidationError(f"dual of {irr.name} is not in the table at p={data.p}")
     return {"p": data.p, "irreducibles": n, "orthonormal": True, "second_orthogonality": True, "dual_closed": True}
+
+
+class _Products(dict):
+    """Packed w * value[a] * conj(value[b]), filled on first use.  The key is
+    the int (k * V + a) * V + b, where V counts the distinct values and k
+    indexes the distinct class sizes w."""
+
+    def __init__(self, basis: _PackedBasis, nums: list, conj_nums: list, sizes: list[int]):
+        super().__init__()
+        self.basis, self.nums, self.conj_nums, self.count = basis, nums, conj_nums, len(nums)
+        self.weights = sorted(set(sizes))
+        self.weight_of = [self.weights.index(w) for w in sizes]
+
+    def keys_of(self, row: list[int]) -> list[int]:
+        """The key stems of a row's non-zero cells, in class order."""
+        v = self.count
+        return [(k * v + a) * v for k, a in zip(self.weight_of, row) if a]
+
+    def __missing__(self, key: int) -> int:
+        k, rest = divmod(key, self.count * self.count)
+        a, b = divmod(rest, self.count)
+        raw = _raw_dot(self.basis.order, ((self.weights[k], self.nums[a], self.conj_nums[b]),))
+        x = self[key] = self.basis.pack(raw)
+        return x
 
 
 def steinberg(data: CharacterData) -> Irreducible:

@@ -81,6 +81,16 @@ def load_character_data(p: int, cache_dir: Path | None) -> tuple[CharacterData, 
     return data, False
 
 
+def load_checked_data(p: int, cache_dir: Path | None) -> tuple[CharacterData, bool]:
+    """load_character_data for the commands that use a table without auditing
+    it: a cached table, which skipped the build's cross-checks, is validated
+    first, so a corrupted one raises TableValidationError (exit 1)."""
+    data, hit = load_character_data(p, cache_dir)
+    if hit:
+        validate_table(data)
+    return data, hit
+
+
 def _atomic_write(path: Path, text: str):
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
@@ -210,7 +220,7 @@ def _decompose_doc(data: CharacterData, reading: str) -> dict:
 def cmd_decompose(parser, args) -> int:
     p = args.p
     _require_prime(parser, p)
-    data, _ = load_character_data(p, _cache_dir_from_args(args))
+    data, _ = load_checked_data(p, _cache_dir_from_args(args))
     readings = list(READINGS) if args.reading == "both" else [args.reading]
     docs = [_decompose_doc(data, r) for r in readings]
     if args.reading == "both":
@@ -257,21 +267,28 @@ def _verify_one(p: int, cache_dir_str: str | None, reading: str) -> dict:
     t0 = time.monotonic()
     data, hit = load_character_data(p, cache_dir)
     checks: dict[str, bool] = {}
+    reasons: dict[str, str] = {}
+
+    def failed(exc: Exception, *names: str):
+        for name in names:
+            checks[name] = False
+            reasons[name] = str(exc)
+
     try:
         checks["table_valid"] = bool(validate_table(data)["orthonormal"])
-    except TableValidationError:
-        checks["table_valid"] = False
+    except TableValidationError as exc:
+        failed(exc, "table_valid")
     try:
         verify_torus_placement(data)
         checks["torus_placement"] = True
-    except VerificationError:
-        checks["torus_placement"] = False
+    except VerificationError as exc:
+        failed(exc, "torus_placement")
     try:
         s = weinstein_character(data)
         checks["degree_identity"] = True
-    except VerificationError:
+    except VerificationError as exc:
         s = None
-        checks["degree_identity"] = False
+        failed(exc, "degree_identity")
     res = None
     if s is not None:
         try:
@@ -279,16 +296,17 @@ def _verify_one(p: int, cache_dir_str: str | None, reading: str) -> dict:
             checks["exact"] = res.exact
             checks["table_match"] = res.table_match
             checks["remark_oracle"] = remark_pipeline(data) == res.coefficients
-        except VerificationError:
+        except VerificationError as exc:
             res = None
+            failed(exc, "exact", "table_match", "remark_oracle")
         if res is not None and p >= 23:
             try:
                 checks["corollary_2"] = corollary_all_appear(data, res).complete
-            except VerificationError:
-                checks["corollary_2"] = False
+            except VerificationError as exc:
+                failed(exc, "corollary_2")
     if res is None:
         checks["exact"] = checks["table_match"] = checks["remark_oracle"] = False
-    return {
+    row = {
         "p": p,
         "residue": p % 12,
         "cache_hit": hit,
@@ -303,6 +321,9 @@ def _verify_one(p: int, cache_dir_str: str | None, reading: str) -> dict:
         if res is not None
         else None,
     }
+    if reasons:  # a failed check's exception text; passing rows stay as they were
+        row["reasons"] = reasons
+    return row
 
 
 def _run_pool(primes: list[int], jobs: int, cache_dir: Path | None, reading: str) -> list[dict]:
@@ -374,6 +395,8 @@ def cmd_verify(parser, args) -> int:
             flags = " ".join(f"{k}={'ok' if v else 'FAIL'}" for k, v in sorted(r["checks"].items()))
             tm = f" ({r['seconds']}s)" if "seconds" in r else ""
             print(f"p={r['p']:3d} [{r['status']}] {flags}{tm}")
+            for check, reason in sorted(r.get("reasons", {}).items()):
+                print(f"      reason {check}: {reason}")
             for mm in r["mismatches"]:
                 print(f"      diff: {mm}")
         print(f"linearity: {'ok' if lin.ok else 'FAIL'} ({len(lin.fits)} cells, {lin.checked} extra points)")
@@ -390,7 +413,7 @@ def cmd_corollaries(parser, args) -> int:
     out_rows = []
     ok = True
     for p in primes:
-        data, hit = load_character_data(p, cache_dir)
+        data, hit = load_checked_data(p, cache_dir)
         res = decompose_dl(data)
         row: dict = {"p": p, "cache_hit": hit}
         if not (res.exact and res.table_match):
@@ -499,7 +522,7 @@ def cmd_papertable(parser, args) -> int:
     cache_dir = _cache_dir_from_args(args)
     results = []
     for p in primes:
-        data, _ = load_character_data(p, cache_dir)
+        data, _ = load_checked_data(p, cache_dir)
         res = decompose_dl(data)
         if not (res.exact and res.table_match):
             print(f"decomposition failed at p={p}", file=sys.stderr)

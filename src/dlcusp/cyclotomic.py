@@ -140,6 +140,48 @@ def _raw_dot(n: int, triples) -> dict[int, int]:
     return acc
 
 
+class _PackedBasis:
+    """Residue-basis coordinates at order n packed into one int.
+
+    A raw integer exponent map x = sum raw[u] zeta_n^u is stored as
+    sum_t coord_t(x) * 2^(bits * slot(t)) over the basis exponents t of its
+    canonical form at n (not minimized); slots are handed out in order of
+    first use.  Coordinates are linear, so pack(raw) = sum raw[u] * R[u] with
+    R[u] the packed coordinates of zeta_n^u, each computed once per instance
+    by _canonicalize.  The instance is the memo: it lives as long as its
+    caller keeps it, never for the process.
+
+    Equal packed ints mean equal values only while every coordinate lies
+    below 2^(bits - 1) in absolute value; choosing bits is the caller's
+    proof obligation.  Balanced base-2^bits digits are unique, so within
+    that bound integer equality is exact equality in Q(zeta_n).
+    """
+
+    __slots__ = ("order", "bits", "_slots", "_roots")
+
+    def __init__(self, n: int, bits: int):
+        self.order = n
+        self.bits = bits
+        self._slots: dict[int, int] = {}
+        self._roots: dict[int, int] = {}
+
+    def _root(self, u: int) -> int:
+        x = self._roots.get(u)
+        if x is None:
+            m, terms = _canonicalize(self.order, {u: 1})
+            lift = self.order // m  # undo the minimization: the coordinates at n
+            slots, x = self._slots, 0
+            for e, c in terms.items():
+                slot = slots.setdefault(e * lift, len(slots))
+                x += int(c) << (self.bits * slot)
+            self._roots[u] = x
+        return x
+
+    def pack(self, raw: dict[int, int]) -> int:
+        root = self._root
+        return sum(c * root(u) for u, c in raw.items())
+
+
 def _merge(n: int, a: dict[int, Fraction], b: dict[int, Fraction], sign: int) -> tuple[int, dict[int, Fraction]]:
     """Sum of two basis-admissible term maps at the same order (no rewrite needed)."""
     terms = dict(a)

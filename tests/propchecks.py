@@ -6,9 +6,9 @@ import random
 from fractions import Fraction
 from math import lcm
 
-from dlcusp.chartable import CharacterData
+from dlcusp.chartable import CharacterData, TableValidationError
 from dlcusp.classfun import ClassFunction, dual, induce, induced_pairing, inner_product
-from dlcusp.cyclotomic import ZERO, CycNumber, root_of_unity
+from dlcusp.cyclotomic import ZERO, CycNumber, _common_frame, _raw_dot, root_of_unity
 from dlcusp.group import GroupElement
 
 
@@ -114,6 +114,62 @@ def check_second_orthogonality(data: CharacterData) -> int:
             assert got == want, (ci, cj, got)
             checked += 1
     return checked
+
+
+def check_row_orthonormality(data: CharacterData) -> None:
+    """<chi_i, chi_j> = delta_ij for every pair i <= j, cell by cell.
+
+    The pair loop validate_table ran before it paired each distinct value
+    pair once in packed coordinates; it raises the same message on the first
+    offending pair, and is the reference for the packed check.
+    """
+    table, irrs = data.table, data.irreducibles
+    n = len(irrs)
+    order, dens = _common_frame(v for irr in irrs for v in irr.chi.values)
+    rows = [[v._numerators(order, dens) for v in irr.chi.values] for irr in irrs]
+    conj_rows = [[v._numerators(order, dens, conjugate=True) for v in irr.chi.values] for irr in irrs]
+    sizes = [r.size for r in table.classes]
+    den = dens * dens * table.group_order
+    for i in range(n):
+        for j in range(i, n):
+            triples = ((w, a, b) for w, a, b in zip(sizes, rows[i], conj_rows[j]) if a and b)
+            got = CycNumber._from_numerators(order, _raw_dot(order, triples), den)
+            want = 1 if i == j else 0
+            if got != want:
+                raise TableValidationError(
+                    f"<{irrs[i].name}, {irrs[j].name}> = {got.to_text()} at p={data.p}"
+                )
+
+
+def with_cell(data: CharacterData, row: int, cls: int, value: CycNumber) -> CharacterData:
+    """A shallow copy of data whose irreducible number row takes value at class cls."""
+    import copy
+
+    irr = data.irreducibles[row]
+    values = list(irr.chi.values)
+    values[cls] = value
+    broken = copy.copy(data)
+    irrs = list(data.irreducibles)
+    irrs[row] = type(irr)(irr.label, ClassFunction(data.table, values), irr.degree)
+    broken.irreducibles = tuple(irrs)
+    return broken
+
+
+def single_cell_faults(data: CharacterData, seed: int = 5, count: int = 40):
+    """Seeded single-cell faults: one value negated, plus a root of unity of
+    order p - 1, p, p + 1 or 4, plus 1/2 or 1/3, or times zeta_{p+1}."""
+    rng = random.Random(seed * 1009 + data.p)
+    p = data.p
+    faults = (
+        lambda v: -v,
+        lambda v: v + root_of_unity(rng.choice((p - 1, p, p + 1, 4)), rng.randrange(p + 1)),
+        lambda v: v + Fraction(1, rng.choice((2, 3))),
+        lambda v: v * root_of_unity(p + 1),
+    )
+    for _ in range(count):
+        row, cls = rng.randrange(len(data.irreducibles)), rng.randrange(len(data.table))
+        value = data.irreducibles[row].chi.values[cls]
+        yield with_cell(data, row, cls, rng.choice(faults)(value))
 
 
 def check_ring_axioms(seed: int = 20240611, orders=(12, 24, 168, 840), rounds: int = 12) -> int:

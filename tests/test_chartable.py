@@ -193,6 +193,84 @@ def test_changed_exceptional_value_at_unipotent_class_is_caught(data7):
         validate_table(broken)
 
 
+def _outcome(check, data):
+    try:
+        check(data)
+    except TableValidationError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("p", (7, 11, 13, 31))
+def test_packed_pairing_agrees_with_cell_by_cell_oracle(p):
+    """On seeded single-cell faults validate_table raises exactly when the
+    cell-by-cell pair loop does, with the same message."""
+    data = get_data(p)
+    assert _outcome(validate_table, data) is _outcome(propchecks.check_row_orthonormality, data) is None
+    changed = 0
+    for broken in propchecks.single_cell_faults(data, count=40):
+        want = _outcome(propchecks.check_row_orthonormality, broken)
+        assert _outcome(validate_table, broken) == want
+        # any changed cell breaks orthogonality to the trivial row (or, in
+        # the trivial row, to some other), while negating or rotating a zero
+        # cell changes nothing
+        assert (want is not None) == (broken.irreducibles != data.irreducibles)
+        changed += want is not None
+    assert changed >= 20
+
+
+def test_huge_coefficient_is_rejected(data7):
+    """A cell with a coefficient far above |G| is still rejected, with the
+    oracle's message (the digit width grows with the largest numerator;
+    test_cyclotomic checks that packed ints decode exactly within it)."""
+    from dlcusp.cyclotomic import root_of_unity
+
+    row = next(i for i, irr in enumerate(data7.irreducibles) if irr.label == ("principal", 1))
+    cls = next(i for i, rec in enumerate(data7.table.classes) if rec.kind == "split_semisimple")
+    value = data7.irreducibles[row].chi.values[cls] + root_of_unity(6, 1).scale(2**70 + 1)
+    broken = propchecks.with_cell(data7, row, cls, value)
+    want = _outcome(propchecks.check_row_orthonormality, broken)
+    assert want is not None and "1180591620717411303425" in want
+    assert _outcome(validate_table, broken) == want
+
+
+def _texts(doc):
+    return [t for key in ("irreducibles", "dl_split", "dl_nonsplit") for d in doc[key] for t in d["values"]]
+
+
+def test_cache_load_parses_each_distinct_text_once(data7, monkeypatch):
+    from dlcusp.cyclotomic import CycNumber
+
+    doc = data7.to_json_dict()
+    parse = CycNumber.from_text
+    seen = []
+    monkeypatch.setattr(CycNumber, "from_text", classmethod(lambda cls, text: seen.append(text) or parse(text)))
+    loaded = CharacterData.from_json_dict(doc)
+    assert sorted(seen) == sorted(set(_texts(doc))) and len(seen) < len(_texts(doc))
+    assert loaded.to_json_dict() == doc
+    ones = [v for irr in loaded.irreducibles for v in irr.chi.values if v == 1]
+    assert len(ones) > 1 and all(v is ones[0] for v in ones)  # equal cells share one value
+
+
+def test_non_canonical_copy_of_a_repeated_text_is_rebuilt(data7, tmp_path):
+    """Parsing once per distinct text still checks every text: a value
+    written non-canonically among many canonical copies is refused."""
+    import json
+
+    from dlcusp.cli import load_character_data
+
+    doc = data7.to_json_dict()
+    assert _texts(doc).count("1: 1") > 10
+    values = doc["irreducibles"][-1]["values"]
+    values[values.index("1: 1")] = "1: 2/2"
+    with pytest.raises(ValueError, match="non-canonical"):
+        CharacterData.from_json_dict(doc)
+    path = tmp_path / "sl2_p7.json"
+    path.write_text(json.dumps(doc))
+    data, hit = load_character_data(7, tmp_path)
+    assert not hit and json.loads(path.read_text()) == data7.to_json_dict()
+
+
 def test_dual_closure():
     for p in (7, 11, 13):
         propchecks.check_dual_closure(get_data(p))

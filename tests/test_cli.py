@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -244,3 +245,44 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def _corrupted_cache(directory):
+    """A p = 7 cache whose principal(1) is negated at one split class."""
+    from dlcusp.cyclotomic import CycNumber
+
+    doc = CharacterData(7).to_json_dict()
+    row = next(d for d in doc["irreducibles"] if d["label"] == ["principal", 1])
+    cls = next(
+        i for i, c in enumerate(doc["classes"]) if c["kind"] == "split_semisimple" and row["values"][i] != "1: 0"
+    )
+    row["values"][cls] = (-CycNumber.from_text(row["values"][cls])).to_text()
+    (directory / "sl2_p7.json").write_text(json.dumps(doc))
+    return str(directory)
+
+
+_BROKEN_PAIR = r"<trivial, principal\(1\)> = .* at p=7"
+
+
+@pytest.mark.parametrize(
+    "command", [("decompose", "7"), ("corollaries", "--range", "7", "7"), ("papertable", "--range", "7", "7")]
+)
+def test_corrupted_cached_table_is_refused_before_use(capsys, tmp_path, command):
+    code = main([*command, "--cache-dir", _corrupted_cache(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert re.fullmatch(f"verification failure: {_BROKEN_PAIR}\n", captured.err)
+    assert captured.out == ""
+
+
+def test_verify_reports_why_a_check_failed(capsys, tmp_path, cache_dir):
+    cache = _corrupted_cache(tmp_path)
+    args = ("verify", "--range", "7", "7", "--no-timestamp", "--cache-dir")
+    code, out = run(capsys, *args, cache, "--format", "json")
+    row = json.loads(out)["primes"][0]
+    assert code == 1 and row["checks"]["table_valid"] is False
+    assert re.fullmatch(_BROKEN_PAIR, row["reasons"]["table_valid"])
+    code, out = run(capsys, *args, cache)
+    assert code == 1 and re.search(f"^      reason table_valid: {_BROKEN_PAIR}$", out, re.M)
+    code, out = run(capsys, *args, str(cache_dir), "--format", "json")
+    assert code == 0 and "reasons" not in json.loads(out)["primes"][0]  # only failing rows carry reasons
