@@ -26,6 +26,7 @@ from .group import (
     build_conjugacy_table,
     build_subgroup,
     build_torus,
+    torus_order,
 )
 from .numtheory import legendre
 
@@ -114,9 +115,16 @@ class CharacterData:
 
     def _build_characters(self):
         p = self.p
-        self._borel_buckets = self._build_borel_buckets()
-        self.dl_split = {k: self._dl_split(k) for k in range(p - 1)}
-        self.dl_nonsplit = {k: self._dl_nonsplit(k) for k in range(p + 1)}
+        self._values: dict[tuple, CycNumber] = {}  # one shared value per distinct exponent map of this build
+        self.borel_fallbacks = 0  # induction cells that needed canonical forms; 0 on a true table
+        split, nonsplit = self._closed_form("split"), self._closed_form("nonsplit")
+        induced = [
+            {d: count * rec.centralizer_order for d, count in bucket.items()}
+            for rec, bucket in zip(self.table.classes, self._build_borel_buckets())
+        ]
+        unequal = [(i, b) for i, (b, c) in enumerate(zip(induced, split)) if b != c]
+        self.dl_split = {k: self._dl_split(k, split, unequal) for k in range(p - 1)}
+        self.dl_nonsplit = {k: self._dl_nonsplit(k, nonsplit) for k in range(p + 1)}
         self.irreducibles = self._assemble_irreducibles()
 
     def _build_borel_buckets(self) -> list[dict[int, int]]:
@@ -135,72 +143,72 @@ class CharacterData:
                 buckets[i][d] = buckets[i].get(d, 0) + 1
         return buckets
 
-    def theta_split(self, k: int) -> TorusCharacter:
-        return TorusCharacter("split", self.p - 1, k % (self.p - 1))
+    def _closed_form(self, torus_type: str) -> list[dict[int, int]]:
+        """Per class, the closed form of R_T^theta as a map {dlog d: c}.
 
-    def theta_nonsplit(self, k: int) -> TorusCharacter:
-        return TorusCharacter("nonsplit", self.p + 1, k % (self.p + 1))
-
-    def _dl_split(self, k: int) -> DLCharacter:
-        """R for the split torus: Borel induction and closed form, compared."""
-        p, table = self.p, self.table
-        theta = self.theta_split(k)
-        m = p - 1
-        half = m // 2  # dlog of -1
-        sign_center = theta.value_at_dlog(half)
-        closed = []
-        for rec in table.classes:
-            if rec.kind == "central":
-                v = theta.value_at_dlog(0) if rec.key[0] == 1 else sign_center
-                closed.append(v.scale(p + 1))
-            elif rec.kind == "unipotent":
-                closed.append(theta.value_at_dlog(0) if rec.key[0] == 1 else sign_center)
-            elif rec.kind == "split_semisimple":
-                a = rec.key[0]
-                da = self.split_torus.dlog[_diag(p, a)]
-                dainv = self.split_torus.dlog[_diag(p, pow(a, -1, p))]
-                closed.append(theta.value_at_dlog(da) + theta.value_at_dlog(dainv))
-            else:
-                closed.append(ZERO)
-        closed_fn = ClassFunction(table, closed)
-        induced = []
-        borel_order = p * (p - 1)
-        for rec, bucket in zip(table.classes, self._borel_buckets):
-            # theta(d) = zeta_m^(k d): gather the counts per exponent, then
-            # reduce once for the class
-            raw: dict[int, int] = {}
-            for d, count in bucket.items():
-                e = theta.k * d % m
-                raw[e] = raw.get(e, 0) + count * rec.centralizer_order
-            induced.append(CycNumber._from_numerators(m, raw, borel_order))
-        if induced != list(closed_fn.values):
-            raise TableValidationError(f"split torus character k={k}: induction and closed form disagree at p={p}")
-        return DLCharacter("split", k, closed_fn)
-
-    def _dl_nonsplit(self, k: int) -> DLCharacter:
-        """R for the anisotropic torus, from the closed form values."""
-        p, table = self.p, self.table
-        theta = self.theta_nonsplit(k)
-        torus = self.nonsplit_torus
-        half = torus.order // 2
-        sign_center = theta.value_at_dlog(half)
+        At theta_k (generator -> zeta_n^k, n = |T|) the value is
+        sum_d c zeta_n^(k d) / den.  For the split torus den = |B| = p(p - 1),
+        and c is (p + 1)|B| at +-I, |B| at the unipotent-type classes and |B|
+        at each of the two torus elements of a split class; for the
+        anisotropic one den = 1, and c is 1 - p, 1 and 1 likewise.  -I has
+        dlog n/2, and the classes of the other torus get the empty map (zero).
+        """
+        p, torus = self.p, self.torus(torus_type)
+        split = torus_type == "split"
+        unit = p * (p - 1) if split else 1
+        center = (p + 1) * unit if split else 1 - p
+        own = "split_semisimple" if split else "nonsplit_semisimple"
         trace_dlogs: dict[int, list[int]] = {}
         for g, d in torus.dlog.items():
             trace_dlogs.setdefault(g.trace, []).append(d)
-        values = []
-        for rec in table.classes:
-            if rec.kind == "central":
-                v = theta.value_at_dlog(0) if rec.key[0] == 1 else sign_center
-                values.append(v.scale(1 - p))
-            elif rec.kind == "unipotent":
-                values.append(theta.value_at_dlog(0) if rec.key[0] == 1 else sign_center)
-            elif rec.kind == "split_semisimple":
-                values.append(ZERO)
+        out = []
+        for rec in self.table.classes:
+            if rec.kind in ("central", "unipotent"):
+                d = 0 if rec.key[0] == 1 else torus.order // 2
+                out.append({d: center if rec.kind == "central" else unit})
+            elif rec.kind == own:
+                d1, d2 = trace_dlogs[rec.trace]  # g and g^-1, the torus elements of this class
+                out.append({d1: unit, d2: unit})
             else:
-                ds = trace_dlogs[rec.key[0]]
-                assert len(ds) == 2
-                values.append(theta.value_at_dlog(ds[0]) + theta.value_at_dlog(ds[1]))
-        return DLCharacter("nonsplit", k, ClassFunction(table, values))
+                out.append({})
+        return out
+
+    def _row(self, closed: list[dict[int, int]], k: int, n: int, den: int) -> ClassFunction:
+        """The class function of a closed form at theta_k, each cell through the
+        build's value memo, so cells with equal exponent maps are one object."""
+        values = []
+        for dmap in closed:
+            raw = _exponents(dmap, k, n)
+            key = (n, den, frozenset(raw.items()))
+            v = self._values.get(key)
+            if v is None:
+                v = self._values[key] = CycNumber._from_numerators(n, raw, den)
+            values.append(v)
+        return ClassFunction(self.table, values)
+
+    def _dl_split(self, k: int, closed: list[dict[int, int]], unequal: list[tuple[int, dict]]) -> DLCharacter:
+        """R for the split torus: Borel induction and closed form, compared.
+
+        Induction from B is linear in theta: at class c the induced value is
+        sum_d count_d |C(c)| zeta^(k d) / |B| over the bucket of c.  Where the
+        integer map {d: count_d |C(c)|} equals the closed form's, the raw maps
+        {k d mod n: ...} agree for every k, and equal raw maps over the same
+        denominator are equal values, so those classes are proved for all k at
+        once.  Only the classes in unequal (none on a true table) are compared
+        per k in canonical form, the full check.
+        """
+        p = self.p
+        n, den = p - 1, p * (p - 1)
+        chi = self._row(closed, k, n, den)
+        for i, induced in unequal:
+            self.borel_fallbacks += 1
+            if CycNumber._from_numerators(n, _exponents(induced, k, n), den) != chi.values[i]:
+                raise TableValidationError(f"split torus character k={k}: induction and closed form disagree at p={p}")
+        return DLCharacter("split", k, chi)
+
+    def _dl_nonsplit(self, k: int, closed: list[dict[int, int]]) -> DLCharacter:
+        """R for the anisotropic torus, from the closed form values."""
+        return DLCharacter("nonsplit", k, self._row(closed, k, self.p + 1, 1))
 
     def steinberg(self) -> Irreducible:
         st = self.dl_split[0].chi - trivial_character(self.table)
@@ -265,8 +273,17 @@ class CharacterData:
         out = [Irreducible(("trivial",), trivial_character(self.table), 1), self.steinberg()]
         for k in range(1, (p - 1) // 2):
             out.append(Irreducible(("principal", k), self.dl_split[k].chi, p + 1))
+        negated: dict[int, CycNumber] = {}  # by object: the rows share their values
+
+        def negate(v: CycNumber) -> CycNumber:
+            x = negated.get(id(v))
+            if x is None:
+                x = negated[id(v)] = -v
+            return x
+
         for k in range(1, (p + 1) // 2):
-            out.append(Irreducible(("discrete", k), -self.dl_nonsplit[k].chi, p - 1))
+            chi = ClassFunction(self.table, [negate(v) for v in self.dl_nonsplit[k].chi.values])
+            out.append(Irreducible(("discrete", k), chi, p - 1))
         out.extend(self.exceptional_constituents("split"))
         out.extend(self.exceptional_constituents("nonsplit"))
         assert len(out) == p + 4
@@ -278,9 +295,8 @@ class CharacterData:
         return self._by_label[tuple(label)]
 
     def dl(self, torus_type: str, k: int) -> DLCharacter:
-        if torus_type == "split":
-            return self.dl_split[k % (self.p - 1)]
-        return self.dl_nonsplit[k % (self.p + 1)]
+        rows = self.dl_split if torus_type == "split" else self.dl_nonsplit
+        return rows[k % torus_order(self.p, torus_type)]
 
     def torus(self, torus_type: str) -> TorusData:
         return self.split_torus if torus_type == "split" else self.nonsplit_torus
@@ -289,17 +305,6 @@ class CharacterData:
         torus = self.torus(torus_type)
         name = "Ts" if torus_type == "split" else "Ta"
         return SubgroupData(name, self.p, torus.elements, torus.order, self._torus_fusion[torus_type])
-
-    def split_orbit_reps(self) -> list[int]:
-        return list(range(0, (self.p - 1) // 2 + 1))
-
-    def nonsplit_orbit_reps(self) -> list[int]:
-        return list(range(0, (self.p + 1) // 2 + 1))
-
-    def orbit_rep(self, torus_type: str, k: int) -> int:
-        n = self.p - 1 if torus_type == "split" else self.p + 1
-        k %= n
-        return min(k, n - k)
 
     # -- serialization ---------------------------------------------------------
 
@@ -364,8 +369,14 @@ def _class_records(table: ConjugacyTable) -> list[dict]:
     ]
 
 
-def _diag(p: int, a: int) -> GroupElement:
-    return GroupElement(p, a, 0, 0, pow(a, -1, p))
+def _exponents(dmap: dict[int, int], k: int, n: int) -> dict[int, int]:
+    """The raw map {k d mod n: c} of a {dlog d: c} map at theta_k; dlogs
+    that k sends to one exponent merge."""
+    raw: dict[int, int] = {}
+    for d, c in dmap.items():
+        e = k * d % n
+        raw[e] = raw.get(e, 0) + c
+    return raw
 
 
 def validate_table(data: CharacterData) -> dict:
@@ -471,10 +482,6 @@ class _Products(dict):
         raw = _raw_dot(self.basis.order, ((self.weights[k], self.nums[a], self.conj_nums[b]),))
         x = self[key] = self.basis.pack(raw)
         return x
-
-
-def steinberg(data: CharacterData) -> Irreducible:
-    return data.irreducible("steinberg")
 
 
 def lemma_tensor_sign(torus_type: str) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .cyclotomic import ZERO, CycNumber, _common_frame, _raw_dot, coerce, cyc_sum
+from .cyclotomic import ZERO, CycNumber, _common_frame, _raw_dot, coerce
 from .group import ConjugacyTable, SubgroupData
 
 
@@ -24,7 +24,7 @@ class ClassFunction:
         if len(values) != len(table):
             raise ValueError("value count must equal the class count")
         coerced = [coerce(v) for v in values]
-        if NotImplemented in coerced:
+        if any(v is NotImplemented for v in coerced):  # `in` would call __eq__ on every value
             raise TypeError("values must be CycNumber, int, or Fraction")
         self.table = table
         self.values = tuple(coerced)
@@ -112,7 +112,7 @@ def induce(table: ConjugacyTable, sub: SubgroupData, values: Sequence[CycNumber 
         if hit is None:
             out.append(ZERO)
         else:
-            out.append(cyc_sum(hit).scale(Fraction(rec.centralizer_order, sub.order)))
+            out.append(sum(hit, ZERO).scale(Fraction(rec.centralizer_order, sub.order)))
     return ClassFunction(table, out)
 
 

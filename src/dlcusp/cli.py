@@ -36,6 +36,7 @@ from .cuspform import (
     verify_torus_placement,
     weinstein_character,
 )
+from .group import build_conjugacy_table
 from .numtheory import is_prime, primes_in_range
 
 EXIT_OK = 0
@@ -154,8 +155,7 @@ def _decomposition_rows(res: DecompositionResult) -> list[dict]:
 def cmd_classes(parser, args) -> int:
     p = args.p
     _require_prime(parser, p)
-    data, _ = load_character_data(p, _cache_dir_from_args(args))
-    table = data.table
+    table = build_conjugacy_table(p)
     doc = {
         "p": p,
         "group_order": table.group_order,
@@ -190,7 +190,7 @@ def cmd_classes(parser, args) -> int:
 def cmd_chartable(parser, args) -> int:
     p = args.p
     _require_prime(parser, p)
-    data, _ = load_character_data(p, _cache_dir_from_args(args))
+    data, _ = load_checked_data(p, _cache_dir_from_args(args))
     if args.format == "json":
         print(_json_dump(data.to_json_dict()))
         return EXIT_OK
@@ -332,8 +332,10 @@ def _run_pool(primes: list[int], jobs: int, cache_dir: Path | None, reading: str
     workers = min(jobs, len(primes), os.cpu_count() or 1)
     if workers <= 1:
         return [_verify_one(p, cd, reading) for p in primes]
+    # the largest primes cost the most, so they go first and the small ones fill the gaps
+    order = sorted(primes, reverse=True)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(_verify_one, primes, [cd] * len(primes), [reading] * len(primes)))
+        rows = list(pool.map(_verify_one, order, [cd] * len(order), [reading] * len(order)))
     return sorted(rows, key=lambda r: r["p"])
 
 

@@ -14,10 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .classfun import ClassFunction, dual, induce, inner_product, trivial_character
 from .chartable import CharacterData, quadratic_character_index
-from .group import conjugate_into_torus
+from .cyclotomic import CycNumber, _common_frame, _raw_dot
+from .group import conjugate_into_torus, torus_order
 
 TORI = ("split", "nonsplit")
 SET_LABELS = ("A", "B", "C", "D", "E")
@@ -35,8 +37,7 @@ class VerificationError(Exception):
 
 def embedded_subgroups(p: int, torus_type: str) -> tuple[str, ...]:
     """Which of the order-4 ("x") and order-6 ("y") subgroups embed in T."""
-    t_order = p - 1 if torus_type == "split" else p + 1
-    return tuple(s for s, m in _SUBGROUP_ORDERS.items() if t_order % m == 0)
+    return tuple(s for s, m in _SUBGROUP_ORDERS.items() if torus_order(p, torus_type) % m == 0)
 
 
 def embedding_pattern(p: int) -> dict[str, str]:
@@ -44,7 +45,7 @@ def embedding_pattern(p: int) -> dict[str, str]:
     out = {}
     for s, m in _SUBGROUP_ORDERS.items():
         out[s] = "split" if (p - 1) % m == 0 else "nonsplit"
-        assert (p - 1 if out[s] == "split" else p + 1) % m == 0
+        assert torus_order(p, out[s]) % m == 0
     return out
 
 
@@ -120,8 +121,7 @@ def classify_theta(p: int, torus_type: str, k: int, reading: str = "primary") ->
     """
     if reading not in READINGS:
         raise ValueError(f"unknown reading {reading!r}")
-    t_order = p - 1 if torus_type == "split" else p + 1
-    k %= t_order
+    k %= torus_order(p, torus_type)
     if k % 2 != 0:
         raise ValueError("set labels are defined only for characters trivial on the center")
     if k == 0:
@@ -194,14 +194,6 @@ def paper_coefficients(p: int) -> dict[tuple[str, str], Fraction]:
     return out
 
 
-def coefficient_table() -> dict[tuple[str, str], dict[int, tuple[Fraction, Fraction]]]:
-    """The full table as (set, torus) -> residue -> (a, b) with c = a p + b."""
-    return {
-        cell: {r: coefficient_line(cell[0], cell[1], r) for r in RESIDUES}
-        for cell in _TABLE_OFFSETS
-    }
-
-
 # -- decomposition ------------------------------------------------------------
 
 
@@ -219,13 +211,11 @@ class DecompositionResult:
     mismatches: list[dict] = field(default_factory=list)
 
     def orbit_weight(self, torus: str, k: int) -> int:
-        n = self.p - 1 if torus == "split" else self.p + 1
-        return 1 if k == 0 or 2 * k == n else 2
+        return 1 if k == 0 or 2 * k == torus_order(self.p, torus) else 2
 
 
 def _zc_orbit_reps(data: CharacterData, torus_type: str) -> list[int]:
-    n = data.p - 1 if torus_type == "split" else data.p + 1
-    return [k for k in range(0, n // 2 + 1) if k % 2 == 0]
+    return [k for k in range(0, torus_order(data.p, torus_type) // 2 + 1) if k % 2 == 0]
 
 
 def decompose_dl(data: CharacterData, s: ClassFunction | None = None, reading: str = "primary") -> DecompositionResult:
@@ -276,14 +266,7 @@ def decompose_dl(data: CharacterData, s: ClassFunction | None = None, reading: s
             continue
         coeff[("nonsplit", k)] = -mults[("discrete", k)] / 2
 
-    rebuilt = ClassFunction(data.table, [0] * len(data.table))
-    for (torus_type, k), c in coeff.items():
-        if not c:
-            continue
-        n = p - 1 if torus_type == "split" else p + 1
-        w = 1 if k == 0 or 2 * k == n else 2
-        rebuilt = rebuilt + data.dl(torus_type, k).chi.scale(c * w)
-    exact = rebuilt == s
+    exact = _rebuilds(data, coeff, s)
 
     labels: dict[tuple[str, int], ThetaSetLabel] = {}
     mismatches: list[dict] = []
@@ -313,6 +296,39 @@ def decompose_dl(data: CharacterData, s: ClassFunction | None = None, reading: s
     return result
 
 
+def _rebuilds(data: CharacterData, coeff: dict[tuple[str, int], Fraction], s: ClassFunction) -> bool:
+    """Whether sum c w R_T^theta over the coefficients equals s, class by class.
+
+    Every value of the rows used is written once as integer numerators over
+    one common order and denominator (lcm(p - 1, p + 1) = (p^2 - 1)/2 and 1
+    on a true table), each scale c w as an integer over the lcm of their
+    denominators; a class is one integer sum, reduced once and compared with
+    s in canonical form.
+    """
+    terms = []
+    for (torus_type, k), c in coeff.items():
+        if c:
+            w = 1 if k == 0 or 2 * k == torus_order(data.p, torus_type) else 2
+            terms.append((c * w, data.dl(torus_type, k).chi.values))
+    n, den = _common_frame(v for _, values in terms for v in values)
+    scale = lcm(*(cw.denominator for cw, _ in terms))
+    terms = [(cw.numerator * (scale // cw.denominator), values) for cw, values in terms]
+    unit = {0: 1}  # w * a * unit is w * a: the product kernel sums the scaled numerators
+    nums: dict[int, dict[int, int]] = {}  # by object: the rows share their values
+
+    def numerators(v: CycNumber) -> dict[int, int]:
+        a = nums.get(id(v))
+        if a is None:
+            a = nums[id(v)] = v._numerators(n, den)
+        return a
+
+    for i, target in enumerate(s.values):
+        raw = _raw_dot(n, ((f, numerators(values[i]), unit) for f, values in terms))
+        if CycNumber._from_numerators(n, raw, den * scale) != target:
+            return False
+    return True
+
+
 # -- the independent symbolic pipeline ----------------------------------------
 
 
@@ -320,8 +336,7 @@ def _steinberg_tensor_coefficients(p: int, t1: str, k1: int, torus_type: str, zc
     """Per-character coefficient of each R with central character one in
     St (x) R_{T1}^{theta1}, for the seven tabulated cases."""
     out: dict[int, Fraction] = {}
-    n1 = p - 1 if t1 == "split" else p + 1
-    k1 %= n1
+    k1 %= torus_order(p, t1)
     same_torus = t1 == torus_type
     for k in zc_ks:
         if k == 0:
@@ -346,7 +361,7 @@ def remark_pipeline(data: CharacterData) -> dict[tuple[str, int], Fraction]:
     orbits.  Output keys match decompose_dl's coefficients exactly.
     """
     p = data.p
-    zc = {t: [k for k in range(0, (p - 1 if t == "split" else p + 1)) if k % 2 == 0] for t in TORI}
+    zc = {t: [k for k in range(0, torus_order(p, t)) if k % 2 == 0] for t in TORI}
     acc: dict[tuple[str, int], Fraction] = {(t, k): Fraction(0) for t in TORI for k in zc[t]}
 
     def add_tensor_expansion(t1: str, k1: int, scale: Fraction):
@@ -365,7 +380,7 @@ def remark_pipeline(data: CharacterData) -> dict[tuple[str, int], Fraction]:
     pattern = embedding_pattern(p)
     for s in ("x", "y"):
         torus_type = pattern[s]
-        n = p - 1 if torus_type == "split" else p + 1
+        n = torus_order(p, torus_type)
         sign = Fraction(-1 if torus_type == "split" else 1)
         m = _SUBGROUP_ORDERS[s]
         for k in range(0, n, m):
@@ -373,7 +388,7 @@ def remark_pipeline(data: CharacterData) -> dict[tuple[str, int], Fraction]:
 
     out: dict[tuple[str, int], Fraction] = {}
     for torus_type in TORI:
-        n = p - 1 if torus_type == "split" else p + 1
+        n = torus_order(p, torus_type)
         for k in _zc_orbit_reps(data, torus_type):
             if k == 0 or 2 * k == n:
                 out[(torus_type, k)] = acc[(torus_type, k)]

@@ -400,14 +400,6 @@ def _root_of_unity(n: int, k: int) -> CycNumber:
     return CycNumber(n, {k: _ONE})
 
 
-def cyc_sum(values) -> CycNumber:
-    """Sum of an iterable of CycNumbers (single normalization pass per step)."""
-    total = ZERO
-    for v in values:
-        total = total + v
-    return total
-
-
 def gauss_sum(p: int) -> CycNumber:
     """Quadratic Gauss sum sum_t (t/p) zeta_p^t; its square is (-1)^((p-1)/2) p."""
     return CycNumber(p, {t: Fraction(legendre(t, p)) for t in range(1, p)})

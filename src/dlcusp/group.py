@@ -3,7 +3,8 @@
 Class data is built from closed forms (p + 4 classes for p >= 7), never by
 orbit enumeration; identification of an arbitrary element is O(1) via trace,
 discriminant, and a rank-one residue invariant for the unipotent-type
-classes.  Everything is immutable after construction.
+classes.  Everything is immutable after construction, apart from each
+table's memo of the class of a trace.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .numtheory import is_prime, legendre, smallest_nonsquare, sqrt_mod
+from .numtheory import factorize, is_prime, legendre, smallest_nonsquare, sqrt_mod
 
 SUBGROUP_NAMES = ("Z", "Gx_tilde", "Gy_tilde", "Gz_tilde", "Borel", "Ts", "Ta")
 
@@ -110,6 +111,7 @@ class ConjugacyTable:
         self.epsilon = smallest_nonsquare(p)
         self.classes: tuple[ClassRecord, ...] = tuple(self._build())
         self._index = {(r.kind, r.key): i for i, r in enumerate(self.classes)}
+        self._by_trace: dict[int, int] = {}  # class_of's memo for traces other than +-2
         assert len(self.classes) == p + 4
         assert sum(r.size for r in self.classes) == self.group_order
         for r in self.classes:
@@ -175,7 +177,15 @@ class ConjugacyTable:
         return 0
 
     def class_of(self, g: GroupElement) -> int:
-        """Index of the class containing g (conjugation-invariant)."""
+        """Index of the class containing g (conjugation-invariant).
+
+        Past the central and trace +-2 tests the answer reads only the trace
+        t: the discriminant, its Legendre symbol and its square root are
+        functions of t.  So a {t: index} memo returns exactly what the
+        computation would; the central elements (trace +-2) never reach it,
+        and the two unipotent-type classes of each trace +-2 are told apart
+        by more than t, so those traces are never memoized.
+        """
         p = self.p
         if g.p != p:
             raise ValueError("modulus mismatch")
@@ -186,12 +196,17 @@ class ConjugacyTable:
             return self._index[("unipotent", (1, _unipotent_residue(g)))]
         if t == p - 2:
             return self._index[("unipotent", (-1, _unipotent_residue(-g)))]
-        disc = (t * t - 4) % p
-        if legendre(disc, p) == 1:
-            r = sqrt_mod(disc, p)
-            a = (t + r) * pow(2, -1, p) % p
-            return self._index[("split_semisimple", (min(a, pow(a, -1, p)),))]
-        return self._index[("nonsplit_semisimple", (t,))]
+        i = self._by_trace.get(t)
+        if i is None:
+            disc = (t * t - 4) % p
+            if legendre(disc, p) == 1:
+                r = sqrt_mod(disc, p)
+                a = (t + r) * pow(2, -1, p) % p
+                i = self._index[("split_semisimple", (min(a, pow(a, -1, p)),))]
+            else:
+                i = self._index[("nonsplit_semisimple", (t,))]
+            self._by_trace[t] = i
+        return i
 
 
 def _unipotent_residue(g: GroupElement) -> int:
@@ -293,15 +308,24 @@ class TorusData:
     dlog: dict  # GroupElement -> exponent of the generator
     epsilon: int | None
 
-    def dlog_of(self, g: GroupElement) -> int:
-        return self.dlog[g]
+
+def torus_order(p: int, torus_type: str) -> int:
+    """|T|: p - 1 for the split torus, p + 1 for the anisotropic one."""
+    return p - 1 if torus_type == "split" else p + 1
 
 
 def build_torus(table: ConjugacyTable, torus_type: str) -> TorusData:
+    """The torus with its least generator by entries and the dlog of each element.
+
+    g generates the cyclic group of order n iff g^(n/q) != I for every prime
+    q | n: the order of g divides n, and a proper divisor of n divides n/q
+    for some such q.  Elements are sorted, so the first one found is the
+    least generator, the same one a search by element order finds.
+    """
     p = table.p
     if torus_type == "split":
         elements = [GroupElement(p, a, 0, 0, pow(a, -1, p)) for a in range(1, p)]
-        order, eps = p - 1, None
+        eps = None
     elif torus_type == "nonsplit":
         eps = table.epsilon
         elements = [
@@ -310,12 +334,13 @@ def build_torus(table: ConjugacyTable, torus_type: str) -> TorusData:
             for b in range(p)
             if (a * a - eps * b * b) % p == 1
         ]
-        order = p + 1
     else:
         raise ValueError(f"unknown torus type {torus_type!r}")
+    order = torus_order(p, torus_type)
     assert len(elements) == order
     elements.sort(key=GroupElement.entries)
-    generator = min((g for g in elements if g.order() == order), key=GroupElement.entries)
+    one, cofactors = identity(p), [order // q for q in factorize(order)]
+    generator = next(g for g in elements if all(g**c != one for c in cofactors))
     dlog, x = {}, identity(p)
     for k in range(order):
         dlog[x] = k

@@ -15,6 +15,7 @@ from dlcusp.chartable import (
 )
 from dlcusp.classfun import ClassFunction, dual, inner_product, tensor, trivial_character
 from dlcusp.cyclotomic import ZERO
+from dlcusp.numtheory import primes_in_range
 
 import propchecks
 from conftest import get_data
@@ -394,3 +395,78 @@ def test_steinberg_tensor_brute_force_matches_tabulated_cases(p):
             got = _dl_orbit_coefficients(data, phi)
             want = _expected_orbit_coefficients(data, t1, k1)
             assert got == want, (t1, k1)
+
+
+def _faulty_buckets(monkeypatch, fault):
+    """Make every build apply fault to its Borel buckets."""
+    build = CharacterData._build_borel_buckets
+
+    def faulty(self):
+        buckets = build(self)
+        fault(self, buckets)
+        return buckets
+
+    monkeypatch.setattr(CharacterData, "_build_borel_buckets", faulty)
+
+
+def _first_split_class(data):
+    return next(i for i, rec in enumerate(data.table.classes) if rec.kind == "split_semisimple")
+
+
+def _bump(data, buckets):
+    bucket = buckets[_first_split_class(data)]
+    d = min(bucket)
+    bucket[d] += 1
+
+
+def _move(data, buckets):
+    bucket = buckets[_first_split_class(data)]
+    d = min(bucket)
+    bucket[d] -= 1
+    bucket[(d + 1) % (data.p - 1)] = bucket.get((d + 1) % (data.p - 1), 0) + 1
+
+
+@pytest.mark.parametrize("p", (7, 13))
+@pytest.mark.parametrize("fault, k", [(_bump, 0), (_move, 1)])
+def test_corrupted_borel_bucket_is_caught(monkeypatch, p, fault, k):
+    """One Borel count changed: the degree (k = 0) sees a bumped count, only
+    k = 1 sees a count moved to another dlog."""
+    _faulty_buckets(monkeypatch, fault)
+    with pytest.raises(TableValidationError, match=rf"^split torus character k={k}: induction and closed form disagree at p={p}$"):
+        CharacterData(p)
+
+
+def test_induction_falls_back_to_canonical_values(monkeypatch):
+    """An induced map unequal to the closed form's but equal in value at some
+    k is compared in canonical form there, not rejected: at p = 7 the
+    counts +1, +1, -1, -1 at dlogs 0, 3, 1, 4 of an anisotropic class sum to
+    zero at k = 0 and k = 1 (zeta_6^3 = -1), and first differ from zero at k = 2."""
+
+    def fault(data, buckets):
+        i = next(i for i, rec in enumerate(data.table.classes) if rec.kind == "nonsplit_semisimple")
+        buckets[i].update({0: 1, 3: 1, 1: -1, 4: -1})
+
+    _faulty_buckets(monkeypatch, fault)
+    with pytest.raises(TableValidationError, match=r"^split torus character k=2: induction and closed form disagree at p=7$"):
+        CharacterData(7)
+
+
+def test_induction_is_proved_in_integers_on_true_tables():
+    """The integer comparison settles every class of a true table, so no cell
+    falls back to canonical forms."""
+    for p in primes_in_range(7, 43):
+        assert get_data(p).borel_fallbacks == 0, p
+
+
+@pytest.mark.parametrize("p", (7, 11, 13, 31))
+def test_cells_of_a_build_share_their_values(p):
+    """The 2p(p + 4) Deligne-Lusztig cells are one object per distinct exponent
+    map (p + 12 of them for these p), and the discrete series negate each
+    shared value once."""
+    data = get_data(p)
+    cells = [v for rows in (data.dl_split, data.dl_nonsplit) for d in rows.values() for v in d.chi.values]
+    assert len(cells) == 2 * p * (p + 4)
+    assert len({id(v) for v in cells}) == len(data._values) == p + 12
+    negated = {id(v) for k in range(1, (p + 1) // 2) for v in data.dl_nonsplit[k].chi.values}
+    discrete = {id(v) for irr in data.irreducibles if irr.label[0] == "discrete" for v in irr.chi.values}
+    assert len(discrete) == len(negated)

@@ -138,19 +138,18 @@ def test_jobs_below_one_exits_2(capsys, jobs):
     assert "--jobs" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("cpus, workers", [(4, 3), (2, 2), (None, None)])
-def test_pool_size_is_clamped(capsys, monkeypatch, cache_dir, cpus, workers):
-    """min(jobs, primes, cores) workers, and no pool at all for one; the pool is
-    a fake, so no large pool is ever started."""
-    import os
-
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """A ProcessPoolExecutor stand-in that runs in this process and records
+    the worker counts it was started with and the primes handed to it, so no
+    real pool is ever started."""
     import dlcusp.cli
 
-    started = []
+    record = {"started": [], "submitted": []}
 
     class FakePool:
         def __init__(self, max_workers):
-            started.append(max_workers)
+            record["started"].append(max_workers)
 
         def __enter__(self):
             return self
@@ -158,15 +157,50 @@ def test_pool_size_is_clamped(capsys, monkeypatch, cache_dir, cpus, workers):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, *iterables):
-            return list(map(fn, *iterables))
+        def map(self, fn, primes, *rest):
+            record["submitted"].extend(primes)
+            return list(map(fn, primes, *rest))  # rows in submission order
 
     monkeypatch.setattr(dlcusp.cli, "ProcessPoolExecutor", FakePool)
+    return record
+
+
+@pytest.mark.parametrize("cpus, workers", [(4, 3), (2, 2), (None, None)])
+def test_pool_size_is_clamped(capsys, monkeypatch, fake_pool, cache_dir, cpus, workers):
+    """min(jobs, primes, cores) workers, and no pool at all for one."""
+    import os
+
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     code, _ = run(capsys, "verify", "--range", "7", "13", "--jobs", "64", "--cache-dir", str(cache_dir),
                   "--no-timestamp")
     assert code == 0
-    assert started == ([] if workers is None else [workers])
+    assert fake_pool["started"] == ([] if workers is None else [workers])
+
+
+def test_pool_gets_the_largest_primes_first(capsys, monkeypatch, fake_pool, cache_dir):
+    """Primes go to the pool largest first, and the report is still sorted."""
+    import os
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    code, out = run(capsys, "verify", "--range", "7", "13", "--jobs", "2", "--format", "json",
+                    "--cache-dir", str(cache_dir), "--no-timestamp")
+    assert code == 0
+    assert fake_pool["submitted"] == [13, 11, 7]
+    assert [row["p"] for row in json.loads(out)["primes"]] == [7, 11, 13]
+
+
+def test_classes_builds_no_characters(capsys, monkeypatch, tmp_path):
+    """classes needs only the conjugacy table: no character is built and no
+    cache file is written."""
+    import dlcusp.cli
+
+    def no_characters(*args, **kwargs):
+        raise AssertionError("classes built a character table")
+
+    monkeypatch.setattr(dlcusp.cli, "CharacterData", no_characters)
+    code, out = run(capsys, "classes", "7", "--cache-dir", str(tmp_path))
+    assert code == 0 and "class equation: 1 + 1 + 24 + 24 + 24 + 24 + 56 + 56 + 42 + 42 + 42 = 336" in out
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_corollaries(capsys, cache_dir):
@@ -265,7 +299,8 @@ _BROKEN_PAIR = r"<trivial, principal\(1\)> = .* at p=7"
 
 
 @pytest.mark.parametrize(
-    "command", [("decompose", "7"), ("corollaries", "--range", "7", "7"), ("papertable", "--range", "7", "7")]
+    "command",
+    [("decompose", "7"), ("corollaries", "--range", "7", "7"), ("papertable", "--range", "7", "7"), ("chartable", "7")],
 )
 def test_corrupted_cached_table_is_refused_before_use(capsys, tmp_path, command):
     code = main([*command, "--cache-dir", _corrupted_cache(tmp_path)])

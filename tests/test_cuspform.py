@@ -194,3 +194,14 @@ def test_nonsplit_exceptionals_absent_when_center_acts(data13):
     assert res.multiplicities[("exceptional_nonsplit_plus",)] == 0
     assert res.multiplicities[("exceptional_nonsplit_minus",)] == 0
     assert ("nonsplit", 7) not in res.coefficients
+
+
+@pytest.mark.parametrize("p", (7, 13, 31))
+def test_rebuild_tells_a_spanned_character_from_one_outside_the_span(p):
+    """Adding principal(1), whose central character is not one, leaves the
+    cusp-form character outside the span, so the rebuild must fail; adding
+    R_split(2) stays inside, and the rebuild must succeed."""
+    data = get_data(p)
+    s = weinstein_character(data)
+    assert not decompose_dl(data, s + data.irreducible("principal", 1).chi).exact
+    assert decompose_dl(data, s + data.dl("split", 2).chi).exact

@@ -215,3 +215,27 @@ def test_conjugation_witness_replay():
                 members = set(torus.elements)
                 for x in sub.elements:
                     assert x.conjugate_by(h) in members
+
+
+@pytest.mark.parametrize("p", (7, 11, 13))
+def test_class_of_trace_memo_matches_unmemoized(p):
+    """A table that has memoized traces classifies every element, queried in
+    shuffled order, as a table with an empty memo does."""
+    table, fresh = build_conjugacy_table(p), build_conjugacy_table(p)
+    elems = all_elements(p)
+    random.Random(p).shuffle(elems)
+    for g in elems:
+        fresh._by_trace.clear()
+        assert table.class_of(g) == fresh.class_of(g), g
+    assert len(table._by_trace) == p - 2  # every trace but +-2
+
+
+def test_torus_generator_by_prime_divisors_matches_order_search():
+    """The least generator by entries, found from the prime divisors of |T|,
+    is the least element of order |T| (GroupElement.order as the oracle)."""
+    for p in primes_in_range(7, 199):
+        table = build_conjugacy_table(p)
+        for torus_type in ("split", "nonsplit"):
+            torus = build_torus(table, torus_type)
+            elements = sorted(torus.elements, key=GroupElement.entries)
+            assert torus.generator == next(g for g in elements if g.order() == torus.order), (p, torus_type)
