@@ -2,12 +2,13 @@
 
 Builds, for one prime, the p + 4 irreducible characters (trivial, Steinberg,
 principal series, discrete series, and the four Gauss-sum exceptional
-constituents) together with every Deligne-Lusztig virtual character of both
-maximal tori.  The split virtual characters are computed twice, by induction
-from the Borel subgroup and by the closed form, and the two must agree
-exactly; the exceptional constituents are pinned by a constraint battery
-(sum, degree, norm one, mutual orthogonality) rather than a transcribed
-table.
+constituents) from the closed forms of the Deligne-Lusztig virtual
+characters of both maximal tori.  The split virtual characters are computed
+twice, by induction from the Borel subgroup and by the closed form, and the
+two must agree exactly; the exceptional constituents are pinned by a
+constraint battery (sum, degree, norm one, mutual orthogonality) rather than
+a transcribed table.  The irreducible table is all that is kept: every
+Deligne-Lusztig character is derived from it on demand.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .cyclotomic import ZERO, CycNumber, _common_frame, _PackedBasis, _raw_dot, 
 from .group import (
     ConjugacyTable,
     GroupElement,
-    SubgroupData,
     TorusData,
     build_conjugacy_table,
     build_subgroup,
@@ -70,15 +70,6 @@ def quadratic_character_index(torus_order: int) -> int:
 
 
 @dataclass(frozen=True)
-class DLCharacter:
-    """A Deligne-Lusztig virtual character R_T^theta, stored per torus and k."""
-
-    torus_type: str
-    k: int
-    chi: ClassFunction
-
-
-@dataclass(frozen=True)
 class Irreducible:
     """A labelled irreducible character; label is a stable report key."""
 
@@ -100,32 +91,26 @@ class CharacterData:
         self.subgroups = {name: build_subgroup(self.table, name) for name in ("Z", "Gx_tilde", "Gy_tilde", "Gz_tilde")}
         self.split_torus = build_torus(self.table, "split")
         self.nonsplit_torus = build_torus(self.table, "nonsplit")
-        self._torus_fusion = {
-            "split": tuple(self.table.class_of(g) for g in self.split_torus.elements),
-            "nonsplit": tuple(self.table.class_of(g) for g in self.nonsplit_torus.elements),
-        }
         self.from_cache = _cached is not None
         if _cached is None:
             self._build_characters()
         else:
             self._load_characters(_cached)
         self._by_label = {irr.label: irr for irr in self.irreducibles}
+        self._dl: dict[tuple[str, int], ClassFunction] = {}  # dl's rows, derived on first use
+        self._negations: dict[int, CycNumber] = {}  # -v by id of an irreducible value v
 
     # -- construction --------------------------------------------------------
 
     def _build_characters(self):
+        """The irreducibles from the closed-form rows of R_T^theta at k <= |T|/2,
+        which live only as long as the build, once Borel induction agrees."""
         p = self.p
-        self._values: dict[tuple, CycNumber] = {}  # one shared value per distinct exponent map of this build
         self.borel_fallbacks = 0  # induction cells that needed canonical forms; 0 on a true table
-        split, nonsplit = self._closed_form("split"), self._closed_form("nonsplit")
-        induced = [
-            {d: count * rec.centralizer_order for d, count in bucket.items()}
-            for rec, bucket in zip(self.table.classes, self._build_borel_buckets())
-        ]
-        unequal = [(i, b) for i, (b, c) in enumerate(zip(induced, split)) if b != c]
-        self.dl_split = {k: self._dl_split(k, split, unequal) for k in range(p - 1)}
-        self.dl_nonsplit = {k: self._dl_nonsplit(k, nonsplit) for k in range(p + 1)}
-        self.irreducibles = self._assemble_irreducibles()
+        self._check_borel_induction()
+        split = self._closed_rows("split", range((p - 1) // 2 + 1))
+        nonsplit = self._closed_rows("nonsplit", range((p + 1) // 2 + 1))
+        self.irreducibles = self._assemble_irreducibles(split, nonsplit)
 
     def _build_borel_buckets(self) -> list[dict[int, int]]:
         """Per ambient class, how many Borel elements fuse there, by dlog of
@@ -173,51 +158,62 @@ class CharacterData:
                 out.append({})
         return out
 
-    def _row(self, closed: list[dict[int, int]], k: int, n: int, den: int) -> ClassFunction:
-        """The class function of a closed form at theta_k, each cell through the
-        build's value memo, so cells with equal exponent maps are one object."""
-        values = []
-        for dmap in closed:
-            raw = _exponents(dmap, k, n)
-            key = (n, den, frozenset(raw.items()))
-            v = self._values.get(key)
-            if v is None:
-                v = self._values[key] = CycNumber._from_numerators(n, raw, den)
-            values.append(v)
-        return ClassFunction(self.table, values)
+    def _closed_rows(self, torus_type: str, ks) -> list[ClassFunction]:
+        """The closed form of R_T^theta_k as one class function per k in ks;
+        cells with equal exponent maps are one shared value object."""
+        p = self.p
+        n = torus_order(p, torus_type)
+        den = p * (p - 1) if torus_type == "split" else 1
+        closed = self._closed_form(torus_type)
+        values: dict[frozenset, CycNumber] = {}
+        rows = []
+        for k in ks:
+            row = []
+            for dmap in closed:
+                raw = _exponents(dmap, k, n)
+                key = frozenset(raw.items())
+                v = values.get(key)
+                if v is None:
+                    v = values[key] = CycNumber._from_numerators(n, raw, den)
+                row.append(v)
+            rows.append(ClassFunction(self.table, row))
+        return rows
 
-    def _dl_split(self, k: int, closed: list[dict[int, int]], unequal: list[tuple[int, dict]]) -> DLCharacter:
-        """R for the split torus: Borel induction and closed form, compared.
+    def _check_borel_induction(self):
+        """R for the split torus by Borel induction, against the closed form.
 
         Induction from B is linear in theta: at class c the induced value is
         sum_d count_d |C(c)| zeta^(k d) / |B| over the bucket of c.  Where the
         integer map {d: count_d |C(c)|} equals the closed form's, the raw maps
         {k d mod n: ...} agree for every k, and equal raw maps over the same
         denominator are equal values, so those classes are proved for all k at
-        once.  Only the classes in unequal (none on a true table) are compared
-        per k in canonical form, the full check.
+        once.  Only the other classes (none on a true table) are compared at
+        every k in canonical form, the full check.
         """
         p = self.p
         n, den = p - 1, p * (p - 1)
-        chi = self._row(closed, k, n, den)
-        for i, induced in unequal:
-            self.borel_fallbacks += 1
-            if CycNumber._from_numerators(n, _exponents(induced, k, n), den) != chi.values[i]:
-                raise TableValidationError(f"split torus character k={k}: induction and closed form disagree at p={p}")
-        return DLCharacter("split", k, chi)
+        unequal = []
+        for rec, bucket, closed in zip(self.table.classes, self._build_borel_buckets(), self._closed_form("split")):
+            induced = {d: count * rec.centralizer_order for d, count in bucket.items()}
+            if induced != closed:
+                unequal.append((induced, closed))
+        for k in range(n):
+            for induced, closed in unequal:
+                self.borel_fallbacks += 1
+                got, want = (CycNumber._from_numerators(n, _exponents(m, k, n), den) for m in (induced, closed))
+                if got != want:
+                    raise TableValidationError(
+                        f"split torus character k={k}: induction and closed form disagree at p={p}"
+                    )
 
-    def _dl_nonsplit(self, k: int, closed: list[dict[int, int]]) -> DLCharacter:
-        """R for the anisotropic torus, from the closed form values."""
-        return DLCharacter("nonsplit", k, self._row(closed, k, self.p + 1, 1))
-
-    def steinberg(self) -> Irreducible:
-        st = self.dl_split[0].chi - trivial_character(self.table)
+    def _steinberg(self, r1: ClassFunction) -> Irreducible:
+        st = r1 - trivial_character(self.table)
         if inner_product(st, st).as_rational() != 1:
             raise TableValidationError(f"Steinberg norm is not 1 at p={self.p}")
         return Irreducible(("steinberg",), st, self.p)
 
-    def exceptional_constituents(self, torus_type: str) -> tuple[Irreducible, Irreducible]:
-        """The two halves of the order-2-character virtual character.
+    def _exceptional_pair(self, torus_type: str, base: ClassFunction) -> tuple[Irreducible, Irreducible]:
+        """The two halves of base, the order-2-character virtual character.
 
         base is R(alpha) for the split torus and -R(alpha) for the anisotropic
         one; the difference is supported on the four unipotent-type classes,
@@ -230,14 +226,10 @@ class CharacterData:
         p, table = self.p, self.table
         tau = gauss_sum(p)
         if torus_type == "split":
-            alpha = quadratic_character_index(p - 1)
-            base = self.dl_split[alpha].chi
             deg = (p + 1) // 2
             center_sign = legendre(-1, p)
             names = ("exceptional_split_plus", "exceptional_split_minus")
         else:
-            alpha = quadratic_character_index(p + 1)
-            base = -self.dl_nonsplit[alpha].chi
             deg = (p - 1) // 2
             center_sign = -legendre(-1, p)  # alpha(-I) on the larger torus
             names = ("exceptional_nonsplit_plus", "exceptional_nonsplit_minus")
@@ -268,24 +260,16 @@ class CharacterData:
             raise TableValidationError(f"exceptional constituents are not orthogonal at p={p}")
         return (Irreducible((names[0],), plus, deg), Irreducible((names[1],), minus, deg))
 
-    def _assemble_irreducibles(self) -> tuple[Irreducible, ...]:
+    def _assemble_irreducibles(self, split: list[ClassFunction], nonsplit: list[ClassFunction]) -> tuple:
+        """The p + 4 irreducibles from the closed-form rows at k = 0 .. |T|/2."""
         p = self.p
-        out = [Irreducible(("trivial",), trivial_character(self.table), 1), self.steinberg()]
-        for k in range(1, (p - 1) // 2):
-            out.append(Irreducible(("principal", k), self.dl_split[k].chi, p + 1))
-        negated: dict[int, CycNumber] = {}  # by object: the rows share their values
-
-        def negate(v: CycNumber) -> CycNumber:
-            x = negated.get(id(v))
-            if x is None:
-                x = negated[id(v)] = -v
-            return x
-
+        out = [Irreducible(("trivial",), trivial_character(self.table), 1), self._steinberg(split[0])]
+        out.extend(Irreducible(("principal", k), split[k], p + 1) for k in range(1, (p - 1) // 2))
+        negations: dict[int, CycNumber] = {}
         for k in range(1, (p + 1) // 2):
-            chi = ClassFunction(self.table, [negate(v) for v in self.dl_nonsplit[k].chi.values])
-            out.append(Irreducible(("discrete", k), chi, p - 1))
-        out.extend(self.exceptional_constituents("split"))
-        out.extend(self.exceptional_constituents("nonsplit"))
+            out.append(Irreducible(("discrete", k), _negated(nonsplit[k], negations), p - 1))
+        out.extend(self._exceptional_pair("split", split[-1]))
+        out.extend(self._exceptional_pair("nonsplit", -nonsplit[-1]))
         assert len(out) == p + 4
         return tuple(out)
 
@@ -294,25 +278,51 @@ class CharacterData:
     def irreducible(self, *label) -> Irreducible:
         return self._by_label[tuple(label)]
 
-    def dl(self, torus_type: str, k: int) -> DLCharacter:
-        rows = self.dl_split if torus_type == "split" else self.dl_nonsplit
-        return rows[k % torus_order(self.p, torus_type)]
+    def dl(self, torus_type: str, k: int) -> ClassFunction:
+        """R_T^theta_k, derived from the irreducible table.
+
+        With n = |T| and m = min(k mod n, n - k mod n), the split row is 1 + St
+        at m = 0, the split exceptional pair summed at 2m = n, and else
+        principal(m); the anisotropic row is 1 - St, minus the anisotropic
+        pair summed, and else -discrete(m).  On a built table these are the
+        closed-form rows value for value: principal(m) is closed row m and
+        discrete(m) its negation, St is R_split(1) - 1, and the pair is
+        (b + d)/2, (b - d)/2, which sum to b = +-R(alpha) in any field.  The
+        closed form is symmetric under k -> -k, as the dlogs of a class are d
+        and -d (g and g^-1), or 0 or n/2.  Equal values have one canonical
+        text, so a derived row serializes as the closed-form row did; on a
+        cached table, every row dl returns comes from audited data.
+        """
+        n = torus_order(self.p, torus_type)
+        m = min(k % n, -k % n)
+        row = self._dl.get((torus_type, m))
+        if row is None:
+            irr, split = self.irreducible, torus_type == "split"
+            if m == 0:
+                one, st = irr("trivial").chi, irr("steinberg").chi
+                row = one + st if split else one - st
+            elif 2 * m == n:
+                row = irr(f"exceptional_{torus_type}_plus").chi + irr(f"exceptional_{torus_type}_minus").chi
+                row = row if split else -row
+            else:
+                row = irr("principal", m).chi if split else _negated(irr("discrete", m).chi, self._negations)
+            self._dl[(torus_type, m)] = row
+        return row
 
     def torus(self, torus_type: str) -> TorusData:
         return self.split_torus if torus_type == "split" else self.nonsplit_torus
 
-    def torus_subgroup(self, torus_type: str) -> SubgroupData:
-        torus = self.torus(torus_type)
-        name = "Ts" if torus_type == "split" else "Ta"
-        return SubgroupData(name, self.p, torus.elements, torus.order, self._torus_fusion[torus_type])
-
     # -- serialization ---------------------------------------------------------
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, dl_rows: bool = True) -> dict:
+        """The table as a JSON document.  The class records and the
+        irreducibles are what a cache document stores and from_json_dict
+        reads; dl_rows adds dl's rows at every k of both tori."""
+
         def chi_text(chi: ClassFunction) -> list[str]:
             return [v.to_text() for v in chi.values]
 
-        return {
+        doc = {
             "schema": SCHEMA,
             "p": self.p,
             "classes": _class_records(self.table),
@@ -320,11 +330,15 @@ class CharacterData:
                 {"label": list(irr.label), "degree": irr.degree, "values": chi_text(irr.chi)}
                 for irr in self.irreducibles
             ],
-            "dl_split": [{"k": k, "values": chi_text(d.chi)} for k, d in sorted(self.dl_split.items())],
-            "dl_nonsplit": [{"k": k, "values": chi_text(d.chi)} for k, d in sorted(self.dl_nonsplit.items())],
         }
+        if dl_rows:
+            for torus in ("split", "nonsplit"):
+                n = torus_order(self.p, torus)
+                doc[f"dl_{torus}"] = [{"k": k, "values": chi_text(self.dl(torus, k))} for k in range(n)]
+        return doc
 
     def _load_characters(self, doc: dict):
+        """The irreducibles of a document; DL rows an older one holds are never read."""
         if doc.get("schema") != SCHEMA or doc.get("p") != self.p:
             raise ValueError("character-table document does not match this prime/schema")
         if doc["classes"] != _class_records(self.table):
@@ -339,14 +353,10 @@ class CharacterData:
                 value = parsed[text] = CycNumber.from_text(text)
             return value
 
-        def parse_chi(texts: list[str]) -> ClassFunction:
-            return ClassFunction(self.table, [parse(t) for t in texts])
-
         self.irreducibles = tuple(
-            Irreducible(tuple(d["label"]), parse_chi(d["values"]), d["degree"]) for d in doc["irreducibles"]
+            Irreducible(tuple(d["label"]), ClassFunction(self.table, [parse(t) for t in d["values"]]), d["degree"])
+            for d in doc["irreducibles"]
         )
-        self.dl_split = {d["k"]: DLCharacter("split", d["k"], parse_chi(d["values"])) for d in doc["dl_split"]}
-        self.dl_nonsplit = {d["k"]: DLCharacter("nonsplit", d["k"], parse_chi(d["values"])) for d in doc["dl_nonsplit"]}
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "CharacterData":
@@ -379,12 +389,25 @@ def _exponents(dmap: dict[int, int], k: int, n: int) -> dict[int, int]:
     return raw
 
 
+def _negated(chi: ClassFunction, negations: dict[int, CycNumber]) -> ClassFunction:
+    """-chi, each value object negated once per memo, so rows that share their
+    values share their negations; the memo is by id, so its values must outlive it."""
+    values = []
+    for v in chi.values:
+        x = negations.get(id(v))
+        if x is None:
+            x = negations[id(v)] = -v
+        values.append(x)
+    return ClassFunction(chi.table, values)
+
+
 def validate_table(data: CharacterData) -> dict:
     """Full orthogonality audit of the irreducible table.
 
-    Checks that there is one irreducible per class, the degree-square sum,
-    pairwise orthonormality, and closure under duality.  Raises
-    TableValidationError naming the first offender.
+    Checks that there is one irreducible per class, pairwise
+    orthonormality, that each stored degree is the value at the identity,
+    and closure under duality.  Raises TableValidationError naming the first
+    offender.
 
     The second (column) orthogonality relations follow and are not checked
     separately.  Let X be the table (rows = irreducibles, columns = classes)
@@ -392,7 +415,9 @@ def validate_table(data: CharacterData) -> dict:
     square this makes X invertible with X^-1 = D X* / |G|, so X* X =
     |G| D^-1 = diag(|C(c)|), which is the column relations.  The squareness
     is therefore checked here rather than assumed, since a cached table
-    never passes through the build.
+    never passes through the build.  The degree-square sum follows too: at
+    the identity column X* X gives sum_chi |chi(1)|^2 = |C(1)| = |G|, and
+    each degree is checked to be chi(1), so sum_chi degree^2 = |G|.
 
     The table holds few distinct values (p + 12 of (p + 4)^2 cells for
     every p from 11 to 101), so both remaining checks work on value ids
@@ -419,8 +444,6 @@ def validate_table(data: CharacterData) -> dict:
     n = len(irrs)
     if n != len(table.classes):
         raise TableValidationError(f"{n} irreducibles for {len(table.classes)} classes at p={data.p}")
-    if sum(irr.degree**2 for irr in irrs) != table.group_order:
-        raise TableValidationError(f"degree squares do not sum to |G| at p={data.p}")
     ids: dict[CycNumber, int] = {ZERO: 0}
     by_object: dict[int, int] = {}  # a loaded table's equal cells share one object
 
@@ -455,6 +478,10 @@ def validate_table(data: CharacterData) -> dict:
     id_rows = {tuple(row) for row in rows}
     inverse = [r.inverse_class for r in table.classes]
     for irr, row in zip(irrs, rows):
+        if irr.chi.degree != irr.degree:
+            raise TableValidationError(
+                f"{irr.name} has degree {irr.degree} but chi(1) = {irr.chi.degree.to_text()} at p={data.p}"
+            )
         if tuple(row[c] for c in inverse) not in id_rows:
             raise TableValidationError(f"dual of {irr.name} is not in the table at p={data.p}")
     return {"p": data.p, "irreducibles": n, "orthonormal": True, "second_orthogonality": True, "dual_closed": True}
@@ -492,7 +519,7 @@ def lemma_tensor_sign(torus_type: str) -> int:
 def induced_torus_character(data: CharacterData, torus_type: str, k: int) -> ClassFunction:
     """Ind from the torus subgroup of theta_k, via fusion."""
     torus = data.torus(torus_type)
-    sub = data.torus_subgroup(torus_type)
+    sub = build_subgroup(data.table, "Ts" if torus_type == "split" else "Ta")
     theta = TorusCharacter(torus_type, torus.order, k % torus.order)
     values = [theta.value_at_dlog(torus.dlog[g]) for g in sub.elements]
     return induce(data.table, sub, values)
@@ -501,5 +528,5 @@ def induced_torus_character(data: CharacterData, torus_type: str, k: int) -> Cla
 def steinberg_tensor_identity_holds(data: CharacterData, torus_type: str, k: int) -> bool:
     """(+-1) St (x) R_T^theta == Ind_T theta, exactly."""
     st = data.irreducible("steinberg").chi
-    lhs = tensor(st, data.dl(torus_type, k).chi).scale(lemma_tensor_sign(torus_type))
+    lhs = tensor(st, data.dl(torus_type, k)).scale(lemma_tensor_sign(torus_type))
     return lhs == induced_torus_character(data, torus_type, k)

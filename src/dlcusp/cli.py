@@ -78,7 +78,7 @@ def load_character_data(p: int, cache_dir: Path | None) -> tuple[CharacterData, 
                 pass  # a malformed document of any shape is rebuilt below
     data = CharacterData(p)
     if cache_dir is not None:
-        _atomic_write(cache_path(cache_dir, p), _json_dump(data.to_json_dict()))
+        _atomic_write(cache_path(cache_dir, p), _json_dump(data.to_json_dict(dl_rows=False)))
     return data, False
 
 
@@ -128,9 +128,9 @@ def _selected_primes(parser, args) -> list[int]:
 
 
 def _cache_dir_from_args(args) -> Path | None:
-    if getattr(args, "no_cache", False):
+    if args.no_cache:
         return None
-    if getattr(args, "cache_dir", None):
+    if args.cache_dir:
         return Path(args.cache_dir)
     return default_cache_dir()
 
@@ -314,12 +314,7 @@ def _verify_one(p: int, cache_dir_str: str | None, reading: str) -> dict:
         "status": "pass" if all(checks.values()) else "fail",
         "mismatches": res.mismatches if res is not None else [],
         "seconds": round(time.monotonic() - t0, 3),
-        "decomposition": {
-            "coefficients": {f"{t}:{k}": str(c) for (t, k), c in res.coefficients.items()},
-            "labels": {f"{t}:{k}": lab.label for (t, k), lab in res.labels.items()},
-        }
-        if res is not None
-        else None,
+        "decomposition": res,  # for the linearity fit; not part of the report
     }
     if reasons:  # a failed check's exception text; passing rows stay as they were
         row["reasons"] = reasons
@@ -339,38 +334,12 @@ def _run_pool(primes: list[int], jobs: int, cache_dir: Path | None, reading: str
     return sorted(rows, key=lambda r: r["p"])
 
 
-def _rebuild_results(rows: list[dict]) -> list[DecompositionResult]:
-    """Reassemble just enough of each decomposition for the linearity fit."""
-    from .cuspform import ThetaSetLabel
-
-    out = []
-    for row in rows:
-        dec = row["decomposition"]
-        if dec is None:
-            continue
-        coeffs = {}
-        labels = {}
-        for key, c in dec["coefficients"].items():
-            torus, k = key.split(":")
-            coeffs[(torus, int(k))] = Fraction(c)
-        for key, lab in dec["labels"].items():
-            torus, k = key.split(":")
-            labels[(torus, int(k))] = ThetaSetLabel(lab, torus, "primary")
-        out.append(
-            DecompositionResult(
-                p=row["p"], reading="primary", coefficients=coeffs, labels=labels,
-                exact=True, table_match=True, multiplicities={},
-            )
-        )
-    return out
-
-
 def cmd_verify(parser, args) -> int:
     if args.jobs < 1:
         parser.error("--jobs must be at least 1")
     primes = _selected_primes(parser, args)
     rows = _run_pool(primes, args.jobs, _cache_dir_from_args(args), args.reading)
-    lin = linearity_fit(_rebuild_results(rows))
+    lin = linearity_fit([r["decomposition"] for r in rows if r["decomposition"] is not None])
     aggregate = all(r["status"] == "pass" for r in rows) and lin.ok
     report = {
         "schema": "dlcusp-verify/1",
@@ -550,43 +519,44 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"dlcusp {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, with_range: bool):
-        if with_range:
+    def add_options(sp, cache: bool = True, prime_range: bool = False, timestamp: bool = False):
+        """The shared options a command reads, and no others."""
+        if prime_range:
             sp.add_argument("--range", nargs=2, type=int, default=(7, 101), metavar=("MIN", "MAX"))
             sp.add_argument("--mod12", type=int, default=None, help="restrict to primes with this residue mod 12")
-        sp.add_argument("--cache-dir", default=None, help="character-table cache directory (env DLCUSP_CACHE)")
-        sp.add_argument("--no-cache", action="store_true", help="disable the on-disk cache")
-        sp.add_argument("--no-timestamp", action="store_true", help="suppress timestamp/timing for byte-stable output")
+        if cache:
+            sp.add_argument("--cache-dir", default=None, help="character-table cache directory (env DLCUSP_CACHE)")
+            sp.add_argument("--no-cache", action="store_true", help="disable the on-disk cache")
+        if timestamp:
+            sp.add_argument("--no-timestamp", action="store_true", help="suppress timestamp/timing for byte-stable output")
 
     sp = sub.add_parser("classes", help="list the conjugacy classes of SL2(F_p)")
     sp.add_argument("p", type=int)
     sp.add_argument("--format", choices=("text", "json"), default="text")
-    add_common(sp, with_range=False)
 
     sp = sub.add_parser("chartable", help="print or serialize the full character table")
     sp.add_argument("p", type=int)
     sp.add_argument("--format", choices=("text", "json"), default="text")
-    add_common(sp, with_range=False)
+    add_options(sp)
 
     sp = sub.add_parser("decompose", help="decompose the cusp-form character at one prime")
     sp.add_argument("p", type=int)
     sp.add_argument("--format", choices=("text", "json", "csv"), default="text")
     sp.add_argument("--reading", choices=READINGS + ("both",), default="primary")
-    add_common(sp, with_range=False)
+    add_options(sp)
 
     sp = sub.add_parser("verify", help="end-to-end verification over a prime range")
     sp.add_argument("--format", choices=("text", "json"), default="text")
     sp.add_argument("--reading", choices=READINGS, default="primary")
     sp.add_argument("--jobs", type=int, default=1)
-    add_common(sp, with_range=True)
+    add_options(sp, prime_range=True, timestamp=True)
 
     sp = sub.add_parser("corollaries", help="appearance and odd-multiplicity checks over a range")
     sp.add_argument("--format", choices=("text", "json"), default="text")
-    add_common(sp, with_range=True)
+    add_options(sp, prime_range=True, timestamp=True)
 
     sp = sub.add_parser("papertable", help="regenerate the coefficient table from computation")
-    sp.add_argument("--format", choices=("markdown",), default="markdown")
-    add_common(sp, with_range=True)
+    add_options(sp, prime_range=True)
 
     return parser
 

@@ -309,7 +309,7 @@ def _rebuilds(data: CharacterData, coeff: dict[tuple[str, int], Fraction], s: Cl
     for (torus_type, k), c in coeff.items():
         if c:
             w = 1 if k == 0 or 2 * k == torus_order(data.p, torus_type) else 2
-            terms.append((c * w, data.dl(torus_type, k).chi.values))
+            terms.append((c * w, data.dl(torus_type, k).values))
     n, den = _common_frame(v for _, values in terms for v in values)
     scale = lcm(*(cw.denominator for cw, _ in terms))
     terms = [(cw.numerator * (scale // cw.denominator), values) for cw, values in terms]
@@ -430,7 +430,7 @@ def corollary_odd_multiplicity(data: CharacterData, result: DecompositionResult 
             raise VerificationError(f"{name} appears despite a non-trivial central character at p={p}")
     plus = data.irreducible("exceptional_nonsplit_plus").chi
     minus = data.irreducible("exceptional_nonsplit_minus").chi
-    alpha = data.dl("nonsplit", quadratic_character_index(p + 1)).chi
+    alpha = data.dl("nonsplit", quadratic_character_index(p + 1))
     real = all(v.conj() == v for v in alpha.values)
     dual_closed = {dual(plus), dual(minus)} == {plus, minus}
     all_odd = all(m.denominator == 1 and m.numerator % 2 == 1 for m in (mult_plus, mult_minus))

@@ -224,9 +224,6 @@ class CycNumber:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_rational(self) -> bool:
-        return self.order == 1
-
     def as_rational(self) -> Fraction | None:
         """The exact rational value, or None if the value is irrational."""
         if self.order != 1:

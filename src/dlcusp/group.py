@@ -14,8 +14,6 @@ from math import gcd
 
 from .numtheory import factorize, is_prime, legendre, smallest_nonsquare, sqrt_mod
 
-SUBGROUP_NAMES = ("Z", "Gx_tilde", "Gy_tilde", "Gz_tilde", "Borel", "Ts", "Ta")
-
 
 @dataclass(frozen=True)
 class GroupElement:
@@ -282,18 +280,13 @@ def build_subgroup(table: ConjugacyTable, name: str) -> SubgroupData:
         elements.sort(key=GroupElement.entries)
         expected = p * (p - 1)
     elif name in ("Ts", "Ta"):
-        return _torus_subgroup(table, name)
+        torus = build_torus(table, "split" if name == "Ts" else "nonsplit")
+        elements, expected = torus.elements, torus.order
     else:
         raise ValueError(f"unknown subgroup {name!r}")
     assert len(elements) == expected
     fusion = tuple(table.class_of(g) for g in elements)
     return SubgroupData(name, p, tuple(elements), expected, fusion)
-
-
-def _torus_subgroup(table: ConjugacyTable, name: str) -> SubgroupData:
-    torus = build_torus(table, "split" if name == "Ts" else "nonsplit")
-    fusion = tuple(table.class_of(g) for g in torus.elements)
-    return SubgroupData(name, table.p, torus.elements, torus.order, fusion)
 
 
 @dataclass(frozen=True)

@@ -83,7 +83,7 @@ def test_criterion_04_example_p7():
     alpha = quadratic_character_index(8)
     nonzero = {key: c for key, c in res.coefficients.items() if c}
     assert nonzero == {("nonsplit", alpha): Fraction(-1)}
-    assert weinstein_character(data) == data.dl("nonsplit", alpha).chi.scale(-1)
+    assert weinstein_character(data) == data.dl("nonsplit", alpha).scale(-1)
     plus = data.irreducible("exceptional_nonsplit_plus")
     minus = data.irreducible("exceptional_nonsplit_minus")
     assert plus.degree == minus.degree == 3
@@ -109,7 +109,7 @@ def test_criterion_06_tensor_decomposition_cases():
         st = data.irreducible("steinberg").chi
         for t1, n1 in (("split", p - 1), ("nonsplit", p + 1)):
             for k1 in range(0, n1, 2):
-                phi = tensor(st, data.dl(t1, k1).chi)
+                phi = tensor(st, data.dl(t1, k1))
                 assert _dl_orbit_coefficients(data, phi) == _expected_orbit_coefficients(data, t1, k1), (p, t1, k1)
     ok(6, "brute-force Steinberg-tensor coefficients match the seven tabulated cases at p in {13,17,19,23}")
 

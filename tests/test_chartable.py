@@ -39,7 +39,7 @@ def test_quadratic_character_center_values():
 
 
 def test_split_series_trivial_theta(data7):
-    r = data7.dl("split", 0).chi
+    r = data7.dl("split", 0)
     one = trivial_character(data7.table)
     st = data7.irreducible("steinberg").chi
     assert r == one + st
@@ -48,7 +48,7 @@ def test_split_series_trivial_theta(data7):
 
 def test_split_series_vanishes_on_nonsplit_classes(data7):
     for k in range(6):
-        chi = data7.dl("split", k).chi
+        chi = data7.dl("split", k)
         for rec, v in zip(data7.table.classes, chi.values):
             if rec.kind == "nonsplit_semisimple":
                 assert v.is_zero()
@@ -59,7 +59,7 @@ def test_split_series_gram_pattern(data11):
     alpha = quadratic_character_index(p - 1)
     for k in range(p - 1):
         for j in range(p - 1):
-            got = inner_product(data11.dl("split", k).chi, data11.dl("split", j).chi).as_rational()
+            got = inner_product(data11.dl("split", k), data11.dl("split", j)).as_rational()
             if j in (k, (p - 1 - k) % (p - 1)):
                 want = 2 if k in (0, alpha) else 1
             else:
@@ -70,7 +70,7 @@ def test_split_series_gram_pattern(data11):
 def test_nonsplit_series_trivial_theta():
     for p in (7, 11):
         data = get_data(p)
-        r = data.dl("nonsplit", 0).chi
+        r = data.dl("nonsplit", 0)
         assert r == trivial_character(data.table) - data.irreducible("steinberg").chi
         assert r.degree.as_rational() == 1 - p
 
@@ -79,17 +79,17 @@ def test_inverse_exponents_give_equal_virtual_characters():
     for p in (7, 11, 13):
         data = get_data(p)
         for k in range(p - 1):
-            assert data.dl("split", k).chi == data.dl("split", p - 1 - k).chi
-            assert data.dl("split", k).chi.degree.as_rational() == p + 1
+            assert data.dl("split", k) == data.dl("split", p - 1 - k)
+            assert data.dl("split", k).degree.as_rational() == p + 1
         for k in range(p + 1):
-            assert data.dl("nonsplit", k).chi == data.dl("nonsplit", p + 1 - k).chi
-            assert data.dl("nonsplit", k).chi.degree.as_rational() == 1 - p
+            assert data.dl("nonsplit", k) == data.dl("nonsplit", p + 1 - k)
+            assert data.dl("nonsplit", k).degree.as_rational() == 1 - p
 
 
 def test_cross_series_orthogonality(data7):
     for k in range(6):
         for j in range(8):
-            got = inner_product(data7.dl("split", k).chi, data7.dl("nonsplit", j).chi)
+            got = inner_product(data7.dl("split", k), data7.dl("nonsplit", j))
             assert got == ZERO, (k, j)
 
 
@@ -105,7 +105,7 @@ def test_exceptional_constituents_p7(data7):
     minus = data7.irreducible("exceptional_nonsplit_minus")
     assert plus.degree == minus.degree == 3
     assert dual(plus.chi) == minus.chi and dual(minus.chi) == plus.chi
-    base = -data7.dl("nonsplit", 4).chi
+    base = -data7.dl("nonsplit", 4)
     assert plus.chi + minus.chi == base
 
 
@@ -114,7 +114,7 @@ def test_exceptional_constituents_p13_split():
     plus = data.irreducible("exceptional_split_plus")
     minus = data.irreducible("exceptional_split_minus")
     assert plus.degree == minus.degree == 7
-    assert plus.chi + minus.chi == data.dl("split", 6).chi
+    assert plus.chi + minus.chi == data.dl("split", 6)
     assert inner_product(plus.chi, minus.chi) == ZERO
 
 
@@ -236,7 +236,8 @@ def test_huge_coefficient_is_rejected(data7):
 
 
 def _texts(doc):
-    return [t for key in ("irreducibles", "dl_split", "dl_nonsplit") for d in doc[key] for t in d["values"]]
+    """The value texts a load parses: the irreducibles' (DL rows are derived)."""
+    return [t for d in doc["irreducibles"] for t in d["values"]]
 
 
 def test_cache_load_parses_each_distinct_text_once(data7, monkeypatch):
@@ -269,7 +270,7 @@ def test_non_canonical_copy_of_a_repeated_text_is_rebuilt(data7, tmp_path):
     path = tmp_path / "sl2_p7.json"
     path.write_text(json.dumps(doc))
     data, hit = load_character_data(7, tmp_path)
-    assert not hit and json.loads(path.read_text()) == data7.to_json_dict()
+    assert not hit and json.loads(path.read_text()) == data7.to_json_dict(dl_rows=False)
 
 
 def test_dual_closure():
@@ -288,7 +289,7 @@ def test_flipped_central_sign_is_caught(data7):
 
     p = 7
     tau = gauss_sum(p)
-    base = data7.dl_split[quadratic_character_index(p - 1)].chi
+    base = data7.dl("split", quadratic_character_index(p - 1))
     wrong = -legendre(-1, p)
     delta_vals = [ZERO] * len(data7.table)
     for i, rec in enumerate(data7.table.classes):
@@ -325,7 +326,7 @@ def test_tensor_sign_convention_is_forced(data7):
     """The opposite sign assignment fails, pinning the rank convention."""
     st = data7.irreducible("steinberg").chi
     k = 2
-    lhs = tensor(st, data7.dl("split", k).chi).scale(-lemma_tensor_sign("split"))
+    lhs = tensor(st, data7.dl("split", k)).scale(-lemma_tensor_sign("split"))
     assert lhs != induced_torus_character(data7, "split", k)
 
 
@@ -352,7 +353,7 @@ def _dl_orbit_coefficients(data, phi):
     rebuilt = ClassFunction(data.table, [0] * len(data.table))
     for (torus, k), c in coeff.items():
         if c:
-            rebuilt = rebuilt + data.dl(torus, k).chi.scale(c)
+            rebuilt = rebuilt + data.dl(torus, k).scale(c)
     assert rebuilt == phi, "function is not in the DL span"
     return coeff
 
@@ -391,7 +392,7 @@ def test_steinberg_tensor_brute_force_matches_tabulated_cases(p):
     st = data.irreducible("steinberg").chi
     for t1, n1 in (("split", p - 1), ("nonsplit", p + 1)):
         for k1 in range(0, n1, 2):
-            phi = tensor(st, data.dl(t1, k1).chi)
+            phi = tensor(st, data.dl(t1, k1))
             got = _dl_orbit_coefficients(data, phi)
             want = _expected_orbit_coefficients(data, t1, k1)
             assert got == want, (t1, k1)
@@ -460,13 +461,49 @@ def test_induction_is_proved_in_integers_on_true_tables():
 
 @pytest.mark.parametrize("p", (7, 11, 13, 31))
 def test_cells_of_a_build_share_their_values(p):
-    """The 2p(p + 4) Deligne-Lusztig cells are one object per distinct exponent
-    map (p + 12 of them for these p), and the discrete series negate each
-    shared value once."""
+    """The 2p(p + 4) closed-form Deligne-Lusztig cells are one object per
+    distinct exponent map (p + 12 of them for these p), and the discrete
+    series, in the build and in dl, negate each shared value once."""
     data = get_data(p)
-    cells = [v for rows in (data.dl_split, data.dl_nonsplit) for d in rows.values() for v in d.chi.values]
+    split, nonsplit = data._closed_rows("split", range(p - 1)), data._closed_rows("nonsplit", range(p + 1))
+    cells = [v for row in split + nonsplit for v in row.values]
     assert len(cells) == 2 * p * (p + 4)
-    assert len({id(v) for v in cells}) == len(data._values) == p + 12
-    negated = {id(v) for k in range(1, (p + 1) // 2) for v in data.dl_nonsplit[k].chi.values}
+    assert len({id(v) for v in cells}) == p + 12
+    negated = {id(v) for k in range(1, (p + 1) // 2) for v in nonsplit[k].values}
     discrete = {id(v) for irr in data.irreducibles if irr.label[0] == "discrete" for v in irr.chi.values}
-    assert len(discrete) == len(negated)
+    derived = {id(v) for k in range(1, (p + 1) // 2) for v in data.dl("nonsplit", k).values}
+    assert len(discrete) == len(negated) == len(derived)
+
+
+@pytest.mark.parametrize("p", [*primes_in_range(7, 43), 101])
+def test_derived_dl_rows_equal_the_closed_form(p):
+    """dl derives every R_T^theta from the irreducible table; at every k of
+    both tori the row equals the build's closed form, value for value."""
+    data = get_data(p)
+    for torus, n in (("split", p - 1), ("nonsplit", p + 1)):
+        for k, closed in enumerate(data._closed_rows(torus, range(n))):
+            assert data.dl(torus, k) == closed, (torus, k)
+            assert data.dl(torus, k + n) is data.dl(torus, n - k)
+
+
+@pytest.mark.parametrize("p", (7, 11, 13, 31))
+def test_degree_square_sum_oracle(p):
+    """validate_table no longer sums the degree squares: with each degree
+    checked to be chi(1), the column relation at the identity implies it."""
+    data = get_data(p)
+    assert sum(irr.degree**2 for irr in data.irreducibles) == data.table.group_order
+
+
+def test_swapped_degrees_are_caught(data7):
+    """Swapping two stored degrees keeps their square sum; the audit of each
+    degree against the value at the identity names the row."""
+    import copy
+
+    broken = copy.copy(data7)
+    swap = {("principal", 1): ("discrete", 1), ("discrete", 1): ("principal", 1)}
+    broken.irreducibles = tuple(
+        type(irr)(irr.label, irr.chi, data7.irreducible(*swap[irr.label]).degree) if irr.label in swap else irr
+        for irr in data7.irreducibles
+    )
+    with pytest.raises(TableValidationError, match=r"^principal\(1\) has degree 6 but chi\(1\) = 1: 8 at p=7$"):
+        validate_table(broken)

@@ -24,16 +24,18 @@ def run(capsys, *argv) -> tuple[int, str]:
     return code, out
 
 
-def test_classes_7(capsys, cache_dir):
-    code, out = run(capsys, "classes", "7", "--cache-dir", str(cache_dir))
+def test_classes_7(capsys, monkeypatch, cache_dir):
+    monkeypatch.setenv("DLCUSP_CACHE", str(cache_dir))
+    code, out = run(capsys, "classes", "7")
     assert code == 0
     sizes = sorted(int(line.split("size=")[1].split()[0]) for line in out.splitlines() if "size=" in line)
     assert sizes == [1, 1, 24, 24, 24, 24, 42, 42, 42, 56, 56]
     assert "= 336" in out
 
 
-def test_classes_json(capsys, cache_dir):
-    code, out = run(capsys, "classes", "11", "--format", "json", "--cache-dir", str(cache_dir))
+def test_classes_json(capsys, monkeypatch, cache_dir):
+    monkeypatch.setenv("DLCUSP_CACHE", str(cache_dir))
+    code, out = run(capsys, "classes", "11", "--format", "json")
     assert code == 0
     doc = json.loads(out)
     assert doc["class_count"] == 15 and doc["group_order"] == 1320
@@ -198,7 +200,8 @@ def test_classes_builds_no_characters(capsys, monkeypatch, tmp_path):
         raise AssertionError("classes built a character table")
 
     monkeypatch.setattr(dlcusp.cli, "CharacterData", no_characters)
-    code, out = run(capsys, "classes", "7", "--cache-dir", str(tmp_path))
+    monkeypatch.setenv("DLCUSP_CACHE", str(tmp_path))
+    code, out = run(capsys, "classes", "7")
     assert code == 0 and "class equation: 1 + 1 + 24 + 24 + 24 + 24 + 56 + 56 + 42 + 42 + 42 = 336" in out
     assert list(tmp_path.iterdir()) == []
 
@@ -321,3 +324,43 @@ def test_verify_reports_why_a_check_failed(capsys, tmp_path, cache_dir):
     assert code == 1 and re.search(f"^      reason table_valid: {_BROKEN_PAIR}$", out, re.M)
     code, out = run(capsys, *args, str(cache_dir), "--format", "json")
     assert code == 0 and "reasons" not in json.loads(out)["primes"][0]  # only failing rows carry reasons
+
+
+def test_cache_document_holds_only_the_irreducible_table(capsys, tmp_path):
+    """The cache stores what validate_table audits; DL rows are derived."""
+    code, _ = run(capsys, "decompose", "7", "--cache-dir", str(tmp_path))
+    doc = json.loads((tmp_path / "sl2_p7.json").read_text())
+    assert code == 0 and sorted(doc) == ["classes", "irreducibles", "p", "schema"]
+
+
+def test_old_format_dl_rows_are_never_read(capsys, tmp_path):
+    """A cached document in the older format carries DL rows no check
+    audits; a corrupted one must not reach chartable or verify."""
+    doc = CharacterData(7).to_json_dict()
+    row = doc["dl_split"][2]["values"]
+    cls = next(i for i, c in enumerate(doc["classes"]) if c["kind"] == "split_semisimple" and row[i] == "1: -1")
+    row[cls] = "1: 1"
+    (tmp_path / "sl2_p7.json").write_text(json.dumps(doc))
+    fresh = run(capsys, "chartable", "7", "--format", "json", "--no-cache")
+    assert run(capsys, "chartable", "7", "--format", "json", "--cache-dir", str(tmp_path)) == fresh
+    code, out = run(capsys, "verify", "--range", "7", "7", "--format", "json", "--no-timestamp",
+                    "--cache-dir", str(tmp_path))
+    assert code == 0 and json.loads(out)["primes"][0]["cache_hit"]
+
+
+def test_swapped_cached_degrees_are_refused(capsys, tmp_path):
+    """Swapping the degree fields of principal(1) and discrete(1) keeps the
+    degree-square sum; the per-row degree audit names the row."""
+    doc = CharacterData(7).to_json_dict(dl_rows=False)
+    rows = {tuple(d["label"]): d for d in doc["irreducibles"]}
+    a, b = rows[("principal", 1)], rows[("discrete", 1)]
+    a["degree"], b["degree"] = b["degree"], a["degree"]
+    (tmp_path / "sl2_p7.json").write_text(json.dumps(doc))
+    message = r"principal\(1\) has degree 6 but chi\(1\) = 1: 8 at p=7"
+    code = main(["chartable", "7", "--cache-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert re.fullmatch(f"verification failure: {message}\n", captured.err)
+    code, out = run(capsys, "verify", "--range", "7", "7", "--no-timestamp", "--cache-dir", str(tmp_path))
+    assert code == 1 and "table_valid=FAIL" in out
+    assert re.search(f"^      reason table_valid: {message}$", out, re.M)
