@@ -15,10 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 
-from .classfun import ClassFunction, induce, inner_product, tensor, trivial_character
-from .cyclotomic import ZERO, CycNumber, _common_frame, _PackedBasis, _raw_dot, gauss_sum, root_of_unity
+from .classfun import ClassFunction, inner_product, trivial_character
+from .cyclotomic import ZERO, CycNumber, _common_frame, _PackedBasis, _raw_dot, gauss_sum
 from .group import (
     ConjugacyTable,
     GroupElement,
@@ -28,40 +27,13 @@ from .group import (
     build_torus,
     torus_order,
 )
-from .numtheory import legendre
+from .numtheory import is_prime, legendre
 
 SCHEMA = "dlcusp-chartable/1"
 
 
 class TableValidationError(Exception):
     """A character-table consistency check failed; carries the offender."""
-
-
-@dataclass(frozen=True)
-class TorusCharacter:
-    """theta = (generator |-> zeta_|T|^k) on a fixed maximal torus."""
-
-    torus_type: str
-    order: int
-    k: int
-
-    def value_at_dlog(self, d: int) -> CycNumber:
-        return root_of_unity(self.order, self.k * d)
-
-    @property
-    def is_trivial_on_center(self) -> bool:
-        # -I is the unique order-2 element, the half-order power of the generator
-        return self.k % 2 == 0
-
-    @property
-    def character_order(self) -> int:
-        from math import gcd
-
-        return self.order // gcd(self.k, self.order) if self.k else 1
-
-
-def torus_characters(torus: TorusData) -> list[TorusCharacter]:
-    return [TorusCharacter(torus.torus_type, torus.order, k) for k in range(torus.order)]
 
 
 def quadratic_character_index(torus_order: int) -> int:
@@ -406,8 +378,8 @@ def validate_table(data: CharacterData) -> dict:
 
     Checks that there is one irreducible per class, pairwise
     orthonormality, that each stored degree is the value at the identity,
-    and closure under duality.  Raises TableValidationError naming the first
-    offender.
+    closure under duality, and that each label names its row (_check_labels).
+    Raises TableValidationError naming the first offender.
 
     The second (column) orthogonality relations follow and are not checked
     separately.  Let X be the table (rows = irreducibles, columns = classes)
@@ -420,14 +392,15 @@ def validate_table(data: CharacterData) -> dict:
     each degree is checked to be chi(1), so sum_chi degree^2 = |G|.
 
     The table holds few distinct values (p + 12 of (p + 4)^2 cells for
-    every p from 11 to 101), so both remaining checks work on value ids
-    (0 for zero): equal ids are equal values, so the table is closed under
-    duality iff its id rows are.  For the pairs, each value is written as
-    den-scaled integer numerators at the common order N (den the common
-    denominator), and each product w a conj(b) of a class size and two
-    values is computed once, when first needed, as one int packing its
-    coordinates in the residue basis at N (_PackedBasis).  A pair of rows is
-    then one integer sum over classes, compared with delta_ij |G| den^2.
+    every p from 11 to 101), so the checks work on value ids (0 for zero):
+    equal ids are equal values, so the table is closed under duality iff
+    its id rows are.  For the pairs, each value is written as den-scaled
+    integer numerators at the common order N (den the common denominator),
+    and each product a conj(b) of two values is computed once, when first
+    needed, as one int packing its coordinates in the residue basis at N
+    (_PackedBasis); a class size w multiplies the packed int, which is
+    w a conj(b) packed, as packing is linear.  A pair of rows is then one
+    integer sum over classes, compared with delta_ij |G| den^2.
 
     This is exact.  A single root of unity has coordinates in {0, +-1}: the
     basis is a tensor product of prime-power power bases, and rewriting one
@@ -439,6 +412,27 @@ def validate_table(data: CharacterData) -> dict:
     target's lie below 2^(bits - 1); balanced digits are unique, so integer
     equality is equality in Q(zeta_N).  A mismatch is recomputed with the
     term-by-term kernel to name the value in the message.
+
+    Only one pair per Galois orbit is paired (_pair_representatives), and
+    the verdict and message are still those of the full loop over i <= j:
+    (a) For sigma in Gal(Q(zeta_N)/Q), <sigma chi, sigma psi> =
+        sigma <chi, psi>, since the class sizes are rational and sigma
+        commutes with complex conjugation (the group is abelian).  Where
+        sigma maps the id rows i, j to the rows i', j' of the table and
+        delta_ij = delta_i'j', the pair (i, j) passes iff (i', j') does:
+        the target is rational, and sigma fixes Q and is injective.  The
+        target is real, so the order within a pair does not matter.  Both
+        pairs pass or fail together, whichever way the edge is followed.
+    (b) The orbits are used only when the id rows are pairwise distinct.
+        Then sigma, injective on values, maps distinct rows to distinct
+        rows, so delta_ij = delta_i'j'.  A table with a repeated row (only a
+        broken one) gets the full loop.
+    (c) Every pair a search marks is greater than the representative it
+        started from, in lexicographic order, and the representatives are
+        paired in that order.  So the first failing pair of the full loop
+        is a representative: had a search from an earlier representative
+        marked it, that representative would fail too.  The representatives
+        before it pass, so it fails first, with the same message.
     """
     table, irrs = data.table, data.irreducibles
     n = len(irrs)
@@ -461,19 +455,20 @@ def validate_table(data: CharacterData) -> dict:
     largest = max(max(sum(map(abs, a.values())) for a in nums), dens)  # max(L, den)
     basis = _PackedBasis(order, (table.group_order * largest * largest).bit_length() + 2)
     sizes = [r.size for r in table.classes]
-    products = _Products(basis, nums, conj_nums, sizes)
+    products = _Products(basis, nums, conj_nums)
     den = dens * dens * table.group_order
     target = basis.pack({0: den})
-    for i in range(n):
-        keys = products.keys_of(rows[i])
-        for j in range(i, n):
-            total = sum(products[key + b] for key, b in zip(keys, compress(rows[j], rows[i])) if b)
-            if total != (target if i == j else 0):
-                triples = ((w, nums[a], conj_nums[b]) for w, a, b in zip(sizes, rows[i], rows[j]) if a and b)
-                got = CycNumber._from_numerators(order, _raw_dot(order, triples), den)
-                raise TableValidationError(
-                    f"<{irrs[i].name}, {irrs[j].name}> = {got.to_text()} at p={data.p}"
-                )
+    stems = [[a * len(values) for a in row] for row in rows]
+    paired = 0
+    for i, j in _pair_representatives(_row_permutations(rows, values, ids, order), n):
+        paired += 1
+        total = sum(w * products[a + b] for w, a, b in zip(sizes, stems[i], rows[j]) if a and b)
+        if total != (target if i == j else 0):
+            triples = ((w, nums[a], conj_nums[b]) for w, a, b in zip(sizes, rows[i], rows[j]) if a and b)
+            got = CycNumber._from_numerators(order, _raw_dot(order, triples), den)
+            raise TableValidationError(
+                f"<{irrs[i].name}, {irrs[j].name}> = {got.to_text()} at p={data.p}"
+            )
     # equal ids are equal values, so duality closes the table iff it closes the id rows
     id_rows = {tuple(row) for row in rows}
     inverse = [r.inverse_class for r in table.classes]
@@ -484,49 +479,126 @@ def validate_table(data: CharacterData) -> dict:
             )
         if tuple(row[c] for c in inverse) not in id_rows:
             raise TableValidationError(f"dual of {irr.name} is not in the table at p={data.p}")
-    return {"p": data.p, "irreducibles": n, "orthonormal": True, "second_orthogonality": True, "dual_closed": True}
+    _check_labels(data)
+    return {
+        "p": data.p,
+        "irreducibles": n,
+        "pairs_paired": paired,
+        "orthonormal": True,
+        "second_orthogonality": True,
+        "dual_closed": True,
+    }
+
+
+def _check_labels(data: CharacterData):
+    """Each of the p + 4 labels once, with its family's degree, and each
+    parametrized row at its defining class: principal(k) is theta_k +
+    theta_k^-1 at the split-torus generator, discrete(k) minus that at the
+    anisotropic one, and plus - minus of each exceptional pair is the Gauss
+    sum at the unipotent class keyed (1, 1).  A table whose labels were
+    permuted passes every other check, and decompose_dl reads the labels."""
+    p, table = data.p, data.table
+    degrees = {"trivial": 1, "steinberg": p, "principal": p + 1, "discrete": p - 1}
+    expected = {("trivial",), ("steinberg",)}
+    expected.update(("principal", k) for k in range(1, (p - 1) // 2))
+    expected.update(("discrete", k) for k in range(1, (p + 1) // 2))
+    for torus, deg in (("split", (p + 1) // 2), ("nonsplit", (p - 1) // 2)):
+        for sign in ("plus", "minus"):
+            expected.add((f"exceptional_{torus}_{sign}",))
+            degrees[f"exceptional_{torus}_{sign}"] = deg
+    by_label = {}
+    for irr in data.irreducibles:
+        if irr.label not in expected or irr.label in by_label:
+            raise TableValidationError(f"unexpected or repeated label {list(irr.label)} at p={p}")
+        by_label[irr.label] = irr.chi.values
+        if irr.degree != degrees[irr.label[0]]:
+            raise TableValidationError(f"{irr.name} has degree {irr.degree}, not {degrees[irr.label[0]]} at p={p}")
+    for family, torus, sign in (("principal", data.split_torus, 1), ("discrete", data.nonsplit_torus, -1)):
+        c = table.class_of(torus.generator)
+        for k in range(1, torus.order // 2):
+            want = CycNumber._from_numerators(torus.order, {k: sign, torus.order - k: sign}, 1)
+            got = by_label[(family, k)][c]
+            if got != want:
+                raise TableValidationError(
+                    f"{family}({k}) is {got.to_text()} at the {torus.torus_type} torus generator, "
+                    f"not {want.to_text()} at p={p}"
+                )
+    c = next(i for i, rec in enumerate(table.classes) if rec.kind == "unipotent" and rec.key == (1, 1))
+    tau = gauss_sum(p)
+    for torus in ("split", "nonsplit"):
+        plus, minus = (by_label[(f"exceptional_{torus}_{s}",)][c] for s in ("plus", "minus"))
+        if plus - minus != tau:
+            raise TableValidationError(
+                f"exceptional_{torus}_plus - exceptional_{torus}_minus is not the Gauss sum "
+                f"at the unipotent class (1, 1) at p={p}"
+            )
+
+
+def _galois_units(order: int, count: int = 3) -> list[int]:
+    """The count smallest primes not dividing order: the units u whose
+    sigma_u (zeta -> zeta^u) _row_permutations applies to the table."""
+    units, q = [], 1
+    while len(units) < count:
+        q += 1
+        if order % q and is_prime(q):
+            units.append(q)
+    return units
+
+
+def _row_permutations(rows: list[list[int]], values: list[CycNumber], ids: dict, order: int) -> list[list[int]]:
+    """For each of _galois_units(order), the row sigma_u sends each id row to,
+    or -1 where the image is not a row; none when two rows are equal."""
+    index = {tuple(row): i for i, row in enumerate(rows)}
+    if len(index) < len(rows):
+        return []
+    perms = []
+    for u in _galois_units(order):
+        image = [ids.get(v.galois(u), -1) for v in values]
+        perms.append([index.get(tuple(map(image.__getitem__, row)), -1) for row in rows])
+    return perms
+
+
+def _pair_representatives(perms: list[list[int]], n: int) -> list[tuple[int, int]]:
+    """The lexicographically smallest pair i <= j of each orbit of unordered
+    row pairs under the row maps perms, in lexicographic order.
+
+    A flat search over pairs, marked in a bytearray at i * n + j: each pair
+    not yet marked when the scan reaches it is a representative, and the
+    search marks every pair its maps reach from there.
+    """
+    marked = bytearray(n * n)
+    reps = []
+    for i in range(n):
+        end = i * n + n
+        k = marked.find(0, i * n + i, end)
+        while k >= 0:
+            reps.append((i, k - i * n))
+            marked[k] = 1
+            stack = [k]
+            while stack:
+                x, y = divmod(stack.pop(), n)
+                for perm in perms:
+                    a, b = perm[x], perm[y]
+                    if a < 0 or b < 0:
+                        continue
+                    m = a * n + b if a <= b else b * n + a
+                    if not marked[m]:
+                        marked[m] = 1
+                        stack.append(m)
+            k = marked.find(0, k + 1, end)
+    return reps
 
 
 class _Products(dict):
-    """Packed w * value[a] * conj(value[b]), filled on first use.  The key is
-    the int (k * V + a) * V + b, where V counts the distinct values and k
-    indexes the distinct class sizes w."""
+    """Packed value[a] * conj(value[b]), filled on first use, keyed by the
+    int a * V + b, where V counts the distinct values."""
 
-    def __init__(self, basis: _PackedBasis, nums: list, conj_nums: list, sizes: list[int]):
+    def __init__(self, basis: _PackedBasis, nums: list, conj_nums: list):
         super().__init__()
         self.basis, self.nums, self.conj_nums, self.count = basis, nums, conj_nums, len(nums)
-        self.weights = sorted(set(sizes))
-        self.weight_of = [self.weights.index(w) for w in sizes]
-
-    def keys_of(self, row: list[int]) -> list[int]:
-        """The key stems of a row's non-zero cells, in class order."""
-        v = self.count
-        return [(k * v + a) * v for k, a in zip(self.weight_of, row) if a]
 
     def __missing__(self, key: int) -> int:
-        k, rest = divmod(key, self.count * self.count)
-        a, b = divmod(rest, self.count)
-        raw = _raw_dot(self.basis.order, ((self.weights[k], self.nums[a], self.conj_nums[b]),))
+        a, b = divmod(key, self.count)
+        raw = _raw_dot(self.basis.order, ((1, self.nums[a], self.conj_nums[b]),))
         x = self[key] = self.basis.pack(raw)
         return x
-
-
-def lemma_tensor_sign(torus_type: str) -> int:
-    """Sign making St (x) R equal the induced torus character: +1 split, -1 not."""
-    return 1 if torus_type == "split" else -1
-
-
-def induced_torus_character(data: CharacterData, torus_type: str, k: int) -> ClassFunction:
-    """Ind from the torus subgroup of theta_k, via fusion."""
-    torus = data.torus(torus_type)
-    sub = build_subgroup(data.table, "Ts" if torus_type == "split" else "Ta")
-    theta = TorusCharacter(torus_type, torus.order, k % torus.order)
-    values = [theta.value_at_dlog(torus.dlog[g]) for g in sub.elements]
-    return induce(data.table, sub, values)
-
-
-def steinberg_tensor_identity_holds(data: CharacterData, torus_type: str, k: int) -> bool:
-    """(+-1) St (x) R_T^theta == Ind_T theta, exactly."""
-    st = data.irreducible("steinberg").chi
-    lhs = tensor(st, data.dl(torus_type, k)).scale(lemma_tensor_sign(torus_type))
-    return lhs == induced_torus_character(data, torus_type, k)

@@ -119,29 +119,3 @@ def induce(table: ConjugacyTable, sub: SubgroupData, values: Sequence[CycNumber 
 def restrict(phi: ClassFunction, sub: SubgroupData) -> list[CycNumber]:
     """Values of phi on the subgroup elements, through the fusion map."""
     return [phi.values[i] for i in sub.fusion]
-
-
-def induced_pairing(sub: SubgroupData, chi_values: Sequence[CycNumber], phi: ClassFunction) -> CycNumber:
-    """<chi, Res_H phi>_H, the right side of Frobenius reciprocity."""
-    res = restrict(phi, sub)
-    total = ZERO
-    for a, b in zip(chi_values, res):
-        total = total + a * b.conj()
-    return total.scale(Fraction(1, sub.order))
-
-
-def decompose_multiplicities(phi: ClassFunction, irreducibles: Sequence[ClassFunction]) -> list[Fraction]:
-    """Multiplicities against a complete orthonormal system; must rebuild phi."""
-    mults = []
-    for chi in irreducibles:
-        m = inner_product(phi, chi).as_rational()
-        if m is None:
-            raise ValueError("non-rational multiplicity: character table is broken")
-        mults.append(m)
-    rebuilt = ClassFunction(phi.table, [ZERO] * len(phi.table))
-    for m, chi in zip(mults, irreducibles):
-        if m:
-            rebuilt = rebuilt + chi.scale(m)
-    if rebuilt != phi:
-        raise ValueError("multiplicities do not rebuild the class function")
-    return mults

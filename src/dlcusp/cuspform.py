@@ -160,21 +160,6 @@ _TABLE_OFFSETS = {
 }
 
 
-def table_offset(label: str, torus_type: str, residue: int) -> int:
-    """Structural form of the offsets, generated from the embedding pattern."""
-    p_proxy = {1: 13, 5: 17, 7: 19, 11: 23}[residue]
-    emb = embedded_subgroups(p_proxy, torus_type)
-    if label == "A":
-        return 0
-    if label == "B":
-        return -2 if len(emb) == 2 else 0
-    if label == "C":
-        return -1 if "x" in emb else 0
-    if label == "D":
-        return -1 if "y" in emb else 0
-    return 1 - len(emb)
-
-
 def coefficient_line(label: str, torus_type: str, residue: int) -> tuple[Fraction, Fraction]:
     """(a, b) with c = a p + b for the given table cell."""
     sign = 1 if torus_type == "split" else -1
@@ -332,23 +317,15 @@ def _rebuilds(data: CharacterData, coeff: dict[tuple[str, int], Fraction], s: Cl
 # -- the independent symbolic pipeline ----------------------------------------
 
 
-def _steinberg_tensor_coefficients(p: int, t1: str, k1: int, torus_type: str, zc_ks: list[int]) -> dict[int, Fraction]:
+def _steinberg_tensor_coefficients(p: int, t1: str, k1: int, torus_type: str, zc_ks: list[int]) -> dict[int, int]:
     """Per-character coefficient of each R with central character one in
-    St (x) R_{T1}^{theta1}, for the seven tabulated cases."""
-    out: dict[int, Fraction] = {}
+    St (x) R_{T1}^{theta1}, for the seven tabulated cases: -1 on the other
+    torus, and 1 +- [theta = theta1] on T1 (+ split, - anisotropic)."""
+    if t1 != torus_type:
+        return dict.fromkeys(zc_ks, -1)
     k1 %= torus_order(p, t1)
-    same_torus = t1 == torus_type
-    for k in zc_ks:
-        if k == 0:
-            if same_torus:
-                out[k] = Fraction(1 + (k1 == 0)) if t1 == "split" else Fraction(1 - (k1 == 0))
-            else:
-                out[k] = Fraction(-1)
-        elif torus_type == "split":
-            out[k] = Fraction(1 + (k == k1)) if same_torus else Fraction(-1)
-        else:
-            out[k] = Fraction(1 - (k == k1)) if same_torus else Fraction(-1)
-    return out
+    sign = 1 if torus_type == "split" else -1
+    return {k: 1 + sign * (k == k1) for k in zc_ks}
 
 
 def remark_pipeline(data: CharacterData) -> dict[tuple[str, int], Fraction]:
@@ -358,20 +335,22 @@ def remark_pipeline(data: CharacterData) -> dict[tuple[str, int], Fraction]:
     trivial character written as R_split(1) + R_nonsplit(1), and the two
     subgroup sums with their torus-rank signs), replacing every Steinberg
     tensor by its tabulated coefficient list, then symmetrizes inversion
-    orbits.  Output keys match decompose_dl's coefficients exactly.
+    orbits.  Every coefficient and sign is an integer, so the sums stay in
+    int and only the orbit halving makes a Fraction.  Output keys match
+    decompose_dl's coefficients exactly.
     """
     p = data.p
     zc = {t: [k for k in range(0, torus_order(p, t)) if k % 2 == 0] for t in TORI}
-    acc: dict[tuple[str, int], Fraction] = {(t, k): Fraction(0) for t in TORI for k in zc[t]}
+    acc: dict[tuple[str, int], int] = {(t, k): 0 for t in TORI for k in zc[t]}
 
-    def add_tensor_expansion(t1: str, k1: int, scale: Fraction):
+    def add_tensor_expansion(t1: str, k1: int, scale: int):
         for torus_type in TORI:
             for k, c in _steinberg_tensor_coefficients(p, t1, k1, torus_type, zc[torus_type]).items():
                 acc[(torus_type, k)] += scale * c
 
     # sum over split characters trivial on the center: St (x) R - R
     for k in zc["split"]:
-        add_tensor_expansion("split", k, Fraction(1))
+        add_tensor_expansion("split", k, 1)
         acc[("split", k)] -= 1
     # 2 * trivial = R_split(1) + R_nonsplit(1)
     acc[("split", 0)] += 1
@@ -381,7 +360,7 @@ def remark_pipeline(data: CharacterData) -> dict[tuple[str, int], Fraction]:
     for s in ("x", "y"):
         torus_type = pattern[s]
         n = torus_order(p, torus_type)
-        sign = Fraction(-1 if torus_type == "split" else 1)
+        sign = -1 if torus_type == "split" else 1
         m = _SUBGROUP_ORDERS[s]
         for k in range(0, n, m):
             add_tensor_expansion(torus_type, k, sign)
@@ -391,9 +370,9 @@ def remark_pipeline(data: CharacterData) -> dict[tuple[str, int], Fraction]:
         n = torus_order(p, torus_type)
         for k in _zc_orbit_reps(data, torus_type):
             if k == 0 or 2 * k == n:
-                out[(torus_type, k)] = acc[(torus_type, k)]
+                out[(torus_type, k)] = Fraction(acc[(torus_type, k)])
             else:
-                out[(torus_type, k)] = (acc[(torus_type, k)] + acc[(torus_type, n - k)]) / 2
+                out[(torus_type, k)] = Fraction(acc[(torus_type, k)] + acc[(torus_type, n - k)], 2)
     return out
 
 

@@ -178,8 +178,11 @@ class _PackedBasis:
         return x
 
     def pack(self, raw: dict[int, int]) -> int:
-        root = self._root
-        return sum(c * root(u) for u, c in raw.items())
+        roots, x = self._roots, 0
+        for u, c in raw.items():
+            r = roots.get(u)
+            x += c * (self._root(u) if r is None else r)
+        return x
 
 
 def _merge(n: int, a: dict[int, Fraction], b: dict[int, Fraction], sign: int) -> tuple[int, dict[int, Fraction]]:
@@ -316,8 +319,14 @@ class CycNumber:
 
     def conj(self) -> "CycNumber":
         """Complex conjugation: zeta^e -> zeta^(N-e), extended linearly."""
+        return self.galois(-1)
+
+    def galois(self, u: int) -> "CycNumber":
+        """sigma_u: zeta -> zeta^u, for u coprime to the order (conj is u = -1)."""
         n = self.order
-        return CycNumber._raw(*_canonicalize(n, {(n - e) % n: c for e, c in self.terms.items()}))
+        if gcd(u, n) != 1:
+            raise ValueError(f"{u} is not a unit mod {n}")
+        return CycNumber._raw(*_canonicalize(n, {u * e % n: c for e, c in self.terms.items()}))
 
     # -- comparison / hashing ----------------------------------------------
 

@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from typing import Sequence
 
 from dlcusp.chartable import CharacterData, TableValidationError
-from dlcusp.classfun import ClassFunction, dual, induce, induced_pairing, inner_product
+from dlcusp.classfun import ClassFunction, dual, induce, inner_product, restrict, tensor
+from dlcusp.cuspform import embedded_subgroups
 from dlcusp.cyclotomic import ZERO, CycNumber, _common_frame, _raw_dot, root_of_unity
-from dlcusp.group import GroupElement
+from dlcusp.group import GroupElement, SubgroupData, build_subgroup
 
 
 def random_cyc(rng: random.Random, order: int, max_terms: int = 4, dens=None) -> CycNumber:
@@ -141,18 +144,23 @@ def check_row_orthonormality(data: CharacterData) -> None:
                 )
 
 
-def with_cell(data: CharacterData, row: int, cls: int, value: CycNumber) -> CharacterData:
-    """A shallow copy of data whose irreducible number row takes value at class cls."""
+def with_row(data: CharacterData, row: int, chi: ClassFunction) -> CharacterData:
+    """A shallow copy of data whose irreducible number row has the values of chi."""
     import copy
 
     irr = data.irreducibles[row]
-    values = list(irr.chi.values)
-    values[cls] = value
     broken = copy.copy(data)
     irrs = list(data.irreducibles)
-    irrs[row] = type(irr)(irr.label, ClassFunction(data.table, values), irr.degree)
+    irrs[row] = type(irr)(irr.label, chi, irr.degree)
     broken.irreducibles = tuple(irrs)
     return broken
+
+
+def with_cell(data: CharacterData, row: int, cls: int, value: CycNumber) -> CharacterData:
+    """A shallow copy of data whose irreducible number row takes value at class cls."""
+    values = list(data.irreducibles[row].chi.values)
+    values[cls] = value
+    return with_row(data, row, ClassFunction(data.table, values))
 
 
 def single_cell_faults(data: CharacterData, seed: int = 5, count: int = 40):
@@ -234,8 +242,6 @@ def _random_element(rng: random.Random, p: int) -> GroupElement:
 
 def check_frobenius_reciprocity(data: CharacterData) -> int:
     """<Ind_H 1, chi>_G == <1, Res_H chi>_H for all seven subgroups, all chi."""
-    from dlcusp.group import build_subgroup
-
     table = data.table
     checked = 0
     for name in ("Z", "Gx_tilde", "Gy_tilde", "Gz_tilde", "Borel", "Ts", "Ta"):
@@ -264,3 +270,89 @@ def check_dual_closure(data: CharacterData) -> int:
     for irr in data.irreducibles:
         assert dual(irr.chi) in chis
     return len(chis)
+
+
+# -- independent oracles ---------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class TorusCharacter:
+    """theta = (generator |-> zeta_|T|^k) on a fixed maximal torus."""
+
+    torus_type: str
+    order: int
+    k: int
+
+    def value_at_dlog(self, d: int) -> CycNumber:
+        return root_of_unity(self.order, self.k * d)
+
+    @property
+    def is_trivial_on_center(self) -> bool:
+        # -I is the unique order-2 element, the half-order power of the generator
+        return self.k % 2 == 0
+
+    @property
+    def character_order(self) -> int:
+        return self.order // gcd(self.k, self.order) if self.k else 1
+
+
+def lemma_tensor_sign(torus_type: str) -> int:
+    """Sign making St (x) R equal the induced torus character: +1 split, -1 not."""
+    return 1 if torus_type == "split" else -1
+
+
+def induced_torus_character(data: CharacterData, torus_type: str, k: int) -> ClassFunction:
+    """Ind from the torus subgroup of theta_k, via fusion."""
+    torus = data.torus(torus_type)
+    sub = build_subgroup(data.table, "Ts" if torus_type == "split" else "Ta")
+    theta = TorusCharacter(torus_type, torus.order, k % torus.order)
+    values = [theta.value_at_dlog(torus.dlog[g]) for g in sub.elements]
+    return induce(data.table, sub, values)
+
+
+def steinberg_tensor_identity_holds(data: CharacterData, torus_type: str, k: int) -> bool:
+    """(+-1) St (x) R_T^theta == Ind_T theta, exactly."""
+    st = data.irreducible("steinberg").chi
+    lhs = tensor(st, data.dl(torus_type, k)).scale(lemma_tensor_sign(torus_type))
+    return lhs == induced_torus_character(data, torus_type, k)
+
+
+def induced_pairing(sub: SubgroupData, chi_values: Sequence[CycNumber], phi: ClassFunction) -> CycNumber:
+    """<chi, Res_H phi>_H, the right side of Frobenius reciprocity."""
+    total = ZERO
+    for a, b in zip(chi_values, restrict(phi, sub)):
+        total = total + a * b.conj()
+    return total.scale(Fraction(1, sub.order))
+
+
+def decompose_multiplicities(phi: ClassFunction, irreducibles: Sequence[ClassFunction]) -> list[Fraction]:
+    """Multiplicities against a complete orthonormal system; must rebuild phi."""
+    mults = []
+    for chi in irreducibles:
+        m = inner_product(phi, chi).as_rational()
+        if m is None:
+            raise ValueError("non-rational multiplicity: character table is broken")
+        mults.append(m)
+    rebuilt = ClassFunction(phi.table, [ZERO] * len(phi.table))
+    for m, chi in zip(mults, irreducibles):
+        if m:
+            rebuilt = rebuilt + chi.scale(m)
+    if rebuilt != phi:
+        raise ValueError("multiplicities do not rebuild the class function")
+    return mults
+
+
+def table_offset(label: str, torus_type: str, residue: int) -> int:
+    """Structural form of the coefficient-table offsets, generated from the
+    embedding pattern at a proxy prime of each residue."""
+    p_proxy = {1: 13, 5: 17, 7: 19, 11: 23}[residue]
+    emb = embedded_subgroups(p_proxy, torus_type)
+    if label == "A":
+        return 0
+    if label == "B":
+        return -2 if len(emb) == 2 else 0
+    if label == "C":
+        return -1 if "x" in emb else 0
+    if label == "D":
+        return -1 if "y" in emb else 0
+    return 1 - len(emb)

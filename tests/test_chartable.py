@@ -2,28 +2,20 @@ from fractions import Fraction
 
 import pytest
 
-from dlcusp.chartable import (
-    CharacterData,
-    TableValidationError,
-    TorusCharacter,
-    induced_torus_character,
-    lemma_tensor_sign,
-    quadratic_character_index,
-    steinberg_tensor_identity_holds,
-    torus_characters,
-    validate_table,
-)
+from dlcusp.chartable import CharacterData, TableValidationError, quadratic_character_index, validate_table
 from dlcusp.classfun import ClassFunction, dual, inner_product, tensor, trivial_character
 from dlcusp.cyclotomic import ZERO
 from dlcusp.numtheory import primes_in_range
 
 import propchecks
 from conftest import get_data
+from propchecks import TorusCharacter, induced_torus_character, lemma_tensor_sign, steinberg_tensor_identity_holds
 
 
 def test_torus_character_counts(data7):
-    split = torus_characters(data7.split_torus)
-    nonsplit = torus_characters(data7.nonsplit_torus)
+    split, nonsplit = (
+        [TorusCharacter(t.torus_type, t.order, k) for k in range(t.order)] for t in (data7.split_torus, data7.nonsplit_torus)
+    )
     assert len(split) == 6 and sum(th.is_trivial_on_center for th in split) == 3
     assert len(nonsplit) == 8 and sum(th.is_trivial_on_center for th in nonsplit) == 4
 
@@ -507,3 +499,175 @@ def test_swapped_degrees_are_caught(data7):
     )
     with pytest.raises(TableValidationError, match=r"^principal\(1\) has degree 6 but chi\(1\) = 1: 8 at p=7$"):
         validate_table(broken)
+
+
+# -- one pair per Galois orbit ------------------------------------------------------
+
+
+def _id_rows(data):
+    """The id rows, distinct values, value ids and common order validate_table pairs."""
+    from dlcusp.cyclotomic import _common_frame
+
+    ids = {ZERO: 0}
+    rows = [[ids.setdefault(v, len(ids)) for v in irr.chi.values] for irr in data.irreducibles]
+    values = list(ids)
+    return rows, values, ids, _common_frame(values)[0]
+
+
+def _orbit_minima(perms, n):
+    """The least pair i <= j of each component of the pair graph under perms,
+    edges taken both ways: a union-find over all n^2 pairs, whose roots are
+    kept at the least index i * n + j (lexicographic order)."""
+    parent = list(range(n * n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for perm in perms:
+        for i in range(n):
+            for j in range(i, n):
+                a, b = sorted((perm[i], perm[j]))
+                if a >= 0:
+                    ra, rb = find(i * n + j), find(a * n + b)
+                    parent[max(ra, rb)] = min(ra, rb)
+    return sorted({divmod(find(i * n + j), n) for i in range(n) for j in range(i, n)})
+
+
+@pytest.mark.parametrize("p", primes_in_range(7, 43))
+def test_each_chosen_unit_permutes_the_rows(p):
+    """sigma_u of each unit validate_table applies maps every row of a built
+    table to a row of it, value for value, and the pairs fall into fewer orbits."""
+    from dlcusp.chartable import _galois_units, _pair_representatives, _row_permutations
+
+    data = get_data(p)
+    irrs, n = data.irreducibles, len(data.irreducibles)
+    rows, values, ids, order = _id_rows(data)
+    perms = _row_permutations(rows, values, ids, order)
+    units = _galois_units(order)
+    assert len(perms) == len(units) == 3
+    for u, perm in zip(units, perms):
+        assert sorted(perm) == list(range(n)), u
+        for irr, image in zip(irrs, perm):
+            assert [v.galois(u) for v in irr.chi.values] == list(irrs[image].chi.values), (u, irr.label)
+    assert len(_pair_representatives(perms, n)) < n * (n + 1) // 2
+
+
+@pytest.mark.parametrize("p", (7, 11, 13, 31))
+def test_representatives_are_the_orbit_minima(p):
+    """The flat search picks the least pair of each orbit, each once and in
+    lexicographic order, and validate_table pairs every one of them."""
+    from dlcusp.chartable import _pair_representatives, _row_permutations
+
+    data = get_data(p)
+    n = len(data.irreducibles)
+    perms = _row_permutations(*_id_rows(data))
+    reps = _pair_representatives(perms, n)
+    assert reps == _orbit_minima(perms, n)
+    assert _pair_representatives([], n) == [(i, j) for i in range(n) for j in range(i, n)]
+    assert validate_table(data)["pairs_paired"] == len(reps)
+
+
+def test_a_repeated_row_gets_the_full_loop_and_the_oracles_message(data7):
+    """A table with two equal rows uses no orbits, and fails with the
+    message of the cell-by-cell pair loop, for every choice of the pair."""
+    import copy
+
+    from dlcusp.chartable import _row_permutations
+
+    irrs = data7.irreducibles
+    for i, src in enumerate(irrs):
+        for j, dst in enumerate(irrs):
+            if i == j:
+                continue
+            broken = copy.copy(data7)
+            broken.irreducibles = irrs[:j] + (type(dst)(dst.label, src.chi, dst.degree),) + irrs[j + 1:]
+            assert _row_permutations(*_id_rows(broken)) == []
+            want = _outcome(propchecks.check_row_orthonormality, broken)
+            assert want is not None and _outcome(validate_table, broken) == want, (i, j)
+
+
+@pytest.mark.parametrize("p", (7, 13))
+def test_a_row_scaled_by_two_fails_only_its_norm(p):
+    """2 chi stays orthogonal to every other row, so only the pair (chi, chi)
+    fails, wherever it falls in the order of representatives."""
+    data = get_data(p)
+    for row, irr in enumerate(data.irreducibles):
+        broken = propchecks.with_row(data, row, irr.chi.scale(2))
+        want = _outcome(propchecks.check_row_orthonormality, broken)
+        assert want == f"<{irr.name}, {irr.name}> = 1: 4 at p={p}"
+        assert _outcome(validate_table, broken) == want
+
+
+def test_galois_action_commutes_with_the_pairing(data13):
+    """<sigma phi, sigma psi> = sigma <phi, psi> on random class functions,
+    the identity the orbit argument rests on."""
+    import random
+
+    rng = random.Random(13)
+    table = data13.table
+
+    def value():
+        return ZERO if rng.random() < 0.2 else propchecks.random_cyc(rng, rng.choice((12, 28, 100, 52)))
+
+    for _ in range(10):
+        phi = ClassFunction(table, [value() for _ in range(len(table))])
+        psi = ClassFunction(table, [value() for _ in range(len(table))]) + phi.scale(rng.randint(-2, 2))
+        for u in (11, 17, 19):
+            sigma_phi, sigma_psi = (ClassFunction(table, [v.galois(u) for v in f.values]) for f in (phi, psi))
+            assert inner_product(sigma_phi, sigma_psi) == inner_product(phi, psi).galois(u)
+
+
+# -- labels ---------------------------------------------------------------------------
+
+
+def _relabelled(data, relabel):
+    """A shallow copy of data whose irreducibles carry relabel.get(label, label)."""
+    import copy
+
+    broken = copy.copy(data)
+    broken.irreducibles = tuple(
+        type(irr)(relabel.get(irr.label, irr.label), irr.chi, irr.degree) for irr in data.irreducibles
+    )
+    return broken
+
+
+@pytest.mark.parametrize(
+    "relabel, message",
+    [
+        # both non-trivial on the center: every other check of the table passes
+        ({("principal", 1): ("principal", 3), ("principal", 3): ("principal", 1)},
+         r"principal\(1\) is 1: 0 at the split torus generator, not 12: -1\*z\^3 \+ -2\*z\^7 at p=13"),
+        ({("discrete", 2): ("discrete", 4), ("discrete", 4): ("discrete", 2)},
+         r"discrete\(2\) is .* at the nonsplit torus generator, not .* at p=13"),
+        ({("exceptional_split_plus",): ("exceptional_split_minus",),
+          ("exceptional_split_minus",): ("exceptional_split_plus",)},
+         r"exceptional_split_plus - exceptional_split_minus is not the Gauss sum at the unipotent class \(1, 1\) at p=13"),
+        ({("exceptional_nonsplit_plus",): ("exceptional_nonsplit_minus",),
+          ("exceptional_nonsplit_minus",): ("exceptional_nonsplit_plus",)},
+         r"exceptional_nonsplit_plus - exceptional_nonsplit_minus is not the Gauss sum .* at p=13"),
+        ({("principal", 1): ("discrete", 1), ("discrete", 1): ("principal", 1)},
+         r"discrete\(1\) has degree 14, not 12 at p=13"),
+        ({("principal", 1): ("principal", 6)}, r"unexpected or repeated label \['principal', 6\] at p=13"),
+        ({("principal", 1): ("principal", 2)}, r"unexpected or repeated label \['principal', 2\] at p=13"),
+        ({("steinberg",): ("st",)}, r"unexpected or repeated label \['st'\] at p=13"),
+    ],
+)
+def test_each_label_must_name_its_row(data13, relabel, message):
+    """Rows under the wrong labels keep the table orthonormal, dual-closed
+    and each degree equal to chi(1); the label audit names the first one."""
+    broken = _relabelled(data13, relabel)
+    assert _outcome(propchecks.check_row_orthonormality, broken) is None
+    with pytest.raises(TableValidationError, match=f"^{message}$"):
+        validate_table(broken)
+
+
+@pytest.mark.parametrize("p", primes_in_range(7, 43))
+def test_built_labels_name_their_rows(p):
+    """Every built table passes the label audit, so its conditions are the
+    paper's: theta_k at the torus generators and +tau at the class (1, 1)."""
+    from dlcusp.chartable import _check_labels
+
+    _check_labels(get_data(p))

@@ -4,7 +4,6 @@ import pytest
 
 from dlcusp.classfun import (
     ClassFunction,
-    decompose_multiplicities,
     dual,
     induce,
     inner_product,
@@ -17,6 +16,7 @@ from dlcusp.group import build_subgroup
 
 import propchecks
 from conftest import get_data
+from propchecks import decompose_multiplicities
 
 
 def test_inner_product_of_trivial():

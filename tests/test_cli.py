@@ -364,3 +364,69 @@ def test_swapped_cached_degrees_are_refused(capsys, tmp_path):
     code, out = run(capsys, "verify", "--range", "7", "7", "--no-timestamp", "--cache-dir", str(tmp_path))
     assert code == 1 and "table_valid=FAIL" in out
     assert re.search(f"^      reason table_valid: {message}$", out, re.M)
+
+
+@pytest.mark.parametrize(
+    "swap, message",
+    [
+        # principal(1) and principal(3) are both non-trivial on the center
+        ((["principal", 1], ["principal", 3]), r"principal\(1\) is 1: 0 at the split torus generator, not .* at p=13"),
+        ((["exceptional_split_plus"], ["exceptional_split_minus"]),
+         r"exceptional_split_plus - exceptional_split_minus is not the Gauss sum at the unipotent class \(1, 1\) at p=13"),
+    ],
+)
+def test_swapped_cached_labels_are_refused(capsys, tmp_path, swap, message):
+    """A cached table with two labels swapped passes every other check (the
+    first swap even every verify check); the label audit names the row."""
+    doc = CharacterData(13).to_json_dict(dl_rows=False)
+    a, b = (next(d for d in doc["irreducibles"] if d["label"] == label) for label in swap)
+    a["label"], b["label"] = b["label"], a["label"]
+    (tmp_path / "sl2_p13.json").write_text(json.dumps(doc))
+    code = main(["chartable", "13", "--cache-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert re.fullmatch(f"verification failure: {message}\n", captured.err)
+    code, out = run(capsys, "verify", "--range", "13", "13", "--no-timestamp", "--cache-dir", str(tmp_path))
+    assert code == 1 and "table_valid=FAIL" in out
+    assert re.search(f"^      reason table_valid: {message}$", out, re.M)
+
+
+def test_an_internal_error_fails_only_its_check(capsys, monkeypatch, cache_dir):
+    """An exception that is not a mismatch fails the check it hit, with the
+    stage named, and every prime is still reported; the exit code stays 1."""
+    import dlcusp.cli
+
+    def broken(data):
+        raise RuntimeError("planted fault")
+
+    monkeypatch.setattr(dlcusp.cli, "remark_pipeline", broken)
+    args = ("verify", "--range", "7", "11", "--no-timestamp", "--cache-dir", str(cache_dir))
+    code, out = run(capsys, *args, "--format", "json")
+    report = json.loads(out)
+    assert code == 1 and [r["p"] for r in report["primes"]] == [7, 11]
+    for row in report["primes"]:
+        assert [name for name, ok in row["checks"].items() if not ok] == ["remark_oracle"]
+        assert row["reasons"] == {"remark_oracle": "internal: remark_pipeline: RuntimeError: planted fault"}
+    code, out = run(capsys, *args)
+    assert code == 1 and out.count("reason remark_oracle: internal: remark_pipeline: RuntimeError: planted fault") == 2
+
+
+@pytest.mark.parametrize("argv", [("verify", "--range", "7", "1000000000000"), ("chartable", "1000003"),
+                                  ("decompose", "601"), ("papertable", "--range", "599", "601")])
+def test_primes_above_the_bound_exit_2_before_any_search(capsys, monkeypatch, argv):
+    """Above MAX_PRIME a command is a usage error at once: no prime search starts."""
+    import time
+
+    import dlcusp.cli
+
+    def searched(*args):
+        raise AssertionError("a prime search started")
+
+    monkeypatch.setattr(dlcusp.cli, "primes_in_range", searched)
+    monkeypatch.setattr(dlcusp.cli, "is_prime", searched)
+    start = time.monotonic()
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2 and time.monotonic() - start < 1
+    assert f"{dlcusp.cli.MAX_PRIME}, the largest supported prime" in capsys.readouterr().err
+    assert dlcusp.cli.MAX_PRIME >= 199

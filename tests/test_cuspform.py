@@ -12,7 +12,6 @@ from dlcusp.cuspform import (
     linearity_fit,
     paper_coefficients,
     remark_pipeline,
-    table_offset,
     verify_torus_placement,
     weinstein_character,
     _TABLE_OFFSETS,
@@ -20,6 +19,7 @@ from dlcusp.cuspform import (
 from dlcusp.classfun import dual
 
 from conftest import get_data
+from propchecks import table_offset
 
 
 def test_degree_p7(data7):
