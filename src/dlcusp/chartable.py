@@ -86,7 +86,17 @@ class CharacterData:
 
     def _build_borel_buckets(self) -> list[dict[int, int]]:
         """Per ambient class, how many Borel elements fuse there, by dlog of
-        the diagonal part (the only datum a Borel linear character sees)."""
+        the diagonal part (the only datum a Borel linear character sees).
+
+        For a != +-1 the p elements [[a, b], [0, a^-1]] are counted at once,
+        through one class_of at b = 0.  Their trace a + a^-1 is not +-2 (that
+        would make (a -+ 1)^2 = 0), and none is central (a != a^-1), so by
+        class_of's memo proof the index reads only the trace, which b does
+        not change: the buckets are those of the per-b loop.  What goes is
+        the det = 1 check of elements whose determinant is a a^-1 = 1 by
+        construction.  At a = +-1 the class also depends on b (the identity,
+        -I or a unipotent-type class), so each element is classified.
+        """
         p, table = self.p, self.table
         adlog = {}
         for g, d in self.split_torus.dlog.items():
@@ -95,9 +105,13 @@ class CharacterData:
         for a in range(1, p):
             d = adlog[a]
             ainv = pow(a, -1, p)
-            for b in range(p):
-                i = table.class_of(GroupElement(p, a, b, 0, ainv))
-                buckets[i][d] = buckets[i].get(d, 0) + 1
+            if a == 1 or a == p - 1:
+                for b in range(p):
+                    i = table.class_of(GroupElement(p, a, b, 0, ainv))
+                    buckets[i][d] = buckets[i].get(d, 0) + 1
+            else:
+                i = table.class_of(GroupElement(p, a, 0, 0, ainv))
+                buckets[i][d] = buckets[i].get(d, 0) + p
         return buckets
 
     def _closed_form(self, torus_type: str) -> list[dict[int, int]]:
@@ -289,10 +303,20 @@ class CharacterData:
     def to_json_dict(self, dl_rows: bool = True) -> dict:
         """The table as a JSON document.  The class records and the
         irreducibles are what a cache document stores and from_json_dict
-        reads; dl_rows adds dl's rows at every k of both tori."""
+        reads; dl_rows adds dl's rows at every k of both tori.  Equal cells
+        mostly share one value object, so each object's text is written once;
+        the memo is by id and lives only for this call, while the table keeps
+        every value alive."""
+        texts: dict[int, str] = {}
 
         def chi_text(chi: ClassFunction) -> list[str]:
-            return [v.to_text() for v in chi.values]
+            out = []
+            for v in chi.values:
+                t = texts.get(id(v))
+                if t is None:
+                    t = texts[id(v)] = v.to_text()
+                out.append(t)
+            return out
 
         doc = {
             "schema": SCHEMA,

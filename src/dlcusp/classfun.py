@@ -94,6 +94,42 @@ def inner_product(phi: ClassFunction, psi: ClassFunction) -> CycNumber:
     return CycNumber._from_numerators(n, raw, den * den * phi.table.group_order)
 
 
+def inner_products(phi: ClassFunction, rows: Sequence[ClassFunction]) -> list[CycNumber]:
+    """[inner_product(phi, psi) for psi in rows], in one integer frame.
+
+    The rows of a table share few value objects, so the common order and
+    denominator are taken once over the distinct objects of phi's support
+    and of the rows there, phi's numerators are written once per class, and
+    each row value's conjugate numerators once per object.  Each row is then
+    one integer sum, reduced once.  The frame is a common multiple of each
+    pair's frame and the reduced value is canonical, so each result is
+    inner_product's value.
+    """
+    support = [(i, rec.size) for i, (rec, a) in enumerate(zip(phi.table.classes, phi.values)) if not a.is_zero()]
+    distinct = {id(phi.values[i]): phi.values[i] for i, _ in support}
+    for psi in rows:
+        phi._check(psi)
+        for i, _ in support:
+            v = psi.values[i]
+            distinct[id(v)] = v
+    n, den = _common_frame(distinct.values())
+    left = [(i, w, phi.values[i]._numerators(n, den)) for i, w in support]
+    conj: dict[int, dict[int, int]] = {}  # by object, which distinct keeps alive
+
+    def conj_numerators(v: CycNumber) -> dict[int, int]:
+        b = conj.get(id(v))
+        if b is None:
+            b = conj[id(v)] = v._numerators(n, den, conjugate=True)
+        return b
+
+    scale = den * den * phi.table.group_order
+    out = []
+    for psi in rows:
+        raw = _raw_dot(n, ((w, a, conj_numerators(psi.values[i])) for i, w, a in left))
+        out.append(CycNumber._from_numerators(n, raw, scale))
+    return out
+
+
 def induce(table: ConjugacyTable, sub: SubgroupData, values: Sequence[CycNumber | int | Fraction]) -> ClassFunction:
     """Induced class function: |C_G(g)|/|H| times the sum over fused elements.
 

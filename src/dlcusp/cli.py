@@ -14,7 +14,6 @@ import os
 import sys
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
@@ -272,11 +271,13 @@ def cmd_decompose(parser, args) -> int:
 # -- verify -------------------------------------------------------------------------
 
 
+_CHECKS = ("table_valid", "torus_placement", "degree_identity", "exact", "table_match", "remark_oracle")
+
+
 def _verify_one(p: int, cache_dir_str: str | None, reading: str) -> dict:
     """Per-prime end-to-end verification; worker for the process pool."""
     cache_dir = Path(cache_dir_str) if cache_dir_str else None
     t0 = time.monotonic()
-    data, hit = load_character_data(p, cache_dir)
     checks: dict[str, bool] = {}
     reasons: dict[str, str] = {}
 
@@ -296,20 +297,25 @@ def _verify_one(p: int, cache_dir_str: str | None, reading: str) -> dict:
             reasons[name] = reason
         return None
 
-    if run(("table_valid",), "validate_table", validate_table, data) is not None:
-        checks["table_valid"] = True
-    if run(("torus_placement",), "verify_torus_placement", verify_torus_placement, data) is not None:
-        checks["torus_placement"] = True
-    s = run(("degree_identity",), "weinstein_character", weinstein_character, data)
-    if s is not None:
-        checks["degree_identity"] = True
-    res = None
-    if s is not None:
-        res = run(("exact", "table_match", "remark_oracle"), "decompose_dl", decompose_dl, data, s, reading)
-    if res is None:
-        checks["exact"] = checks["table_match"] = checks["remark_oracle"] = False
-    else:
+    def check(data: CharacterData) -> DecompositionResult | None:
+        """Every check of one table, in order; the decomposition, if made."""
+        if run(("table_valid",), "validate_table", validate_table, data) is not None:
+            checks["table_valid"] = True
+        if run(("torus_placement",), "verify_torus_placement", verify_torus_placement, data) is not None:
+            checks["torus_placement"] = True
+        s = run(("degree_identity",), "weinstein_character", weinstein_character, data)
+        if s is not None:
+            checks["degree_identity"] = True
+        res = None
+        if s is not None:
+            res = run(("exact", "table_match", "remark_oracle"), "decompose_dl", decompose_dl, data, s, reading)
+        if res is None:
+            checks["exact"] = checks["table_match"] = checks["remark_oracle"] = False
+            return None
         checks["exact"] = res.exact
+        if not res.exact:
+            i = res.rebuild_differs_at
+            reasons["exact"] = f"rebuild differs from s at class {i} ({data.table.classes[i].kind}) at p={p}"
         checks["table_match"] = res.table_match
         remark = run(("remark_oracle",), "remark_pipeline", remark_pipeline, data)
         if remark is not None:
@@ -318,6 +324,14 @@ def _verify_one(p: int, cache_dir_str: str | None, reading: str) -> dict:
             appearance = run(("corollary_2",), "corollary_all_appear", corollary_all_appear, data, res)
             if appearance is not None:
                 checks["corollary_2"] = appearance.complete
+        return res
+
+    # a table that cannot be had fails every check of its prime; the other
+    # primes are still verified
+    loaded = run(_CHECKS + (("corollary_2",) if p >= 23 else ()), "load_character_data", load_character_data, p,
+                 cache_dir)
+    data, hit = loaded if loaded is not None else (None, False)
+    res = check(data) if data is not None else None
     row = {
         "p": p,
         "residue": p % 12,
@@ -341,6 +355,8 @@ def _run_pool(primes: list[int], jobs: int, cache_dir: Path | None, reading: str
         return [_verify_one(p, cd, reading) for p in primes]
     # the largest primes cost the most, so they go first and the small ones fill the gaps
     order = sorted(primes, reverse=True)
+    from concurrent.futures import ProcessPoolExecutor  # here, so a run without a pool never imports it
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         rows = list(pool.map(_verify_one, order, [cd] * len(order), [reading] * len(order)))
     return sorted(rows, key=lambda r: r["p"])

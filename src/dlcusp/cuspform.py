@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .classfun import ClassFunction, dual, induce, inner_product, trivial_character
+from .classfun import ClassFunction, dual, induce, inner_products, trivial_character
 from .chartable import CharacterData, quadratic_character_index
 from .cyclotomic import CycNumber, _common_frame, _raw_dot
 from .group import conjugate_into_torus, torus_order
@@ -190,10 +190,14 @@ class DecompositionResult:
     reading: str
     coefficients: dict[tuple[str, int], Fraction]  # (torus, orbit representative) -> c
     labels: dict[tuple[str, int], ThetaSetLabel]
-    exact: bool
     table_match: bool
     multiplicities: dict[tuple, Fraction]
     mismatches: list[dict] = field(default_factory=list)
+    rebuild_differs_at: int | None = None  # the first class where the rebuilt sum is not s
+
+    @property
+    def exact(self) -> bool:
+        return self.rebuild_differs_at is None
 
     def orbit_weight(self, torus: str, k: int) -> int:
         return 1 if k == 0 or 2 * k == torus_order(self.p, torus) else 2
@@ -212,14 +216,17 @@ def decompose_dl(data: CharacterData, s: ClassFunction | None = None, reading: s
     the irreducible multiplicities: the trivial and Steinberg multiplicities
     give both k = 0 coefficients, each principal/discrete multiplicity gives
     one orbit, and the exceptional constituents give the order-2 character
-    whenever it is trivial on the center.
+    whenever it is trivial on the center.  The p + 4 multiplicities are
+    paired in one integer frame (inner_products): s has few distinct values
+    and the table's rows share theirs.
     """
     p = data.p
     if s is None:
         s = weinstein_character(data)
     mults: dict[tuple, Fraction] = {}
-    for irr in data.irreducibles:
-        m = inner_product(s, irr.chi).as_rational()
+    irrs = data.irreducibles
+    for irr, value in zip(irrs, inner_products(s, [irr.chi for irr in irrs])):
+        m = value.as_rational()
         if m is None:
             raise VerificationError(f"non-rational multiplicity for {irr.name} at p={p}")
         mults[irr.label] = m
@@ -251,7 +258,7 @@ def decompose_dl(data: CharacterData, s: ClassFunction | None = None, reading: s
             continue
         coeff[("nonsplit", k)] = -mults[("discrete", k)] / 2
 
-    exact = _rebuilds(data, coeff, s)
+    differs_at = _rebuild_differs_at(data, coeff, s)
 
     labels: dict[tuple[str, int], ThetaSetLabel] = {}
     mismatches: list[dict] = []
@@ -273,29 +280,30 @@ def decompose_dl(data: CharacterData, s: ClassFunction | None = None, reading: s
         reading=reading,
         coefficients=coeff,
         labels=labels,
-        exact=exact,
         table_match=not mismatches,
         multiplicities=mults,
         mismatches=mismatches,
+        rebuild_differs_at=differs_at,
     )
     return result
 
 
-def _rebuilds(data: CharacterData, coeff: dict[tuple[str, int], Fraction], s: ClassFunction) -> bool:
-    """Whether sum c w R_T^theta over the coefficients equals s, class by class.
+def _rebuild_differs_at(data: CharacterData, coeff: dict[tuple[str, int], Fraction], s: ClassFunction) -> int | None:
+    """The first class where sum c w R_T^theta over the coefficients is not
+    s, or None where the sum equals s at every class.
 
-    Every value of the rows used is written once as integer numerators over
-    one common order and denominator (lcm(p - 1, p + 1) = (p^2 - 1)/2 and 1
-    on a true table), each scale c w as an integer over the lcm of their
-    denominators; a class is one integer sum, reduced once and compared with
-    s in canonical form.
+    Every distinct value object of the rows used is written once as integer
+    numerators over one common order and denominator (lcm(p - 1, p + 1) =
+    (p^2 - 1)/2 and 1 on a true table, taken over the distinct objects),
+    each scale c w as an integer over the lcm of their denominators; a class
+    is one integer sum, reduced once and compared with s in canonical form.
     """
     terms = []
     for (torus_type, k), c in coeff.items():
         if c:
             w = 1 if k == 0 or 2 * k == torus_order(data.p, torus_type) else 2
             terms.append((c * w, data.dl(torus_type, k).values))
-    n, den = _common_frame(v for _, values in terms for v in values)
+    n, den = _common_frame({id(v): v for _, values in terms for v in values}.values())
     scale = lcm(*(cw.denominator for cw, _ in terms))
     terms = [(cw.numerator * (scale // cw.denominator), values) for cw, values in terms]
     unit = {0: 1}  # w * a * unit is w * a: the product kernel sums the scaled numerators
@@ -310,8 +318,8 @@ def _rebuilds(data: CharacterData, coeff: dict[tuple[str, int], Fraction], s: Cl
     for i, target in enumerate(s.values):
         raw = _raw_dot(n, ((f, numerators(values[i]), unit) for f, values in terms))
         if CycNumber._from_numerators(n, raw, den * scale) != target:
-            return False
-    return True
+            return i
+    return None
 
 
 # -- the independent symbolic pipeline ----------------------------------------

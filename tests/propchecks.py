@@ -240,6 +240,21 @@ def _random_element(rng: random.Random, p: int) -> GroupElement:
             return GroupElement(p, 0, b, c, rng.randrange(p))
 
 
+def borel_buckets(p: int, table, split_torus) -> list[dict[int, int]]:
+    """Per class, how many Borel elements [[a, b], [0, a^-1]] fuse there, by
+    dlog of a: every element built and classified one at a time.  The oracle
+    for the build's count, which classifies one element per a != +-1."""
+    adlog = {g.a: d for g, d in split_torus.dlog.items()}
+    buckets: list[dict[int, int]] = [dict() for _ in range(len(table))]
+    for a in range(1, p):
+        d = adlog[a]
+        ainv = pow(a, -1, p)
+        for b in range(p):
+            i = table.class_of(GroupElement(p, a, b, 0, ainv))
+            buckets[i][d] = buckets[i].get(d, 0) + 1
+    return buckets
+
+
 def check_frobenius_reciprocity(data: CharacterData) -> int:
     """<Ind_H 1, chi>_G == <1, Res_H chi>_H for all seven subgroups, all chi."""
     table = data.table

@@ -246,6 +246,39 @@ def test_cache_load_parses_each_distinct_text_once(data7, monkeypatch):
     assert len(ones) > 1 and all(v is ones[0] for v in ones)  # equal cells share one value
 
 
+def _per_cell_document(data):
+    """to_json_dict's document with every cell's text written afresh."""
+    from dlcusp.chartable import SCHEMA, _class_records
+    from dlcusp.group import torus_order
+
+    def texts(chi):
+        return [v.to_text() for v in chi.values]
+
+    doc = {
+        "schema": SCHEMA,
+        "p": data.p,
+        "classes": _class_records(data.table),
+        "irreducibles": [
+            {"label": list(irr.label), "degree": irr.degree, "values": texts(irr.chi)} for irr in data.irreducibles
+        ],
+    }
+    for torus in ("split", "nonsplit"):
+        doc[f"dl_{torus}"] = [{"k": k, "values": texts(data.dl(torus, k))} for k in range(torus_order(data.p, torus))]
+    return doc
+
+
+@pytest.mark.parametrize("p", (7, 13, 31))
+def test_each_text_written_once_gives_the_per_cell_document(p):
+    """Writing each value object's text once changes no cell, on a built
+    table and on one loaded from its own document."""
+    built = get_data(p)
+    loaded = CharacterData.from_json_dict(built.to_json_dict(dl_rows=False))
+    for data in (built, loaded):
+        want = _per_cell_document(data)
+        assert data.to_json_dict() == want
+        assert data.to_json_dict(dl_rows=False) == {k: v for k, v in want.items() if not k.startswith("dl_")}
+
+
 def test_non_canonical_copy_of_a_repeated_text_is_rebuilt(data7, tmp_path):
     """Parsing once per distinct text still checks every text: a value
     written non-canonically among many canonical copies is refused."""
@@ -449,6 +482,20 @@ def test_induction_is_proved_in_integers_on_true_tables():
     falls back to canonical forms."""
     for p in primes_in_range(7, 43):
         assert get_data(p).borel_fallbacks == 0, p
+
+
+@pytest.mark.parametrize("p", [*primes_in_range(7, 101), 199])
+def test_borel_buckets_equal_the_per_element_oracle(p):
+    """Counting the p elements of each a != +-1 at once gives the buckets of
+    classifying every Borel element one by one."""
+    from types import SimpleNamespace
+
+    from dlcusp.group import build_conjugacy_table, build_torus
+
+    table = build_conjugacy_table(p)
+    torus = build_torus(table, "split")
+    built = CharacterData._build_borel_buckets(SimpleNamespace(p=p, table=table, split_torus=torus))
+    assert built == propchecks.borel_buckets(p, table, torus)
 
 
 @pytest.mark.parametrize("p", (7, 11, 13, 31))

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,11 +8,12 @@ from dlcusp.classfun import (
     dual,
     induce,
     inner_product,
+    inner_products,
     restrict,
     tensor,
     trivial_character,
 )
-from dlcusp.cyclotomic import root_of_unity
+from dlcusp.cyclotomic import ZERO, root_of_unity
 from dlcusp.group import build_subgroup
 
 import propchecks
@@ -170,3 +172,20 @@ def test_shape_errors(data7, data11):
 def test_dual_equals_conjugate_on_characters():
     for p in (7, 11):
         assert propchecks.check_dual_equals_conjugate(get_data(p)) == p + 4
+
+
+@pytest.mark.parametrize("p", (7, 13))
+def test_inner_products_equal_the_pairwise_inner_product(p):
+    """Many rows paired in one frame give each row's inner_product, also for
+    complex class functions (where a lost conjugation shows) and for ones
+    that vanish on some classes."""
+    data = get_data(p)
+    rng = random.Random(p)
+    n = len(data.table)
+    randoms = [
+        ClassFunction(data.table, [ZERO if i % 3 == j else propchecks.random_cyc(rng, 4 * p) for i in range(n)])
+        for j in range(3)
+    ]
+    rows = [irr.chi for irr in data.irreducibles] + randoms
+    for phi in rows:
+        assert inner_products(phi, rows) == [inner_product(phi, psi) for psi in rows]

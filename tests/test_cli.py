@@ -1,5 +1,6 @@
 import json
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -144,8 +145,9 @@ def test_jobs_below_one_exits_2(capsys, jobs):
 def fake_pool(monkeypatch):
     """A ProcessPoolExecutor stand-in that runs in this process and records
     the worker counts it was started with and the primes handed to it, so no
-    real pool is ever started."""
-    import dlcusp.cli
+    real pool is ever started.  The CLI imports the pool where it starts one,
+    so the stand-in replaces it in concurrent.futures."""
+    import concurrent.futures
 
     record = {"started": [], "submitted": []}
 
@@ -163,7 +165,7 @@ def fake_pool(monkeypatch):
             record["submitted"].extend(primes)
             return list(map(fn, primes, *rest))  # rows in submission order
 
-    monkeypatch.setattr(dlcusp.cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     return record
 
 
@@ -430,3 +432,155 @@ def test_primes_above_the_bound_exit_2_before_any_search(capsys, monkeypatch, ar
     assert exc.value.code == 2 and time.monotonic() - start < 1
     assert f"{dlcusp.cli.MAX_PRIME}, the largest supported prime" in capsys.readouterr().err
     assert dlcusp.cli.MAX_PRIME >= 199
+
+
+def test_importing_the_cli_leaves_the_process_pool_out():
+    """Only a run with a pool pays for importing one."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import dlcusp
+
+    src = str(Path(dlcusp.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, dlcusp.cli; print('concurrent.futures.process' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
+                         timeout=60).stdout
+    assert out == "False\n"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_failing_load_fails_only_its_prime(capsys, monkeypatch, fake_pool, cache_dir, jobs):
+    """An exception while loading one prime's table fails every check of that
+    prime with the stage named; the other primes are still verified and the
+    exit code stays 1, with and without the pool."""
+    import os
+
+    import dlcusp.cli
+
+    load = dlcusp.cli.load_character_data
+
+    def broken(p, cache_dir):
+        if p == 11:
+            raise RuntimeError("planted fault")
+        return load(p, cache_dir)
+
+    monkeypatch.setattr(dlcusp.cli, "load_character_data", broken)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    code, out = run(capsys, "verify", "--range", "7", "13", "--jobs", jobs, "--format", "json", "--no-timestamp",
+                    "--cache-dir", str(cache_dir))
+    report = json.loads(out)
+    assert code == 1 and report["aggregate"] == "fail"
+    assert fake_pool["submitted"] == ([] if jobs == "1" else [13, 11, 7])
+    rows = {row["p"]: row for row in report["primes"]}
+    assert list(rows) == [7, 11, 13] and rows[7]["status"] == rows[13]["status"] == "pass"
+    failed = rows[11]
+    names = {"table_valid", "torus_placement", "degree_identity", "exact", "table_match", "remark_oracle"}
+    assert failed["status"] == "fail" and failed["cache_hit"] is False
+    assert failed["checks"] == dict.fromkeys(names, False)
+    assert failed["reasons"] == dict.fromkeys(names, "internal: load_character_data: RuntimeError: planted fault")
+
+
+def _failed(report):
+    return {row["p"]: sorted(name for name, ok in row["checks"].items() if not ok) for row in report["primes"]}
+
+
+def test_a_torus_placement_fault_is_named(capsys, monkeypatch, cache_dir):
+    """No conjugation witness found: torus_placement fails, with the reason."""
+    import dlcusp.cuspform
+
+    monkeypatch.setattr(dlcusp.cuspform, "conjugate_into_torus", lambda sub, torus: None)
+    code, out = run(capsys, "verify", "--range", "7", "7", "--format", "json", "--no-timestamp",
+                    "--cache-dir", str(cache_dir))
+    report = json.loads(out)
+    assert code == 1 and _failed(report) == {7: ["torus_placement"]}
+    assert report["primes"][0]["reasons"] == {"torus_placement": "Gx_tilde embeds in no torus at p=7"}
+
+
+def test_a_degree_identity_fault_is_named(capsys, monkeypatch, cache_dir):
+    """Twice the trivial character added twice over: the degree formulas
+    disagree, degree_identity fails with both degrees in the reason, and no
+    decomposition is attempted."""
+    import dlcusp.cuspform
+
+    trivial = dlcusp.cuspform.trivial_character
+    monkeypatch.setattr(dlcusp.cuspform, "trivial_character", lambda table: trivial(table).scale(2))
+    code, out = run(capsys, "verify", "--range", "7", "7", "--format", "json", "--no-timestamp",
+                    "--cache-dir", str(cache_dir))
+    report = json.loads(out)
+    assert code == 1 and "degree_identity" in _failed(report)[7]
+    assert report["primes"][0]["reasons"]["degree_identity"] == "degree 8 != index formula 6 / genus formula 6"
+
+
+def test_an_exact_rebuild_fault_names_the_class(capsys, monkeypatch, cache_dir):
+    """One Deligne-Lusztig cell with a non-zero coefficient changed: the
+    rebuild differs from s at that class only, and exact names it."""
+    from dlcusp.cuspform import decompose_dl
+
+    from conftest import get_data
+
+    data = get_data(11)
+    torus, k = next(key for key, c in decompose_dl(data).coefficients.items() if c)
+    i = next(i for i, rec in enumerate(data.table.classes) if rec.kind == "split_semisimple")
+    dl = CharacterData.dl
+
+    def faulty(self, torus_type, m):
+        row = dl(self, torus_type, m)
+        if (torus_type, m) != (torus, k):
+            return row
+        values = list(row.values)
+        values[i] = values[i] + 1
+        return type(row)(row.table, values)
+
+    monkeypatch.setattr(CharacterData, "dl", faulty)
+    code, out = run(capsys, "verify", "--range", "11", "11", "--format", "json", "--no-timestamp",
+                    "--cache-dir", str(cache_dir))
+    report = json.loads(out)
+    assert code == 1 and _failed(report) == {11: ["exact"]}
+    assert report["primes"][0]["reasons"] == {"exact": f"rebuild differs from s at class {i} (split_semisimple) at p=11"}
+
+
+def test_a_corollary_2_fault_is_named(capsys, monkeypatch, cache_dir):
+    """A non-trivial irreducible's multiplicity lost after the decomposition:
+    only the appearance check reads it, and it fails with the row named."""
+    import dlcusp.cli
+
+    decompose = dlcusp.cli.decompose_dl
+
+    def lost(data, s, reading):
+        res = decompose(data, s, reading)
+        res.multiplicities[("principal", 2)] = Fraction(0)
+        return res
+
+    monkeypatch.setattr(dlcusp.cli, "decompose_dl", lost)
+    code, out = run(capsys, "verify", "--range", "23", "23", "--format", "json", "--no-timestamp",
+                    "--cache-dir", str(cache_dir))
+    report = json.loads(out)
+    assert code == 1 and _failed(report) == {23: ["corollary_2"]}
+    reason = report["primes"][0]["reasons"]["corollary_2"]
+    assert reason.startswith("appearance criterion fails at p=23") and "missing=['principal(2)']" in reason
+
+
+def test_a_linearity_fault_is_named(capsys, monkeypatch, cache_dir):
+    """A coefficient off by one at the third prime of its residue class,
+    after that prime's own checks passed: the fit names the cell and prime."""
+    import dlcusp.cli
+
+    verify_one = dlcusp.cli._verify_one
+
+    def shifted(p, cache_dir_str, reading):
+        row = verify_one(p, cache_dir_str, reading)
+        if p == 31:
+            row["decomposition"].coefficients[("split", 0)] += 1
+        return row
+
+    monkeypatch.setattr(dlcusp.cli, "_verify_one", shifted)
+    code, out = run(capsys, "verify", "--range", "7", "31", "--format", "json", "--no-timestamp",
+                    "--cache-dir", str(cache_dir))
+    report = json.loads(out)
+    assert code == 1 and report["aggregate"] == "fail"
+    assert all(row["status"] == "pass" for row in report["primes"])
+    assert report["linearity"]["ok"] is False
+    assert [(f["cell"], f["p"]) for f in report["linearity"]["failures"]] == [(["E", "split", 7], 31)]

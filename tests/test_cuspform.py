@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from dlcusp.cuspform import (
+    VerificationError,
     classify_theta,
     corollary_all_appear,
     corollary_odd_multiplicity,
@@ -16,7 +17,9 @@ from dlcusp.cuspform import (
     weinstein_character,
     _TABLE_OFFSETS,
 )
-from dlcusp.classfun import dual
+from dlcusp.classfun import ClassFunction, dual, inner_product
+from dlcusp.cyclotomic import root_of_unity
+from dlcusp.numtheory import primes_in_range
 
 from conftest import get_data
 from propchecks import table_offset
@@ -205,3 +208,20 @@ def test_rebuild_tells_a_spanned_character_from_one_outside_the_span(p):
     s = weinstein_character(data)
     assert not decompose_dl(data, s + data.irreducible("principal", 1).chi).exact
     assert decompose_dl(data, s + data.dl("split", 2)).exact
+
+
+@pytest.mark.parametrize("p", [*primes_in_range(7, 43), 101])
+def test_multiplicities_equal_the_pairwise_inner_products(p):
+    """The p + 4 multiplicities, paired in one frame, are the inner products
+    row by row, for s, s + principal(1) and s / 2."""
+    data = get_data(p)
+    s = weinstein_character(data)
+    for phi in (s, s + data.irreducible("principal", 1).chi, s.scale(Fraction(1, 2))):
+        want = {irr.label: inner_product(phi, irr.chi).as_rational() for irr in data.irreducibles}
+        assert decompose_dl(data, phi).multiplicities == want
+
+
+def test_non_rational_multiplicity_names_the_first_row(data7):
+    zeta = ClassFunction(data7.table, [root_of_unity(3)] * len(data7.table))
+    with pytest.raises(VerificationError, match=r"^non-rational multiplicity for trivial at p=7$"):
+        decompose_dl(data7, weinstein_character(data7) + zeta)
