@@ -78,32 +78,21 @@ def dual(phi: ClassFunction) -> ClassFunction:
 
 
 def inner_product(phi: ClassFunction, psi: ClassFunction) -> CycNumber:
-    """Hermitian pairing (1/|G|) sum |c| phi(c) conj(psi(c)).
-
-    Both functions are lifted once to their common order with denominators
-    cleared, summed in integers, and reduced once at the end.
-    """
-    phi._check(psi)
-    support = [
-        (rec.size, a, b)
-        for rec, a, b in zip(phi.table.classes, phi.values, psi.values)
-        if not (a.is_zero() or b.is_zero())
-    ]
-    n, den = _common_frame(v for _, a, b in support for v in (a, b))
-    raw = _raw_dot(n, ((w, a._numerators(n, den), b._numerators(n, den, conjugate=True)) for w, a, b in support))
-    return CycNumber._from_numerators(n, raw, den * den * phi.table.group_order)
+    """Hermitian pairing (1/|G|) sum |c| phi(c) conj(psi(c)), computed by
+    inner_products in one integer frame."""
+    return inner_products(phi, (psi,))[0]
 
 
 def inner_products(phi: ClassFunction, rows: Sequence[ClassFunction]) -> list[CycNumber]:
-    """[inner_product(phi, psi) for psi in rows], in one integer frame.
+    """The Hermitian pairings (1/|G|) sum |c| phi(c) conj(psi(c)) of phi with
+    each psi in rows, in one integer frame.
 
     The rows of a table share few value objects, so the common order and
     denominator are taken once over the distinct objects of phi's support
     and of the rows there, phi's numerators are written once per class, and
     each row value's conjugate numerators once per object.  Each row is then
-    one integer sum, reduced once.  The frame is a common multiple of each
-    pair's frame and the reduced value is canonical, so each result is
-    inner_product's value.
+    one integer sum, reduced once to its canonical value.  A zero cell adds
+    order 1 and denominator 1 to the frame and no term to a sum.
     """
     support = [(i, rec.size) for i, (rec, a) in enumerate(zip(phi.table.classes, phi.values)) if not a.is_zero()]
     distinct = {id(phi.values[i]): phi.values[i] for i, _ in support}

@@ -274,10 +274,16 @@ def cmd_decompose(parser, args) -> int:
 _CHECKS = ("table_valid", "torus_placement", "degree_identity", "exact", "table_match", "remark_oracle")
 
 
+def _check_names(p: int) -> tuple[str, ...]:
+    """The checks verify makes at p: Corollary 2 holds only from p = 23 on."""
+    return _CHECKS + ("corollary_2",) if p >= 23 else _CHECKS
+
+
 def _verify_one(p: int, cache_dir_str: str | None, reading: str) -> dict:
     """Per-prime end-to-end verification; worker for the process pool."""
     cache_dir = Path(cache_dir_str) if cache_dir_str else None
     t0 = time.monotonic()
+    names = _check_names(p)
     checks: dict[str, bool] = {}
     reasons: dict[str, str] = {}
 
@@ -320,7 +326,7 @@ def _verify_one(p: int, cache_dir_str: str | None, reading: str) -> dict:
         remark = run(("remark_oracle",), "remark_pipeline", remark_pipeline, data)
         if remark is not None:
             checks["remark_oracle"] = remark == res.coefficients
-        if p >= 23:
+        if "corollary_2" in names:
             appearance = run(("corollary_2",), "corollary_all_appear", corollary_all_appear, data, res)
             if appearance is not None:
                 checks["corollary_2"] = appearance.complete
@@ -328,8 +334,7 @@ def _verify_one(p: int, cache_dir_str: str | None, reading: str) -> dict:
 
     # a table that cannot be had fails every check of its prime; the other
     # primes are still verified
-    loaded = run(_CHECKS + (("corollary_2",) if p >= 23 else ()), "load_character_data", load_character_data, p,
-                 cache_dir)
+    loaded = run(names, "load_character_data", load_character_data, p, cache_dir)
     data, hit = loaded if loaded is not None else (None, False)
     res = check(data) if data is not None else None
     row = {
