@@ -265,33 +265,24 @@ class CharacterData:
         return self._by_label[tuple(label)]
 
     def dl(self, torus_type: str, k: int) -> ClassFunction:
-        """R_T^theta_k, derived from the irreducible table.
+        """R_T^theta_k, the signed sum of the irreducibles dl_terms names.
 
-        With n = |T| and m = min(k mod n, n - k mod n), the split row is 1 + St
-        at m = 0, the split exceptional pair summed at 2m = n, and else
-        principal(m); the anisotropic row is 1 - St, minus the anisotropic
-        pair summed, and else -discrete(m).  On a built table these are the
-        closed-form rows value for value: principal(m) is closed row m and
-        discrete(m) its negation, St is R_split(1) - 1, and the pair is
-        (b + d)/2, (b - d)/2, which sum to b = +-R(alpha) in any field.  The
-        closed form is symmetric under k -> -k, as the dlogs of a class are d
-        and -d (g and g^-1), or 0 or n/2.  Equal values have one canonical
-        text, so a derived row serializes as the closed-form row did; on a
-        cached table, every row dl returns comes from audited data.
+        On a built table these are the closed-form rows value for value:
+        principal(m) is closed row m and discrete(m) its negation, St is
+        R_split(1) - 1, and the pair is (b + d)/2, (b - d)/2, which sum to
+        b = +-R(alpha) in any field.  Equal values have one canonical text,
+        so a derived row serializes as the closed-form row did; on a cached
+        table, every row dl returns comes from audited data.  A single
+        term's row is the irreducible's own row or its negation.
         """
         n = torus_order(self.p, torus_type)
         m = min(k % n, -k % n)
         row = self._dl.get((torus_type, m))
         if row is None:
-            irr, split = self.irreducible, torus_type == "split"
-            if m == 0:
-                one, st = irr("trivial").chi, irr("steinberg").chi
-                row = one + st if split else one - st
-            elif 2 * m == n:
-                row = irr(f"exceptional_{torus_type}_plus").chi + irr(f"exceptional_{torus_type}_minus").chi
-                row = row if split else -row
-            else:
-                row = irr("principal", m).chi if split else _negated(irr("discrete", m).chi, self._negations)
+            for label, sign in dl_terms(self.p, torus_type, m):
+                chi = self.irreducible(*label).chi
+                chi = chi if sign > 0 else _negated(chi, self._negations)
+                row = chi if row is None else row + chi
             self._dl[(torus_type, m)] = row
         return row
 
@@ -357,6 +348,25 @@ class CharacterData:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "CharacterData":
         return cls(int(doc["p"]), _cached=doc)
+
+
+def dl_terms(p: int, torus_type: str, k: int) -> tuple[tuple[tuple, int], ...]:
+    """R_T^theta_k as a signed sum of labelled irreducibles ((label, +-1), ...).
+
+    With n = |T| and m = min(k mod n, n - k mod n): the split R is 1 + St at
+    m = 0, the split exceptional pair summed at 2m = n, and else
+    principal(m); the anisotropic R is 1 - St, minus its pair summed, and
+    else -discrete(m).  R_T^theta and R_T^theta^-1 are one character, as the
+    closed form's dlogs of a class are d and -d (g and g^-1), or 0 or n/2.
+    """
+    n = torus_order(p, torus_type)
+    m = min(k % n, -k % n)
+    sign = 1 if torus_type == "split" else -1
+    if m == 0:
+        return ((("trivial",), 1), (("steinberg",), sign))
+    if 2 * m == n:
+        return tuple(((f"exceptional_{torus_type}_{half}",), sign) for half in ("plus", "minus"))
+    return (((("principal" if sign > 0 else "discrete"), m), sign),)
 
 
 def _class_records(table: ConjugacyTable) -> list[dict]:

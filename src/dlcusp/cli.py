@@ -303,6 +303,13 @@ def _verify_one(p: int, cache_dir_str: str | None, reading: str) -> dict:
             reasons[name] = reason
         return None
 
+    def skipped(stage: str) -> None:
+        """Fail every check not yet made, as skipped because stage failed."""
+        for name in names:
+            if name not in checks:
+                checks[name] = False
+                reasons[name] = f"skipped: {stage} failed"
+
     def check(data: CharacterData) -> DecompositionResult | None:
         """Every check of one table, in order; the decomposition, if made."""
         if run(("table_valid",), "validate_table", validate_table, data) is not None:
@@ -310,14 +317,12 @@ def _verify_one(p: int, cache_dir_str: str | None, reading: str) -> dict:
         if run(("torus_placement",), "verify_torus_placement", verify_torus_placement, data) is not None:
             checks["torus_placement"] = True
         s = run(("degree_identity",), "weinstein_character", weinstein_character, data)
-        if s is not None:
-            checks["degree_identity"] = True
-        res = None
-        if s is not None:
-            res = run(("exact", "table_match", "remark_oracle"), "decompose_dl", decompose_dl, data, s, reading)
+        if s is None:
+            return skipped("weinstein_character")
+        checks["degree_identity"] = True
+        res = run(("exact", "table_match", "remark_oracle"), "decompose_dl", decompose_dl, data, s, reading)
         if res is None:
-            checks["exact"] = checks["table_match"] = checks["remark_oracle"] = False
-            return None
+            return skipped("decompose_dl")
         checks["exact"] = res.exact
         if not res.exact:
             i = res.rebuild_differs_at

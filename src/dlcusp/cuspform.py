@@ -1,9 +1,10 @@
 """The weight-2 cusp-form character and its Deligne-Lusztig decomposition.
 
 Builds the character of the weight-2 cusp-form space plus its dual at prime
-level from Weinstein's permutation-character formula, solves for the exact
+level from Weinstein's permutation-character formula, reads the exact
 rational coefficient of every Deligne-Lusztig character with central
-character one, classifies each torus character into the five coefficient
+character one off the irreducible multiplicities (Deligne-Lusztig
+orthogonality), classifies each torus character into the five coefficient
 sets, compares against the built-in coefficient table (rows by set and
 torus, columns by the residue of p mod 12), and re-derives the same
 coefficients through an independent symbolic pipeline that expands the
@@ -17,7 +18,7 @@ from fractions import Fraction
 from math import lcm
 
 from .classfun import ClassFunction, dual, induce, inner_products, trivial_character
-from .chartable import CharacterData, quadratic_character_index
+from .chartable import CharacterData, dl_terms, quadratic_character_index
 from .cyclotomic import CycNumber, _common_frame, _raw_dot
 from .group import conjugate_into_torus, torus_order
 
@@ -41,12 +42,11 @@ def embedded_subgroups(p: int, torus_type: str) -> tuple[str, ...]:
 
 
 def embedding_pattern(p: int) -> dict[str, str]:
-    """Torus containing each cyclic subgroup, keyed "x"/"y"."""
-    out = {}
-    for s, m in _SUBGROUP_ORDERS.items():
-        out[s] = "split" if (p - 1) % m == 0 else "nonsplit"
-        assert torus_order(p, out[s]) % m == 0
-    return out
+    """Torus containing each cyclic subgroup, keyed "x"/"y".  For odd p, 4 and
+    6 each divide exactly one of p - 1 and p + 1 (two even numbers 2 apart, of
+    which exactly one is 0 mod 4 and, for p > 3, exactly one 0 mod 3), so each
+    subgroup embeds in exactly one torus."""
+    return {s: t for t in TORI for s in embedded_subgroups(p, t)}
 
 
 def verify_torus_placement(data: CharacterData) -> dict[str, str]:
@@ -200,25 +200,43 @@ class DecompositionResult:
         return self.rebuild_differs_at is None
 
     def orbit_weight(self, torus: str, k: int) -> int:
-        return 1 if k == 0 or 2 * k == torus_order(self.p, torus) else 2
+        return orbit_weight(self.p, torus, k)
 
 
-def _zc_orbit_reps(data: CharacterData, torus_type: str) -> list[int]:
-    return [k for k in range(0, torus_order(data.p, torus_type) // 2 + 1) if k % 2 == 0]
+def orbit_weight(p: int, torus_type: str, k: int) -> int:
+    """The size of theta_k's inversion orbit {k, -k}: how many torus
+    characters give the one Deligne-Lusztig character R_T^theta_k."""
+    n = torus_order(p, torus_type)
+    return len({k % n, -k % n})
+
+
+def _zc_orbit_reps(p: int, torus_type: str) -> range:
+    """The inversion-orbit representatives 0 <= k <= |T|/2 of the torus
+    characters with central character one (k even)."""
+    return range(0, torus_order(p, torus_type) // 2 + 1, 2)
 
 
 def decompose_dl(data: CharacterData, s: ClassFunction | None = None, reading: str = "primary") -> DecompositionResult:
-    """Solve the cusp-form character exactly over the DL characters with
-    central character one, then replay the sum and compare with the table.
+    """The coefficients of the cusp-form character over the DL characters with
+    central character one, replayed class by class and compared with the table.
 
     Coefficients are stored per inversion-orbit representative; the full sum
-    counts non-self-inverse orbits twice.  The linear system is triangular in
-    the irreducible multiplicities: the trivial and Steinberg multiplicities
-    give both k = 0 coefficients, each principal/discrete multiplicity gives
-    one orbit, and the exceptional constituents give the order-2 character
-    whenever it is trivial on the center.  The p + 4 multiplicities are
-    paired in one integer frame (inner_products): s has few distinct values
-    and the table's rows share theirs.
+    counts non-self-inverse orbits twice.  Each coefficient is half a pairing,
+    c = <s, R>/2 = sum sign m_label / 2 over dl_terms, with m_label = <s, chi>
+    the multiplicities, paired in one integer frame (inner_products).  By
+    Deligne-Lusztig orthogonality the rows of distinct orbits (of one torus or
+    of the two) are orthogonal, and <R, R> is 2 at theta = theta^-1 and 1
+    otherwise, so orbit weight times norm is 2 for every orbit: if s = sum c w
+    R, pairing with one R leaves <s, R> = 2c.
+
+    Per family this reads (m_trivial +- m_St)/2 at k = 0, m/2 and -m/2 for
+    principal and discrete rows, and +-(m_plus + m_minus)/2 for an
+    exceptional pair, which is +-m_plus wherever the two multiplicities
+    agree.  Where they differ, s has a component along plus - minus, which
+    is orthogonal to every spanning row, so s is outside the span: the
+    rebuild then differs from s (at a unipotent-type class, the support of
+    plus - minus) and exact is false.  That class-by-class rebuild is what
+    makes any coefficient formula sound.
     """
     p = data.p
     if s is None:
@@ -232,50 +250,19 @@ def decompose_dl(data: CharacterData, s: ClassFunction | None = None, reading: s
         mults[irr.label] = m
 
     coeff: dict[tuple[str, int], Fraction] = {}
-    m_triv, m_st = mults[("trivial",)], mults[("steinberg",)]
-    coeff[("split", 0)] = (m_triv + m_st) / 2
-    coeff[("nonsplit", 0)] = (m_triv - m_st) / 2
-    for k in _zc_orbit_reps(data, "split"):
-        if k == 0:
-            continue
-        if k == quadratic_character_index(p - 1):
-            if p % 4 == 1:
-                m_plus = mults[("exceptional_split_plus",)]
-                if m_plus != mults[("exceptional_split_minus",)]:
-                    raise VerificationError(f"split exceptional multiplicities differ at p={p}")
-                coeff[("split", k)] = m_plus
-            continue
-        coeff[("split", k)] = mults[("principal", k)] / 2
-    for k in _zc_orbit_reps(data, "nonsplit"):
-        if k == 0:
-            continue
-        if k == quadratic_character_index(p + 1):
-            if p % 4 == 3:
-                m_plus = mults[("exceptional_nonsplit_plus",)]
-                if m_plus != mults[("exceptional_nonsplit_minus",)]:
-                    raise VerificationError(f"nonsplit exceptional multiplicities differ at p={p}")
-                coeff[("nonsplit", k)] = -m_plus
-            continue
-        coeff[("nonsplit", k)] = -mults[("discrete", k)] / 2
-
-    differs_at = _rebuild_differs_at(data, coeff, s)
-
     labels: dict[tuple[str, int], ThetaSetLabel] = {}
     mismatches: list[dict] = []
     expected = paper_coefficients(p)
     for torus_type in TORI:
-        for k in _zc_orbit_reps(data, torus_type):
-            if (torus_type, k) not in coeff:
-                continue
-            lab = classify_theta(p, torus_type, k, reading)
-            labels[(torus_type, k)] = lab
+        for k in _zc_orbit_reps(p, torus_type):
+            c = coeff[(torus_type, k)] = sum(sign * mults[label] for label, sign in dl_terms(p, torus_type, k)) / 2
+            lab = labels[(torus_type, k)] = classify_theta(p, torus_type, k, reading)
             want = expected[(lab.label, torus_type)]
-            got = coeff[(torus_type, k)]
-            if got != want:
+            if c != want:
                 mismatches.append(
-                    {"torus": torus_type, "k_orbit": k, "set_label": lab.label, "computed": str(got), "table": str(want)}
+                    {"torus": torus_type, "k_orbit": k, "set_label": lab.label, "computed": str(c), "table": str(want)}
                 )
-    result = DecompositionResult(
+    return DecompositionResult(
         p=p,
         reading=reading,
         coefficients=coeff,
@@ -283,9 +270,8 @@ def decompose_dl(data: CharacterData, s: ClassFunction | None = None, reading: s
         table_match=not mismatches,
         multiplicities=mults,
         mismatches=mismatches,
-        rebuild_differs_at=differs_at,
+        rebuild_differs_at=_rebuild_differs_at(data, coeff, s),
     )
-    return result
 
 
 def _rebuild_differs_at(data: CharacterData, coeff: dict[tuple[str, int], Fraction], s: ClassFunction) -> int | None:
@@ -301,8 +287,7 @@ def _rebuild_differs_at(data: CharacterData, coeff: dict[tuple[str, int], Fracti
     terms = []
     for (torus_type, k), c in coeff.items():
         if c:
-            w = 1 if k == 0 or 2 * k == torus_order(data.p, torus_type) else 2
-            terms.append((c * w, data.dl(torus_type, k).values))
+            terms.append((c * orbit_weight(data.p, torus_type, k), data.dl(torus_type, k).values))
     n, den = _common_frame({id(v): v for _, values in terms for v in values}.values())
     scale = lcm(*(cw.denominator for cw, _ in terms))
     terms = [(cw.numerator * (scale // cw.denominator), values) for cw, values in terms]
@@ -343,8 +328,9 @@ def remark_pipeline(data: CharacterData) -> dict[tuple[str, int], Fraction]:
     trivial character written as R_split(1) + R_nonsplit(1), and the two
     subgroup sums with their torus-rank signs), replacing every Steinberg
     tensor by its tabulated coefficient list, then symmetrizes inversion
-    orbits.  Every coefficient and sign is an integer, so the sums stay in
-    int and only the orbit halving makes a Fraction.  Output keys match
+    orbits: an orbit's coefficient is its characters' total over its weight.
+    Every coefficient and sign is an integer, so the sums stay in int and
+    only that division makes a Fraction.  Output keys match
     decompose_dl's coefficients exactly.
     """
     p = data.p
@@ -376,11 +362,9 @@ def remark_pipeline(data: CharacterData) -> dict[tuple[str, int], Fraction]:
     out: dict[tuple[str, int], Fraction] = {}
     for torus_type in TORI:
         n = torus_order(p, torus_type)
-        for k in _zc_orbit_reps(data, torus_type):
-            if k == 0 or 2 * k == n:
-                out[(torus_type, k)] = Fraction(acc[(torus_type, k)])
-            else:
-                out[(torus_type, k)] = Fraction(acc[(torus_type, k)] + acc[(torus_type, n - k)], 2)
+        for k in _zc_orbit_reps(p, torus_type):
+            total = sum(acc[(torus_type, j)] for j in {k, -k % n})
+            out[(torus_type, k)] = Fraction(total, orbit_weight(p, torus_type, k))
     return out
 
 
@@ -481,22 +465,21 @@ class LinearityReport:
 
 def linearity_fit(results: list[DecompositionResult]) -> LinearityReport:
     """Fit c = a p + b per (set, torus, residue) from the two smallest primes
-    with data and demand exactness at every further prime, with 12a, 12b in Z."""
+    with data and demand exactness at every further prime, with 12a, 12b in Z.
+    A set whose coefficients differ within one prime is a failure of its cell
+    at that prime; the first of its coefficients there goes into the fit."""
     cells: dict[tuple[str, str, int], list[tuple[int, Fraction]]] = {}
+    failures: list[dict] = []
     for res in sorted(results, key=lambda r: r.p):
         seen: dict[tuple[str, str], Fraction] = {}
         for key, lab in res.labels.items():
-            c = res.coefficients[key]
-            cell = (lab.label, key[0])
-            if cell in seen and seen[cell] != c:
-                raise VerificationError(
-                    f"set {lab.label} on {key[0]} torus has non-constant coefficients at p={res.p}"
-                )
-            seen[cell] = c
+            c, cell = res.coefficients[key], (lab.label, key[0])
+            if seen.setdefault(cell, c) != c:
+                reason = f"set {lab.label} on {key[0]} torus has non-constant coefficients at p={res.p}"
+                failures.append({"cell": (*cell, res.p % 12), "p": res.p, "reason": reason})
         for (label, torus), c in seen.items():
             cells.setdefault((label, torus, res.p % 12), []).append((res.p, c))
     fits: dict[tuple[str, str, int], tuple[Fraction, Fraction]] = {}
-    failures: list[dict] = []
     checked = 0
     for cell, points in cells.items():
         if len(points) < 2:

@@ -10,7 +10,7 @@ from typing import Sequence
 
 from dlcusp.chartable import CharacterData, TableValidationError
 from dlcusp.classfun import ClassFunction, dual, induce, inner_product, restrict, tensor
-from dlcusp.cuspform import embedded_subgroups
+from dlcusp.cuspform import VerificationError, embedded_subgroups
 from dlcusp.cyclotomic import ZERO, CycNumber, _common_frame, _raw_dot, root_of_unity
 from dlcusp.group import GroupElement, SubgroupData, build_subgroup
 
@@ -371,3 +371,27 @@ def table_offset(label: str, torus_type: str, residue: int) -> int:
     if label == "D":
         return -1 if "y" in emb else 0
     return 1 - len(emb)
+
+
+def triangular_coefficients(p: int, mults: dict[tuple, Fraction]) -> dict[tuple[str, int], Fraction]:
+    """The DL coefficients (per inversion-orbit representative with central
+    character one) by the triangular solve over the irreducible
+    multiplicities that decompose_dl once made: the trivial and Steinberg
+    multiplicities give both k = 0 coefficients, each principal/discrete
+    multiplicity one orbit, and an exceptional pair the order-2 character,
+    whose two multiplicities must agree."""
+    coeff = {
+        ("split", 0): (mults[("trivial",)] + mults[("steinberg",)]) / 2,
+        ("nonsplit", 0): (mults[("trivial",)] - mults[("steinberg",)]) / 2,
+    }
+    families = (("split", p - 1, "principal", 1, 1), ("nonsplit", p + 1, "discrete", -1, 3))
+    for torus, n, family, sign, residue in families:
+        for k in range(2, n // 2 + 1, 2):
+            if 2 * k != n:
+                coeff[(torus, k)] = sign * mults[(family, k)] / 2
+            elif p % 4 == residue:
+                m_plus = mults[(f"exceptional_{torus}_plus",)]
+                if m_plus != mults[(f"exceptional_{torus}_minus",)]:
+                    raise VerificationError(f"{torus} exceptional multiplicities differ at p={p}")
+                coeff[(torus, k)] = sign * m_plus
+    return coeff

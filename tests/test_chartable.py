@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from dlcusp.chartable import CharacterData, TableValidationError, quadratic_character_index, validate_table
+from dlcusp.chartable import CharacterData, TableValidationError, dl_terms, quadratic_character_index, validate_table
 from dlcusp.classfun import ClassFunction, dual, inner_product, tensor, trivial_character
 from dlcusp.cyclotomic import ZERO
 from dlcusp.numtheory import primes_in_range
@@ -517,12 +517,18 @@ def test_cells_of_a_build_share_their_values(p):
 @pytest.mark.parametrize("p", [*primes_in_range(7, 43), 101])
 def test_derived_dl_rows_equal_the_closed_form(p):
     """dl derives every R_T^theta from the irreducible table; at every k of
-    both tori the row equals the build's closed form, value for value."""
+    both tori the row, and the signed sum of the rows dl_terms names, equal
+    the build's closed form, value for value."""
     data = get_data(p)
     for torus, n in (("split", p - 1), ("nonsplit", p + 1)):
         for k, closed in enumerate(data._closed_rows(torus, range(n))):
             assert data.dl(torus, k) == closed, (torus, k)
             assert data.dl(torus, k + n) is data.dl(torus, n - k)
+            terms = dl_terms(p, torus, k)
+            rows = [data.irreducible(*label).chi.scale(sign) for label, sign in terms]
+            assert sum(rows[1:], rows[0]) == closed, (torus, k)
+            if len(terms) == 1 and terms[0][1] == 1:  # an irreducible's own row
+                assert data.dl(torus, k) is data.irreducible(*terms[0][0]).chi
 
 
 @pytest.mark.parametrize("p", (7, 11, 13, 31))

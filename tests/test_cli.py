@@ -584,3 +584,81 @@ def test_a_linearity_fault_is_named(capsys, monkeypatch, cache_dir):
     assert all(row["status"] == "pass" for row in report["primes"])
     assert report["linearity"]["ok"] is False
     assert [(f["cell"], f["p"]) for f in report["linearity"]["failures"]] == [(["E", "split", 7], 31)]
+
+
+@pytest.mark.parametrize("p", (7, 23))
+def test_checks_skipped_after_a_failed_stage_say_so(capsys, monkeypatch, cache_dir, p):
+    """No decomposition after the degree identity failed: every check of the
+    prime is still in the row, and each skipped one says which stage stopped it."""
+    import dlcusp.cuspform
+
+    trivial = dlcusp.cuspform.trivial_character
+    monkeypatch.setattr(dlcusp.cuspform, "trivial_character", lambda table: trivial(table).scale(2))
+    code, out = run(capsys, "verify", "--range", str(p), str(p), "--format", "json", "--no-timestamp",
+                    "--cache-dir", str(cache_dir))
+    row = json.loads(out)["primes"][0]
+    skipped = ["exact", "remark_oracle", "table_match"] + (["corollary_2"] if p >= 23 else [])
+    assert code == 1 and _failed(json.loads(out)) == {p: sorted(["degree_identity", *skipped])}
+    assert set(row["checks"]) == set(dlcusp.cli._check_names(p))
+    assert set(row["reasons"]) == {"degree_identity", *skipped}
+    assert all(row["reasons"][name] == "skipped: weinstein_character failed" for name in skipped)
+
+
+def test_corollary_2_after_a_failed_decomposition_says_so(capsys, monkeypatch, cache_dir):
+    import dlcusp.cli
+
+    def broken(data, s, reading):
+        raise RuntimeError("planted fault")
+
+    monkeypatch.setattr(dlcusp.cli, "decompose_dl", broken)
+    code, out = run(capsys, "verify", "--range", "23", "23", "--format", "json", "--no-timestamp",
+                    "--cache-dir", str(cache_dir))
+    row = json.loads(out)["primes"][0]
+    assert code == 1 and _failed(json.loads(out)) == {23: ["corollary_2", "exact", "remark_oracle", "table_match"]}
+    assert row["reasons"]["corollary_2"] == "skipped: decompose_dl failed"
+    assert row["reasons"]["exact"] == "internal: decompose_dl: RuntimeError: planted fault"
+
+
+def test_one_exceptional_constituent_added_fails_exact_at_a_unipotent_class(capsys, monkeypatch, cache_dir):
+    """s + exceptional_split_plus is outside the span: exact fails with the
+    unipotent-type class named, and nothing raises."""
+    import dlcusp.cli
+
+    weinstein = dlcusp.cli.weinstein_character
+    monkeypatch.setattr(dlcusp.cli, "weinstein_character",
+                        lambda data: weinstein(data) + data.irreducible("exceptional_split_plus").chi)
+    code, out = run(capsys, "verify", "--range", "13", "13", "--format", "json", "--no-timestamp",
+                    "--cache-dir", str(cache_dir))
+    reasons = json.loads(out)["primes"][0]["reasons"]
+    assert code == 1 and re.fullmatch(r"rebuild differs from s at class \d+ \(unipotent\) at p=13", reasons["exact"])
+
+
+def test_a_set_with_two_coefficients_keeps_the_report(capsys, monkeypatch, cache_dir):
+    """One set-A orbit relabelled E at p = 13: the E cell has two coefficients
+    there.  The fit records it as a failure, every prime is still reported,
+    and the exit code is 1; papertable refuses the same results."""
+    import dlcusp.cli
+    from dlcusp.cuspform import classify_theta
+
+    decompose = dlcusp.cli.decompose_dl
+
+    def relabelled(data, s=None, reading="primary"):
+        res = decompose(data, s, reading)
+        if data.p == 13:
+            key = next(key for key, lab in res.labels.items() if lab.label == "A" and res.coefficients[key])
+            res.labels[key] = classify_theta(13, key[0], 0)
+        return res
+
+    monkeypatch.setattr(dlcusp.cli, "decompose_dl", relabelled)
+    args = ("verify", "--range", "7", "13", "--no-timestamp", "--cache-dir", str(cache_dir))
+    code, out = run(capsys, *args, "--format", "json")
+    report = json.loads(out)
+    assert code == 1 and [row["p"] for row in report["primes"]] == [7, 11, 13]
+    assert report["linearity"]["ok"] is False and report["aggregate"] == "fail"
+    failure = report["linearity"]["failures"][0]
+    assert failure == {"cell": ["E", failure["cell"][1], 1], "p": 13, "reason":
+                       f"set E on {failure['cell'][1]} torus has non-constant coefficients at p=13"}
+    code, out = run(capsys, *args)
+    assert code == 1 and re.findall(r"^p=\s*(\d+) ", out, re.M) == ["7", "11", "13"]
+    assert "linearity: FAIL" in out
+    assert main(["papertable", "--range", "7", "13", "--cache-dir", str(cache_dir)]) == 1

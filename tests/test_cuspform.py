@@ -11,18 +11,20 @@ from dlcusp.cuspform import (
     embedded_subgroups,
     embedding_pattern,
     linearity_fit,
+    orbit_weight,
     paper_coefficients,
     remark_pipeline,
     verify_torus_placement,
     weinstein_character,
     _TABLE_OFFSETS,
 )
-from dlcusp.classfun import ClassFunction, dual
+from dlcusp.classfun import ClassFunction, dual, inner_products
 from dlcusp.cyclotomic import root_of_unity
+from dlcusp.group import torus_order
 from dlcusp.numtheory import primes_in_range
 
 from conftest import get_data
-from propchecks import naive_inner_product, table_offset
+from propchecks import naive_inner_product, table_offset, triangular_coefficients
 
 
 def test_degree_p7(data7):
@@ -41,6 +43,14 @@ def test_center_acts_trivially_and_self_dual(data7):
     s = weinstein_character(data7)
     assert s.values[0] == s.values[1]
     assert dual(s) == s
+
+
+def test_each_subgroup_embeds_in_exactly_one_torus():
+    for p in primes_in_range(5, 600):
+        pattern = embedding_pattern(p)
+        assert sorted(pattern) == ["x", "y"], p
+        for s, m in (("x", 4), ("y", 6)):
+            assert [t for t in ("split", "nonsplit") if torus_order(p, t) % m == 0] == [pattern[s]], p
 
 
 def test_embedding_pattern():
@@ -225,3 +235,42 @@ def test_non_rational_multiplicity_names_the_first_row(data7):
     zeta = ClassFunction(data7.table, [root_of_unity(3)] * len(data7.table))
     with pytest.raises(VerificationError, match=r"^non-rational multiplicity for trivial at p=7$"):
         decompose_dl(data7, weinstein_character(data7) + zeta)
+
+
+@pytest.mark.parametrize("p", [*primes_in_range(7, 101), 199])
+def test_coefficients_equal_the_triangular_solve(p):
+    """Half the pairing, c = <s, R>/2, is the triangular solve over the
+    multiplicities, for s, s + R_split(2) and s / 2."""
+    data = get_data(p)
+    s = weinstein_character(data)
+    for phi in (s, s + data.dl("split", 2), s.scale(Fraction(1, 2))):
+        res = decompose_dl(data, phi)
+        assert res.coefficients == triangular_coefficients(p, res.multiplicities)
+
+
+@pytest.mark.parametrize("p", (7, 11, 13, 17, 23))
+def test_orbit_weight_times_norm_is_two(p):
+    """The premise of c = <s, R>/2: the rows of distinct orbits with central
+    character one are orthogonal, and w <R, R> = 2 for each of them."""
+    data = get_data(p)
+    reps = [(t, k) for t in ("split", "nonsplit") for k in range(0, torus_order(p, t) // 2 + 1, 2)]
+    rows = [data.dl(t, k) for t, k in reps]
+    for (t, k), row in zip(reps, rows):
+        pairings = [v.as_rational() for v in inner_products(row, rows)]
+        w = orbit_weight(p, t, k)
+        assert pairings == [Fraction(2, w) if key == (t, k) else 0 for key in reps], (t, k)
+
+
+@pytest.mark.parametrize("p, half", [(13, "exceptional_split_plus"), (7, "exceptional_nonsplit_plus")])
+def test_one_half_of_an_exceptional_pair_leaves_the_span(p, half):
+    """s plus one exceptional constituent has a component along plus - minus,
+    which is orthogonal to every spanning row: no raise, and the rebuild
+    differs from s at a unipotent-type class, where plus - minus lives."""
+    data = get_data(p)
+    torus, other = half.split("_")[1], half.replace("plus", "minus")
+    res = decompose_dl(data, weinstein_character(data) + data.irreducible(half).chi)
+    m_half, m_other = res.multiplicities[(half,)], res.multiplicities[(other,)]
+    assert m_half == m_other + 1
+    assert not res.exact and data.table.classes[res.rebuild_differs_at].kind == "unipotent"
+    sign = 1 if torus == "split" else -1
+    assert res.coefficients[(torus, torus_order(p, torus) // 2)] == sign * (m_half + m_other) / 2
