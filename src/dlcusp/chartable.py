@@ -13,11 +13,11 @@ Deligne-Lusztig character is derived from it on demand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .classfun import ClassFunction, inner_product, trivial_character
-from .cyclotomic import ZERO, CycNumber, _common_frame, _PackedBasis, _raw_dot, gauss_sum
+from .cyclotomic import ONE, ZERO, CycNumber, _common_frame, _PackedBasis, _raw_dot, gauss_sum
 from .group import (
     ConjugacyTable,
     GroupElement,
@@ -29,7 +29,8 @@ from .group import (
 )
 from .numtheory import is_prime, legendre
 
-SCHEMA = "dlcusp-chartable/1"
+SCHEMA = "dlcusp-chartable/1"  # the full table with DL rows, as chartable --format json prints it
+CACHE_SCHEMA = "dlcusp-chartable/2"  # the interned irreducible table a cache file stores
 
 
 class TableValidationError(Exception):
@@ -43,11 +44,13 @@ def quadratic_character_index(torus_order: int) -> int:
 
 @dataclass(frozen=True)
 class Irreducible:
-    """A labelled irreducible character; label is a stable report key."""
+    """A labelled irreducible character; label is a stable report key.  On
+    a table, ids is its row of ids into the table's values, and chi their view."""
 
     label: tuple
     chi: ClassFunction
     degree: int
+    ids: tuple = field(default=(), compare=False)
 
     @property
     def name(self) -> str:
@@ -55,7 +58,14 @@ class Irreducible:
 
 
 class CharacterData:
-    """Everything character-theoretic attached to one prime p >= 7."""
+    """Everything character-theoretic attached to one prime p >= 7.
+
+    The irreducible table is held interned: values lists each distinct value
+    once, ZERO first, and each irreducible carries its row of ids into that
+    list, so equal ids are equal values.  Validation, pairing, serialization
+    and the rebuild index the list instead of finding the distinct values
+    again.  Assigning irreducibles interns any rows afresh.
+    """
 
     def __init__(self, p: int, _cached: dict | None = None):
         self.p = p
@@ -68,21 +78,51 @@ class CharacterData:
             self._build_characters()
         else:
             self._load_characters(_cached)
-        self._by_label = {irr.label: irr for irr in self.irreducibles}
+
+    @property
+    def irreducibles(self) -> tuple[Irreducible, ...]:
+        return self._irreducibles
+
+    @irreducibles.setter
+    def irreducibles(self, irrs):
+        values = _Values()
+        self._set(values, [(irr.label, values.row(irr.chi), irr.degree) for irr in irrs])
+
+    def _set(self, values: "_Values", entries: list[tuple[tuple, tuple, int]]):
+        """The table of (label, id row, degree) entries over values."""
+        self.values = values
+        self._irreducibles = tuple(
+            Irreducible(label, values.view(self.table, ids), degree, ids) for label, ids, degree in entries
+        )
+        self._by_label = {irr.label: irr for irr in self._irreducibles}
         self._dl: dict[tuple[str, int], ClassFunction] = {}  # dl's rows, derived on first use
-        self._negations: dict[int, CycNumber] = {}  # -v by id of an irreducible value v
 
     # -- construction --------------------------------------------------------
 
     def _build_characters(self):
-        """The irreducibles from the closed-form rows of R_T^theta at k <= |T|/2,
-        which live only as long as the build, once Borel induction agrees."""
-        p = self.p
+        """The irreducibles from the closed-form id rows of R_T^theta (split)
+        and -R_T^theta (anisotropic), once Borel induction agrees.  The rows
+        at k = 0 and |T|/2 are not irreducible, so their values go to a list
+        of their own: the table's holds only values its cells hold."""
+        p, table = self.p, self.table
         self.borel_fallbacks = 0  # induction cells that needed canonical forms; 0 on a true table
         self._check_borel_induction()
-        split = self._closed_rows("split", range((p - 1) // 2 + 1))
-        nonsplit = self._closed_rows("nonsplit", range((p + 1) // 2 + 1))
-        self.irreducibles = self._assemble_irreducibles(split, nonsplit)
+        values, ends = _Values(), _Values()
+        inner, outer = {}, {}  # per torus, the id rows at 0 < k < |T|/2 and the rows at k = 0, |T|/2
+        for torus, sign in (("split", 1), ("nonsplit", -1)):
+            half = torus_order(p, torus) // 2
+            inner[torus] = self._closed_rows(torus, range(1, half), values, sign)
+            outer[torus] = [ends.view(table, row) for row in self._closed_rows(torus, (0, half), ends, sign)]
+        out = [
+            (("trivial",), (values.intern(ONE),) * len(table), 1),
+            (("steinberg",), values.row(self._steinberg(outer["split"][0])), p),
+            *((("principal", k), row, p + 1) for k, row in enumerate(inner["split"], 1)),
+            *((("discrete", k), row, p - 1) for k, row in enumerate(inner["nonsplit"], 1)),
+        ]
+        for torus in ("split", "nonsplit"):
+            pair = self._exceptional_pair(torus, outer[torus][1])
+            out.extend((irr.label, values.row(irr.chi), irr.degree) for irr in pair)
+        self._set(values, out)
 
     def _build_borel_buckets(self) -> list[dict[int, int]]:
         """Per ambient class, how many Borel elements fuse there, by dlog of
@@ -144,25 +184,25 @@ class CharacterData:
                 out.append({})
         return out
 
-    def _closed_rows(self, torus_type: str, ks) -> list[ClassFunction]:
-        """The closed form of R_T^theta_k as one class function per k in ks;
-        cells with equal exponent maps are one shared value object."""
+    def _closed_rows(self, torus_type: str, ks, values: "_Values", sign: int = 1) -> list[tuple[int, ...]]:
+        """The closed form of sign R_T^theta_k as one row of ids into values
+        per k in ks; each distinct exponent map is made a value once."""
         p = self.p
         n = torus_order(p, torus_type)
         den = p * (p - 1) if torus_type == "split" else 1
-        closed = self._closed_form(torus_type)
-        values: dict[frozenset, CycNumber] = {}
+        closed = [{d: sign * c for d, c in dmap.items()} for dmap in self._closed_form(torus_type)]
+        ids: dict[frozenset, int] = {}
         rows = []
         for k in ks:
             row = []
             for dmap in closed:
                 raw = _exponents(dmap, k, n)
                 key = frozenset(raw.items())
-                v = values.get(key)
-                if v is None:
-                    v = values[key] = CycNumber._from_numerators(n, raw, den)
-                row.append(v)
-            rows.append(ClassFunction(self.table, row))
+                i = ids.get(key)
+                if i is None:
+                    i = ids[key] = values.intern(CycNumber._from_numerators(n, raw, den))
+                row.append(i)
+            rows.append(tuple(row))
         return rows
 
     def _check_borel_induction(self):
@@ -192,11 +232,11 @@ class CharacterData:
                         f"split torus character k={k}: induction and closed form disagree at p={p}"
                     )
 
-    def _steinberg(self, r1: ClassFunction) -> Irreducible:
+    def _steinberg(self, r1: ClassFunction) -> ClassFunction:
         st = r1 - trivial_character(self.table)
         if inner_product(st, st).as_rational() != 1:
             raise TableValidationError(f"Steinberg norm is not 1 at p={self.p}")
-        return Irreducible(("steinberg",), st, self.p)
+        return st
 
     def _exceptional_pair(self, torus_type: str, base: ClassFunction) -> tuple[Irreducible, Irreducible]:
         """The two halves of base, the order-2-character virtual character.
@@ -246,19 +286,6 @@ class CharacterData:
             raise TableValidationError(f"exceptional constituents are not orthogonal at p={p}")
         return (Irreducible((names[0],), plus, deg), Irreducible((names[1],), minus, deg))
 
-    def _assemble_irreducibles(self, split: list[ClassFunction], nonsplit: list[ClassFunction]) -> tuple:
-        """The p + 4 irreducibles from the closed-form rows at k = 0 .. |T|/2."""
-        p = self.p
-        out = [Irreducible(("trivial",), trivial_character(self.table), 1), self._steinberg(split[0])]
-        out.extend(Irreducible(("principal", k), split[k], p + 1) for k in range(1, (p - 1) // 2))
-        negations: dict[int, CycNumber] = {}
-        for k in range(1, (p + 1) // 2):
-            out.append(Irreducible(("discrete", k), _negated(nonsplit[k], negations), p - 1))
-        out.extend(self._exceptional_pair("split", split[-1]))
-        out.extend(self._exceptional_pair("nonsplit", -nonsplit[-1]))
-        assert len(out) == p + 4
-        return tuple(out)
-
     # -- lookups --------------------------------------------------------------
 
     def irreducible(self, *label) -> Irreducible:
@@ -272,8 +299,8 @@ class CharacterData:
         R_split(1) - 1, and the pair is (b + d)/2, (b - d)/2, which sum to
         b = +-R(alpha) in any field.  Equal values have one canonical text,
         so a derived row serializes as the closed-form row did; on a cached
-        table, every row dl returns comes from audited data.  A single
-        term's row is the irreducible's own row or its negation.
+        table, every row dl returns comes from audited data.  A single +1
+        term's row is the irreducible's own row.
         """
         n = torus_order(self.p, torus_type)
         m = min(k % n, -k % n)
@@ -281,7 +308,7 @@ class CharacterData:
         if row is None:
             for label, sign in dl_terms(self.p, torus_type, m):
                 chi = self.irreducible(*label).chi
-                chi = chi if sign > 0 else _negated(chi, self._negations)
+                chi = chi if sign > 0 else -chi
                 row = chi if row is None else row + chi
             self._dl[(torus_type, m)] = row
         return row
@@ -291,63 +318,88 @@ class CharacterData:
 
     # -- serialization ---------------------------------------------------------
 
-    def to_json_dict(self, dl_rows: bool = True) -> dict:
-        """The table as a JSON document.  The class records and the
-        irreducibles are what a cache document stores and from_json_dict
-        reads; dl_rows adds dl's rows at every k of both tori.  Equal cells
-        mostly share one value object, so each object's text is written once;
-        the memo is by id and lives only for this call, while the table keeps
-        every value alive."""
-        texts: dict[int, str] = {}
-
-        def chi_text(chi: ClassFunction) -> list[str]:
-            out = []
-            for v in chi.values:
-                t = texts.get(id(v))
-                if t is None:
-                    t = texts[id(v)] = v.to_text()
-                out.append(t)
-            return out
-
-        doc = {
-            "schema": SCHEMA,
-            "p": self.p,
-            "classes": _class_records(self.table),
-            "irreducibles": [
-                {"label": list(irr.label), "degree": irr.degree, "values": chi_text(irr.chi)}
-                for irr in self.irreducibles
-            ],
-        }
-        if dl_rows:
-            for torus in ("split", "nonsplit"):
-                n = torus_order(self.p, torus)
-                doc[f"dl_{torus}"] = [{"k": k, "values": chi_text(self.dl(torus, k))} for k in range(n)]
+    def to_json_dict(self) -> dict:
+        """The full table as the chartable JSON document: the class records,
+        the irreducibles and dl's rows at every k of both tori, every cell as
+        its value's text.  The text of each value and of its negation is made
+        once, by id: a one-term row of dl_terms is +-chi, so its cells are
+        read off chi's id row; only the two-term rows are summed per cell."""
+        texts = [v.to_text() for v in self.values]
+        negated = [(-v).to_text() for v in self.values]
+        doc = self._document(SCHEMA, lambda irr: {"values": [texts[i] for i in irr.ids]})
+        for torus in ("split", "nonsplit"):
+            doc[f"dl_{torus}"] = rows = []
+            for k in range(torus_order(self.p, torus)):
+                (label, sign), *more = dl_terms(self.p, torus, k)
+                if more:
+                    cells = [v.to_text() for v in self.dl(torus, k).values]
+                else:
+                    cells = [(texts if sign > 0 else negated)[i] for i in self.irreducible(*label).ids]
+                rows.append({"k": k, "values": cells})
         return doc
 
+    def to_cache_dict(self) -> dict:
+        """The document a cache file stores and from_json_dict reads: the
+        class records, each distinct value's text once (zero first), and
+        per irreducible its label, degree and row of ids into those texts."""
+        doc = self._document(CACHE_SCHEMA, lambda irr: {"ids": list(irr.ids)})
+        return {**doc, "values": [v.to_text() for v in self.values]}
+
+    def _document(self, schema: str, cells) -> dict:
+        rows = [{"label": list(irr.label), "degree": irr.degree, **cells(irr)} for irr in self.irreducibles]
+        return {"schema": schema, "p": self.p, "classes": _class_records(self.table), "irreducibles": rows}
+
     def _load_characters(self, doc: dict):
-        """The irreducibles of a document; DL rows an older one holds are never read."""
-        if doc.get("schema") != SCHEMA or doc.get("p") != self.p:
+        """The irreducibles of a to_cache_dict document.  Every text is
+        parsed and must be canonical; the texts must be distinct with zero
+        first, since the audit reads equal ids as equal values; and every
+        id row must hold one int in range per class.  Each text's order must
+        divide N = p(p^2 - 1)/2 = lcm(p - 1, p, p + 1), as every character
+        value of SL2(F_p) lies in Q(zeta_N); the bound is read before any
+        parse, since parsing factors the order.  Anything else raises
+        ValueError (or the TypeError/KeyError of a wrong shape)."""
+        if doc.get("schema") != CACHE_SCHEMA or doc.get("p") != self.p:
             raise ValueError("character-table document does not match this prime/schema")
         if doc["classes"] != _class_records(self.table):
             raise ValueError("cached class data disagrees with a fresh build")
-        # a table repeats few values many times: parse (and check) each
-        # distinct text once, and let equal cells share one value
-        parsed: dict[str, CycNumber] = {}
-
-        def parse(text: str) -> CycNumber:
-            value = parsed.get(text)
-            if value is None:
-                value = parsed[text] = CycNumber.from_text(text)
-            return value
-
-        self.irreducibles = tuple(
-            Irreducible(tuple(d["label"]), ClassFunction(self.table, [parse(t) for t in d["values"]]), d["degree"])
-            for d in doc["irreducibles"]
-        )
+        values, texts, field = _Values(), doc["values"], self.p * (self.p**2 - 1) // 2
+        if not all(0 < n and field % n == 0 for n in (int(t.partition(":")[0]) for t in texts)):
+            raise ValueError("a cached value lies outside Q(zeta_N), N = p(p^2 - 1)/2")
+        if [values.intern(CycNumber.from_text(t)) for t in texts] != list(range(len(texts))):
+            raise ValueError("cached values are not distinct with zero first")
+        entries = []
+        for d in doc["irreducibles"]:
+            ids = tuple(d["ids"])
+            if len(ids) != len(self.table) or set(map(type, ids)) != {int} or min(ids) < 0 or max(ids) >= len(values):
+                raise ValueError("a cached id row is not one value id per class")
+            entries.append((tuple(d["label"]), ids, d["degree"]))
+        self._set(values, entries)
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "CharacterData":
+        """The table of a to_cache_dict document, unaudited (see validate_table)."""
         return cls(int(doc["p"]), _cached=doc)
+
+
+class _Values(list):
+    """A table's distinct values, ZERO first, each at its id."""
+
+    def __init__(self):
+        super().__init__((ZERO,))
+        self.ids: dict[CycNumber, int] = {ZERO: 0}
+
+    def intern(self, v: CycNumber) -> int:
+        """The id of v, appended if new."""
+        i = self.ids.setdefault(v, len(self))
+        if i == len(self):
+            self.append(v)
+        return i
+
+    def row(self, chi: ClassFunction) -> tuple[int, ...]:
+        return tuple(map(self.intern, chi.values))
+
+    def view(self, table: ConjugacyTable, ids) -> ClassFunction:
+        return ClassFunction._raw(table, tuple(map(self.__getitem__, ids)))
 
 
 def dl_terms(p: int, torus_type: str, k: int) -> tuple[tuple[tuple, int], ...]:
@@ -395,18 +447,6 @@ def _exponents(dmap: dict[int, int], k: int, n: int) -> dict[int, int]:
     return raw
 
 
-def _negated(chi: ClassFunction, negations: dict[int, CycNumber]) -> ClassFunction:
-    """-chi, each value object negated once per memo, so rows that share their
-    values share their negations; the memo is by id, so its values must outlive it."""
-    values = []
-    for v in chi.values:
-        x = negations.get(id(v))
-        if x is None:
-            x = negations[id(v)] = -v
-        values.append(x)
-    return ClassFunction(chi.table, values)
-
-
 def validate_table(data: CharacterData) -> dict:
     """Full orthogonality audit of the irreducible table.
 
@@ -426,15 +466,16 @@ def validate_table(data: CharacterData) -> dict:
     each degree is checked to be chi(1), so sum_chi degree^2 = |G|.
 
     The table holds few distinct values (p + 12 of (p + 4)^2 cells for
-    every p from 11 to 101), so the checks work on value ids (0 for zero):
-    equal ids are equal values, so the table is closed under duality iff
-    its id rows are.  For the pairs, each value is written as den-scaled
-    integer numerators at the common order N (den the common denominator),
-    and each product a conj(b) of two values is computed once, when first
-    needed, as one int packing its coordinates in the residue basis at N
-    (_PackedBasis); a class size w multiplies the packed int, which is
-    w a conj(b) packed, as packing is linear.  A pair of rows is then one
-    integer sum over classes, compared with delta_ij |G| den^2.
+    every p from 11 to 101), and the checks work on its interned id rows
+    (CharacterData.values, 0 for zero): equal ids are equal values, so the
+    table is closed under duality iff its id rows are.  For the pairs, each
+    value is written as den-scaled integer numerators at the common order N
+    (den the common denominator), and each product a conj(b) of two values
+    is computed once, when first needed, as one int packing its coordinates
+    in the residue basis at N (_PackedBasis); a class size w multiplies the
+    packed int, which is w a conj(b) packed, as packing is linear.  A pair
+    of rows is then one integer sum over classes, compared with
+    delta_ij |G| den^2.
 
     This is exact.  A single root of unity has coordinates in {0, +-1}: the
     basis is a tensor product of prime-power power bases, and rewriting one
@@ -468,21 +509,11 @@ def validate_table(data: CharacterData) -> dict:
         marked it, that representative would fail too.  The representatives
         before it pass, so it fails first, with the same message.
     """
-    table, irrs = data.table, data.irreducibles
+    table, irrs, values = data.table, data.irreducibles, data.values
     n = len(irrs)
     if n != len(table.classes):
         raise TableValidationError(f"{n} irreducibles for {len(table.classes)} classes at p={data.p}")
-    ids: dict[CycNumber, int] = {ZERO: 0}
-    by_object: dict[int, int] = {}  # a loaded table's equal cells share one object
-
-    def value_id(v: CycNumber) -> int:
-        k = by_object.get(id(v))
-        if k is None:
-            k = by_object[id(v)] = ids.setdefault(v, len(ids))
-        return k
-
-    rows = [[value_id(v) for v in irr.chi.values] for irr in irrs]
-    values = list(ids)
+    rows = [irr.ids for irr in irrs]
     order, dens = _common_frame(values)
     nums = [v._numerators(order, dens) for v in values]
     conj_nums = [v._numerators(order, dens, conjugate=True) for v in values]
@@ -494,7 +525,7 @@ def validate_table(data: CharacterData) -> dict:
     target = basis.pack({0: den})
     stems = [[a * len(values) for a in row] for row in rows]
     paired = 0
-    for i, j in _pair_representatives(_row_permutations(rows, values, ids, order), n):
+    for i, j in _pair_representatives(_row_permutations(rows, values, values.ids, order), n):
         paired += 1
         total = sum(w * products[a + b] for w, a, b in zip(sizes, stems[i], rows[j]) if a and b)
         if total != (target if i == j else 0):
@@ -532,14 +563,11 @@ def _check_labels(data: CharacterData):
     sum at the unipotent class keyed (1, 1).  A table whose labels were
     permuted passes every other check, and decompose_dl reads the labels."""
     p, table = data.p, data.table
+    tori = (("split", (p + 1) // 2), ("nonsplit", (p - 1) // 2))  # with their exceptional degree
+    # the p + 4 labels are the constituents dl_terms names across both tori
+    expected = {label for torus, _ in tori for k in range(torus_order(p, torus)) for label, _ in dl_terms(p, torus, k)}
     degrees = {"trivial": 1, "steinberg": p, "principal": p + 1, "discrete": p - 1}
-    expected = {("trivial",), ("steinberg",)}
-    expected.update(("principal", k) for k in range(1, (p - 1) // 2))
-    expected.update(("discrete", k) for k in range(1, (p + 1) // 2))
-    for torus, deg in (("split", (p + 1) // 2), ("nonsplit", (p - 1) // 2)):
-        for sign in ("plus", "minus"):
-            expected.add((f"exceptional_{torus}_{sign}",))
-            degrees[f"exceptional_{torus}_{sign}"] = deg
+    degrees.update({f"exceptional_{torus}_{sign}": deg for torus, deg in tori for sign in ("plus", "minus")})
     by_label = {}
     for irr in data.irreducibles:
         if irr.label not in expected or irr.label in by_label:

@@ -29,6 +29,13 @@ class ClassFunction:
         self.table = table
         self.values = tuple(coerced)
 
+    @classmethod
+    def _raw(cls, table: ConjugacyTable, values: tuple[CycNumber, ...]) -> "ClassFunction":
+        """Wrap one CycNumber per class without coercing them."""
+        x = object.__new__(cls)
+        x.table, x.values = table, values
+        return x
+
     def _check(self, other: "ClassFunction"):
         if self.table is not other.table and self.table.p != other.table.p:
             raise ValueError("class functions live on different tables")
@@ -79,44 +86,32 @@ def dual(phi: ClassFunction) -> ClassFunction:
 
 def inner_product(phi: ClassFunction, psi: ClassFunction) -> CycNumber:
     """Hermitian pairing (1/|G|) sum |c| phi(c) conj(psi(c)), computed by
-    inner_products in one integer frame."""
-    return inner_products(phi, (psi,))[0]
+    inner_products with psi as one row whose cells are their own ids."""
+    phi._check(psi)
+    return inner_products(phi, psi.values, (range(len(psi.values)),))[0]
 
 
-def inner_products(phi: ClassFunction, rows: Sequence[ClassFunction]) -> list[CycNumber]:
+def inner_products(phi: ClassFunction, values: Sequence[CycNumber], rows: Sequence[Sequence[int]]) -> list[CycNumber]:
     """The Hermitian pairings (1/|G|) sum |c| phi(c) conj(psi(c)) of phi with
-    each psi in rows, in one integer frame.
+    each psi in rows, a row being one id into values per class, in one
+    integer frame.
 
-    The rows of a table share few value objects, so the common order and
-    denominator are taken once over the distinct objects of phi's support
-    and of the rows there, phi's numerators are written once per class, and
-    each row value's conjugate numerators once per object.  Each row is then
-    one integer sum, reduced once to its canonical value.  A zero cell adds
-    order 1 and denominator 1 to the frame and no term to a sum.
+    The rows of a table index few distinct values, so the common order and
+    denominator are taken once over phi's support and the values the rows
+    hold there, phi's numerators are written once per class, and each such
+    value's conjugate numerators once per id.  Each row is then one integer
+    sum, reduced once to its canonical value.  A zero cell adds order 1 and
+    denominator 1 to the frame and no term to a sum.
     """
     support = [(i, rec.size) for i, (rec, a) in enumerate(zip(phi.table.classes, phi.values)) if not a.is_zero()]
-    distinct = {id(phi.values[i]): phi.values[i] for i, _ in support}
-    for psi in rows:
-        phi._check(psi)
-        for i, _ in support:
-            v = psi.values[i]
-            distinct[id(v)] = v
-    n, den = _common_frame(distinct.values())
+    used = {row[i] for row in rows for i, _ in support}
+    n, den = _common_frame([phi.values[i] for i, _ in support] + [values[j] for j in used])
     left = [(i, w, phi.values[i]._numerators(n, den)) for i, w in support]
-    conj: dict[int, dict[int, int]] = {}  # by object, which distinct keeps alive
-
-    def conj_numerators(v: CycNumber) -> dict[int, int]:
-        b = conj.get(id(v))
-        if b is None:
-            b = conj[id(v)] = v._numerators(n, den, conjugate=True)
-        return b
-
+    conj = {j: values[j]._numerators(n, den, conjugate=True) for j in used}
     scale = den * den * phi.table.group_order
-    out = []
-    for psi in rows:
-        raw = _raw_dot(n, ((w, a, conj_numerators(psi.values[i])) for i, w, a in left))
-        out.append(CycNumber._from_numerators(n, raw, scale))
-    return out
+    return [
+        CycNumber._from_numerators(n, _raw_dot(n, ((w, a, conj[row[i]]) for i, w, a in left)), scale) for row in rows
+    ]
 
 
 def induce(table: ConjugacyTable, sub: SubgroupData, values: Sequence[CycNumber | int | Fraction]) -> ClassFunction:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .chartable import SCHEMA, CharacterData, TableValidationError, validate_table
+from .chartable import CACHE_SCHEMA, CharacterData, TableValidationError, validate_table
 from .cuspform import (
     READINGS,
     RESIDUES,
@@ -78,13 +78,13 @@ def load_character_data(p: int, cache_dir: Path | None) -> tuple[CharacterData, 
         if path.is_file():
             try:
                 doc = json.loads(path.read_text())
-                if isinstance(doc, dict) and doc.get("schema") == SCHEMA and doc.get("p") == p:
+                if isinstance(doc, dict) and doc.get("schema") == CACHE_SCHEMA and doc.get("p") == p:
                     return CharacterData.from_json_dict(doc), True
-            except (ValueError, KeyError, TypeError, AttributeError, OSError):
-                pass  # a malformed document of any shape is rebuilt below
+            except (ValueError, KeyError, IndexError, TypeError, AttributeError, OSError):
+                pass  # a malformed or stale document of any shape is rebuilt below
     data = CharacterData(p)
     if cache_dir is not None:
-        _atomic_write(cache_path(cache_dir, p), _json_dump(data.to_json_dict(dl_rows=False)))
+        _atomic_write(cache_path(cache_dir, p), json.dumps(data.to_cache_dict(), separators=(",", ":")))
     return data, False
 
 
@@ -286,18 +286,22 @@ def _verify_one(p: int, cache_dir_str: str | None, reading: str) -> dict:
     names = _check_names(p)
     checks: dict[str, bool] = {}
     reasons: dict[str, str] = {}
+    stages: dict[str, float] = {}
 
     def run(names: tuple[str, ...], stage: str, fn, *args):
-        """fn(*args), or None once the named checks have failed with the
-        reason: the text of a mismatch, or "internal: <stage>: <type>: <text>"
-        for any other exception, so that a bug fails only the checks it hit
-        and the report tells it apart from a mathematical mismatch."""
+        """fn(*args), timed into stages, or None once the named checks have
+        failed with the reason: the text of a mismatch, or "internal: <stage>:
+        <type>: <text>" for any other exception, so that a bug fails only the
+        checks it hit and the report tells it apart from a mathematical mismatch."""
+        start = time.monotonic()
         try:
             return fn(*args)
         except (TableValidationError, VerificationError) as exc:
             reason = str(exc)
         except Exception as exc:
             reason = f"internal: {stage}: {type(exc).__name__}: {exc}"
+        finally:
+            stages[stage] = round(time.monotonic() - start, 4)
         for name in names:
             checks[name] = False
             reasons[name] = reason
@@ -328,9 +332,16 @@ def _verify_one(p: int, cache_dir_str: str | None, reading: str) -> dict:
             i = res.rebuild_differs_at
             reasons["exact"] = f"rebuild differs from s at class {i} ({data.table.classes[i].kind}) at p={p}"
         checks["table_match"] = res.table_match
+        if res.mismatches:
+            reasons["table_match"] = f"first mismatch at p={p}: {res.mismatches[0]}"
         remark = run(("remark_oracle",), "remark_pipeline", remark_pipeline, data)
         if remark is not None:
             checks["remark_oracle"] = remark == res.coefficients
+            differ = [key for key in sorted(remark | res.coefficients) if remark.get(key) != res.coefficients.get(key)]
+            if differ:
+                key = differ[0]
+                reasons["remark_oracle"] = (f"first difference at {key}: remark pipeline {remark.get(key)}, "
+                                            f"decompose_dl {res.coefficients.get(key)} at p={p}")
         if "corollary_2" in names:
             appearance = run(("corollary_2",), "corollary_all_appear", corollary_all_appear, data, res)
             if appearance is not None:
@@ -350,6 +361,7 @@ def _verify_one(p: int, cache_dir_str: str | None, reading: str) -> dict:
         "status": "pass" if all(checks.values()) else "fail",
         "mismatches": res.mismatches if res is not None else [],
         "seconds": round(time.monotonic() - t0, 3),
+        "stages": stages,  # seconds per stage, by the name its reasons use
         "decomposition": res,  # for the linearity fit; not part of the report
     }
     if reasons:  # a failed check's exception text; passing rows stay as they were
@@ -395,6 +407,7 @@ def cmd_verify(parser, args) -> int:
     else:
         for r in rows:
             r.pop("seconds", None)
+            r.pop("stages", None)
     for r in rows:
         r.pop("decomposition", None)
     if args.format == "json":
@@ -409,6 +422,9 @@ def cmd_verify(parser, args) -> int:
             for mm in r["mismatches"]:
                 print(f"      diff: {mm}")
         print(f"linearity: {'ok' if lin.ok else 'FAIL'} ({len(lin.fits)} cells, {lin.checked} extra points)")
+        for f in lin.failures:
+            reason = f.get("reason") or f"expected {f['expected']}, computed {f['computed']}"
+            print(f"      failure {'/'.join(map(str, f['cell']))} at p={f.get('p', '-')}: {reason}")
         print(f"aggregate: {report['aggregate']} ({report['cache_hits']} cache hits)")
     return EXIT_OK if aggregate else EXIT_MISMATCH
 
@@ -472,35 +488,25 @@ def cmd_corollaries(parser, args) -> int:
 
 def render_cell(a: Fraction, b: Fraction) -> str:
     """Render c = a p + b as the canonical "(p-r)/12 + k" cell text."""
-    sign = 1 if a > 0 else -1
     if abs(a) != Fraction(1, 12):
         return f"{a}*p + {b}"
-    r = None
-    for cand in RESIDUES:
-        k = a * cand + b
-        if k.denominator == 1:
-            r = cand
-            offset = int(k)
-            break
-    assert r is not None
-    core = f"(p-{r})/12"
-    if sign < 0:
-        core = "-" + core
-    if offset > 0:
-        return f"{core} + {offset}"
-    if offset < 0:
-        return f"{core} - {-offset}"
-    return core
+    r = next(r for r in RESIDUES if (a * r + b).denominator == 1)
+    offset, core = int(a * r + b), f"{'-' if a < 0 else ''}(p-{r})/12"
+    return f"{core} {'+' if offset > 0 else '-'} {abs(offset)}" if offset else core
+
+
+def _table_markdown(cell) -> str:
+    """The coefficient table with cell(label, torus, residue) in each cell."""
+    lines = ["| set | 1 mod 12 | 5 mod 12 | 7 mod 12 | 11 mod 12 |", "| --- | --- | --- | --- | --- |"]
+    for torus in ("split", "nonsplit"):
+        for label in SET_LABELS:
+            cells = " | ".join(cell(label, torus, r) for r in RESIDUES)
+            lines.append(f"| {label}_{'s' if torus == 'split' else 'a'} | {cells} |")
+    return "\n".join(lines)
 
 
 def builtin_table_markdown() -> str:
-    lines = ["| set | 1 mod 12 | 5 mod 12 | 7 mod 12 | 11 mod 12 |", "| --- | --- | --- | --- | --- |"]
-    for torus in ("split", "nonsplit"):
-        suffix = "s" if torus == "split" else "a"
-        for label in SET_LABELS:
-            cells = [render_cell(*coefficient_line(label, torus, r)) for r in RESIDUES]
-            lines.append(f"| {label}_{suffix} | " + " | ".join(cells) + " |")
-    return "\n".join(lines)
+    return _table_markdown(lambda label, torus, r: render_cell(*coefficient_line(label, torus, r)))
 
 
 def computed_table_markdown(results: list[DecompositionResult]) -> str:
@@ -512,18 +518,14 @@ def computed_table_markdown(results: list[DecompositionResult]) -> str:
     lin = linearity_fit(results)
     if not lin.ok:
         raise VerificationError(f"linearity failures: {lin.failures}")
-    lines = ["| set | 1 mod 12 | 5 mod 12 | 7 mod 12 | 11 mod 12 |", "| --- | --- | --- | --- | --- |"]
-    for torus in ("split", "nonsplit"):
-        suffix = "s" if torus == "split" else "a"
-        for label in SET_LABELS:
-            cells = []
-            for r in RESIDUES:
-                fit = lin.fits.get((label, torus, r)) or lin.fits.get(("A", torus, r))
-                if fit is None:
-                    raise VerificationError(f"no data to fit cell ({label},{torus},{r})")
-                cells.append(render_cell(*fit))
-            lines.append(f"| {label}_{suffix} | " + " | ".join(cells) + " |")
-    return "\n".join(lines)
+
+    def cell(label: str, torus: str, r: int) -> str:
+        fit = lin.fits.get((label, torus, r)) or lin.fits.get(("A", torus, r))
+        if fit is None:
+            raise VerificationError(f"no data to fit cell ({label},{torus},{r})")
+        return render_cell(*fit)
+
+    return _table_markdown(cell)
 
 
 def cmd_papertable(parser, args) -> int:

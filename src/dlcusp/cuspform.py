@@ -243,7 +243,7 @@ def decompose_dl(data: CharacterData, s: ClassFunction | None = None, reading: s
         s = weinstein_character(data)
     mults: dict[tuple, Fraction] = {}
     irrs = data.irreducibles
-    for irr, value in zip(irrs, inner_products(s, [irr.chi for irr in irrs])):
+    for irr, value in zip(irrs, inner_products(s, data.values, [irr.ids for irr in irrs])):
         m = value.as_rational()
         if m is None:
             raise VerificationError(f"non-rational multiplicity for {irr.name} at p={p}")
@@ -278,30 +278,28 @@ def _rebuild_differs_at(data: CharacterData, coeff: dict[tuple[str, int], Fracti
     """The first class where sum c w R_T^theta over the coefficients is not
     s, or None where the sum equals s at every class.
 
-    Every distinct value object of the rows used is written once as integer
-    numerators over one common order and denominator (lcm(p - 1, p + 1) =
-    (p^2 - 1)/2 and 1 on a true table, taken over the distinct objects),
-    each scale c w as an integer over the lcm of their denominators; a class
-    is one integer sum, reduced once and compared with s in canonical form.
+    By dl_terms each R_T^theta is a signed sum of irreducibles, so the sum
+    is sum_chi f_chi chi over the table's id rows, with f_chi the total of
+    sign c w over the terms naming chi.  Each value the rows hold is written
+    once, by id, as integer numerators over one common order and
+    denominator, each f_chi as an integer over the lcm of their
+    denominators; a class is one integer sum, reduced once and compared
+    with s in canonical form.
     """
-    terms = []
+    p, values = data.p, data.values
+    f: dict[tuple, Fraction] = {}
     for (torus_type, k), c in coeff.items():
-        if c:
-            terms.append((c * orbit_weight(data.p, torus_type, k), data.dl(torus_type, k).values))
-    n, den = _common_frame({id(v): v for _, values in terms for v in values}.values())
-    scale = lcm(*(cw.denominator for cw, _ in terms))
-    terms = [(cw.numerator * (scale // cw.denominator), values) for cw, values in terms]
+        for label, sign in dl_terms(p, torus_type, k):
+            f[label] = f.get(label, 0) + sign * c * orbit_weight(p, torus_type, k)
+    terms = [(x, data.irreducible(*label).ids) for label, x in f.items() if x]
+    used = {j for _, ids in terms for j in ids}
+    n, den = _common_frame([values[j] for j in used])
+    nums = {j: values[j]._numerators(n, den) for j in used}
+    scale = lcm(*(x.denominator for x, _ in terms))
+    terms = [(x.numerator * (scale // x.denominator), ids) for x, ids in terms]
     unit = {0: 1}  # w * a * unit is w * a: the product kernel sums the scaled numerators
-    nums: dict[int, dict[int, int]] = {}  # by object: the rows share their values
-
-    def numerators(v: CycNumber) -> dict[int, int]:
-        a = nums.get(id(v))
-        if a is None:
-            a = nums[id(v)] = v._numerators(n, den)
-        return a
-
     for i, target in enumerate(s.values):
-        raw = _raw_dot(n, ((f, numerators(values[i]), unit) for f, values in terms))
+        raw = _raw_dot(n, ((x, nums[ids[i]], unit) for x, ids in terms))
         if CycNumber._from_numerators(n, raw, den * scale) != target:
             return i
     return None

@@ -147,7 +147,7 @@ def test_second_orthogonality_oracle(p):
 def test_cached_table_missing_an_irreducible_is_rejected(data7):
     """Squareness is the hypothesis that makes the column relations follow;
     a cached document never passes through the build, so validate checks it."""
-    doc = data7.to_json_dict()
+    doc = data7.to_cache_dict()
     del doc["irreducibles"][3]
     broken = CharacterData.from_json_dict(doc)
     with pytest.raises(TableValidationError, match=r"^10 irreducibles for 11 classes at p=7$"):
@@ -227,21 +227,21 @@ def test_huge_coefficient_is_rejected(data7):
     assert _outcome(validate_table, broken) == want
 
 
-def _texts(doc):
-    """The value texts a load parses: the irreducibles' (DL rows are derived)."""
-    return [t for d in doc["irreducibles"] for t in d["values"]]
+def _cells(doc):
+    """The value ids of every cell of a cache document's irreducibles."""
+    return [i for d in doc["irreducibles"] for i in d["ids"]]
 
 
 def test_cache_load_parses_each_distinct_text_once(data7, monkeypatch):
     from dlcusp.cyclotomic import CycNumber
 
-    doc = data7.to_json_dict()
+    doc = data7.to_cache_dict()
     parse = CycNumber.from_text
     seen = []
     monkeypatch.setattr(CycNumber, "from_text", classmethod(lambda cls, text: seen.append(text) or parse(text)))
     loaded = CharacterData.from_json_dict(doc)
-    assert sorted(seen) == sorted(set(_texts(doc))) and len(seen) < len(_texts(doc))
-    assert loaded.to_json_dict() == doc
+    assert seen == doc["values"] and len(seen) == len(set(seen)) < len(_cells(doc))
+    assert loaded.to_cache_dict() == doc
     ones = [v for irr in loaded.irreducibles for v in irr.chi.values if v == 1]
     assert len(ones) > 1 and all(v is ones[0] for v in ones)  # equal cells share one value
 
@@ -269,33 +269,38 @@ def _per_cell_document(data):
 
 @pytest.mark.parametrize("p", (7, 13, 31))
 def test_each_text_written_once_gives_the_per_cell_document(p):
-    """Writing each value object's text once changes no cell, on a built
-    table and on one loaded from its own document."""
+    """Writing each distinct value's text once changes no cell: on a built
+    table and on one loaded from its own cache document, the chartable
+    document is the per-cell one, and the cache document's texts at its
+    id rows are the irreducibles' cells."""
     built = get_data(p)
-    loaded = CharacterData.from_json_dict(built.to_json_dict(dl_rows=False))
+    loaded = CharacterData.from_json_dict(built.to_cache_dict())
     for data in (built, loaded):
         want = _per_cell_document(data)
         assert data.to_json_dict() == want
-        assert data.to_json_dict(dl_rows=False) == {k: v for k, v in want.items() if not k.startswith("dl_")}
+        cache = data.to_cache_dict()
+        texts = [[cache["values"][i] for i in d["ids"]] for d in cache["irreducibles"]]
+        assert texts == [d["values"] for d in want["irreducibles"]]
+        assert len(cache["values"]) == len({t for row in texts for t in row})
 
 
 def test_non_canonical_copy_of_a_repeated_text_is_rebuilt(data7, tmp_path):
     """Parsing once per distinct text still checks every text: a value
-    written non-canonically among many canonical copies is refused."""
+    written non-canonically, where many cells read it, is refused."""
     import json
 
     from dlcusp.cli import load_character_data
 
-    doc = data7.to_json_dict()
-    assert _texts(doc).count("1: 1") > 10
-    values = doc["irreducibles"][-1]["values"]
-    values[values.index("1: 1")] = "1: 2/2"
+    doc = data7.to_cache_dict()
+    one = doc["values"].index("1: 1")
+    assert _cells(doc).count(one) > 10
+    doc["values"][one] = "1: 2/2"
     with pytest.raises(ValueError, match="non-canonical"):
         CharacterData.from_json_dict(doc)
     path = tmp_path / "sl2_p7.json"
     path.write_text(json.dumps(doc))
     data, hit = load_character_data(7, tmp_path)
-    assert not hit and json.loads(path.read_text()) == data7.to_json_dict(dl_rows=False)
+    assert not hit and json.loads(path.read_text()) == data7.to_cache_dict()
 
 
 def test_dual_closure():
@@ -498,30 +503,45 @@ def test_borel_buckets_equal_the_per_element_oracle(p):
     assert built == propchecks.borel_buckets(p, table, torus)
 
 
+def _closed(data, torus, ks, values, sign=1):
+    """The closed-form rows of sign R_T^theta_k as class functions over values."""
+    return [values.view(data.table, row) for row in data._closed_rows(torus, ks, values, sign)]
+
+
 @pytest.mark.parametrize("p", (7, 11, 13, 31))
 def test_cells_of_a_build_share_their_values(p):
-    """The 2p(p + 4) closed-form Deligne-Lusztig cells are one object per
-    distinct exponent map (p + 12 of them for these p), and the discrete
-    series, in the build and in dl, negate each shared value once."""
+    """The 2p(p + 4) closed-form Deligne-Lusztig cells of both tori are
+    one id per distinct value (p + 4 of them for these p, zero included),
+    the table holds each of its distinct values once (p + 12 of them from
+    p = 11 on), and every cell of it is a view of its id: one value object
+    per id."""
+    from dlcusp.chartable import _Values
+
     data = get_data(p)
-    split, nonsplit = data._closed_rows("split", range(p - 1)), data._closed_rows("nonsplit", range(p + 1))
-    cells = [v for row in split + nonsplit for v in row.values]
-    assert len(cells) == 2 * p * (p + 4)
-    assert len({id(v) for v in cells}) == p + 12
-    negated = {id(v) for k in range(1, (p + 1) // 2) for v in nonsplit[k].values}
-    discrete = {id(v) for irr in data.irreducibles if irr.label[0] == "discrete" for v in irr.chi.values}
-    derived = {id(v) for k in range(1, (p + 1) // 2) for v in data.dl("nonsplit", k).values}
-    assert len(discrete) == len(negated) == len(derived)
+    values = _Values()
+    rows = data._closed_rows("split", range(p - 1), values) + data._closed_rows("nonsplit", range(p + 1), values)
+    assert sum(map(len, rows)) == 2 * p * (p + 4)
+    assert len({i for row in rows for i in row}) == len(values) == p + 4
+    assert len(data.values) == len(set(data.values)) == p + 12 - (p == 7) and data.values[0] == ZERO
+    for irr in data.irreducibles:
+        assert all(v is data.values[i] for v, i in zip(irr.chi.values, irr.ids))
+    discrete = {i for irr in data.irreducibles if irr.label[0] == "discrete" for i in irr.ids}
+    negated = {i for k in range(1, (p + 1) // 2) for i in rows[p - 1 + k]}
+    assert len(discrete) == len(negated)
 
 
 @pytest.mark.parametrize("p", [*primes_in_range(7, 43), 101])
 def test_derived_dl_rows_equal_the_closed_form(p):
     """dl derives every R_T^theta from the irreducible table; at every k of
     both tori the row, and the signed sum of the rows dl_terms names, equal
-    the build's closed form, value for value."""
+    the build's closed form, value for value, and the build's anisotropic
+    rows, -R, are the discrete rows."""
+    from dlcusp.chartable import _Values
+
     data = get_data(p)
+    values = _Values()
     for torus, n in (("split", p - 1), ("nonsplit", p + 1)):
-        for k, closed in enumerate(data._closed_rows(torus, range(n))):
+        for k, closed in enumerate(_closed(data, torus, range(n), values)):
             assert data.dl(torus, k) == closed, (torus, k)
             assert data.dl(torus, k + n) is data.dl(torus, n - k)
             terms = dl_terms(p, torus, k)
@@ -529,6 +549,8 @@ def test_derived_dl_rows_equal_the_closed_form(p):
             assert sum(rows[1:], rows[0]) == closed, (torus, k)
             if len(terms) == 1 and terms[0][1] == 1:  # an irreducible's own row
                 assert data.dl(torus, k) is data.irreducible(*terms[0][0]).chi
+    for k, row in enumerate(_closed(data, "nonsplit", range(1, (p + 1) // 2), values, sign=-1), 1):
+        assert row == data.irreducible("discrete", k).chi
 
 
 @pytest.mark.parametrize("p", (7, 11, 13, 31))

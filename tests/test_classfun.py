@@ -187,5 +187,8 @@ def test_inner_products_equal_the_per_class_reference(p):
         for j in range(3)
     ]
     rows = [irr.chi for irr in data.irreducibles] + randoms
+    values = [*data.values, *(v for psi in randoms for v in psi.values)]
+    ids = [irr.ids for irr in data.irreducibles]
+    ids += [range(len(data.values) + j * n, len(data.values) + j * n + n) for j in range(len(randoms))]
     for phi in rows:
-        assert inner_products(phi, rows) == [propchecks.naive_inner_product(phi, psi) for psi in rows]
+        assert inner_products(phi, values, ids) == [propchecks.naive_inner_product(phi, psi) for psi in rows]

@@ -52,10 +52,11 @@ def test_usage_error_exit_2(capsys):
 
 
 def test_chartable_json_round_trip(capsys, cache_dir):
+    """The table loaded from the cache file prints as chartable printed it."""
     code, out = run(capsys, "chartable", "7", "--format", "json", "--cache-dir", str(cache_dir))
     assert code == 0
     doc = json.loads(out)
-    data = CharacterData.from_json_dict(doc)
+    data = CharacterData.from_json_dict(json.loads((cache_dir / "sl2_p7.json").read_text()))
     assert data.from_cache
     report = validate_table(data)
     assert report["orthonormal"]
@@ -232,18 +233,55 @@ def test_cache_corruption_recovers(capsys, cache_dir):
     assert json.loads(bad.read_text())["p"] == 13  # rebuilt and rewritten
 
 
-@pytest.mark.parametrize("shape", ["array", "string", "number", "null", "inner"])
-def test_cache_of_any_malformed_shape_is_rebuilt(capsys, tmp_path, shape):
-    if shape == "inner":  # right schema and prime, a number where the irreducibles go
-        doc = CharacterData(7).to_json_dict()
+def _ids_of(doc, label):
+    return next(d for d in doc["irreducibles"] if d["label"] == label)["ids"]
+
+
+def _fault(shape, doc):
+    """Put one fault of a schema-2 document's shape into doc."""
+    ids = _ids_of(doc, ["principal", 1])
+    if shape == "inner":  # a number where the irreducibles go
         doc["irreducibles"] = [5]
-    else:
+    elif shape in ("id-out-of-range", "id-negative", "id-bool", "id-float"):
+        ids[2] = {"id-out-of-range": len(doc["values"]), "id-negative": -1, "id-bool": True, "id-float": 1.0}[shape]
+    elif shape == "row-length":
+        ids.pop()
+    elif shape == "equal-texts":  # a second copy of a value, one cell pointing at it
+        doc["values"].append(doc["values"][ids[2]])
+        ids[2] = len(doc["values"]) - 1
+    elif shape == "zero-not-first":
+        values = doc["values"]
+        values[0], values[1] = values[1], values[0]
+    elif shape == "non-canonical":
+        doc["values"][doc["values"].index("1: 1")] = "1: 2/2"
+    elif shape == "huge-order":  # a prime order: parsing would factor it by trial division for ages
+        doc["values"][-1] = f"{2**89 - 1}: 1*z^1"
+    elif shape == "schema-1":
+        doc.clear()
+        doc.update(CharacterData(7).to_json_dict())
+
+
+@pytest.mark.parametrize(
+    "shape",
+    ["array", "string", "number", "null", "inner", "id-out-of-range", "id-negative", "id-bool", "id-float",
+     "row-length", "equal-texts", "zero-not-first", "non-canonical", "huge-order", "schema-1"],
+)
+def test_cache_of_any_malformed_shape_is_rebuilt(capsys, tmp_path, shape):
+    fresh = CharacterData(7).to_cache_dict()
+    if shape in ("array", "string", "number", "null"):
         doc = {"array": [1, 2], "string": "sl2", "number": 7, "null": None}[shape]
+    else:  # right schema and prime (or the stale schema 1), one fault inside
+        doc = json.loads(json.dumps(fresh))
+        _fault(shape, doc)
     bad = tmp_path / "sl2_p7.json"
     bad.write_text(json.dumps(doc))
     code, out = run(capsys, "decompose", "7", "--format", "json", "--cache-dir", str(tmp_path))
     assert code == 0 and json.loads(out)["exact"]
-    assert json.loads(bad.read_text())["p"] == 7  # rebuilt and rewritten
+    assert json.loads(bad.read_text()) == fresh  # rebuilt and rewritten
+    bad.write_text(json.dumps(doc))
+    code, out = run(capsys, "verify", "--range", "7", "7", "--format", "json", "--no-timestamp",
+                    "--cache-dir", str(tmp_path))
+    assert code == 0 and json.loads(out)["primes"][0]["cache_hit"] is False
 
 
 def test_cache_rejects_wrong_prime_or_schema(cache_dir):
@@ -290,12 +328,13 @@ def _corrupted_cache(directory):
     """A p = 7 cache whose principal(1) is negated at one split class."""
     from dlcusp.cyclotomic import CycNumber
 
-    doc = CharacterData(7).to_json_dict()
-    row = next(d for d in doc["irreducibles"] if d["label"] == ["principal", 1])
-    cls = next(
-        i for i, c in enumerate(doc["classes"]) if c["kind"] == "split_semisimple" and row["values"][i] != "1: 0"
-    )
-    row["values"][cls] = (-CycNumber.from_text(row["values"][cls])).to_text()
+    doc = CharacterData(7).to_cache_dict()
+    values, ids = doc["values"], _ids_of(doc, ["principal", 1])
+    cls = next(i for i, c in enumerate(doc["classes"]) if c["kind"] == "split_semisimple" and ids[i] != 0)
+    negated = (-CycNumber.from_text(values[ids[cls]])).to_text()
+    if negated not in values:
+        values.append(negated)
+    ids[cls] = values.index(negated)
     (directory / "sl2_p7.json").write_text(json.dumps(doc))
     return str(directory)
 
@@ -329,31 +368,41 @@ def test_verify_reports_why_a_check_failed(capsys, tmp_path, cache_dir):
 
 
 def test_cache_document_holds_only_the_irreducible_table(capsys, tmp_path):
-    """The cache stores what validate_table audits; DL rows are derived."""
+    """The cache stores what validate_table audits, interned on one line:
+    each distinct text once, and per irreducible an id row; DL rows are derived."""
     code, _ = run(capsys, "decompose", "7", "--cache-dir", str(tmp_path))
-    doc = json.loads((tmp_path / "sl2_p7.json").read_text())
-    assert code == 0 and sorted(doc) == ["classes", "irreducibles", "p", "schema"]
+    text = (tmp_path / "sl2_p7.json").read_text()
+    doc = json.loads(text)
+    assert code == 0 and sorted(doc) == ["classes", "irreducibles", "p", "schema", "values"]
+    assert doc["schema"] == "dlcusp-chartable/2" and "\n" not in text
+    assert len(doc["values"]) == len(set(doc["values"])) and doc["values"][0] == "1: 0"
+    assert all(sorted(d) == ["degree", "ids", "label"] and len(d["ids"]) == len(doc["classes"])
+               for d in doc["irreducibles"])
 
 
 def test_old_format_dl_rows_are_never_read(capsys, tmp_path):
-    """A cached document in the older format carries DL rows no check
-    audits; a corrupted one must not reach chartable or verify."""
+    """A cached document in the older format (schema 1) carries DL rows no
+    check audits; it is stale, so a corrupted one is rebuilt before chartable
+    or verify reads anything, and the rebuilt file then hits."""
     doc = CharacterData(7).to_json_dict()
     row = doc["dl_split"][2]["values"]
     cls = next(i for i, c in enumerate(doc["classes"]) if c["kind"] == "split_semisimple" and row[i] == "1: -1")
     row[cls] = "1: 1"
     (tmp_path / "sl2_p7.json").write_text(json.dumps(doc))
+    args = ("verify", "--range", "7", "7", "--format", "json", "--no-timestamp", "--cache-dir", str(tmp_path))
+    code, out = run(capsys, *args)
+    assert code == 0 and json.loads(out)["primes"][0]["cache_hit"] is False
     fresh = run(capsys, "chartable", "7", "--format", "json", "--no-cache")
+    (tmp_path / "sl2_p7.json").write_text(json.dumps(doc))
     assert run(capsys, "chartable", "7", "--format", "json", "--cache-dir", str(tmp_path)) == fresh
-    code, out = run(capsys, "verify", "--range", "7", "7", "--format", "json", "--no-timestamp",
-                    "--cache-dir", str(tmp_path))
+    code, out = run(capsys, *args)
     assert code == 0 and json.loads(out)["primes"][0]["cache_hit"]
 
 
 def test_swapped_cached_degrees_are_refused(capsys, tmp_path):
     """Swapping the degree fields of principal(1) and discrete(1) keeps the
     degree-square sum; the per-row degree audit names the row."""
-    doc = CharacterData(7).to_json_dict(dl_rows=False)
+    doc = CharacterData(7).to_cache_dict()
     rows = {tuple(d["label"]): d for d in doc["irreducibles"]}
     a, b = rows[("principal", 1)], rows[("discrete", 1)]
     a["degree"], b["degree"] = b["degree"], a["degree"]
@@ -380,7 +429,7 @@ def test_swapped_cached_degrees_are_refused(capsys, tmp_path):
 def test_swapped_cached_labels_are_refused(capsys, tmp_path, swap, message):
     """A cached table with two labels swapped passes every other check (the
     first swap even every verify check); the label audit names the row."""
-    doc = CharacterData(13).to_json_dict(dl_rows=False)
+    doc = CharacterData(13).to_cache_dict()
     a, b = (next(d for d in doc["irreducibles"] if d["label"] == label) for label in swap)
     a["label"], b["label"] = b["label"], a["label"]
     (tmp_path / "sl2_p13.json").write_text(json.dumps(doc))
@@ -515,26 +564,33 @@ def test_a_degree_identity_fault_is_named(capsys, monkeypatch, cache_dir):
 
 
 def test_an_exact_rebuild_fault_names_the_class(capsys, monkeypatch, cache_dir):
-    """One Deligne-Lusztig cell with a non-zero coefficient changed: the
-    rebuild differs from s at that class only, and exact names it."""
+    """One cell the rebuild reads changed, in the row of a Deligne-Lusztig
+    character with a non-zero coefficient: the rebuild differs from s at
+    that class only, and exact names it.  The rebuild reads the rows
+    dl_terms names through CharacterData.irreducible; the multiplicities
+    and the audit read data.irreducibles, so they see no fault."""
+    import dataclasses
+
+    from dlcusp.chartable import dl_terms
     from dlcusp.cuspform import decompose_dl
 
     from conftest import get_data
 
     data = get_data(11)
-    torus, k = next(key for key, c in decompose_dl(data).coefficients.items() if c)
+    coefficients = decompose_dl(data).coefficients
+    (label, _), = next(dl_terms(11, *key) for key, c in coefficients.items() if c and len(dl_terms(11, *key)) == 1)
     i = next(i for i, rec in enumerate(data.table.classes) if rec.kind == "split_semisimple")
-    dl = CharacterData.dl
+    irreducible = CharacterData.irreducible
 
-    def faulty(self, torus_type, m):
-        row = dl(self, torus_type, m)
-        if (torus_type, m) != (torus, k):
-            return row
-        values = list(row.values)
-        values[i] = values[i] + 1
-        return type(row)(row.table, values)
+    def faulty(self, *name):
+        irr = irreducible(self, *name)
+        if name != label:
+            return irr
+        ids = list(irr.ids)
+        ids[i] = next(j for j, v in enumerate(self.values) if v != self.values[ids[i]])
+        return dataclasses.replace(irr, ids=tuple(ids))
 
-    monkeypatch.setattr(CharacterData, "dl", faulty)
+    monkeypatch.setattr(CharacterData, "irreducible", faulty)
     code, out = run(capsys, "verify", "--range", "11", "11", "--format", "json", "--no-timestamp",
                     "--cache-dir", str(cache_dir))
     report = json.loads(out)
@@ -661,4 +717,78 @@ def test_a_set_with_two_coefficients_keeps_the_report(capsys, monkeypatch, cache
     code, out = run(capsys, *args)
     assert code == 1 and re.findall(r"^p=\s*(\d+) ", out, re.M) == ["7", "11", "13"]
     assert "linearity: FAIL" in out
+    torus = failure["cell"][1]
+    assert f"\n      failure E/{torus}/1 at p=13: set E on {torus} torus has non-constant coefficients at p=13\n" in out
     assert main(["papertable", "--range", "7", "13", "--cache-dir", str(cache_dir)]) == 1
+
+
+def test_a_remark_oracle_fault_names_the_first_difference(capsys, monkeypatch, cache_dir):
+    """The symbolic pipeline off by one at one orbit: remark_oracle fails
+    alone, and its reason names that orbit and both coefficients."""
+    import dlcusp.cli
+
+    remark = dlcusp.cli.remark_pipeline
+
+    def shifted(data):
+        out = remark(data)
+        out[("nonsplit", 2)] += 1
+        return out
+
+    monkeypatch.setattr(dlcusp.cli, "remark_pipeline", shifted)
+    code, out = run(capsys, "verify", "--range", "13", "13", "--format", "json", "--no-timestamp",
+                    "--cache-dir", str(cache_dir))
+    report = json.loads(out)
+    want = remark(CharacterData(13))[("nonsplit", 2)]
+    assert code == 1 and _failed(report) == {13: ["remark_oracle"]}
+    reason = f"first difference at ('nonsplit', 2): remark pipeline {want + 1}, decompose_dl {want} at p=13"
+    assert report["primes"][0]["reasons"] == {"remark_oracle": reason}
+
+
+def test_a_table_match_fault_names_the_first_mismatch(capsys, cache_dir):
+    """The alternative reading at p = 7 puts one orbit in the wrong set:
+    table_match fails alone, and its reason is the first mismatch."""
+    args = ("verify", "--range", "7", "7", "--reading", "alternative", "--no-timestamp", "--cache-dir", str(cache_dir))
+    code, out = run(capsys, *args, "--format", "json")
+    row = json.loads(out)["primes"][0]
+    first = {"torus": "nonsplit", "k_orbit": 4, "set_label": "B", "computed": "-1", "table": "0"}
+    reason = f"first mismatch at p=7: {first}"
+    assert code == 1 and _failed(json.loads(out)) == {7: ["table_match"]}
+    assert row["reasons"] == {"table_match": reason} and row["mismatches"][0] == first
+    code, out = run(capsys, *args)
+    assert code == 1 and f"      reason table_match: {reason}\n" in out
+
+
+def test_the_text_report_names_each_linearity_failure(capsys, monkeypatch, cache_dir):
+    """After "linearity: FAIL" the text report gives one line per failure:
+    its cell, its prime and its reason (expected and computed for a point
+    off the fit)."""
+    import dlcusp.cli
+
+    verify_one = dlcusp.cli._verify_one
+
+    def shifted(p, cache_dir_str, reading):
+        row = verify_one(p, cache_dir_str, reading)
+        if p == 31:
+            row["decomposition"].coefficients[("split", 0)] += 1
+        return row
+
+    monkeypatch.setattr(dlcusp.cli, "_verify_one", shifted)
+    code, out = run(capsys, "verify", "--range", "7", "31", "--no-timestamp", "--cache-dir", str(cache_dir))
+    lines = out.splitlines()
+    at = lines.index(next(line for line in lines if line.startswith("linearity: FAIL")))
+    assert code == 1 and lines[at + 1] == "      failure E/split/7 at p=31: expected 2, computed 3"
+    assert lines[at + 2].startswith("aggregate: fail")
+
+
+def test_stage_times_are_reported_only_with_timestamps(capsys, cache_dir):
+    """Each row times every stage it ran, under the name its reasons use;
+    --no-timestamp drops them with the other timing fields."""
+    args = ("verify", "--range", "23", "23", "--format", "json", "--cache-dir", str(cache_dir))
+    code, out = run(capsys, *args)
+    row = json.loads(out)["primes"][0]
+    stages = ["corollary_all_appear", "decompose_dl", "load_character_data", "remark_pipeline", "validate_table",
+              "verify_torus_placement", "weinstein_character"]
+    assert code == 0 and sorted(row["stages"]) == stages
+    assert all(isinstance(t, float) and 0 <= t <= row["seconds"] + 0.001 for t in row["stages"].values())
+    code, out = run(capsys, *args, "--no-timestamp")
+    assert code == 0 and "stages" not in json.loads(out)["primes"][0] and "seconds" not in out
