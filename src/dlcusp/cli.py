@@ -72,7 +72,8 @@ def cache_path(cache_dir: Path, p: int) -> Path:
 
 
 def load_character_data(p: int, cache_dir: Path | None) -> tuple[CharacterData, bool]:
-    """Build or load the per-prime tables; invalid cache entries are rebuilt."""
+    """Build or load the per-prime tables; invalid cache entries are rebuilt,
+    and a cache that cannot be read or written is done without."""
     if cache_dir is not None:
         path = cache_path(cache_dir, p)
         if path.is_file():
@@ -84,17 +85,21 @@ def load_character_data(p: int, cache_dir: Path | None) -> tuple[CharacterData, 
                 pass  # a malformed or stale document of any shape is rebuilt below
     data = CharacterData(p)
     if cache_dir is not None:
-        _atomic_write(cache_path(cache_dir, p), json.dumps(data.to_cache_dict(), separators=(",", ":")))
+        try:
+            _atomic_write(cache_path(cache_dir, p), json.dumps(data.to_cache_dict(), separators=(",", ":")))
+        except OSError:
+            pass  # like an unreadable cache: the table was built, so go on without the file
     return data, False
 
 
 def load_checked_data(p: int, cache_dir: Path | None) -> tuple[CharacterData, bool]:
-    """load_character_data for the commands that use a table without auditing
-    it: a cached table, which skipped the build's cross-checks, is validated
-    first, so a corrupted one raises TableValidationError (exit 1)."""
+    """load_character_data for the commands that do not audit the table
+    themselves (verify does, as its table_valid check): every table, fresh
+    or cached, passes validate_table first, since the audit is what proves a
+    table and the build checks only what the audit cannot (Borel induction).
+    A table that fails raises TableValidationError (exit 1)."""
     data, hit = load_character_data(p, cache_dir)
-    if hit:
-        validate_table(data)
+    validate_table(data)
     return data, hit
 
 

@@ -144,6 +144,30 @@ def check_row_orthonormality(data: CharacterData) -> None:
                 )
 
 
+def check_exceptional_pairs(data: CharacterData) -> None:
+    """The checks the build once made on each exceptional pair, which
+    validate_table implies: the halves sum to the closed form of R(alpha)
+    (split) or -R(alpha) (anisotropic), each has degree (p +- 1)/2 and norm
+    one, the two are orthogonal, and the center acts on each by alpha(-I),
+    the Legendre symbol of -1, negated on the anisotropic torus."""
+    from dlcusp.chartable import _Values
+    from dlcusp.numtheory import legendre
+
+    p, table = data.p, data.table
+    neg = [table.class_of(-rec.rep) for rec in table.classes]
+    for torus, n, sign, deg in (("split", p - 1, 1, (p + 1) // 2), ("nonsplit", p + 1, -1, (p - 1) // 2)):
+        values = _Values()
+        (row,) = data._closed_rows(torus, (n // 2,), values, sign)
+        pair = [data.irreducible(f"exceptional_{torus}_{half}") for half in ("plus", "minus")]
+        plus, minus = (irr.chi for irr in pair)
+        assert plus + minus == values.view(table, row), torus
+        center_sign = sign * legendre(-1, p)
+        for irr, chi in zip(pair, (plus, minus)):
+            assert irr.degree == chi.degree == deg and naive_inner_product(chi, chi) == 1, torus
+            assert all(chi.values[neg[c]] == v.scale(center_sign) for c, v in enumerate(chi.values)), torus
+        assert naive_inner_product(plus, minus) == 0, torus
+
+
 def with_row(data: CharacterData, row: int, chi: ClassFunction) -> CharacterData:
     """A shallow copy of data whose irreducible number row has the values of chi."""
     import copy

@@ -4,7 +4,7 @@ import pytest
 
 from dlcusp.chartable import CharacterData, TableValidationError, dl_terms, quadratic_character_index, validate_table
 from dlcusp.classfun import ClassFunction, dual, inner_product, tensor, trivial_character
-from dlcusp.cyclotomic import ZERO
+from dlcusp.cyclotomic import ONE, ZERO
 from dlcusp.numtheory import primes_in_range
 
 import propchecks
@@ -308,10 +308,9 @@ def test_dual_closure():
         propchecks.check_dual_closure(get_data(p))
 
 
-def test_flipped_central_sign_is_caught(data7):
-    """A wrong central sign in the exceptional difference survives the norm
-    checks (the residue-symbol sum hides it) but must fail the table audit
-    through the exceptional-vs-exceptional pairings."""
+def _flipped_central_sign(data7):
+    """data7 with its split exceptional pair rebuilt with the wrong central
+    sign in the difference, and that pair."""
     import copy
 
     from dlcusp.cyclotomic import gauss_sum
@@ -329,8 +328,6 @@ def test_flipped_central_sign_is_caught(data7):
     delta = ClassFunction(data7.table, delta_vals)
     plus = (base + delta).scale(Fraction(1, 2))
     minus = (base - delta).scale(Fraction(1, 2))
-    assert inner_product(plus, plus).as_rational() == 1  # the norm check alone is satisfied
-    assert inner_product(plus, minus).is_zero()
     broken = copy.copy(data7)
     irrs = [
         type(irr)(irr.label, plus if irr.label == ("exceptional_split_plus",) else
@@ -338,8 +335,47 @@ def test_flipped_central_sign_is_caught(data7):
         for irr in data7.irreducibles
     ]
     broken.irreducibles = tuple(irrs)
+    return broken, plus, minus
+
+
+def test_flipped_central_sign_is_caught(data7):
+    """A wrong central sign in the exceptional difference survives the norm
+    checks (the residue-symbol sum hides it) but must fail the table audit
+    through the exceptional-vs-exceptional pairings."""
+    broken, plus, minus = _flipped_central_sign(data7)
+    assert inner_product(plus, plus).as_rational() == 1  # the norm check alone is satisfied
+    assert inner_product(plus, minus).is_zero()
     with pytest.raises(TableValidationError):
         validate_table(broken)
+
+
+@pytest.mark.parametrize(
+    "plant, message",
+    [
+        (lambda data: _flipped_central_sign(data)[0], r"exceptional_split_plus by chi\(-1\)/chi\(1\) at class 2"),
+        (lambda data: propchecks.with_cell(data, 0, 1, ONE + ONE), r"trivial by chi\(-1\)/chi\(1\) at class 0"),
+        (lambda data: propchecks.with_cell(data, 2, 6, -data.irreducible("principal", 1).chi.values[6]),
+         r"principal\(1\) by chi\(-1\)/chi\(1\) at class 6"),
+    ],
+    ids=("flipped_sign", "value_at_minus_one", "odd_row_not_negated"),
+)
+def test_the_center_check_names_a_planted_row(data7, plant, message):
+    """_check_center, which validate_table runs last, on rows whose center
+    does not act by chi(-1)/chi(1): the flipped sign, a value at -I that is
+    not +-chi(1), and one class of an odd row not negated at -g."""
+    from dlcusp.chartable import _check_center
+
+    _check_center(data7)
+    with pytest.raises(TableValidationError, match=f"^the center does not act on {message} at p=7$"):
+        _check_center(plant(data7))
+
+
+@pytest.mark.parametrize("p", [*primes_in_range(7, 43), 101])
+def test_built_exceptional_pairs_pass_the_dropped_build_checks(p):
+    """Sum, degree, norms, orthogonality and central character of both
+    exceptional pairs, which validate_table implies and the build no longer
+    checks, still hold on every built table."""
+    propchecks.check_exceptional_pairs(get_data(p))
 
 
 @pytest.mark.parametrize("p", (7, 11, 13, 17))

@@ -399,6 +399,17 @@ def test_old_format_dl_rows_are_never_read(capsys, tmp_path):
     assert code == 0 and json.loads(out)["primes"][0]["cache_hit"]
 
 
+def _refused(capsys, tmp_path, p, message):
+    """chartable and verify on the cached table at p both fail with message."""
+    code = main(["chartable", str(p), "--cache-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert re.fullmatch(f"verification failure: {message}\n", captured.err)
+    code, out = run(capsys, "verify", "--range", str(p), str(p), "--no-timestamp", "--cache-dir", str(tmp_path))
+    assert code == 1 and "table_valid=FAIL" in out
+    assert re.search(f"^      reason table_valid: {message}$", out, re.M)
+
+
 def test_swapped_cached_degrees_are_refused(capsys, tmp_path):
     """Swapping the degree fields of principal(1) and discrete(1) keeps the
     degree-square sum; the per-row degree audit names the row."""
@@ -407,14 +418,7 @@ def test_swapped_cached_degrees_are_refused(capsys, tmp_path):
     a, b = rows[("principal", 1)], rows[("discrete", 1)]
     a["degree"], b["degree"] = b["degree"], a["degree"]
     (tmp_path / "sl2_p7.json").write_text(json.dumps(doc))
-    message = r"principal\(1\) has degree 6 but chi\(1\) = 1: 8 at p=7"
-    code = main(["chartable", "7", "--cache-dir", str(tmp_path)])
-    captured = capsys.readouterr()
-    assert code == 1 and captured.out == ""
-    assert re.fullmatch(f"verification failure: {message}\n", captured.err)
-    code, out = run(capsys, "verify", "--range", "7", "7", "--no-timestamp", "--cache-dir", str(tmp_path))
-    assert code == 1 and "table_valid=FAIL" in out
-    assert re.search(f"^      reason table_valid: {message}$", out, re.M)
+    _refused(capsys, tmp_path, 7, r"principal\(1\) has degree 6 but chi\(1\) = 1: 8 at p=7")
 
 
 @pytest.mark.parametrize(
@@ -433,13 +437,95 @@ def test_swapped_cached_labels_are_refused(capsys, tmp_path, swap, message):
     a, b = (next(d for d in doc["irreducibles"] if d["label"] == label) for label in swap)
     a["label"], b["label"] = b["label"], a["label"]
     (tmp_path / "sl2_p13.json").write_text(json.dumps(doc))
-    code = main(["chartable", "13", "--cache-dir", str(tmp_path)])
+    _refused(capsys, tmp_path, 13, message)
+
+
+@pytest.mark.parametrize(
+    "p, pairs, message",
+    [
+        # two split classes a, b: the -a, -b columns still match, so only the
+        # per-class torus values (and the center) can see it
+        (11, [(7, 8)], r"principal\(1\) is .* at class 7 \(split_semisimple\), not .* at p=11"),
+        (31, [(6, 8)], r"principal\(1\) is .* at class 6 \(split_semisimple\), not .* at p=31"),
+        # a, b together with -a, -b: the center acts on the table as before
+        (17, [(6, 9), (10, 11)], r"principal\(1\) is .* at class 6 \(split_semisimple\), not .* at p=17"),
+        (31, [(6, 8), (16, 19)], r"principal\(1\) is .* at class 6 \(split_semisimple\), not .* at p=31"),
+        (43, [(6, 8), (22, 25)], r"principal\(1\) is .* at class 6 \(split_semisimple\), not .* at p=43"),
+        (101, [(7, 8), (49, 26)], r"principal\(1\) is .* at class 7 \(split_semisimple\), not .* at p=101"),
+        # the two classes of -u: every check but the center's passes (the
+        # swap keeps class sizes, commutes with inversion and leaves the
+        # semisimple classes and the unipotent class (1, 1) alone)
+        (7, [(4, 5)], r"the center does not act on exceptional_split_plus by chi\(-1\)/chi\(1\) at class 2 at p=7"),
+        (13, [(4, 5)], r"the center does not act on exceptional_split_plus by chi\(-1\)/chi\(1\) at class 2 at p=13"),
+    ],
+    ids=("p11", "p31", "p17_with_negatives", "p31_with_negatives", "p43_with_negatives", "p101_with_negatives",
+         "p7_minus_u", "p13_minus_u"),
+)
+def test_cached_table_with_swapped_columns_is_refused(capsys, tmp_path, p, pairs, message):
+    """Swapping two columns of equal class size in every id row keeps every
+    pairing, every degree and duality; the audit still names the row."""
+    doc = CharacterData(p).to_cache_dict()
+    for d in doc["irreducibles"]:
+        for a, b in pairs:
+            d["ids"][a], d["ids"][b] = d["ids"][b], d["ids"][a]
+    (tmp_path / f"sl2_p{p}.json").write_text(json.dumps(doc))
+    _refused(capsys, tmp_path, p, message)
+
+
+def test_a_cache_that_cannot_be_written_is_done_without(capsys, tmp_path):
+    """A cache directory that is a regular file fails every write; the table
+    was built, so the commands go on without the cache."""
+    path = tmp_path / "not-a-directory"
+    path.write_text("")
+    code, out = run(capsys, "verify", "--range", "7", "11", "--format", "json", "--no-timestamp",
+                    "--cache-dir", str(path))
+    doc = json.loads(out)
+    assert code == 0 and doc["aggregate"] == "pass" and doc["cache_hits"] == 0
+    code, out = run(capsys, "decompose", "7", "--cache-dir", str(path))
+    assert code == 0 and "exact reconstruction: True   coefficient table match: True" in out
+    assert path.read_text() == ""
+
+
+def test_a_fresh_build_is_audited_before_use(capsys, monkeypatch):
+    """A build whose closed form negates principal(1) at one split class is
+    refused by chartable and decompose, naming the pair, as a cached table
+    with that fault is: every table a command uses is audited."""
+    closed_rows = CharacterData._closed_rows
+
+    def faulty(self, torus_type, ks, values, sign=1):
+        rows = closed_rows(self, torus_type, ks, values, sign)
+        if torus_type == "split" and ks[0] == 1:  # the principal rows, k = 1 first
+            c = next(i for i, rec in enumerate(self.table.classes) if rec.kind == "split_semisimple")
+            row = list(rows[0])
+            row[c] = values.intern(-values[row[c]])
+            rows[0] = tuple(row)
+        return rows
+
+    monkeypatch.setattr(CharacterData, "_closed_rows", faulty)
+    for command in ("chartable", "decompose"):
+        code = main([command, "7", "--no-cache"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert re.fullmatch(r"verification failure: <trivial, principal\(1\)> = .* at p=7\n", captured.err)
+
+
+def test_a_build_with_flipped_central_signs_fails_only_the_center_check(capsys, monkeypatch):
+    """Both exceptional pairs built with the wrong central sign in their
+    difference pass every pairing, degree, duality and label check, and
+    every other check of verify; the build no longer checks the central
+    character, and the audit's center check refuses the table."""
+    import dlcusp.chartable
+
+    legendre = dlcusp.chartable.legendre
+    monkeypatch.setattr(dlcusp.chartable, "legendre", lambda a, p: -legendre(a, p))
+    message = "the center does not act on exceptional_split_plus by chi(-1)/chi(1) at class 2 at p=7"
+    code = main(["decompose", "7", "--no-cache"])
     captured = capsys.readouterr()
-    assert code == 1 and captured.out == ""
-    assert re.fullmatch(f"verification failure: {message}\n", captured.err)
-    code, out = run(capsys, "verify", "--range", "13", "13", "--no-timestamp", "--cache-dir", str(tmp_path))
-    assert code == 1 and "table_valid=FAIL" in out
-    assert re.search(f"^      reason table_valid: {message}$", out, re.M)
+    assert code == 1 and captured.out == "" and captured.err == f"verification failure: {message}\n"
+    code, out = run(capsys, "verify", "--range", "7", "7", "--format", "json", "--no-timestamp", "--no-cache")
+    row = json.loads(out)["primes"][0]
+    assert code == 1 and [name for name, ok in row["checks"].items() if not ok] == ["table_valid"]
+    assert row["reasons"] == {"table_valid": message}
 
 
 def test_an_internal_error_fails_only_its_check(capsys, monkeypatch, cache_dir):

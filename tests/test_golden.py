@@ -6,6 +6,8 @@ unchanged (regenerate a file only on a deliberate change of format):
 
     dlcusp verify --range 7 43 --format json --no-timestamp --no-cache
     dlcusp decompose P --reading both --format json --no-cache   (P = 7, 13, 31)
+    dlcusp chartable 13 --format json --no-cache
+    dlcusp papertable --range 7 61 --no-cache
 """
 
 from pathlib import Path
@@ -22,6 +24,8 @@ CASES = {
         f"decompose_p{p}.json": ("decompose", str(p), "--reading", "both", "--format", "json", "--no-cache")
         for p in (7, 13, 31)
     },
+    "chartable_p13.json": ("chartable", "13", "--format", "json", "--no-cache"),
+    "papertable_7_61.md": ("papertable", "--range", "7", "61", "--no-cache"),
 }
 
 
