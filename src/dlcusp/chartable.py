@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .classfun import ClassFunction, inner_product, trivial_character
-from .cyclotomic import ONE, ZERO, CycNumber, _common_frame, _PackedBasis, _raw_dot, gauss_sum
+from .classfun import ClassFunction, inner_product, inner_products, trivial_character
+from .cyclotomic import ONE, ZERO, CycNumber, _common_frame, gauss_sum
 from .group import (
     ConjugacyTable,
     GroupElement,
@@ -468,25 +468,12 @@ def validate_table(data: CharacterData) -> dict:
     The table holds few distinct values (p + 12 of (p + 4)^2 cells for
     every p from 11 to 101), and the checks work on its interned id rows
     (CharacterData.values, 0 for zero): equal ids are equal values, so the
-    table is closed under duality iff its id rows are.  For the pairs, each
-    value is written as den-scaled integer numerators at the common order N
-    (den the common denominator), and each product a conj(b) of two values
-    is computed once, when first needed, as one int packing its coordinates
-    in the residue basis at N (_PackedBasis); a class size w multiplies the
-    packed int, which is w a conj(b) packed, as packing is linear.  A pair
-    of rows is then one integer sum over classes, compared with
-    delta_ij |G| den^2.
-
-    This is exact.  A single root of unity has coordinates in {0, +-1}: the
-    basis is a tensor product of prime-power power bases, and rewriting one
-    disallowed power of zeta_{q^k} gives q - 1 distinct allowed powers with
-    coefficient -1.  So with L the largest l1 norm of a numerator map, each
-    coordinate of w a conj(b) is at most w L^2 in absolute value, and each
-    coordinate of the class sum at most sum_c w_c L^2 = |G| L^2.  With
-    bits = (|G| max(L, den)^2).bit_length() + 2, every digit and the
-    target's lie below 2^(bits - 1); balanced digits are unique, so integer
-    equality is equality in Q(zeta_N).  A mismatch is recomputed with the
-    term-by-term kernel to name the value in the message.
+    table is closed under duality iff its id rows are.  The pairs go through
+    classfun.inner_products, the kernel decompose_dl pairs with: each row i
+    is paired with its partners j in one integer frame, and each result is
+    a canonical value, so comparing it with 1 or 0 is exact equality in
+    Q(zeta_N), N the common order of the table's values, with no bound on
+    its digits.
 
     Only one pair per Galois orbit is paired (_pair_representatives), and
     the verdict and message are still those of the full loop over i <= j:
@@ -514,26 +501,14 @@ def validate_table(data: CharacterData) -> dict:
     if n != len(table.classes):
         raise TableValidationError(f"{n} irreducibles for {len(table.classes)} classes at p={data.p}")
     rows = [irr.ids for irr in irrs]
-    order, dens = _common_frame(values)
-    nums = [v._numerators(order, dens) for v in values]
-    conj_nums = [v._numerators(order, dens, conjugate=True) for v in values]
-    largest = max(max(sum(map(abs, a.values())) for a in nums), dens)  # max(L, den)
-    basis = _PackedBasis(order, (table.group_order * largest * largest).bit_length() + 2)
-    sizes = [r.size for r in table.classes]
-    products = _Products(basis, nums, conj_nums)
-    den = dens * dens * table.group_order
-    target = basis.pack({0: den})
-    stems = [[a * len(values) for a in row] for row in rows]
-    paired = 0
-    for i, j in _pair_representatives(_row_permutations(rows, values, values.ids, order), n):
-        paired += 1
-        total = sum(w * products[a + b] for w, a, b in zip(sizes, stems[i], rows[j]) if a and b)
-        if total != (target if i == j else 0):
-            triples = ((w, nums[a], conj_nums[b]) for w, a, b in zip(sizes, rows[i], rows[j]) if a and b)
-            got = CycNumber._from_numerators(order, _raw_dot(order, triples), den)
-            raise TableValidationError(
-                f"<{irrs[i].name}, {irrs[j].name}> = {got.to_text()} at p={data.p}"
-            )
+    reps = _pair_representatives(_row_permutations(rows, values, values.ids, _common_frame(values)[0]), n)
+    partners: dict[int, list[int]] = {}
+    for i, j in reps:
+        partners.setdefault(i, []).append(j)
+    for i, js in partners.items():
+        for j, got in zip(js, inner_products(irrs[i].chi, values, [rows[j] for j in js])):
+            if got != (ONE if i == j else ZERO):
+                raise TableValidationError(f"<{irrs[i].name}, {irrs[j].name}> = {got.to_text()} at p={data.p}")
     # equal ids are equal values, so duality closes the table iff it closes the id rows
     id_rows = {tuple(row) for row in rows}
     inverse = [r.inverse_class for r in table.classes]
@@ -549,7 +524,7 @@ def validate_table(data: CharacterData) -> dict:
     return {
         "p": data.p,
         "irreducibles": n,
-        "pairs_paired": paired,
+        "pairs_paired": len(reps),
         "orthonormal": True,
         "second_orthogonality": True,
         "dual_closed": True,
@@ -679,17 +654,3 @@ def _pair_representatives(perms: list[list[int]], n: int) -> list[tuple[int, int
             k = marked.find(0, k + 1, end)
     return reps
 
-
-class _Products(dict):
-    """Packed value[a] * conj(value[b]), filled on first use, keyed by the
-    int a * V + b, where V counts the distinct values."""
-
-    def __init__(self, basis: _PackedBasis, nums: list, conj_nums: list):
-        super().__init__()
-        self.basis, self.nums, self.conj_nums, self.count = basis, nums, conj_nums, len(nums)
-
-    def __missing__(self, key: int) -> int:
-        a, b = divmod(key, self.count)
-        raw = _raw_dot(self.basis.order, ((1, self.nums[a], self.conj_nums[b]),))
-        x = self[key] = self.basis.pack(raw)
-        return x

@@ -42,8 +42,8 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 
 # The largest prime any command accepts.  One prime's time grows about as
-# p^2.5 and its memory as p^2: verify --no-cache took 1.1 s and 28 MB at
-# p = 199, and 14 s and 310 MB at p = 599 (CPython 3.11, one core).  Above
+# p^2.5: verify --range p p --no-cache took 0.40 s and 18 MB peak RSS at
+# p = 199, and 3.8 s and 25 MB at p = 599 (CPython 3.11, one core).  Above
 # the bound, a typo such as --range 7 1000000000000 is refused before any
 # prime search instead of running for days.
 MAX_PRIME = 600
@@ -81,7 +81,7 @@ def load_character_data(p: int, cache_dir: Path | None) -> tuple[CharacterData, 
                 doc = json.loads(path.read_text())
                 if isinstance(doc, dict) and doc.get("schema") == CACHE_SCHEMA and doc.get("p") == p:
                     return CharacterData.from_json_dict(doc), True
-            except (ValueError, KeyError, IndexError, TypeError, AttributeError, OSError):
+            except (ValueError, KeyError, IndexError, TypeError, AttributeError, OSError, RecursionError):
                 pass  # a malformed or stale document of any shape is rebuilt below
     data = CharacterData(p)
     if cache_dir is not None:
@@ -517,18 +517,24 @@ def builtin_table_markdown() -> str:
 def computed_table_markdown(results: list[DecompositionResult]) -> str:
     """Regenerate the table from two-prime linear fits of computed coefficients.
 
-    Cells whose set is empty at that residue inherit the A-row fit of the
-    same torus (the computed coefficients collapse onto A there).
+    Cells whose set is empty at that residue at every prime of the range
+    inherit the A-row fit of the same torus (the computed coefficients
+    collapse onto A there).  A cell with data at one prime only cannot be
+    fitted, and raises rather than inherit.
     """
     lin = linearity_fit(results)
     if not lin.ok:
         raise VerificationError(f"linearity failures: {lin.failures}")
 
     def cell(label: str, torus: str, r: int) -> str:
-        fit = lin.fits.get((label, torus, r)) or lin.fits.get(("A", torus, r))
-        if fit is None:
+        key = (label, torus, r)
+        if key not in lin.fits and key not in lin.single:
+            key = ("A", torus, r)  # no data at any prime: the empty-set convention
+        if key in lin.single:
+            raise VerificationError(f"cell ({key[0]},{torus},{r}) has data only at p={lin.single[key]}, too few to fit")
+        if key not in lin.fits:
             raise VerificationError(f"no data to fit cell ({label},{torus},{r})")
-        return render_cell(*fit)
+        return render_cell(*lin.fits[key])
 
     return _table_markdown(cell)
 

@@ -455,6 +455,7 @@ class LinearityReport:
     fits: dict[tuple[str, str, int], tuple[Fraction, Fraction]]  # (label, torus, residue) -> (a, b)
     checked: int
     failures: list[dict]
+    single: dict[tuple[str, str, int], int]  # the cells with data at one prime only -> that prime
 
     @property
     def ok(self) -> bool:
@@ -464,6 +465,7 @@ class LinearityReport:
 def linearity_fit(results: list[DecompositionResult]) -> LinearityReport:
     """Fit c = a p + b per (set, torus, residue) from the two smallest primes
     with data and demand exactness at every further prime, with 12a, 12b in Z.
+    A cell with data at one prime only has no fit; it goes into single.
     A set whose coefficients differ within one prime is a failure of its cell
     at that prime; the first of its coefficients there goes into the fit."""
     cells: dict[tuple[str, str, int], list[tuple[int, Fraction]]] = {}
@@ -478,9 +480,10 @@ def linearity_fit(results: list[DecompositionResult]) -> LinearityReport:
         for (label, torus), c in seen.items():
             cells.setdefault((label, torus, res.p % 12), []).append((res.p, c))
     fits: dict[tuple[str, str, int], tuple[Fraction, Fraction]] = {}
+    single = {cell: points[0][0] for cell, points in cells.items() if len(points) == 1}
     checked = 0
     for cell, points in cells.items():
-        if len(points) < 2:
+        if cell in single:
             continue
         (p1, c1), (p2, c2) = points[0], points[1]
         a = (c2 - c1) / (p2 - p1)
@@ -493,4 +496,4 @@ def linearity_fit(results: list[DecompositionResult]) -> LinearityReport:
             checked += 1
             if a * q + b != c:
                 failures.append({"cell": cell, "p": q, "expected": str(a * q + b), "computed": str(c)})
-    return LinearityReport(fits, checked, failures)
+    return LinearityReport(fits, checked, failures, single)

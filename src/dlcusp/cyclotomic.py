@@ -6,7 +6,7 @@ order N.  Two invariants are maintained after every operation:
 * exponents lie in a canonical residue basis of Q(zeta_N): for each prime
   power q^k | N the CRT coordinate of the exponent stays below phi(q^k), so
   the basis is the tensor product of the power bases of the prime-power
-  subfieldsglued by CRT (q^k - phi(q^k) disallowed residues are rewritten
+  subfields glued by CRT (q^k - phi(q^k) disallowed residues are rewritten
   with the vanishing-sum relation for zeta_q);
 * N is minimal, i.e. equal to the conductor-adjusted order of the value
   (after basis reduction every exponent of a subfield value is divisible by
@@ -14,6 +14,12 @@ order N.  Two invariants are maintained after every operation:
 
 Equal values therefore have identical representations: equality, hashing and
 the textual serialization are structural.  No floating point anywhere.
+
+Products and pairings share one integer kernel: the values are lifted to a
+common order and denominator as integer numerator maps (_common_frame,
+CycNumber._numerators), multiplied term by term (_raw_dot), and each sum is
+reduced once into the residue basis (CycNumber._from_numerators).  The
+result is canonical, so exact comparison needs no bound on its size.
 """
 
 from __future__ import annotations
@@ -138,51 +144,6 @@ def _raw_dot(n: int, triples) -> dict[int, int]:
                     e -= n
                 acc[e] = get(e, 0) + wc * c2
     return acc
-
-
-class _PackedBasis:
-    """Residue-basis coordinates at order n packed into one int.
-
-    A raw integer exponent map x = sum raw[u] zeta_n^u is stored as
-    sum_t coord_t(x) * 2^(bits * slot(t)) over the basis exponents t of its
-    canonical form at n (not minimized); slots are handed out in order of
-    first use.  Coordinates are linear, so pack(raw) = sum raw[u] * R[u] with
-    R[u] the packed coordinates of zeta_n^u, each computed once per instance
-    by _canonicalize.  The instance is the memo: it lives as long as its
-    caller keeps it, never for the process.
-
-    Equal packed ints mean equal values only while every coordinate lies
-    below 2^(bits - 1) in absolute value; choosing bits is the caller's
-    proof obligation.  Balanced base-2^bits digits are unique, so within
-    that bound integer equality is exact equality in Q(zeta_n).
-    """
-
-    __slots__ = ("order", "bits", "_slots", "_roots")
-
-    def __init__(self, n: int, bits: int):
-        self.order = n
-        self.bits = bits
-        self._slots: dict[int, int] = {}
-        self._roots: dict[int, int] = {}
-
-    def _root(self, u: int) -> int:
-        x = self._roots.get(u)
-        if x is None:
-            m, terms = _canonicalize(self.order, {u: 1})
-            lift = self.order // m  # undo the minimization: the coordinates at n
-            slots, x = self._slots, 0
-            for e, c in terms.items():
-                slot = slots.setdefault(e * lift, len(slots))
-                x += int(c) << (self.bits * slot)
-            self._roots[u] = x
-        return x
-
-    def pack(self, raw: dict[int, int]) -> int:
-        roots, x = self._roots, 0
-        for u, c in raw.items():
-            r = roots.get(u)
-            x += c * (self._root(u) if r is None else r)
-        return x
 
 
 def _merge(n: int, a: dict[int, Fraction], b: dict[int, Fraction], sign: int) -> tuple[int, dict[int, Fraction]]:
@@ -363,7 +324,10 @@ class CycNumber:
                 e = int(zpow) if star else 0
                 if e in terms:
                     raise ValueError(f"duplicate exponent in {text!r}")
-                terms[e] = Fraction(coef.strip())
+                try:
+                    terms[e] = Fraction(coef.strip())
+                except ZeroDivisionError:
+                    raise ValueError(f"zero denominator in {text!r}") from None
         out = cls(n, terms)
         if out.to_text() != f"{n}: {body}" and not (n == 1 and body == "0"):
             raise ValueError(f"non-canonical cyclotomic text {text!r}")

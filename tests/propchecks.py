@@ -122,9 +122,10 @@ def check_second_orthogonality(data: CharacterData) -> int:
 def check_row_orthonormality(data: CharacterData) -> None:
     """<chi_i, chi_j> = delta_ij for every pair i <= j, cell by cell.
 
-    The pair loop validate_table ran before it paired each distinct value
-    pair once in packed coordinates; it raises the same message on the first
-    offending pair, and is the reference for the packed check.
+    The full pair loop, one term-by-term sum per pair over the whole table's
+    common frame; it raises the same message on the first offending pair
+    as validate_table, which pairs one pair per Galois orbit through
+    classfun.inner_products, and is the reference for that check.
     """
     table, irrs = data.table, data.irreducibles
     n = len(irrs)

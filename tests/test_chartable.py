@@ -214,8 +214,7 @@ def test_packed_pairing_agrees_with_cell_by_cell_oracle(p):
 
 def test_huge_coefficient_is_rejected(data7):
     """A cell with a coefficient far above |G| is still rejected, with the
-    oracle's message (the digit width grows with the largest numerator;
-    test_cyclotomic checks that packed ints decode exactly within it)."""
+    oracle's message: the pairing's canonical values have no size bound."""
     from dlcusp.cyclotomic import root_of_unity
 
     row = next(i for i, irr in enumerate(data7.irreducibles) if irr.label == ("principal", 1))
@@ -225,6 +224,22 @@ def test_huge_coefficient_is_rejected(data7):
     want = _outcome(propchecks.check_row_orthonormality, broken)
     assert want is not None and "1180591620717411303425" in want
     assert _outcome(validate_table, broken) == want
+
+
+def test_the_audit_holds_no_memo_of_products():
+    """validate_table's traced peak on the built p = 101 table stays under
+    0.5 MiB: each row's pairings are summed in one frame and dropped, so no
+    product outlives its row."""
+    import tracemalloc
+
+    data = get_data(101)
+    tracemalloc.start()
+    try:
+        validate_table(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 1024, peak
 
 
 def _cells(doc):

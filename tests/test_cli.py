@@ -225,6 +225,16 @@ def test_papertable_full_range_byte_matches(capsys, cache_dir):
     assert "| A_s | (p-1)/12 | (p-5)/12 | (p-7)/12 | (p-11)/12 |" in out
 
 
+def test_papertable_refuses_a_cell_with_one_prime(capsys, cache_dir):
+    """Over 7..43 set B on the split torus has data at 1 mod 12 only at
+    p = 37 (it is empty at 13): one point cannot fit the cell, so papertable
+    names it and exits 1 instead of printing the A row's fit there."""
+    assert main(["papertable", "--range", "7", "43", "--cache-dir", str(cache_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cell (B,split,1) has data only at p=37" in captured.err
+
+
 def test_cache_corruption_recovers(capsys, cache_dir):
     bad = cache_dir / "sl2_p13.json"
     bad.write_text("{not json")
@@ -254,6 +264,8 @@ def _fault(shape, doc):
         values[0], values[1] = values[1], values[0]
     elif shape == "non-canonical":
         doc["values"][doc["values"].index("1: 1")] = "1: 2/2"
+    elif shape == "zero-denominator":
+        doc["values"][doc["values"].index("1: 1")] = "1: 1/0"
     elif shape == "huge-order":  # a prime order: parsing would factor it by trial division for ages
         doc["values"][-1] = f"{2**89 - 1}: 1*z^1"
     elif shape == "schema-1":
@@ -264,21 +276,25 @@ def _fault(shape, doc):
 @pytest.mark.parametrize(
     "shape",
     ["array", "string", "number", "null", "inner", "id-out-of-range", "id-negative", "id-bool", "id-float",
-     "row-length", "equal-texts", "zero-not-first", "non-canonical", "huge-order", "schema-1"],
+     "row-length", "equal-texts", "zero-not-first", "non-canonical", "zero-denominator", "huge-order", "schema-1",
+     "nested"],
 )
 def test_cache_of_any_malformed_shape_is_rebuilt(capsys, tmp_path, shape):
     fresh = CharacterData(7).to_cache_dict()
-    if shape in ("array", "string", "number", "null"):
-        doc = {"array": [1, 2], "string": "sl2", "number": 7, "null": None}[shape]
+    if shape == "nested":  # deeper than the JSON decoder's recursion allows
+        text = "[" * 200000 + "]" * 200000
+    elif shape in ("array", "string", "number", "null"):
+        text = json.dumps({"array": [1, 2], "string": "sl2", "number": 7, "null": None}[shape])
     else:  # right schema and prime (or the stale schema 1), one fault inside
         doc = json.loads(json.dumps(fresh))
         _fault(shape, doc)
+        text = json.dumps(doc)
     bad = tmp_path / "sl2_p7.json"
-    bad.write_text(json.dumps(doc))
+    bad.write_text(text)
     code, out = run(capsys, "decompose", "7", "--format", "json", "--cache-dir", str(tmp_path))
     assert code == 0 and json.loads(out)["exact"]
     assert json.loads(bad.read_text()) == fresh  # rebuilt and rewritten
-    bad.write_text(json.dumps(doc))
+    bad.write_text(text)
     code, out = run(capsys, "verify", "--range", "7", "7", "--format", "json", "--no-timestamp",
                     "--cache-dir", str(tmp_path))
     assert code == 0 and json.loads(out)["primes"][0]["cache_hit"] is False
