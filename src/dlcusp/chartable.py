@@ -18,8 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
-from .classfun import ClassFunction, inner_product, inner_products, trivial_character
+from .classfun import ClassFunction, closed_pairings, inner_product, inner_products, trivial_character
 from .cyclotomic import ONE, ZERO, CycNumber, _common_frame, gauss_sum
 from .group import (
     ConjugacyTable,
@@ -99,6 +100,14 @@ class CharacterData:
         )
         self._by_label = {irr.label: irr for irr in self._irreducibles}
         self._dl: dict[tuple[str, int], ClassFunction] = {}  # dl's rows, derived on first use
+        self._coordinates = None
+
+    @property
+    def coordinates(self) -> "ClosedCoordinates":
+        """The closed coordinates of values, derived on first use."""
+        if self._coordinates is None:
+            self._coordinates = ClosedCoordinates(self.p, self.values, self.values.ids)
+        return self._coordinates
 
     # -- construction --------------------------------------------------------
 
@@ -353,7 +362,9 @@ class CharacterData:
         """The irreducibles of a to_cache_dict document.  Every text is
         parsed and must be canonical; the texts must be distinct with zero
         first, since the audit reads equal ids as equal values; and every
-        id row must hold one int in range per class.  Each text's order must
+        id row must hold one int in range per class, each degree must be an
+        int and each label [str] or [str, int] (a bool is neither: it would
+        compare equal to 1 and print as true).  Each text's order must
         divide N = p(p^2 - 1)/2 = lcm(p - 1, p, p + 1), as every character
         value of SL2(F_p) lies in Q(zeta_N); the bound is read before any
         parse, since parsing factors the order.  Anything else raises
@@ -369,10 +380,13 @@ class CharacterData:
             raise ValueError("cached values are not distinct with zero first")
         entries = []
         for d in doc["irreducibles"]:
-            ids = tuple(d["ids"])
+            ids, label = tuple(d["ids"]), d["label"]
             if len(ids) != len(self.table) or set(map(type, ids)) != {int} or min(ids) < 0 or max(ids) >= len(values):
                 raise ValueError("a cached id row is not one value id per class")
-            entries.append((tuple(d["label"]), ids, d["degree"]))
+            shape = [type(d["degree"])] + ([*map(type, label)] if isinstance(label, list) else [])
+            if shape not in ([int, str], [int, str, int]):
+                raise ValueError("a cached degree is not an int, or a label not [str] or [str, int]")
+            entries.append((tuple(label), ids, d["degree"]))
         self._set(values, entries)
 
     @classmethod
@@ -400,6 +414,76 @@ class _Values(list):
 
     def view(self, table: ConjugacyTable, ids) -> ClassFunction:
         return ClassFunction._raw(table, tuple(map(self.__getitem__, ids)))
+
+
+class ClosedCoordinates:
+    """The closed coordinates of distinct values (ZERO first, ids their ids)
+    of the table at p, each derived once from the value alone.
+
+    Every value of a true table is a rational, r + s tau with tau the Gauss
+    sum, or c_e = zeta_n^e + zeta_n^-e on a torus of order n = p -+ 1 with
+    0 < e < n/2 and c_e irrational; no sign is needed, as -c_e = c_(n/2 - e).
+    coords[i] is (R, S, 0, 0) for (R + S tau)/den (S = 0 for a rational), or
+    (den, 0, n, e) for c_e, in integers over den, the least common denominator;
+    None where a value is none of these.  c_e is found by looking its value up
+    among the canonical c_e, 0 <= e <= n/2, of both tori (cos_ids holds their
+    ids, -1 for one the table lacks, and cos_terms their integer terms lifted
+    to order n), r + s tau by reading s off one coefficient of tau and
+    demanding that v - s tau is rational.  Equal values have one canonical
+    form, so each id has one coordinate tuple and each tuple one id (index).
+    """
+
+    def __init__(self, p: int, values: list[CycNumber], ids: dict):
+        self.p, self.eps, self.values, self.ids = p, legendre(-1, p), values, ids
+        self.order = _common_frame(values)[0]
+        self.tau = tau = gauss_sum(p)
+        t = next(e for e in tau.terms if e)
+        self.cos_ids, self.cos_terms, cos = {}, {}, {}
+        for n in (p - 1, p + 1):
+            cs = [_cos(n, e) for e in range(n // 2 + 1)]
+            self.cos_ids[n] = [ids.get(c, -1) for c in cs]
+            self.cos_terms[n] = [[(k * (n // c.order), int(a)) for k, a in c.terms.items()] for c in cs]
+            cos.update((c, (1, 0, n, e)) for e, c in enumerate(cs) if c.order > 1)
+        exact = []
+        for v in values:
+            x = cos.get(v) if v.order > 1 else (v.as_rational(), 0, 0, 0)
+            if x is None and v.order == p:
+                s = v.terms.get(t, 0) / tau.terms[t]
+                r = (v - tau.scale(s)).as_rational()
+                x = None if r is None else (r, s, 0, 0)
+            exact.append(x)
+        self.den = den = lcm(*(Fraction(c).denominator for x in exact if x for c in x[:2]))
+        self.coords = [x and (int(x[0] * den), int(x[1] * den), x[2], x[3]) for x in exact]
+        self.index = {x: i for i, x in enumerate(self.coords) if x}
+
+    def coordinate(self, v: CycNumber) -> tuple | None:
+        """The coordinates of v over den: a table value's, or a rational's."""
+        if v.order == 1:
+            r = v.as_rational() * self.den
+            return (r.numerator, 0, 0, 0) if r.denominator == 1 else None
+        i = self.ids.get(v)
+        return None if i is None else self.coords[i]
+
+    def galois(self, u: int) -> list[int]:
+        """Per id, the id of its value's image under sigma_u, or -1 where the
+        image is not a value: sigma_u(r + s tau) = r + (u/p) s tau, and
+        sigma_u(c_e) = c_(ue) for u prime to n.  Only a value without
+        coordinates (or on a torus whose order u divides) is conjugated."""
+        sign, image = legendre(u, self.p), []
+        for v, x in zip(self.values, self.coords):
+            if x is not None and not x[2]:
+                image.append(self.index.get((x[0], sign * x[1], 0, 0), -1))
+            elif x is not None and x[2] % u:
+                n, e = x[2], u * x[3] % x[2]
+                image.append(self.cos_ids[n][min(e, n - e)])
+            else:
+                image.append(self.ids.get(v.galois(u), -1))
+        return image
+
+
+def _cos(n: int, e: int) -> CycNumber:
+    """c_e = zeta_n^e + zeta_n^-e in canonical form."""
+    return CycNumber._from_numerators(n, _exponents({1: 1, n - 1: 1}, e, n), 1)
 
 
 def dl_terms(p: int, torus_type: str, k: int) -> tuple[tuple[tuple, int], ...]:
@@ -468,12 +552,24 @@ def validate_table(data: CharacterData) -> dict:
     The table holds few distinct values (p + 12 of (p + 4)^2 cells for
     every p from 11 to 101), and the checks work on its interned id rows
     (CharacterData.values, 0 for zero): equal ids are equal values, so the
-    table is closed under duality iff its id rows are.  The pairs go through
-    classfun.inner_products, the kernel decompose_dl pairs with: each row i
-    is paired with its partners j in one integer frame, and each result is
-    a canonical value, so comparing it with 1 or 0 is exact equality in
-    Q(zeta_N), N the common order of the table's values, with no bound on
-    its digits.
+    table is closed under duality iff its id rows are.  The pairs are summed
+    in the values' closed coordinates (CharacterData.coordinates), the
+    kernel decompose_dl pairs with (classfun.closed_pairings): each row i is
+    paired with its partners j cell by cell, products of r + s tau in
+    Q(tau) with tau^2 = (-1/p) p, and products of c_e = zeta_n^e + zeta_n^-e
+    into one histogram per torus, summed once in canonical form at order
+    n = p -+ 1.  A pair
+    passes iff its tau coefficient S is 0, each torus sum h_T is rational,
+    and the rationals add up to delta_ij |G|.  That is exact equality:
+    Q(zeta_a) meets Q(zeta_b) in Q(zeta_gcd(a, b)), and gcd(p - 1, p(p + 1))
+    = gcd(p + 1, p(p - 1)) = 2, gcd(p, p^2 - 1) = 1, with Q(zeta_2) = Q.  If
+    R + S tau + h_split + h_nonsplit = delta_ij |G|, then h_split = delta_ij
+    |G| - R - S tau - h_nonsplit lies in Q(zeta_(p-1)) and Q(zeta_(p(p+1))),
+    so in Q; likewise h_nonsplit; then S tau is rational, and tau is not
+    (tau^2 = +-p), so S = 0.  A pair with a cell the coordinates cannot
+    express, or that does not pass, is paired again by classfun.inner_products
+    in one integer frame, whose canonical value decides it and is the one
+    the message prints.
 
     Only one pair per Galois orbit is paired (_pair_representatives), and
     the verdict and message are still those of the full loop over i <= j:
@@ -500,15 +596,18 @@ def validate_table(data: CharacterData) -> dict:
     n = len(irrs)
     if n != len(table.classes):
         raise TableValidationError(f"{n} irreducibles for {len(table.classes)} classes at p={data.p}")
-    rows = [irr.ids for irr in irrs]
-    reps = _pair_representatives(_row_permutations(rows, values, values.ids, _common_frame(values)[0]), n)
+    rows, closed = [irr.ids for irr in irrs], data.coordinates
+    reps = _pair_representatives(_row_permutations(rows, closed), n)
     partners: dict[int, list[int]] = {}
     for i, j in reps:
         partners.setdefault(i, []).append(j)
     for i, js in partners.items():
-        for j, got in zip(js, inner_products(irrs[i].chi, values, [rows[j] for j in js])):
-            if got != (ONE if i == j else ZERO):
-                raise TableValidationError(f"<{irrs[i].name}, {irrs[j].name}> = {got.to_text()} at p={data.p}")
+        got = closed_pairings(closed, table, [closed.coords[k] for k in rows[i]], [rows[j] for j in js])
+        for j, q in zip(js, got):
+            if q != (1 if i == j else 0):
+                (value,) = inner_products(irrs[i].chi, values, [rows[j]])
+                if value != (ONE if i == j else ZERO):
+                    raise TableValidationError(f"<{irrs[i].name}, {irrs[j].name}> = {value.to_text()} at p={data.p}")
     # equal ids are equal values, so duality closes the table iff it closes the id rows
     id_rows = {tuple(row) for row in rows}
     inverse = [r.inverse_class for r in table.classes]
@@ -541,12 +640,13 @@ def _check_labels(data: CharacterData):
     the labels.
 
     At the class of the torus elements g^(+-d) (g the generator, n = |T|),
-    principal(k) is zeta_n^(kd) + zeta_n^(-kd) and discrete(k) minus that.
-    The value depends only on kd mod n up to sign, so the n/2 + 1 values are
-    made once and each cell is compared by id.  For every k the generator's
-    class comes first: a table with permuted labels fails there, with the
-    message it had when only the generator was checked."""
-    p, table = data.p, data.table
+    principal(k) is c_kd = zeta_n^(kd) + zeta_n^(-kd) and discrete(k) is
+    -c_kd = c_(kd + n/2).  c_e = c_(n - e), so each wanted id is read off the
+    ids of c_0 .. c_(n/2) that the table's coordinates hold, and each cell is
+    compared by id.  For every k the generator's class comes first: a table
+    with permuted labels fails there, with the message it had when only the
+    generator was checked."""
+    p, table, closed = data.p, data.table, data.coordinates
     tori = (("split", (p + 1) // 2), ("nonsplit", (p - 1) // 2))  # with their exceptional degree
     # the p + 4 labels are the constituents dl_terms names across both tori
     expected = {label for torus, _ in tori for k in range(torus_order(p, torus)) for label, _ in dl_terms(p, torus, k)}
@@ -559,10 +659,11 @@ def _check_labels(data: CharacterData):
         by_label[irr.label] = irr
         if irr.degree != degrees[irr.label[0]]:
             raise TableValidationError(f"{irr.name} has degree {irr.degree}, not {degrees[irr.label[0]]} at p={p}")
-    for family, torus, sign in (("principal", data.split_torus, 1), ("discrete", data.nonsplit_torus, -1)):
+    for family, torus, half in (("principal", data.split_torus, 0), ("discrete", data.nonsplit_torus, 1)):
         n, gen = torus.order, table.class_of(torus.generator)
-        wants = [CycNumber._from_numerators(n, _exponents({1: sign, n - 1: sign}, j, n), 1) for j in range(n // 2 + 1)]
-        want_ids = [data.values.ids.get(wants[min(e, n - e)], -1) for e in range(n)]  # per exponent kd mod n
+        # principal(k) wants c_kd at the class of g^(+-d), discrete(k) c_(kd + n/2); c_e = c_(n - e)
+        wanted = [min(e, n - e) for e in ((x + half * n // 2) % n for x in range(n))]
+        want_ids = [closed.cos_ids[n][e] for e in wanted]
         # the classes of the torus, other than those of I and -I (dlogs 0 and n/2), the generator's first, each
         # with the dlog d of one of its two torus elements g^(+-d): either gives the same values
         cells = {table.class_of(g): d for g, d in torus.dlog.items() if d % (n // 2)}
@@ -572,13 +673,12 @@ def _check_labels(data: CharacterData):
             if [irr.ids[c] for c, _ in cells] != [want_ids[k * d % n] for _, d in cells]:
                 c, d = next((c, d) for c, d in cells if irr.ids[c] != want_ids[k * d % n])
                 where = f"the {torus.torus_type} torus generator" if c == gen else f"class {c} ({table.classes[c].kind})"
-                want = wants[min(k * d % n, -k * d % n)].to_text()
+                want = _cos(n, wanted[k * d % n]).to_text()
                 raise TableValidationError(f"{family}({k}) is {irr.chi.values[c].to_text()} at {where}, not {want} at p={p}")
     c = next(i for i, rec in enumerate(table.classes) if rec.kind == "unipotent" and rec.key == (1, 1))
-    tau = gauss_sum(p)
     for torus in ("split", "nonsplit"):
         plus, minus = (by_label[(f"exceptional_{torus}_{s}",)].chi.values[c] for s in ("plus", "minus"))
-        if plus - minus != tau:
+        if plus - minus != closed.tau:
             raise TableValidationError(
                 f"exceptional_{torus}_plus - exceptional_{torus}_minus is not the Gauss sum "
                 f"at the unipotent class (1, 1) at p={p}"
@@ -611,15 +711,16 @@ def _galois_units(order: int, count: int = 3) -> list[int]:
     return units
 
 
-def _row_permutations(rows: list[list[int]], values: list[CycNumber], ids: dict, order: int) -> list[list[int]]:
-    """For each of _galois_units(order), the row sigma_u sends each id row to,
-    or -1 where the image is not a row; none when two rows are equal."""
+def _row_permutations(rows: list[list[int]], closed: ClosedCoordinates) -> list[list[int]]:
+    """For each of _galois_units(closed.order), the row sigma_u sends each id
+    row to, read off the values' closed coordinates, or -1 where the image is
+    not a row; none when two rows are equal."""
     index = {tuple(row): i for i, row in enumerate(rows)}
     if len(index) < len(rows):
         return []
     perms = []
-    for u in _galois_units(order):
-        image = [ids.get(v.galois(u), -1) for v in values]
+    for u in _galois_units(closed.order):
+        image = closed.galois(u)
         perms.append([index.get(tuple(map(image.__getitem__, row)), -1) for row in rows])
     return perms
 

@@ -114,6 +114,76 @@ def inner_products(phi: ClassFunction, values: Sequence[CycNumber], rows: Sequen
     ]
 
 
+def closed_pairings(closed, table: ConjugacyTable, left: Sequence, rows: Sequence[Sequence[int]]) -> list:
+    """The pairings (1/|G|) sum |c| phi(c) conj(psi(c)) of the phi whose
+    values have the closed coordinates left (one per class, over closed.den)
+    with each psi in rows (one id per class into closed.values), summed in
+    those coordinates (chartable.ClosedCoordinates), or None for each psi
+    where they do not show the pairing rational.
+
+    Per cell, with eps = (-1/p), so that conj(tau) = eps tau and tau^2 = eps p:
+    - (r + s tau) conj(r' + s' tau) = r r' + p s s' + (eps r s' + s r') tau,
+      a rational being r + 0 tau;
+    - a rational times c_e is a multiple of c_e, and c_a c_b = c_(a+b) +
+      c_(a-b) (c_b is real), summed per torus into a histogram H_T(e);
+    - any other product (a cell without coordinates, tau times c_e, c_e of
+      two tori) makes the pair None.
+    The pairing is then R + S tau + sum_T sum_e H_T(e) c_e.  The three parts
+    lie in Q(zeta_p), Q(zeta_(p-1)) and Q(zeta_(p+1)), and Q(zeta_a) meets
+    Q(zeta_b) in Q(zeta_gcd(a, b)): gcd(p - 1, p(p + 1)) = gcd(p + 1,
+    p(p - 1)) = 2 and gcd(p, p^2 - 1) = 1, and Q(zeta_2) = Q.  So the pairing
+    is rational iff S = 0 (tau is irrational) and each torus sum is
+    rational; it is then R plus those rationals.  A torus sum is the sum of
+    H_T(e) times the canonical form of c_e lifted to order n = |T|
+    (closed.cos_terms).  A lifted canonical form stays in the residue basis
+    at n (a CRT coordinate b < phi(q^j) scaled by q^(k-j) stays below
+    phi(q^k)), and the basis is linearly independent, so that sum is the
+    canonical form at n: the torus sum is rational iff no exponent but 0
+    is left.
+    """
+    cells = [(c, rec.size, x) for c, (rec, x) in enumerate(zip(table.classes, left)) if x != (0, 0, 0, 0)]
+    if any(x is None for _, _, x in cells):
+        return [None] * len(rows)
+    scale = closed.den * closed.den * table.group_order
+    return [_closed_pairing(closed, cells, row, scale) for row in rows]
+
+
+def _closed_pairing(closed, cells: list, row: Sequence[int], scale: int) -> Fraction | None:
+    """One pairing of closed_pairings: phi's non-zero cells with one row."""
+    coords, p, eps = closed.coords, closed.p, closed.eps
+    rat = tau = 0
+    hist: dict[int, dict[int, int]] = {}  # per torus order n, H_T(e) by e in [0, n/2]
+    for c, w, (r, s, n, e) in cells:
+        y = row[c]
+        if not y:
+            continue
+        y = coords[y]
+        if y is None:
+            return None
+        r2, s2, n2, e2 = y
+        if not (n or n2):
+            rat += w * (r * r2 + p * s * s2)
+            tau += w * (eps * r * s2 + s * r2)
+        elif s or s2 or (n and n2 and n != n2):
+            return None
+        else:  # c_e c_e2 = c_(e+e2) + c_|e-e2|, each e folded into [0, n/2] as c_e = c_(n-e)
+            m, n = w * r * r2, n or n2
+            h = hist.setdefault(n, {})
+            for k in (min(e + e2, n - e - e2), abs(e - e2)) if e and e2 else (e + e2,):
+                h[k] = h.get(k, 0) + m
+    if tau:
+        return None
+    for n, h in hist.items():
+        terms: dict[int, int] = {}
+        for e, m in h.items():
+            for k, a in closed.cos_terms[n][e]:
+                terms[k] = terms.get(k, 0) + m * a
+        if any(a for k, a in terms.items() if k):
+            return None
+        rat += terms.get(0, 0)
+    return Fraction(rat, scale)
+
+
 def induce(table: ConjugacyTable, sub: SubgroupData, values: Sequence[CycNumber | int | Fraction]) -> ClassFunction:
     """Induced class function: |C_G(g)|/|H| times the sum over fused elements.
 

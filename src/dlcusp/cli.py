@@ -42,10 +42,10 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 
 # The largest prime any command accepts.  One prime's time grows about as
-# p^2.5: verify --range p p --no-cache took 0.40 s and 18 MB peak RSS at
-# p = 199, and 3.8 s and 25 MB at p = 599 (CPython 3.11, one core).  Above
-# the bound, a typo such as --range 7 1000000000000 is refused before any
-# prime search instead of running for days.
+# p^2: verify --range p p --no-cache took 0.50 s and 18 MB peak RSS at
+# p = 199, and 3.5 s and 25 MB at p = 599 (CPython 3.11, one core of a
+# loaded 2-core host).  Above the bound, a typo such as --range 7
+# 1000000000000 is refused before any prime search instead of running for days.
 MAX_PRIME = 600
 
 
@@ -374,26 +374,45 @@ def _verify_one(p: int, cache_dir_str: str | None, reading: str) -> dict:
     return row
 
 
-def _run_pool(primes: list[int], jobs: int, cache_dir: Path | None, reading: str) -> list[dict]:
+def _run_pool(primes: list[int], jobs: int, cache_dir: Path | None, reading: str, done=lambda r: r) -> list[dict]:
+    """_verify_one at every prime, in order of p; done sees each row as its prime finishes."""
     cd = str(cache_dir) if cache_dir else None
     # every worker starts up front, so never more than there is work or cores for
     workers = min(jobs, len(primes), os.cpu_count() or 1)
     if workers <= 1:
-        return [_verify_one(p, cd, reading) for p in primes]
+        return [done(_verify_one(p, cd, reading)) for p in primes]
     # the largest primes cost the most, so they go first and the small ones fill the gaps
     order = sorted(primes, reverse=True)
-    from concurrent.futures import ProcessPoolExecutor  # here, so a run without a pool never imports it
+    # imported here, so that a run without a pool never imports it
+    from concurrent.futures import ProcessPoolExecutor, as_completed
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(_verify_one, order, [cd] * len(order), [reading] * len(order)))
+        rows = [done(f.result()) for f in as_completed([pool.submit(_verify_one, p, cd, reading) for p in order])]
     return sorted(rows, key=lambda r: r["p"])
+
+
+def _progress(total: int):
+    """The done callback of _run_pool: one line per finished prime on stderr
+    when stderr is a terminal, and nothing otherwise, so that piped and
+    redirected runs stay as they were; stdout is never touched."""
+    if not sys.stderr.isatty():
+        return lambda row: row
+    finished = []
+
+    def done(row: dict) -> dict:
+        finished.append(row["p"])
+        print(f"verify: p={row['p']} {row['status']} in {row['seconds']} s ({len(finished)}/{total})",
+              file=sys.stderr, flush=True)
+        return row
+
+    return done
 
 
 def cmd_verify(parser, args) -> int:
     if args.jobs < 1:
         parser.error("--jobs must be at least 1")
     primes = _selected_primes(parser, args)
-    rows = _run_pool(primes, args.jobs, _cache_dir_from_args(args), args.reading)
+    rows = _run_pool(primes, args.jobs, _cache_dir_from_args(args), args.reading, _progress(len(primes)))
     lin = linearity_fit([r["decomposition"] for r in rows if r["decomposition"] is not None])
     aggregate = all(r["status"] == "pass" for r in rows) and lin.ok
     report = {

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .classfun import ClassFunction, dual, induce, inner_products, trivial_character
+from .classfun import ClassFunction, closed_pairings, dual, induce, inner_products, trivial_character
 from .chartable import CharacterData, dl_terms, quadratic_character_index
 from .cyclotomic import CycNumber, _common_frame, _raw_dot
 from .group import conjugate_into_torus, torus_order
@@ -223,7 +223,8 @@ def decompose_dl(data: CharacterData, s: ClassFunction | None = None, reading: s
     Coefficients are stored per inversion-orbit representative; the full sum
     counts non-self-inverse orbits twice.  Each coefficient is half a pairing,
     c = <s, R>/2 = sum sign m_label / 2 over dl_terms, with m_label = <s, chi>
-    the multiplicities, paired in one integer frame (inner_products).  By
+    the multiplicities, summed in the table's closed coordinates
+    (classfun.closed_pairings; inner_products where they do not decide).  By
     Deligne-Lusztig orthogonality the rows of distinct orbits (of one torus or
     of the two) are orthogonal, and <R, R> is 2 at theta = theta^-1 and 1
     otherwise, so orbit weight times norm is 2 for every orbit: if s = sum c w
@@ -242,9 +243,11 @@ def decompose_dl(data: CharacterData, s: ClassFunction | None = None, reading: s
     if s is None:
         s = weinstein_character(data)
     mults: dict[tuple, Fraction] = {}
-    irrs = data.irreducibles
-    for irr, value in zip(irrs, inner_products(s, data.values, [irr.ids for irr in irrs])):
-        m = value.as_rational()
+    irrs, closed = data.irreducibles, data.coordinates
+    got = closed_pairings(closed, data.table, [closed.coordinate(v) for v in s.values], [irr.ids for irr in irrs])
+    for irr, m in zip(irrs, got):
+        if m is None:  # a cell without coordinates, or an irrational pairing
+            m = inner_products(s, data.values, [irr.ids])[0].as_rational()
         if m is None:
             raise VerificationError(f"non-rational multiplicity for {irr.name} at p={p}")
         mults[irr.label] = m

@@ -11,7 +11,7 @@ from typing import Sequence
 from dlcusp.chartable import CharacterData, TableValidationError
 from dlcusp.classfun import ClassFunction, dual, induce, inner_product, restrict, tensor
 from dlcusp.cuspform import VerificationError, embedded_subgroups
-from dlcusp.cyclotomic import ZERO, CycNumber, _common_frame, _raw_dot, root_of_unity
+from dlcusp.cyclotomic import ZERO, CycNumber, _common_frame, _raw_dot, gauss_sum, root_of_unity
 from dlcusp.group import GroupElement, SubgroupData, build_subgroup
 
 
@@ -203,6 +203,26 @@ def single_cell_faults(data: CharacterData, seed: int = 5, count: int = 40):
         row, cls = rng.randrange(len(data.irreducibles)), rng.randrange(len(data.table))
         value = data.irreducibles[row].chi.values[cls]
         yield with_cell(data, row, cls, rng.choice(faults)(value))
+
+
+def closed_cell_faults(data: CharacterData, seed: int = 11, count: int = 40):
+    """Seeded single-cell faults that keep every value in closed coordinates:
+    a cell at a torus class becomes c_e of that torus, a cell at a central
+    or unipotent class gains +-tau or +-tau/2, or a cell is negated."""
+    rng = random.Random(seed * 1009 + data.p)
+    p, tau = data.p, gauss_sum(data.p)
+    tori = {"split_semisimple": p - 1, "nonsplit_semisimple": p + 1}
+    for _ in range(count):
+        row, cls = rng.randrange(len(data.irreducibles)), rng.randrange(len(data.table))
+        value, n = data.irreducibles[row].chi.values[cls], tori.get(data.table.classes[cls].kind)
+        if rng.random() < 0.25:
+            value = -value
+        elif n:
+            e = rng.randrange(1, n // 2)
+            value = root_of_unity(n, e) + root_of_unity(n, -e)
+        else:
+            value = value + tau.scale(Fraction(rng.choice((1, -1)), rng.choice((1, 2))))
+        yield with_cell(data, row, cls, value)
 
 
 def check_ring_axioms(seed: int = 20240611, orders=(12, 24, 168, 840), rounds: int = 12) -> int:

@@ -4,7 +4,7 @@ import pytest
 
 from dlcusp.chartable import CharacterData, TableValidationError, dl_terms, quadratic_character_index, validate_table
 from dlcusp.classfun import ClassFunction, dual, inner_product, tensor, trivial_character
-from dlcusp.cyclotomic import ONE, ZERO
+from dlcusp.cyclotomic import ONE, ZERO, root_of_unity
 from dlcusp.numtheory import primes_in_range
 
 import propchecks
@@ -194,10 +194,12 @@ def _outcome(check, data):
     return None
 
 
-@pytest.mark.parametrize("p", (7, 11, 13, 31))
+@pytest.mark.parametrize("p", (7, 11, 13, 31, 43))
 def test_packed_pairing_agrees_with_cell_by_cell_oracle(p):
     """On seeded single-cell faults validate_table raises exactly when the
-    cell-by-cell pair loop does, with the same message."""
+    cell-by-cell pair loop does, with the same message.  Most of these
+    faults leave the closed coordinates, so the pairs they touch go through
+    classfun.inner_products."""
     data = get_data(p)
     assert _outcome(validate_table, data) is _outcome(propchecks.check_row_orthonormality, data) is None
     changed = 0
@@ -212,11 +214,54 @@ def test_packed_pairing_agrees_with_cell_by_cell_oracle(p):
     assert changed >= 20
 
 
+@pytest.mark.parametrize("p", (7, 13, 43))
+def test_faults_in_closed_coordinates_agree_with_the_oracle(p):
+    """Seeded single-cell faults that keep every value in closed coordinates
+    (another c_e at a torus class, tau added at a unipotent or central
+    class, a negation) are paired in coordinates, and validate_table still
+    raises exactly when the cell-by-cell pair loop does, with its message."""
+    data = get_data(p)
+    changed = 0
+    for broken in propchecks.closed_cell_faults(data):
+        assert None not in broken.coordinates.coords
+        want = _outcome(propchecks.check_row_orthonormality, broken)
+        assert _outcome(validate_table, broken) == want
+        assert (want is not None) == (broken.irreducibles != data.irreducibles)
+        changed += want is not None
+    assert changed >= 20
+
+
+@pytest.mark.parametrize("p", (11, 13, 43))
+@pytest.mark.parametrize(
+    "kind, fault",
+    [
+        ("split_semisimple", lambda p, v: v + root_of_unity(p)),
+        ("unipotent", lambda p, v: v + root_of_unity(p - 1)),
+        ("nonsplit_semisimple", lambda p, v: root_of_unity(p - 1) + root_of_unity(p - 1, -1)),  # split c_1
+    ],
+    ids=["split-plus-zeta_p", "unipotent-plus-zeta_p-1", "split-c1-at-nonsplit"],
+)
+def test_faults_outside_closed_coordinates_get_the_oracles_message(p, kind, fault):
+    """A cell the coordinates cannot pair (a value without coordinates, or
+    c_e of the split torus against the nonsplit torus's values) sends its
+    pairs to classfun.inner_products, and validate_table gives the verdict
+    and message of the cell-by-cell pair loop."""
+    from dlcusp.classfun import closed_pairings
+
+    data = get_data(p)
+    cls = next(c for c, rec in enumerate(data.table.classes) if rec.kind == kind)
+    for label in (("trivial",), ("principal", 1), ("exceptional_nonsplit_plus",)):
+        row = next(i for i, irr in enumerate(data.irreducibles) if irr.label == label)
+        broken = propchecks.with_cell(data, row, cls, fault(p, data.irreducibles[row].chi.values[cls]))
+        closed, rows = broken.coordinates, [irr.ids for irr in broken.irreducibles]
+        assert None in closed_pairings(closed, broken.table, [closed.coords[k] for k in rows[row]], rows), label
+        want = _outcome(propchecks.check_row_orthonormality, broken)
+        assert want is not None and _outcome(validate_table, broken) == want, label
+
+
 def test_huge_coefficient_is_rejected(data7):
     """A cell with a coefficient far above |G| is still rejected, with the
     oracle's message: the pairing's canonical values have no size bound."""
-    from dlcusp.cyclotomic import root_of_unity
-
     row = next(i for i, irr in enumerate(data7.irreducibles) if irr.label == ("principal", 1))
     cls = next(i for i, rec in enumerate(data7.table.classes) if rec.kind == "split_semisimple")
     value = data7.irreducibles[row].chi.values[cls] + root_of_unity(6, 1).scale(2**70 + 1)
@@ -631,13 +676,13 @@ def test_swapped_degrees_are_caught(data7):
 
 
 def _id_rows(data):
-    """The id rows, distinct values, value ids and common order validate_table pairs."""
-    from dlcusp.cyclotomic import _common_frame
+    """The id rows validate_table pairs, and the closed coordinates of their
+    distinct values, interned here afresh in cell order."""
+    from dlcusp.chartable import ClosedCoordinates
 
     ids = {ZERO: 0}
     rows = [[ids.setdefault(v, len(ids)) for v in irr.chi.values] for irr in data.irreducibles]
-    values = list(ids)
-    return rows, values, ids, _common_frame(values)[0]
+    return rows, ClosedCoordinates(data.p, list(ids), ids)
 
 
 def _orbit_minima(perms, n):
@@ -670,9 +715,9 @@ def test_each_chosen_unit_permutes_the_rows(p):
 
     data = get_data(p)
     irrs, n = data.irreducibles, len(data.irreducibles)
-    rows, values, ids, order = _id_rows(data)
-    perms = _row_permutations(rows, values, ids, order)
-    units = _galois_units(order)
+    rows, closed = _id_rows(data)
+    perms = _row_permutations(rows, closed)
+    units = _galois_units(closed.order)
     assert len(perms) == len(units) == 3
     for u, perm in zip(units, perms):
         assert sorted(perm) == list(range(n)), u

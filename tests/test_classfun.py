@@ -192,3 +192,28 @@ def test_inner_products_equal_the_per_class_reference(p):
     ids += [range(len(data.values) + j * n, len(data.values) + j * n + n) for j in range(len(randoms))]
     for phi in rows:
         assert inner_products(phi, values, ids) == [propchecks.naive_inner_product(phi, psi) for psi in rows]
+
+
+@pytest.mark.parametrize("p", (13, 101, 599))
+def test_lifted_canonical_cosines_sum_to_the_canonical_form(p):
+    """closed_pairings decides a torus sum sum_e H(e) c_e from the canonical
+    forms of the c_e lifted to order n = p -+ 1, without reducing again: the
+    sum of the lifted forms must be the canonical form of the sum at n, for
+    any histogram, a Galois-stable (so rational) one included."""
+    from dlcusp.chartable import ClosedCoordinates
+    from dlcusp.cyclotomic import CycNumber
+
+    closed = ClosedCoordinates(p, [ZERO], {ZERO: 0})
+    rng = random.Random(p)
+    for n in (p - 1, p + 1):
+        histograms = [{e: 1 for e in range(n // 2 + 1)}]
+        histograms += [{rng.randrange(n // 2 + 1): rng.randint(-5, 5) for _ in range(6)} for _ in range(20)]
+        for h in histograms:
+            terms, raw = {}, {}
+            for e, m in h.items():
+                for k, a in closed.cos_terms[n][e]:
+                    terms[k] = terms.get(k, 0) + m * a
+                for k in (e, -e % n):
+                    raw[k] = raw.get(k, 0) + m
+            want = CycNumber._from_numerators(n, raw, 1)
+            assert {k: a for k, a in terms.items() if a} == {e * (n // want.order): c for e, c in want.terms.items()}

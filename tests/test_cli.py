@@ -162,9 +162,11 @@ def fake_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, primes, *rest):
-            record["submitted"].extend(primes)
-            return list(map(fn, primes, *rest))  # rows in submission order
+        def submit(self, fn, p, *rest):
+            record["submitted"].append(p)
+            future = concurrent.futures.Future()
+            future.set_result(fn(p, *rest))  # already finished when submitted
+            return future
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     return record
@@ -192,6 +194,29 @@ def test_pool_gets_the_largest_primes_first(capsys, monkeypatch, fake_pool, cach
     assert code == 0
     assert fake_pool["submitted"] == [13, 11, 7]
     assert [row["p"] for row in json.loads(out)["primes"]] == [7, 11, 13]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_reports_progress_only_to_a_terminal(capsys, monkeypatch, fake_pool, jobs):
+    """With stderr a terminal, verify prints one line per finished prime
+    there; stdout is byte-identical either way, and a stderr that is not a
+    terminal gets nothing."""
+    import os
+    import sys
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    args = ["verify", "--range", "7", "13", "--jobs", jobs, "--format", "json", "--no-timestamp", "--no-cache"]
+    assert main(args) == 0
+    quiet = capsys.readouterr()
+    monkeypatch.setattr(sys.stderr, "isatty", lambda: True)
+    assert main(args) == 0
+    loud = capsys.readouterr()
+    assert quiet.err == "" and loud.out == quiet.out
+    line = re.compile(r"verify: p=(\d+) pass in [0-9.]+ s \((\d)/3\)$")
+    lines = [line.match(text).groups() for text in loud.err.splitlines()]
+    assert [count for _, count in lines] == ["1", "2", "3"]
+    primes = [int(p) for p, _ in lines]
+    assert (primes if jobs == "1" else sorted(primes)) == [7, 11, 13]  # a pool's come in finishing order
 
 
 def test_classes_builds_no_characters(capsys, monkeypatch, tmp_path):
@@ -243,8 +268,12 @@ def test_cache_corruption_recovers(capsys, cache_dir):
     assert json.loads(bad.read_text())["p"] == 13  # rebuilt and rewritten
 
 
+def _row_of(doc, label):
+    return next(d for d in doc["irreducibles"] if d["label"] == label)
+
+
 def _ids_of(doc, label):
-    return next(d for d in doc["irreducibles"] if d["label"] == label)["ids"]
+    return _row_of(doc, label)["ids"]
 
 
 def _fault(shape, doc):
@@ -271,13 +300,21 @@ def _fault(shape, doc):
     elif shape == "schema-1":
         doc.clear()
         doc.update(CharacterData(7).to_json_dict())
+    elif shape == "degree-bool":  # true == 1, so it would pass the audit as the trivial degree
+        _row_of(doc, ["trivial"])["degree"] = True
+    elif shape == "degree-float":
+        _row_of(doc, ["steinberg"])["degree"] = 7.0
+    elif shape == "label-bool":  # ("principal", True) == ("principal", 1)
+        _row_of(doc, ["principal", 1])["label"] = ["principal", True]
+    elif shape in ("label-string", "label-empty"):
+        _row_of(doc, ["trivial"])["label"] = "trivial" if shape == "label-string" else []
 
 
 @pytest.mark.parametrize(
     "shape",
     ["array", "string", "number", "null", "inner", "id-out-of-range", "id-negative", "id-bool", "id-float",
      "row-length", "equal-texts", "zero-not-first", "non-canonical", "zero-denominator", "huge-order", "schema-1",
-     "nested"],
+     "nested", "degree-bool", "degree-float", "label-bool", "label-string", "label-empty"],
 )
 def test_cache_of_any_malformed_shape_is_rebuilt(capsys, tmp_path, shape):
     fresh = CharacterData(7).to_cache_dict()
