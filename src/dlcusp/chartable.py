@@ -16,11 +16,10 @@ that is kept: every Deligne-Lusztig character is derived from it on demand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .classfun import ClassFunction, closed_pairings, inner_product, inner_products, trivial_character
+from .classfun import ClassFunction, closed_pairings, inner_product, inner_products
 from .cyclotomic import ONE, ZERO, CycNumber, _common_frame, gauss_sum
 from .group import (
     ConjugacyTable,
@@ -46,15 +45,26 @@ def quadratic_character_index(torus_order: int) -> int:
     return torus_order // 2
 
 
-@dataclass(frozen=True)
 class Irreducible:
     """A labelled irreducible character; label is a stable report key.  On
-    a table, ids is its row of ids into the table's values, and chi their view."""
+    a table, ids is its row of ids into the table's values, and chi their
+    view.  Equal and hashed by (label, chi, degree): ids is not compared."""
 
-    label: tuple
-    chi: ClassFunction
-    degree: int
-    ids: tuple = field(default=(), compare=False)
+    __slots__ = ("label", "chi", "degree", "ids")
+
+    def __init__(self, label: tuple, chi: ClassFunction, degree: int, ids: tuple = ()):
+        self.label, self.chi, self.degree, self.ids = label, chi, degree, ids
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.label, self.chi, self.degree) == (other.label, other.chi, other.degree)
+
+    def __hash__(self) -> int:
+        return hash((self.label, self.chi, self.degree))
+
+    def __repr__(self) -> str:
+        return f"Irreducible(label={self.label!r}, chi={self.chi!r}, degree={self.degree!r}, ids={self.ids!r})"
 
     @property
     def name(self) -> str:
@@ -115,25 +125,29 @@ class CharacterData:
         """The irreducibles from the closed-form id rows of R_T^theta (split)
         and -R_T^theta (anisotropic), once Borel induction agrees.  The rows
         at k = 0 and |T|/2 are not irreducible, so their values go to a list
-        of their own: the table's holds only values its cells hold."""
+        of their own: the table's holds only values its cells hold.
+
+        Every row is read off per-class ids, each distinct value made once,
+        and values are interned in the order their first cell appears: the
+        rows in the order of out, each class by class.  So the ids, and the
+        values list, are those of interning every cell's value in turn."""
         p, table = self.p, self.table
         self.borel_fallbacks = 0  # induction cells that needed canonical forms; 0 on a true table
         self._check_borel_induction()
         values, ends = _Values(), _Values()
-        inner, outer = {}, {}  # per torus, the id rows at 0 < k < |T|/2 and the rows at k = 0, |T|/2
+        inner, outer = {}, {}  # per torus, the id rows at 0 < k < |T|/2 and, into ends, the rows at k = 0, |T|/2
         for torus, sign in (("split", 1), ("nonsplit", -1)):
             half = torus_order(p, torus) // 2
             inner[torus] = self._closed_rows(torus, range(1, half), values, sign)
-            outer[torus] = [ends.view(table, row) for row in self._closed_rows(torus, (0, half), ends, sign)]
+            outer[torus] = self._closed_rows(torus, (0, half), ends, sign)
         out = [
             (("trivial",), (values.intern(ONE),) * len(table), 1),
-            (("steinberg",), values.row(self._steinberg(outer["split"][0])), p),
+            (("steinberg",), self._steinberg(outer["split"][0], ends, values), p),
             *((("principal", k), row, p + 1) for k, row in enumerate(inner["split"], 1)),
             *((("discrete", k), row, p - 1) for k, row in enumerate(inner["nonsplit"], 1)),
         ]
         for torus in ("split", "nonsplit"):
-            pair = self._exceptional_pair(torus, outer[torus][1])
-            out.extend((irr.label, values.row(irr.chi), irr.degree) for irr in pair)
+            out.extend(self._exceptional_pair(torus, outer[torus][1], ends, values))
         self._set(values, out)
 
     def _build_borel_buckets(self) -> list[dict[int, int]]:
@@ -198,21 +212,42 @@ class CharacterData:
 
     def _closed_rows(self, torus_type: str, ks, values: "_Values", sign: int = 1) -> list[tuple[int, ...]]:
         """The closed form of sign R_T^theta_k as one row of ids into values
-        per k in ks; each distinct exponent map is made a value once."""
+        per k in ks, each distinct value made once.
+
+        A class's closed form (_closed_form) has one of three shapes: {} on
+        the classes of the other torus, {d: c} at +-I and the unipotent-type
+        classes, and {d: u, -d: u} on its own torus.  At theta_k the value
+        is c zeta_n^e / den with e = k d mod n (zero for {}, read as {0: 0}),
+        or u (zeta_n^e + zeta_n^-e) / den, which is the same at e and n - e.
+        So a cell's value is a function of its shape's coefficient and e, or
+        min(e, n - e) for the pair: the classes of one (coefficient, shape)
+        share a memo keyed by that exponent, and a key's value is made and
+        interned at its first cell.  Interning is then in the order of each
+        value's first cell, as when every cell is interned in turn, and a
+        later cell gets the id interning its equal value would return.
+        """
         p = self.p
         n = torus_order(p, torus_type)
         den = p * (p - 1) if torus_type == "split" else 1
-        closed = [{d: sign * c for d, c in dmap.items()} for dmap in self._closed_form(torus_type)]
-        ids: dict[frozenset, int] = {}
+        memos: dict[tuple[int, bool], dict[int, int]] = {}  # per (coefficient, pair shape), exponent -> id
+        cells = []  # per class: (d, pair shape, coefficient, memo)
+        for dmap in self._closed_form(torus_type):
+            (d, c), *other = sorted(dmap.items()) or [(0, 0)]
+            pair = bool(other)
+            if other != ([(n - d, c)] if pair else []):
+                raise AssertionError(f"closed form {dmap} has none of the three shapes")
+            cells.append((d, pair, sign * c, memos.setdefault((sign * c, pair), {})))
         rows = []
         for k in ks:
             row = []
-            for dmap in closed:
-                raw = _exponents(dmap, k, n)
-                key = frozenset(raw.items())
-                i = ids.get(key)
+            for d, pair, c, memo in cells:
+                e = k * d % n
+                if pair and 2 * e > n:
+                    e = n - e
+                i = memo.get(e)
                 if i is None:
-                    i = ids[key] = values.intern(CycNumber._from_numerators(n, raw, den))
+                    raw = ({e: 2 * c} if 2 * e % n == 0 else {e: c, n - e: c}) if pair else {e: c}
+                    i = memo[e] = values.intern(CycNumber._from_numerators(n, raw, den))
                 row.append(i)
             rows.append(tuple(row))
         return rows
@@ -244,19 +279,24 @@ class CharacterData:
                         f"split torus character k={k}: induction and closed form disagree at p={p}"
                     )
 
-    def _steinberg(self, r1: ClassFunction) -> ClassFunction:
-        """St = R_split(1) - 1, with its norm checked.  validate_table's
-        orthonormality implies the check; it stays because it is the only
+    def _steinberg(self, r1: tuple[int, ...], ends: "_Values", values: "_Values") -> tuple[int, ...]:
+        """St = R_split(1) - 1 as a row of ids into values, from the row r1
+        of ids into ends of R_split(1), each distinct id's value less one
+        made once; with its norm checked.  validate_table's orthonormality
+        implies the check; it stays because it is the only
         classfun.inner_product call on the verify path, whose traced count
         the benchmark's tests require to be non-zero."""
-        st = r1 - trivial_character(self.table)
+        row = values.keyed_row(r1, lambda i: ends[i] - ONE)
+        st = values.view(self.table, row)
         if inner_product(st, st).as_rational() != 1:
             raise TableValidationError(f"Steinberg norm is not 1 at p={self.p}")
-        return st
+        return row
 
-    def _exceptional_pair(self, torus_type: str, base: ClassFunction) -> tuple[Irreducible, Irreducible]:
-        """The two halves (base + delta)/2 and (base - delta)/2 of base, the
-        order-2-character virtual character.
+    def _exceptional_pair(self, torus_type: str, base: tuple[int, ...], ends: "_Values", values: "_Values") -> list:
+        """The (label, id row, degree) entries of the two halves (base +
+        delta)/2 and (base - delta)/2 of base, the order-2-character virtual
+        character, given as a row of ids into ends.  Each half is made once
+        per distinct (base id, coefficient of delta in tau) of its cells.
 
         base is R(alpha) for the split torus and -R(alpha) for the anisotropic
         one; delta is supported on the four unipotent-type classes, where it
@@ -285,15 +325,18 @@ class CharacterData:
         else:
             deg = (p - 1) // 2
             center_sign = -legendre(-1, p)  # alpha(-I) on the larger torus
-        delta_vals = [ZERO] * len(table)
-        for i, rec in enumerate(table.classes):
+        keys = []  # per class, (base id, the coefficient of delta in tau)
+        for b, rec in zip(base, table.classes):
             if rec.kind == "unipotent":
                 sign, residue = rec.key
-                s = residue * (1 if sign == 1 else center_sign)
-                delta_vals[i] = tau.scale(s)
-        delta = ClassFunction(table, delta_vals)
-        halves = {"plus": (base + delta).scale(Fraction(1, 2)), "minus": (base - delta).scale(Fraction(1, 2))}
-        return tuple(Irreducible((f"exceptional_{torus_type}_{half}",), chi, deg) for half, chi in halves.items())
+                keys.append((b, residue * (1 if sign == 1 else center_sign)))
+            else:
+                keys.append((b, 0))
+        halves = {
+            "plus": lambda key: (ends[key[0]] + tau.scale(key[1])).scale(Fraction(1, 2)),
+            "minus": lambda key: (ends[key[0]] - tau.scale(key[1])).scale(Fraction(1, 2)),
+        }
+        return [((f"exceptional_{torus_type}_{half}",), values.keyed_row(keys, make), deg) for half, make in halves.items()]
 
     # -- lookups --------------------------------------------------------------
 
@@ -412,6 +455,16 @@ class _Values(list):
     def row(self, chi: ClassFunction) -> tuple[int, ...]:
         return tuple(map(self.intern, chi.values))
 
+    def keyed_row(self, keys: list, make) -> tuple[int, ...]:
+        """The ids of make(key) per key, each distinct key's value made and
+        interned once, at its first appearance: the ids of interning every
+        cell's value in turn, when make(key) is a function of key alone."""
+        ids = {}
+        for key in keys:
+            if key not in ids:
+                ids[key] = self.intern(make(key))
+        return tuple(map(ids.__getitem__, keys))
+
     def view(self, table: ConjugacyTable, ids) -> ClassFunction:
         return ClassFunction._raw(table, tuple(map(self.__getitem__, ids)))
 
@@ -437,32 +490,55 @@ class ClosedCoordinates:
         self.p, self.eps, self.values, self.ids = p, legendre(-1, p), values, ids
         self.order = _common_frame(values)[0]
         self.tau = tau = gauss_sum(p)
-        t = next(e for e in tau.terms if e)
-        self.cos_ids, self.cos_terms, cos = {}, {}, {}
+        self._t = next(e for e in tau.terms if e)
+        self.cos_ids, self.cos_terms, self._cos = {}, {}, {}
         for n in (p - 1, p + 1):
             cs = [_cos(n, e) for e in range(n // 2 + 1)]
             self.cos_ids[n] = [ids.get(c, -1) for c in cs]
             self.cos_terms[n] = [[(k * (n // c.order), int(a)) for k, a in c.terms.items()] for c in cs]
-            cos.update((c, (1, 0, n, e)) for e, c in enumerate(cs) if c.order > 1)
-        exact = []
-        for v in values:
-            x = cos.get(v) if v.order > 1 else (v.as_rational(), 0, 0, 0)
-            if x is None and v.order == p:
-                s = v.terms.get(t, 0) / tau.terms[t]
-                r = (v - tau.scale(s)).as_rational()
-                x = None if r is None else (r, s, 0, 0)
-            exact.append(x)
+            self._cos.update((c, (1, 0, n, e)) for e, c in enumerate(cs) if c.order > 1)
+        exact = [self._exact(v) for v in values]
         self.den = den = lcm(*(Fraction(c).denominator for x in exact if x for c in x[:2]))
         self.coords = [x and (int(x[0] * den), int(x[1] * den), x[2], x[3]) for x in exact]
         self.index = {x: i for i, x in enumerate(self.coords) if x}
 
-    def coordinate(self, v: CycNumber) -> tuple | None:
-        """The coordinates of v over den: a table value's, or a rational's."""
+    def _exact(self, v: CycNumber) -> tuple | None:
+        """The coordinates of v in rationals: (r, s, 0, 0) for r + s tau,
+        (1, 0, n, e) for c_e, or None."""
         if v.order == 1:
-            r = v.as_rational() * self.den
-            return (r.numerator, 0, 0, 0) if r.denominator == 1 else None
+            return (v.as_rational(), 0, 0, 0)
+        x = self._cos.get(v)
+        if x is None and v.order == self.p:
+            s = v.terms.get(self._t, 0) / self.tau.terms[self._t]
+            r = (v - self.tau.scale(s)).as_rational()
+            x = None if r is None else (r, s, 0, 0)
+        return x
+
+    def coordinate(self, v: CycNumber) -> tuple | None:
+        """The coordinates of v over den: a table value's, or those of a
+        rational, r + s tau or c_e whose coordinates den makes integers."""
         i = self.ids.get(v)
-        return None if i is None else self.coords[i]
+        if i is not None:
+            return self.coords[i]
+        x = self._exact(v)
+        if x is None:
+            return None
+        r, s = Fraction(x[0]) * self.den, Fraction(x[1]) * self.den
+        return (r.numerator, s.numerator, x[2], x[3]) if r.denominator == s.denominator == 1 else None
+
+    def cos_sum(self, n: int, hist: dict[int, int]) -> int | None:
+        """sum_e hist[e] c_e on the torus of order n, or None where it is
+        irrational.  It is summed from the canonical c_e lifted to order n
+        (cos_terms).  A lifted canonical form stays in the residue basis at
+        n (a CRT coordinate b < phi(q^j) scaled by q^(k-j) stays below
+        phi(q^k)), and the basis is linearly independent, so that sum is the
+        canonical form at n: the sum is rational iff no exponent but 0 is
+        left, and it is then the coefficient of exponent 0."""
+        terms, cos_terms = [0] * n, self.cos_terms[n]  # by exponent at order n
+        for e, m in hist.items():
+            for k, a in cos_terms[e]:
+                terms[k] += m * a
+        return None if any(terms[1:]) else terms[0]
 
     def galois(self, u: int) -> list[int]:
         """Per id, the id of its value's image under sigma_u, or -1 where the
@@ -569,7 +645,8 @@ def validate_table(data: CharacterData) -> dict:
     (tau^2 = +-p), so S = 0.  A pair with a cell the coordinates cannot
     express, or that does not pass, is paired again by classfun.inner_products
     in one integer frame, whose canonical value decides it and is the one
-    the message prints.
+    the message prints.  cuspform._rebuild_differs_at decides its classes by
+    the same argument.
 
     Only one pair per Galois orbit is paired (_pair_representatives), and
     the verdict and message are still those of the full loop over i <= j:

@@ -133,13 +133,7 @@ def closed_pairings(closed, table: ConjugacyTable, left: Sequence, rows: Sequenc
     Q(zeta_b) in Q(zeta_gcd(a, b)): gcd(p - 1, p(p + 1)) = gcd(p + 1,
     p(p - 1)) = 2 and gcd(p, p^2 - 1) = 1, and Q(zeta_2) = Q.  So the pairing
     is rational iff S = 0 (tau is irrational) and each torus sum is
-    rational; it is then R plus those rationals.  A torus sum is the sum of
-    H_T(e) times the canonical form of c_e lifted to order n = |T|
-    (closed.cos_terms).  A lifted canonical form stays in the residue basis
-    at n (a CRT coordinate b < phi(q^j) scaled by q^(k-j) stays below
-    phi(q^k)), and the basis is linearly independent, so that sum is the
-    canonical form at n: the torus sum is rational iff no exponent but 0
-    is left.
+    rational (closed.cos_sum); it is then R plus those rationals.
     """
     cells = [(c, rec.size, x) for c, (rec, x) in enumerate(zip(table.classes, left)) if x != (0, 0, 0, 0)]
     if any(x is None for _, _, x in cells):
@@ -174,13 +168,10 @@ def _closed_pairing(closed, cells: list, row: Sequence[int], scale: int) -> Frac
     if tau:
         return None
     for n, h in hist.items():
-        terms: dict[int, int] = {}
-        for e, m in h.items():
-            for k, a in closed.cos_terms[n][e]:
-                terms[k] = terms.get(k, 0) + m * a
-        if any(a for k, a in terms.items() if k):
+        q = closed.cos_sum(n, h)
+        if q is None:
             return None
-        rat += terms.get(0, 0)
+        rat += q
     return Fraction(rat, scale)
 
 

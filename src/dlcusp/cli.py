@@ -42,8 +42,8 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 
 # The largest prime any command accepts.  One prime's time grows about as
-# p^2: verify --range p p --no-cache took 0.50 s and 18 MB peak RSS at
-# p = 199, and 3.5 s and 25 MB at p = 599 (CPython 3.11, one core of a
+# p^2: verify --range p p --no-cache took 0.35 s and 17 MB peak RSS at
+# p = 199, and 2.2 s and 24 MB at p = 599 (CPython 3.11, one core of a
 # loaded 2-core host).  Above the bound, a typo such as --range 7
 # 1000000000000 is refused before any prime search instead of running for days.
 MAX_PRIME = 600

@@ -13,9 +13,9 @@ permutation characters by the Steinberg tensor identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from .classfun import ClassFunction, closed_pairings, dual, induce, inner_products, trivial_character
 from .chartable import CharacterData, dl_terms, quadratic_character_index
@@ -100,8 +100,7 @@ def weinstein_character(data: CharacterData) -> ClassFunction:
     return s
 
 
-@dataclass(frozen=True)
-class ThetaSetLabel:
+class ThetaSetLabel(NamedTuple):
     """Coefficient-set membership of one torus character."""
 
     label: str
@@ -182,8 +181,7 @@ def paper_coefficients(p: int) -> dict[tuple[str, str], Fraction]:
 # -- decomposition ------------------------------------------------------------
 
 
-@dataclass
-class DecompositionResult:
+class DecompositionResult(NamedTuple):
     """Exact coefficients of the cusp-form character over the DL spanning set."""
 
     p: int
@@ -192,7 +190,7 @@ class DecompositionResult:
     labels: dict[tuple[str, int], ThetaSetLabel]
     table_match: bool
     multiplicities: dict[tuple, Fraction]
-    mismatches: list[dict] = field(default_factory=list)
+    mismatches: list[dict]
     rebuild_differs_at: int | None = None  # the first class where the rebuilt sum is not s
 
     @property
@@ -283,29 +281,71 @@ def _rebuild_differs_at(data: CharacterData, coeff: dict[tuple[str, int], Fracti
 
     By dl_terms each R_T^theta is a signed sum of irreducibles, so the sum
     is sum_chi f_chi chi over the table's id rows, with f_chi the total of
-    sign c w over the terms naming chi.  Each value the rows hold is written
-    once, by id, as integer numerators over one common order and
-    denominator, each f_chi as an integer over the lcm of their
-    denominators; a class is one integer sum, reduced once and compared
-    with s in canonical form.
+    sign c w over the terms naming chi, each written as an integer over the
+    lcm of their denominators.  A class is decided in the table's closed
+    coordinates (CharacterData.coordinates): the difference sum_chi f_chi
+    chi(c) - s(c) is summed as R + S tau plus one c_e histogram per torus
+    (ClosedCoordinates.cos_sum), and it is zero iff S = 0, each torus sum is
+    rational and the rationals add up to 0.  That is exact, by the argument
+    of chartable.validate_table's docstring: if R + S tau + h_split +
+    h_nonsplit = 0, then h_split lies in Q(zeta_(p-1)) and in
+    Q(zeta_(p(p+1))), which meet in Q, so it is rational; likewise
+    h_nonsplit; then S tau is rational, and tau is not, so S = 0.  A class
+    with a cell (or an s(c)) without coordinates is summed in integers
+    instead: each value the rows hold written once as numerators over one
+    common order and denominator, the class one integer sum, reduced once
+    and compared with s in canonical form.
     """
-    p, values = data.p, data.values
+    p, values, closed = data.p, data.values, data.coordinates
     f: dict[tuple, Fraction] = {}
     for (torus_type, k), c in coeff.items():
         for label, sign in dl_terms(p, torus_type, k):
             f[label] = f.get(label, 0) + sign * c * orbit_weight(p, torus_type, k)
     terms = [(x, data.irreducible(*label).ids) for label, x in f.items() if x]
-    used = {j for _, ids in terms for j in ids}
-    n, den = _common_frame([values[j] for j in used])
-    nums = {j: values[j]._numerators(n, den) for j in used}
     scale = lcm(*(x.denominator for x, _ in terms))
     terms = [(x.numerator * (scale // x.denominator), ids) for x, ids in terms]
+    coords, frame = closed.coords, None
     unit = {0: 1}  # w * a * unit is w * a: the product kernel sums the scaled numerators
     for i, target in enumerate(s.values):
-        raw = _raw_dot(n, ((x, nums[ids[i]], unit) for x, ids in terms))
-        if CycNumber._from_numerators(n, raw, den * scale) != target:
+        cells = [(x, coords[ids[i]]) for x, ids in terms if ids[i]]
+        cells.append((-scale, closed.coordinate(target)))
+        same = _closed_zero(closed, cells)
+        if same is None:
+            if frame is None:  # the integer frame, made at the first class that needs it
+                used = {j for _, ids in terms for j in ids}
+                n, den = _common_frame([values[j] for j in used])
+                frame = n, den, {j: values[j]._numerators(n, den) for j in used}
+            n, den, nums = frame
+            raw = _raw_dot(n, ((x, nums[ids[i]], unit) for x, ids in terms))
+            same = CycNumber._from_numerators(n, raw, den * scale) == target
+        if not same:
             return i
     return None
+
+
+def _closed_zero(closed, cells: list) -> bool | None:
+    """Whether sum x y over the (integer x, closed coordinates y) cells is
+    zero, or None where a y is None."""
+    rat = tau = 0
+    hist: dict[int, dict[int, int]] = {}  # per torus order n, the coefficient of c_e by e
+    for x, y in cells:
+        if y is None:
+            return None
+        r, s, n, e = y
+        if n:
+            h = hist.setdefault(n, {})
+            h[e] = h.get(e, 0) + x * r
+        else:
+            rat += x * r
+            tau += x * s
+    if tau:
+        return False
+    for n, h in hist.items():
+        q = closed.cos_sum(n, h)
+        if q is None:
+            return False
+        rat += q
+    return rat == 0
 
 
 # -- the independent symbolic pipeline ----------------------------------------
@@ -372,8 +412,7 @@ def remark_pipeline(data: CharacterData) -> dict[tuple[str, int], Fraction]:
 # -- corollaries ---------------------------------------------------------------
 
 
-@dataclass
-class OddMultiplicityReport:
+class OddMultiplicityReport(NamedTuple):
     p: int
     torus: str
     multiplicities: tuple[Fraction, Fraction]
@@ -412,8 +451,7 @@ def corollary_odd_multiplicity(data: CharacterData, result: DecompositionResult 
     return report
 
 
-@dataclass
-class AppearanceReport:
+class AppearanceReport(NamedTuple):
     p: int
     missing: list[str]  # non-trivial center-trivial irreducibles with multiplicity 0
     trivial_absent: bool
@@ -453,8 +491,7 @@ def corollary_all_appear(data: CharacterData, result: DecompositionResult | None
 # -- linearity of the coefficients in p ----------------------------------------
 
 
-@dataclass
-class LinearityReport:
+class LinearityReport(NamedTuple):
     fits: dict[tuple[str, str, int], tuple[Fraction, Fraction]]  # (label, torus, residue) -> (a, b)
     checked: int
     failures: list[dict]

@@ -9,30 +9,35 @@ table's memo of the class of a trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .numtheory import factorize, is_prime, legendre, smallest_nonsquare, sqrt_mod
 
 
-@dataclass(frozen=True)
 class GroupElement:
-    """A 2x2 matrix over Z/p with determinant 1, entries normalized to [0, p)."""
+    """A 2x2 matrix over Z/p with determinant 1, entries normalized to [0, p).
 
-    p: int
-    a: int
-    b: int
-    c: int
-    d: int
+    Equal and hashed as the tuple (p, a, b, c, d), though never equal to it.
+    """
 
-    def __post_init__(self):
-        p = self.p
-        for name in "abcd":
-            v = getattr(self, name)
-            if not 0 <= v < p:
-                object.__setattr__(self, name, v % p)
+    __slots__ = ("p", "a", "b", "c", "d")
+
+    def __init__(self, p: int, a: int, b: int, c: int, d: int):
+        self.p, self.a, self.b, self.c, self.d = p, a % p, b % p, c % p, d % p
         if (self.a * self.d - self.b * self.c) % p != 1:
             raise ValueError(f"determinant is not 1 mod {p}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.p, self.a, self.b, self.c, self.d) == (other.p, other.a, other.b, other.c, other.d)
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.a, self.b, self.c, self.d))
+
+    def __repr__(self) -> str:
+        return f"GroupElement(p={self.p}, a={self.a}, b={self.b}, c={self.c}, d={self.d})"
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         if self.p != other.p:
@@ -85,8 +90,7 @@ def identity(p: int) -> GroupElement:
     return GroupElement(p, 1, 0, 0, 1)
 
 
-@dataclass(frozen=True)
-class ClassRecord:
+class ClassRecord(NamedTuple):
     """One conjugacy class: representative, size, centralizer, invariants."""
 
     rep: GroupElement
@@ -229,8 +233,7 @@ def build_conjugacy_table(p: int) -> ConjugacyTable:
     return ConjugacyTable(p)
 
 
-@dataclass(frozen=True)
-class SubgroupData:
+class SubgroupData(NamedTuple):
     """A distinguished subgroup with its fusion into the ambient classes."""
 
     name: str
@@ -289,8 +292,7 @@ def build_subgroup(table: ConjugacyTable, name: str) -> SubgroupData:
     return SubgroupData(name, p, tuple(elements), expected, fusion)
 
 
-@dataclass(frozen=True)
-class TorusData:
+class TorusData(NamedTuple):
     """A maximal torus of SL2(F_p): cyclic, with fixed generator and dlogs."""
 
     torus_type: str  # split | nonsplit

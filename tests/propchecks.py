@@ -145,24 +145,55 @@ def check_row_orthonormality(data: CharacterData) -> None:
                 )
 
 
+def closed_rows_oracle(data: CharacterData, torus_type: str, ks, values, sign: int = 1) -> list[tuple[int, ...]]:
+    """The closed form of sign R_T^theta_k as one row of ids into values per
+    k in ks, cell by cell: each cell's exponent map {k d mod n: c} made a
+    value and interned in turn.  The reference for the build's
+    CharacterData._closed_rows, which makes each distinct value once."""
+    p = data.p
+    n = p - 1 if torus_type == "split" else p + 1
+    den = p * (p - 1) if torus_type == "split" else 1
+    rows = []
+    for k in ks:
+        row = []
+        for dmap in data._closed_form(torus_type):
+            raw: dict[int, int] = {}
+            for d, c in dmap.items():
+                e = k * d % n
+                raw[e] = raw.get(e, 0) + sign * c
+            row.append(values.intern(CycNumber._from_numerators(n, raw, den)))
+        rows.append(tuple(row))
+    return rows
+
+
 def check_exceptional_pairs(data: CharacterData) -> None:
-    """The checks the build once made on each exceptional pair, which
-    validate_table implies: the halves sum to the closed form of R(alpha)
-    (split) or -R(alpha) (anisotropic), each has degree (p +- 1)/2 and norm
-    one, the two are orthogonal, and the center acts on each by alpha(-I),
-    the Legendre symbol of -1, negated on the anisotropic torus."""
+    """Each exceptional half is (b + delta)/2 or (b - delta)/2 in
+    ClassFunction arithmetic, b the closed form of R(alpha) (split) or
+    -R(alpha) (anisotropic), cell by cell, and delta the Gauss sum times the
+    central sign and the residue symbol at the unipotent-type classes.  And
+    the checks the build once made on each pair, which validate_table
+    implies: the halves sum to b, each has degree (p +- 1)/2 and norm one,
+    the two are orthogonal, and the center acts on each by alpha(-I), the
+    Legendre symbol of -1, negated on the anisotropic torus."""
     from dlcusp.chartable import _Values
     from dlcusp.numtheory import legendre
 
     p, table = data.p, data.table
+    tau = gauss_sum(p)
     neg = [table.class_of(-rec.rep) for rec in table.classes]
     for torus, n, sign, deg in (("split", p - 1, 1, (p + 1) // 2), ("nonsplit", p + 1, -1, (p - 1) // 2)):
         values = _Values()
-        (row,) = data._closed_rows(torus, (n // 2,), values, sign)
+        (row,) = closed_rows_oracle(data, torus, (n // 2,), values, sign)
+        base = values.view(table, row)
         pair = [data.irreducible(f"exceptional_{torus}_{half}") for half in ("plus", "minus")]
         plus, minus = (irr.chi for irr in pair)
-        assert plus + minus == values.view(table, row), torus
         center_sign = sign * legendre(-1, p)
+        delta = ClassFunction(table, [
+            tau.scale(rec.key[1] * (1 if rec.key[0] == 1 else center_sign)) if rec.kind == "unipotent" else ZERO
+            for rec in table.classes
+        ])
+        assert plus == (base + delta).scale(Fraction(1, 2)) and minus == (base - delta).scale(Fraction(1, 2)), torus
+        assert plus + minus == base, torus
         for irr, chi in zip(pair, (plus, minus)):
             assert irr.degree == chi.degree == deg and naive_inner_product(chi, chi) == 1, torus
             assert all(chi.values[neg[c]] == v.scale(center_sign) for c, v in enumerate(chi.values)), torus

@@ -432,10 +432,49 @@ def test_the_center_check_names_a_planted_row(data7, plant, message):
 
 @pytest.mark.parametrize("p", [*primes_in_range(7, 43), 101])
 def test_built_exceptional_pairs_pass_the_dropped_build_checks(p):
-    """Sum, degree, norms, orthogonality and central character of both
+    """Each half equals (b +- delta)/2 made in ClassFunction arithmetic;
+    sum, degree, norms, orthogonality and central character of both
     exceptional pairs, which validate_table implies and the build no longer
     checks, still hold on every built table."""
     propchecks.check_exceptional_pairs(get_data(p))
+
+
+@pytest.mark.parametrize("p", [*primes_in_range(7, 43), 101])
+def test_closed_rows_equal_the_per_cell_oracle(p):
+    """_closed_rows, which makes each distinct value once from per-class
+    keys, gives the id rows and the values list of making and interning
+    every cell's exponent map in turn: at every k of both tori, with the
+    sign 1 in increasing and the sign -1 in shuffled order of k."""
+    import random
+
+    from dlcusp.chartable import _Values
+    from dlcusp.group import torus_order
+
+    data = get_data(p)
+    for torus in ("split", "nonsplit"):
+        ks = list(range(torus_order(p, torus)))
+        shuffled = random.Random(p).sample(ks, len(ks))
+        for sign, order in ((1, ks), (-1, shuffled)):
+            got, want = _Values(), _Values()
+            assert data._closed_rows(torus, order, got, sign) == propchecks.closed_rows_oracle(data, torus, order, want, sign)
+            assert list(got) == list(want), (torus, sign)
+
+
+@pytest.mark.parametrize("p", [*primes_in_range(7, 43), 101])
+def test_a_build_interns_values_in_the_order_of_their_first_cell(p):
+    """A build reads its rows off per-class ids, each distinct value made
+    once; its values list and id rows are those of interning every cell's
+    value in turn, in the order the build makes its rows: the principal and
+    discrete rows, then the trivial, Steinberg and exceptional rows.  So
+    the cache bytes do not depend on how the values were found."""
+    from dlcusp.chartable import _Values
+
+    data = get_data(p)
+    values = _Values()
+    order = sorted(data.irreducibles, key=lambda irr: irr.label[0] not in ("principal", "discrete"))
+    rows = {irr.label: values.row(irr.chi) for irr in order}
+    assert list(values) == list(data.values)
+    assert [rows[irr.label] for irr in data.irreducibles] == [irr.ids for irr in data.irreducibles]
 
 
 @pytest.mark.parametrize("p", (7, 11, 13, 17))

@@ -622,8 +622,8 @@ def test_primes_above_the_bound_exit_2_before_any_search(capsys, monkeypatch, ar
     assert dlcusp.cli.MAX_PRIME >= 199
 
 
-def test_importing_the_cli_leaves_the_process_pool_out():
-    """Only a run with a pool pays for importing one."""
+def _loaded_by_importing_the_cli(*modules: str) -> list[str]:
+    """Which of modules a fresh interpreter has loaded after import dlcusp.cli."""
     import os
     import subprocess
     import sys
@@ -633,10 +633,21 @@ def test_importing_the_cli_leaves_the_process_pool_out():
 
     src = str(Path(dlcusp.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, dlcusp.cli; print('concurrent.futures.process' in sys.modules)"
+    code = f"import dlcusp.cli, sys; print(*[m for m in {modules!r} if m in sys.modules])"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
                          timeout=60).stdout
-    assert out == "False\n"
+    return out.split()
+
+
+def test_importing_the_cli_leaves_the_process_pool_out():
+    """Only a run with a pool pays for importing one."""
+    assert _loaded_by_importing_the_cli("concurrent.futures.process") == []
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    """Every invocation starts without dataclasses, whose import pulls in
+    inspect, ast, dis and tokenize, and whose decorators generate code."""
+    assert _loaded_by_importing_the_cli("dataclasses", "inspect") == []
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -708,9 +719,7 @@ def test_an_exact_rebuild_fault_names_the_class(capsys, monkeypatch, cache_dir):
     that class only, and exact names it.  The rebuild reads the rows
     dl_terms names through CharacterData.irreducible; the multiplicities
     and the audit read data.irreducibles, so they see no fault."""
-    import dataclasses
-
-    from dlcusp.chartable import dl_terms
+    from dlcusp.chartable import Irreducible, dl_terms
     from dlcusp.cuspform import decompose_dl
 
     from conftest import get_data
@@ -727,7 +736,7 @@ def test_an_exact_rebuild_fault_names_the_class(capsys, monkeypatch, cache_dir):
             return irr
         ids = list(irr.ids)
         ids[i] = next(j for j, v in enumerate(self.values) if v != self.values[ids[i]])
-        return dataclasses.replace(irr, ids=tuple(ids))
+        return Irreducible(irr.label, irr.chi, irr.degree, tuple(ids))
 
     monkeypatch.setattr(CharacterData, "irreducible", faulty)
     code, out = run(capsys, "verify", "--range", "11", "11", "--format", "json", "--no-timestamp",

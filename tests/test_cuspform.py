@@ -277,3 +277,51 @@ def test_one_half_of_an_exceptional_pair_leaves_the_span(p, half):
     assert not res.exact and data.table.classes[res.rebuild_differs_at].kind == "unipotent"
     sign = 1 if torus == "split" else -1
     assert res.coefficients[(torus, torus_order(p, torus) // 2)] == sign * (m_half + m_other) / 2
+
+
+@pytest.mark.parametrize("p, label, n", [(29, ("steinberg",), 30), (37, ("principal", 2), 36)])
+def test_a_stray_torus_value_at_a_split_class_fails_the_rebuild_there(p, label, n):
+    """One row with c_1 on the torus of order n at one split class, where
+    s - 2 (s less twice the trivial character) is zero, so that every
+    multiplicity stays rational: the rebuild, summed in closed coordinates,
+    first differs from s - 2 at that class.  In the Steinberg row the
+    anisotropic torus sum turns irrational and the rational part is off;
+    in principal(2) only the split torus sum is off, and it is irrational."""
+    import propchecks
+
+    data = get_data(p)
+    s = weinstein_character(data) - ClassFunction(data.table, [2] * len(data.table))
+    assert decompose_dl(data, s).exact
+    c = next(i for i, rec in enumerate(data.table.classes) if rec.kind == "split_semisimple" and s.values[i].is_zero())
+    row = next(i for i, irr in enumerate(data.irreducibles) if irr.label == label)
+    stray = root_of_unity(n, 1) + root_of_unity(n, -1)
+    assert stray != data.irreducibles[row].chi.values[c]
+    broken = propchecks.with_cell(data, row, c, stray)
+    assert broken.coordinates.coordinate(stray) == (broken.coordinates.den, 0, n, 1)
+    res = decompose_dl(broken, s)
+    assert res.multiplicities == decompose_dl(data, s).multiplicities
+    assert not res.exact and res.rebuild_differs_at == c
+
+
+@pytest.mark.parametrize("p", (29, 31))
+def test_a_class_without_closed_coordinates_is_rebuilt_in_integers(p):
+    """s + R_split(2) is 2 + c_e at split classes, which has no closed
+    coordinates: those classes are summed in one integer frame, and s +
+    R_split(2) is in the span; likewise s + R_nonsplit(2).  A Steinberg cell 1 + c_1 at a split class
+    where s - 2 is zero has no coordinates either, and the integer sum
+    differs from s - 2 there (St appears in s from p = 23 on, so its
+    weight in the rebuild is not zero)."""
+    import propchecks
+
+    data = get_data(p)
+    s = weinstein_character(data)
+    for phi in (s + data.dl("split", 2), s + data.dl("nonsplit", 2)):
+        assert any(data.coordinates.coordinate(v) is None for v in phi.values)
+        assert decompose_dl(data, phi).exact
+    s = s - ClassFunction(data.table, [2] * len(data.table))
+    c = next(i for i, rec in enumerate(data.table.classes) if rec.kind == "split_semisimple" and s.values[i].is_zero())
+    row = next(i for i, irr in enumerate(data.irreducibles) if irr.label == ("steinberg",))
+    stray = 1 + root_of_unity(p - 1, 1) + root_of_unity(p - 1, -1)
+    broken = propchecks.with_cell(data, row, c, stray)
+    assert broken.coordinates.coordinate(stray) is None
+    assert decompose_dl(broken, s).rebuild_differs_at == c

@@ -43,8 +43,26 @@ def test_element_arithmetic():
 
 
 def test_determinant_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^determinant is not 1 mod 7$"):
         GroupElement(7, 1, 0, 0, 2)
+    with pytest.raises(ValueError, match=r"^determinant is not 1 mod 11$"):
+        GroupElement(11, 2, 3, 5, 7)
+
+
+def test_entries_are_reduced_mod_p():
+    g = GroupElement(7, 8, -1, 14, 1)
+    assert g.entries() == (1, 6, 0, 1) and g == GroupElement(7, 1, 6, 0, 1)
+    assert -g == GroupElement(7, 6, 1, 0, 6) and all(0 <= x < 7 for x in (-g).entries())
+
+
+def test_elements_hash_and_compare_as_their_fields_but_not_as_tuples():
+    """Equality and hash read (p, a, b, c, d), so dict and set lookups
+    behave as they always did; an element is not its tuple of entries."""
+    g = GroupElement(13, 2, 3, 5, 8)
+    assert hash(g) == hash((13, 2, 3, 5, 8)) == hash(GroupElement(13, 15, 16, 18, 21))
+    assert g != (13, 2, 3, 5, 8) and g != (2, 3, 5, 8) and g.entries() == (2, 3, 5, 8)
+    assert g != GroupElement(7, 2, 3, 5, 1) and len({g, GroupElement(13, 2, 3, 5, 8)}) == 1
+    assert repr(g) == "GroupElement(p=13, a=2, b=3, c=5, d=8)"
 
 
 def test_modulus_mismatch_rejected():
