@@ -18,9 +18,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import itemgetter
 
 from .classfun import ClassFunction, closed_pairings, inner_product, inner_products
-from .cyclotomic import ONE, ZERO, CycNumber, _common_frame, gauss_sum
+from .cyclotomic import ONE, ZERO, CycNumber, embed_rational, gauss_sum
 from .group import (
     ConjugacyTable,
     GroupElement,
@@ -30,7 +31,7 @@ from .group import (
     build_torus,
     torus_order,
 )
-from .numtheory import is_prime, legendre
+from .numtheory import legendre
 
 SCHEMA = "dlcusp-chartable/1"  # the full table with DL rows, as chartable --format json prints it
 CACHE_SCHEMA = "dlcusp-chartable/2"  # the interned irreducible table a cache file stores
@@ -482,13 +483,13 @@ class ClosedCoordinates:
     among the canonical c_e, 0 <= e <= n/2, of both tori (cos_ids holds their
     ids, -1 for one the table lacks, and cos_terms their integer terms lifted
     to order n), r + s tau by reading s off one coefficient of tau and
-    demanding that v - s tau is rational.  Equal values have one canonical
-    form, so each id has one coordinate tuple and each tuple one id (index).
+    demanding that v - s tau is rational.  validate_table reads its torus
+    patterns off cos_ids; classfun.closed_pairings and the rebuild of
+    cuspform.decompose_dl sum in coords.
     """
 
     def __init__(self, p: int, values: list[CycNumber], ids: dict):
-        self.p, self.eps, self.values, self.ids = p, legendre(-1, p), values, ids
-        self.order = _common_frame(values)[0]
+        self.p, self.eps, self.ids = p, legendre(-1, p), ids
         self.tau = tau = gauss_sum(p)
         self._t = next(e for e in tau.terms if e)
         self.cos_ids, self.cos_terms, self._cos = {}, {}, {}
@@ -500,7 +501,6 @@ class ClosedCoordinates:
         exact = [self._exact(v) for v in values]
         self.den = den = lcm(*(Fraction(c).denominator for x in exact if x for c in x[:2]))
         self.coords = [x and (int(x[0] * den), int(x[1] * den), x[2], x[3]) for x in exact]
-        self.index = {x: i for i, x in enumerate(self.coords) if x}
 
     def _exact(self, v: CycNumber) -> tuple | None:
         """The coordinates of v in rationals: (r, s, 0, 0) for r + s tau,
@@ -539,22 +539,6 @@ class ClosedCoordinates:
             for k, a in cos_terms[e]:
                 terms[k] += m * a
         return None if any(terms[1:]) else terms[0]
-
-    def galois(self, u: int) -> list[int]:
-        """Per id, the id of its value's image under sigma_u, or -1 where the
-        image is not a value: sigma_u(r + s tau) = r + (u/p) s tau, and
-        sigma_u(c_e) = c_(ue) for u prime to n.  Only a value without
-        coordinates (or on a torus whose order u divides) is conjugated."""
-        sign, image = legendre(u, self.p), []
-        for v, x in zip(self.values, self.coords):
-            if x is not None and not x[2]:
-                image.append(self.index.get((x[0], sign * x[1], 0, 0), -1))
-            elif x is not None and x[2] % u:
-                n, e = x[2], u * x[3] % x[2]
-                image.append(self.cos_ids[n][min(e, n - e)])
-            else:
-                image.append(self.ids.get(v.galois(u), -1))
-        return image
 
 
 def _cos(n: int, e: int) -> CycNumber:
@@ -607,6 +591,14 @@ def _exponents(dmap: dict[int, int], k: int, n: int) -> dict[int, int]:
     return raw
 
 
+def _cos_sums(n: int) -> list[int]:
+    """S(m) = sum_(0<d<n/2) c_md at 0 <= m < 2n, for even n, c_e = zeta_n^e
+    + zeta_n^-e: the sum over all d of zeta_n^(md) is n [n | m], less its
+    terms at d = 0 (1) and d = n/2 ((-1)^m).  S(m) depends on m mod n only,
+    so the list also holds S(m) at -n <= m < 0, as Python indexes it."""
+    return [n * (m % n == 0) - 1 - (-1) ** m for m in range(2 * n)]
+
+
 def validate_table(data: CharacterData) -> dict:
     """Full orthogonality audit of the irreducible table.
 
@@ -625,66 +617,36 @@ def validate_table(data: CharacterData) -> dict:
     the identity column X* X gives sum_chi |chi(1)|^2 = |C(1)| = |G|, and
     each degree is checked to be chi(1), so sum_chi degree^2 = |G|.
 
-    The table holds few distinct values (p + 12 of (p + 4)^2 cells for
-    every p from 11 to 101), and the checks work on its interned id rows
-    (CharacterData.values, 0 for zero): equal ids are equal values, so the
-    table is closed under duality iff its id rows are.  The pairs are summed
-    in the values' closed coordinates (CharacterData.coordinates), the
-    kernel decompose_dl pairs with (classfun.closed_pairings): each row i is
-    paired with its partners j cell by cell, products of r + s tau in
-    Q(tau) with tau^2 = (-1/p) p, and products of c_e = zeta_n^e + zeta_n^-e
-    into one histogram per torus, summed once in canonical form at order
-    n = p -+ 1.  A pair
-    passes iff its tau coefficient S is 0, each torus sum h_T is rational,
-    and the rationals add up to delta_ij |G|.  That is exact equality:
-    Q(zeta_a) meets Q(zeta_b) in Q(zeta_gcd(a, b)), and gcd(p - 1, p(p + 1))
-    = gcd(p + 1, p(p - 1)) = 2, gcd(p, p^2 - 1) = 1, with Q(zeta_2) = Q.  If
-    R + S tau + h_split + h_nonsplit = delta_ij |G|, then h_split = delta_ij
-    |G| - R - S tau - h_nonsplit lies in Q(zeta_(p-1)) and Q(zeta_(p(p+1))),
-    so in Q; likewise h_nonsplit; then S tau is rational, and tau is not
-    (tau^2 = +-p), so S = 0.  A pair with a cell the coordinates cannot
-    express, or that does not pass, is paired again by classfun.inner_products
-    in one integer frame, whose canonical value decides it and is the one
-    the message prints.  cuspform._rebuild_differs_at decides its classes by
-    the same argument.
+    The checks work on the table's interned id rows (CharacterData.values, 0
+    for zero): equal ids are equal values, so the table is closed under
+    duality iff its id rows are.  Every pair i <= j is paired, in
+    lexicographic order, and the first that fails raises.
 
-    Only one pair per Galois orbit is paired (_pair_representatives), and
-    the verdict and message are still those of the full loop over i <= j:
-    (a) For sigma in Gal(Q(zeta_N)/Q), <sigma chi, sigma psi> =
-        sigma <chi, psi>, since the class sizes are rational and sigma
-        commutes with complex conjugation (the group is abelian).  Where
-        sigma maps the id rows i, j to the rows i', j' of the table and
-        delta_ij = delta_i'j', the pair (i, j) passes iff (i', j') does:
-        the target is rational, and sigma fixes Q and is injective.  The
-        target is real, so the order within a pair does not matter.  Both
-        pairs pass or fail together, whichever way the edge is followed.
-    (b) The orbits are used only when the id rows are pairwise distinct.
-        Then sigma, injective on values, maps distinct rows to distinct
-        rows, so delta_ij = delta_i'j'.  A table with a repeated row (only a
-        broken one) gets the full loop.
-    (c) Every pair a search marks is greater than the representative it
-        started from, in lexicographic order, and the representatives are
-        paired in that order.  So the first failing pair of the full loop
-        is a representative: had a search from an earlier representative
-        marked it, that representative would fail too.  The representatives
-        before it pass, so it fails first, with the same message.
+    A pair of rows with patterns (_read_patterns) is paired in O(1).  On a
+    torus of order n the regular classes are those of g^(+-d), 0 < d < n/2,
+    each of size |G|/n, and a row with the pattern (a, k) there is a c_kd at
+    the class of g^(+-d): its ids there are those of a c_kd
+    (_torus_patterns), and equal ids are equal values.  c_e is real
+    and c_x c_y = c_(x+y) + c_(x-y), so the torus's part of |G| <chi, psi>
+    for (a, k) and (b, l) is (|G|/n) a b (S(k + l) + S(k - l)), an integer
+    by _cos_sums.  The six other cells (+-I and the four unipotent
+    classes) hold r + s tau, tau the Gauss sum, and sum as in
+    classfun.closed_pairings to R + S tau with R and S rational.  So |G|
+    <chi, psi> is R' + S tau with R' rational, and tau is irrational (tau^2
+    = +-p): the pair passes iff S = 0 and R' = delta_ij |G|.  A failing
+    pair's message prints (R' + S tau)/|G|, whose canonical form is unique.
+
+    A pair with a row without a pattern (only a broken table has one) is
+    paired by classfun.closed_pairings, and again by
+    classfun.inner_products in one integer frame where that does not pass:
+    the canonical value decides it and is the one the message prints.
     """
-    table, irrs, values = data.table, data.irreducibles, data.values
+    table, irrs = data.table, data.irreducibles
     n = len(irrs)
     if n != len(table.classes):
         raise TableValidationError(f"{n} irreducibles for {len(table.classes)} classes at p={data.p}")
-    rows, closed = [irr.ids for irr in irrs], data.coordinates
-    reps = _pair_representatives(_row_permutations(rows, closed), n)
-    partners: dict[int, list[int]] = {}
-    for i, j in reps:
-        partners.setdefault(i, []).append(j)
-    for i, js in partners.items():
-        got = closed_pairings(closed, table, [closed.coords[k] for k in rows[i]], [rows[j] for j in js])
-        for j, q in zip(js, got):
-            if q != (1 if i == j else 0):
-                (value,) = inner_products(irrs[i].chi, values, [rows[j]])
-                if value != (ONE if i == j else ZERO):
-                    raise TableValidationError(f"<{irrs[i].name}, {irrs[j].name}> = {value.to_text()} at p={data.p}")
+    rows, tori = [irr.ids for irr in irrs], _torus_patterns(data)
+    _pair_rows(data, rows, *_read_patterns(data, rows, tori))
     # equal ids are equal values, so duality closes the table iff it closes the id rows
     id_rows = {tuple(row) for row in rows}
     inverse = [r.inverse_class for r in table.classes]
@@ -695,67 +657,148 @@ def validate_table(data: CharacterData) -> dict:
             )
         if tuple(row[c] for c in inverse) not in id_rows:
             raise TableValidationError(f"dual of {irr.name} is not in the table at p={data.p}")
-    _check_labels(data)
+    _check_labels(data, tori)
     _check_center(data)
     return {
         "p": data.p,
         "irreducibles": n,
-        "pairs_paired": len(reps),
         "orthonormal": True,
         "second_orthogonality": True,
         "dual_closed": True,
     }
 
 
-def _check_labels(data: CharacterData):
+def _families(p: int, k: int = 0) -> dict[str, tuple]:
+    """Per family, at the label parameter k: its degree, and its pattern
+    (2a, k) on the split and on the nonsplit torus (validate_table): a
+    c_kd at the class of g^(+-d), 2a = 0 being zero there."""
+    hs, hn = (p - 1) // 2, (p + 1) // 2  # n/2 of the split and of the nonsplit torus
+    return {
+        "trivial": (1, (1, 0), (1, 0)),
+        "steinberg": (p, (1, 0), (-1, 0)),
+        "principal": (p + 1, (2, k), (0, 0)),
+        "discrete": (p - 1, (0, 0), (-2, k)),
+        **{f"exceptional_split_{s}": (hn, (1, hs), (0, 0)) for s in ("plus", "minus")},
+        **{f"exceptional_nonsplit_{s}": (hs, (0, 0), (-1, hn)) for s in ("plus", "minus")},
+    }
+
+
+def _torus_patterns(data: CharacterData) -> list[tuple]:
+    """Per torus, split then nonsplit, (torus, cells, wanted).  cells are the
+    (class, d) of its regular classes, the generator's first, each with the
+    dlog d of one of its two elements g^(+-d) (either gives the same
+    values).  wanted maps each family's pattern (2a, k) on the torus
+    (_families), then each one's negation (-2a, k), to its ids at cells, -1
+    where the table lacks the value.  (a/2) c_kd is c_e for |a| = 2, the id
+    cos_ids holds, and c_e/2 for |a| = 1, where kd is 0 or n/2: 1 at e = 0
+    and -1 at e = n/2."""
+    p, table, ids = data.p, data.table, data.values.ids
+    out = []
+    for side, torus in enumerate((data.split_torus, data.nonsplit_torus), 1):
+        n, gen = torus.order, table.class_of(torus.generator)
+        cells = {table.class_of(g): d for g, d in torus.dlog.items() if d % (n // 2)}
+        cells = sorted(cells.items(), key=lambda cd: (cd[0] != gen, cd[0]))
+        lookup = {1: [ids.get(ONE, -1)] + [-1] * (n // 2 - 1) + [ids.get(-ONE, -1)], 2: data.coordinates.cos_ids[n]}
+        # per 2a and x, the id of (a/2) c_x = +-c_e or +-c_e/2, e in [0, n/2]: -c_x = c_(x + n/2), c_x = c_(n - x)
+        at = {a: [lookup[abs(a)][min(e, n - e)] for e in ((x + n // 2 * (a < 0)) % n for x in range(n))] for a in (-2, -1, 1, 2)}
+        own = sorted({family[side] for k in range(1, n // 2) for family in _families(p, k).values()})
+        wanted = {(0, 0): (0,) * len(cells)}  # the zero row
+        for a, k in [(sign * a, k) for sign in (1, -1) for a, k in own if a]:
+            wanted.setdefault((a, k), tuple([at[a][k * d % n] for _, d in cells]))
+        out.append((torus, cells, wanted))
+    return out
+
+
+def _read_patterns(data: CharacterData, rows: list, tori: list) -> tuple[list, list]:
+    """Per row, (g, 2a, k, 2b, l): its patterns (2a, k) split and (2b, l)
+    nonsplit, and keys[g] the ids of its six other cells; or None where it
+    has none: where its ids on a torus are no pattern of _torus_patterns
+    there, or one of its six other cells is not r + s tau.  Where two
+    patterns have the same ids (only at p = 7), the first, the family's, is
+    read: either gives the same pairings, as they are the same values."""
+    table, coords = data.table, data.coordinates.coords
+    six = itemgetter(*(c for c, rec in enumerate(table.classes) if rec.kind in ("central", "unipotent")))
+    found = [(itemgetter(*(c for c, _ in cells)), {ids: a_k for a_k, ids in reversed(wanted.items())}) for _, cells, wanted in tori]
+    keys, out = {}, []
+    for row in rows:
+        key, (split, nonsplit) = six(row), (lookup.get(get(row)) for get, lookup in found)
+        ok = split and nonsplit and all(coords[x] is not None and not coords[x][2] for x in key)
+        out.append((keys.setdefault(key, len(keys)), *split, *nonsplit) if ok else None)
+    return out, list(keys)
+
+
+def _pair_rows(data: CharacterData, rows: list, pats: list, keys: list):
+    """Pair every i <= j in lexicographic order, raising at the first pair
+    that fails (validate_table): in O(1) where both rows have patterns
+    (_read_patterns), the six other cells of each two keys summed once, and
+    by closed_pairings, then inner_products, where one has none."""
+    table, irrs, closed, p = data.table, data.irreducibles, data.coordinates, data.p
+    coords, eps, order, den2 = closed.coords, closed.eps, table.group_order, closed.den**2
+    target = 4 * den2 * order  # 4 den^2 |G| <chi, chi>, the scale the rational parts are summed at
+    sizes = [rec.size for rec in table.classes if rec.kind in ("central", "unipotent")]  # _read_patterns' six cells
+    (ws, ss), (wn, sn) = ((den2 * order // t.order, _cos_sums(t.order)) for t in (data.split_torus, data.nonsplit_torus))
+    six = {}  # per two keys, 4 R and S of their six cells, over den^2
+    for i, x in enumerate(pats):
+        for j in range(i, len(rows)):
+            y, one = x and pats[j], int(i == j)
+            if not y:  # a row without a pattern: closed coordinates, then one integer frame
+                if closed_pairings(closed, table, [coords[c] for c in rows[i]], [rows[j]]) == [one]:
+                    continue
+                (value,) = inner_products(irrs[i].chi, data.values, [rows[j]])
+                if value == one:
+                    continue
+            else:
+                (g, a, k, b, l), (h, a2, k2, b2, l2) = x, y
+                if (g, h) not in six:
+                    cells = [(w, *coords[u][:2], *coords[v][:2]) for w, u, v in zip(sizes, keys[g], keys[h])]
+                    rat = 4 * sum(w * (r * r2 + p * s * s2) for w, r, s, r2, s2 in cells)
+                    six[g, h] = rat, sum(w * (eps * r * s2 + s * r2) for w, r, s, r2, s2 in cells)
+                rat, tau = six[g, h]
+                rat += ws * a * a2 * (ss[k + k2] + ss[k - k2]) + wn * b * b2 * (sn[l + l2] + sn[l - l2])
+                if not tau and rat == one * target:
+                    continue
+                value = embed_rational(Fraction(rat, target)) + closed.tau.scale(Fraction(tau, den2 * order))
+            raise TableValidationError(f"<{irrs[i].name}, {irrs[j].name}> = {value.to_text()} at p={p}")
+
+
+def _check_labels(data: CharacterData, tori: list | None = None):
     """Each of the p + 4 labels once, with its family's degree, and each
     parametrized row at its defining classes: principal(k) and discrete(k)
-    at every class of their torus, and plus - minus of each exceptional pair
-    is the Gauss sum at the unipotent class keyed (1, 1).  A table whose
-    labels were permuted, or whose columns of two classes of one torus were
-    swapped in every row, passes every other check, and decompose_dl reads
-    the labels.
+    at every regular class of their torus, with the ids of their pattern
+    there (_torus_patterns, built here unless validate_table passes its
+    own), and plus - minus of each exceptional pair is the Gauss sum at the
+    unipotent class keyed (1, 1).  A table whose labels were permuted, or
+    whose columns of two classes of one torus were swapped in every row,
+    passes every other check, and decompose_dl reads the labels.
 
     At the class of the torus elements g^(+-d) (g the generator, n = |T|),
     principal(k) is c_kd = zeta_n^(kd) + zeta_n^(-kd) and discrete(k) is
-    -c_kd = c_(kd + n/2).  c_e = c_(n - e), so each wanted id is read off the
-    ids of c_0 .. c_(n/2) that the table's coordinates hold, and each cell is
-    compared by id.  For every k the generator's class comes first: a table
-    with permuted labels fails there, with the message it had when only the
-    generator was checked."""
-    p, table, closed = data.p, data.table, data.coordinates
-    tori = (("split", (p + 1) // 2), ("nonsplit", (p - 1) // 2))  # with their exceptional degree
+    -c_kd = c_(kd + n/2).  For every k the generator's class comes first: a
+    table with permuted labels fails there, with the message it had when
+    only the generator was checked."""
+    p, table, families = data.p, data.table, _families(data.p)
     # the p + 4 labels are the constituents dl_terms names across both tori
-    expected = {label for torus, _ in tori for k in range(torus_order(p, torus)) for label, _ in dl_terms(p, torus, k)}
-    degrees = {"trivial": 1, "steinberg": p, "principal": p + 1, "discrete": p - 1}
-    degrees.update({f"exceptional_{torus}_{sign}": deg for torus, deg in tori for sign in ("plus", "minus")})
+    expected = {label for torus in ("split", "nonsplit") for k in range(torus_order(p, torus)) for label, _ in dl_terms(p, torus, k)}
     by_label = {}
     for irr in data.irreducibles:
         if irr.label not in expected or irr.label in by_label:
             raise TableValidationError(f"unexpected or repeated label {list(irr.label)} at p={p}")
         by_label[irr.label] = irr
-        if irr.degree != degrees[irr.label[0]]:
-            raise TableValidationError(f"{irr.name} has degree {irr.degree}, not {degrees[irr.label[0]]} at p={p}")
-    for family, torus, half in (("principal", data.split_torus, 0), ("discrete", data.nonsplit_torus, 1)):
-        n, gen = torus.order, table.class_of(torus.generator)
-        # principal(k) wants c_kd at the class of g^(+-d), discrete(k) c_(kd + n/2); c_e = c_(n - e)
-        wanted = [min(e, n - e) for e in ((x + half * n // 2) % n for x in range(n))]
-        want_ids = [closed.cos_ids[n][e] for e in wanted]
-        # the classes of the torus, other than those of I and -I (dlogs 0 and n/2), the generator's first, each
-        # with the dlog d of one of its two torus elements g^(+-d): either gives the same values
-        cells = {table.class_of(g): d for g, d in torus.dlog.items() if d % (n // 2)}
-        cells = sorted(cells.items(), key=lambda cd: (cd[0] != gen, cd[0]))
+        if irr.degree != families[irr.label[0]][0]:
+            raise TableValidationError(f"{irr.name} has degree {irr.degree}, not {families[irr.label[0]][0]} at p={p}")
+    for side, (torus, cells, wanted), family in zip((1, 2), tori or _torus_patterns(data), ("principal", "discrete")):
+        n, gen = torus.order, cells[0][0]
         for k in range(1, n // 2):
-            irr = by_label[(family, k)]
-            if [irr.ids[c] for c, _ in cells] != [want_ids[k * d % n] for _, d in cells]:
-                c, d = next((c, d) for c, d in cells if irr.ids[c] != want_ids[k * d % n])
+            irr, pattern = by_label[(family, k)], _families(p, k)[family][side]
+            if tuple(irr.ids[c] for c, _ in cells) != wanted[pattern]:
+                c, d = next(cd for cd, w in zip(cells, wanted[pattern]) if irr.ids[cd[0]] != w)
                 where = f"the {torus.torus_type} torus generator" if c == gen else f"class {c} ({table.classes[c].kind})"
-                want = _cos(n, wanted[k * d % n]).to_text()
+                want = _cos(n, k * d).scale(pattern[0] // 2).to_text()
                 raise TableValidationError(f"{family}({k}) is {irr.chi.values[c].to_text()} at {where}, not {want} at p={p}")
     c = next(i for i, rec in enumerate(table.classes) if rec.kind == "unipotent" and rec.key == (1, 1))
     for torus in ("split", "nonsplit"):
         plus, minus = (by_label[(f"exceptional_{torus}_{s}",)].chi.values[c] for s in ("plus", "minus"))
-        if plus - minus != closed.tau:
+        if plus - minus != data.coordinates.tau:
             raise TableValidationError(
                 f"exceptional_{torus}_plus - exceptional_{torus}_minus is not the Gauss sum "
                 f"at the unipotent class (1, 1) at p={p}"
@@ -775,60 +818,3 @@ def _check_center(data: CharacterData):
         if tuple(map(irr.ids.__getitem__, neg)) != image:  # the row at -g, class by class
             c = next(c for c, d in enumerate(neg) if irr.ids[d] != image[c])
             raise TableValidationError(f"the center does not act on {irr.name} by chi(-1)/chi(1) at class {c} at p={data.p}")
-
-
-def _galois_units(order: int, count: int = 3) -> list[int]:
-    """The count smallest primes not dividing order: the units u whose
-    sigma_u (zeta -> zeta^u) _row_permutations applies to the table."""
-    units, q = [], 1
-    while len(units) < count:
-        q += 1
-        if order % q and is_prime(q):
-            units.append(q)
-    return units
-
-
-def _row_permutations(rows: list[list[int]], closed: ClosedCoordinates) -> list[list[int]]:
-    """For each of _galois_units(closed.order), the row sigma_u sends each id
-    row to, read off the values' closed coordinates, or -1 where the image is
-    not a row; none when two rows are equal."""
-    index = {tuple(row): i for i, row in enumerate(rows)}
-    if len(index) < len(rows):
-        return []
-    perms = []
-    for u in _galois_units(closed.order):
-        image = closed.galois(u)
-        perms.append([index.get(tuple(map(image.__getitem__, row)), -1) for row in rows])
-    return perms
-
-
-def _pair_representatives(perms: list[list[int]], n: int) -> list[tuple[int, int]]:
-    """The lexicographically smallest pair i <= j of each orbit of unordered
-    row pairs under the row maps perms, in lexicographic order.
-
-    A flat search over pairs, marked in a bytearray at i * n + j: each pair
-    not yet marked when the scan reaches it is a representative, and the
-    search marks every pair its maps reach from there.
-    """
-    marked = bytearray(n * n)
-    reps = []
-    for i in range(n):
-        end = i * n + n
-        k = marked.find(0, i * n + i, end)
-        while k >= 0:
-            reps.append((i, k - i * n))
-            marked[k] = 1
-            stack = [k]
-            while stack:
-                x, y = divmod(stack.pop(), n)
-                for perm in perms:
-                    a, b = perm[x], perm[y]
-                    if a < 0 or b < 0:
-                        continue
-                    m = a * n + b if a <= b else b * n + a
-                    if not marked[m]:
-                        marked[m] = 1
-                        stack.append(m)
-            k = marked.find(0, k + 1, end)
-    return reps
-

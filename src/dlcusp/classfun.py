@@ -117,9 +117,9 @@ def inner_products(phi: ClassFunction, values: Sequence[CycNumber], rows: Sequen
 def closed_pairings(closed, table: ConjugacyTable, left: Sequence, rows: Sequence[Sequence[int]]) -> list:
     """The pairings (1/|G|) sum |c| phi(c) conj(psi(c)) of the phi whose
     values have the closed coordinates left (one per class, over closed.den)
-    with each psi in rows (one id per class into closed.values), summed in
-    those coordinates (chartable.ClosedCoordinates), or None for each psi
-    where they do not show the pairing rational.
+    with each psi in rows (one id per class into the values closed.coords
+    describes), summed in those coordinates (chartable.ClosedCoordinates),
+    or None for each psi where they do not show the pairing rational.
 
     Per cell, with eps = (-1/p), so that conj(tau) = eps tau and tau^2 = eps p:
     - (r + s tau) conj(r' + s' tau) = r r' + p s s' + (eps r s' + s r') tau,
@@ -133,7 +133,11 @@ def closed_pairings(closed, table: ConjugacyTable, left: Sequence, rows: Sequenc
     Q(zeta_b) in Q(zeta_gcd(a, b)): gcd(p - 1, p(p + 1)) = gcd(p + 1,
     p(p - 1)) = 2 and gcd(p, p^2 - 1) = 1, and Q(zeta_2) = Q.  So the pairing
     is rational iff S = 0 (tau is irrational) and each torus sum is
-    rational (closed.cos_sum); it is then R plus those rationals.
+    rational (closed.cos_sum); it is then R plus those rationals.  This is
+    the disjointness argument: if R + S tau + h_split + h_nonsplit = q is
+    rational, then h_split = q - R - S tau - h_nonsplit lies in
+    Q(zeta_(p-1)) and in Q(zeta_(p(p+1))), so in Q; likewise h_nonsplit;
+    then S tau is rational, and tau is not (tau^2 = +-p), so S = 0.
     """
     cells = [(c, rec.size, x) for c, (rec, x) in enumerate(zip(table.classes, left)) if x != (0, 0, 0, 0)]
     if any(x is None for _, _, x in cells):

@@ -286,9 +286,9 @@ def _rebuild_differs_at(data: CharacterData, coeff: dict[tuple[str, int], Fracti
     coordinates (CharacterData.coordinates): the difference sum_chi f_chi
     chi(c) - s(c) is summed as R + S tau plus one c_e histogram per torus
     (ClosedCoordinates.cos_sum), and it is zero iff S = 0, each torus sum is
-    rational and the rationals add up to 0.  That is exact, by the argument
-    of chartable.validate_table's docstring: if R + S tau + h_split +
-    h_nonsplit = 0, then h_split lies in Q(zeta_(p-1)) and in
+    rational and the rationals add up to 0.  That is exact, by the
+    disjointness argument of classfun.closed_pairings: if R + S tau +
+    h_split + h_nonsplit = 0, then h_split lies in Q(zeta_(p-1)) and in
     Q(zeta_(p(p+1))), which meet in Q, so it is rational; likewise
     h_nonsplit; then S tau is rational, and tau is not, so S = 0.  A class
     with a cell (or an s(c)) without coordinates is summed in integers

@@ -1,0 +1,118 @@
+"""Mutations the test suite must kill, and a runner that applies them.
+
+Each entry is (file, snippet, replacement, tests): a file of the source
+tree, an exact snippet that occurs once in it, what the snippet becomes,
+and the pytest node ids that must each fail once it is replaced.  A check
+whose mutation no named test notices is a check nothing shows to fire.
+test_mutations.py, in tier 1, only checks that every snippet still occurs
+exactly once, so that an edit of the source cannot silently retire one.
+
+Run the mutations from the repository root:
+
+    python tests/mutations.py
+
+Each mutation is applied alone to a copy of src/ and tests/ in a temporary
+directory, and each of its tests runs there in its own pytest process, one
+process at a time.  A test is red when pytest exits 1 (tests failed), not
+when it cannot collect or finds no test.  The runner prints one line per
+mutation and exits 1 if any mutation survives, i.e. if any of its named
+tests stays green.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+MUTATIONS = [
+    # S(m) without its (-1)^m term: the torus part of every pattern pair is wrong
+    (
+        "src/dlcusp/chartable.py",
+        "n * (m % n == 0) - 1 - (-1) ** m",
+        "n * (m % n == 0) - 1",
+        [
+            "tests/test_chartable.py::test_cos_sums_are_the_canonical_sums",
+            "tests/test_chartable.py::test_pattern_pairs_are_the_canonical_torus_sums",
+            "tests/test_chartable.py::test_validate_table",
+        ],
+    ),
+    # the wanted ids ignore the sign of a: -c_kd is looked up as c_kd
+    (
+        "src/dlcusp/chartable.py",
+        "(x + n // 2 * (a < 0)) % n",
+        "x % n",
+        [
+            "tests/test_chartable.py::test_every_built_row_has_its_familys_pattern",
+            "tests/test_chartable.py::test_a_built_table_is_paired_by_its_patterns_alone",
+            "tests/test_chartable.py::test_a_discrete_row_negated_on_its_torus_keeps_a_pattern",
+        ],
+    ),
+    # a row is given a pattern with a c_e coordinate at one of its six other cells
+    (
+        "src/dlcusp/chartable.py",
+        "coords[x] is not None and not coords[x][2]",
+        "coords[x] is not None",
+        ["tests/test_chartable.py::test_a_cos_value_off_the_tori_leaves_no_pattern"],
+    ),
+    # a pair with a row without a pattern passes unpaired
+    (
+        "src/dlcusp/chartable.py",
+        "[rows[j]]) == [one]:",
+        "[rows[j]]) or True:",
+        [
+            "tests/test_chartable.py::test_faults_outside_closed_coordinates_get_the_oracles_message",
+            "tests/test_chartable.py::test_a_cos_value_off_the_tori_leaves_no_pattern",
+        ],
+    ),
+    # the rebuild without its tau-coefficient test
+    (
+        "src/dlcusp/cuspform.py",
+        "    if tau:\n        return False\n",
+        "",
+        ["tests/test_cuspform.py::test_one_half_of_an_exceptional_pair_leaves_the_span"],
+    ),
+    # _closed_rows with one memo for every class, keyed by the exponent alone
+    (
+        "src/dlcusp/chartable.py",
+        "memos.setdefault((sign * c, pair), {})",
+        "memos.setdefault(0, {})",
+        ["tests/test_chartable.py::test_closed_rows_equal_the_per_cell_oracle"],
+    ),
+]
+
+
+def _red(tree: Path, test: str) -> bool:
+    """Whether test fails (pytest exits 1) in tree."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", test]
+    return subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode == 1
+
+
+def run() -> int:
+    survived = 0
+    for file, snippet, replacement, tests in MUTATIONS:
+        with tempfile.TemporaryDirectory(prefix="dlcusp-mutation-") as tmp:
+            tree = Path(tmp)
+            for part in ("src", "tests"):
+                shutil.copytree(ROOT / part, tree / part, ignore=shutil.ignore_patterns("__pycache__"))
+            shutil.copy(ROOT / "pyproject.toml", tree)
+            path = tree / file
+            text = path.read_text()
+            if text.count(snippet) != 1:
+                raise SystemExit(f"{file}: the snippet {snippet!r} does not occur exactly once")
+            path.write_text(text.replace(snippet, replacement))
+            green = [test for test in tests if not _red(tree, test)]
+        survived += bool(green)
+        print(f"{'SURVIVED' if green else 'killed'}: {file}: {snippet.strip()!r}", *(f"  green: {t}" for t in green), sep="\n")
+    print(f"{len(MUTATIONS) - survived} of {len(MUTATIONS)} mutations killed")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(run())

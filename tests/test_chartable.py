@@ -711,81 +711,144 @@ def test_swapped_degrees_are_caught(data7):
         validate_table(broken)
 
 
-# -- one pair per Galois orbit ------------------------------------------------------
+# -- the pairing: every pair in lexicographic order ----------------------------------
 
 
-def _id_rows(data):
-    """The id rows validate_table pairs, and the closed coordinates of their
-    distinct values, interned here afresh in cell order."""
-    from dlcusp.chartable import ClosedCoordinates
+def _patterns(data):
+    """Per row of data, the patterns (2a, k) validate_table reads on the
+    split and the nonsplit torus, or None."""
+    from dlcusp.chartable import _read_patterns, _torus_patterns
 
-    ids = {ZERO: 0}
-    rows = [[ids.setdefault(v, len(ids)) for v in irr.chi.values] for irr in data.irreducibles]
-    return rows, ClosedCoordinates(data.p, list(ids), ids)
+    pats, _ = _read_patterns(data, [irr.ids for irr in data.irreducibles], _torus_patterns(data))
+    return [x and (x[1:3], x[3:]) for x in pats]
 
 
-def _orbit_minima(perms, n):
-    """The least pair i <= j of each component of the pair graph under perms,
-    edges taken both ways: a union-find over all n^2 pairs, whose roots are
-    kept at the least index i * n + j (lexicographic order)."""
-    parent = list(range(n * n))
+@pytest.mark.parametrize("p", primes_in_range(7, 101))
+def test_every_built_row_has_its_familys_pattern(p):
+    """Each row of a built table is a c_kd on the regular classes of each
+    torus, with the (2a, k) its label's family names (_families), and
+    holds r + s tau at its six other cells."""
+    from dlcusp.chartable import _families
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    data = get_data(p)
+    for irr, x in zip(data.irreducibles, _patterns(data)):
+        assert x == _families(p, *irr.label[1:])[irr.label[0]][1:], irr.label
 
-    for perm in perms:
-        for i in range(n):
-            for j in range(i, n):
-                a, b = sorted((perm[i], perm[j]))
-                if a >= 0:
-                    ra, rb = find(i * n + j), find(a * n + b)
-                    parent[max(ra, rb)] = min(ra, rb)
-    return sorted({divmod(find(i * n + j), n) for i in range(n) for j in range(i, n)})
+
+def _canonical_cos_sum(n, pairs):
+    """sum over the (x, y) pairs of c_x c_y at order n, multiplied out
+    term by term and reduced once to canonical form (the integer frame)."""
+    from dlcusp.cyclotomic import CycNumber, _raw_dot
+
+    def c(x):
+        raw = {}
+        for e in (x % n, -x % n):
+            raw[e] = raw.get(e, 0) + 1
+        return raw
+
+    return CycNumber._from_numerators(n, _raw_dot(n, ((1, c(x), c(y)) for x, y in pairs)), 1)
+
+
+@pytest.mark.parametrize("n", sorted({p + s for p in primes_in_range(7, 101) for s in (-1, 1)} | {398, 400, 598, 600}))
+def test_cos_sums_are_the_canonical_sums(n):
+    """S(m) = sum_(0<d<n/2) c_md: summed in canonical form at every divisor
+    m of n, and S(m) = S(gcd(m, n)) at every index -n <= m < 2n, as the
+    true sum is (sigma_u permutes the d for u prime to n, which is odd and
+    so fixes n/2)."""
+    from math import gcd
+
+    from dlcusp.chartable import _cos_sums
+
+    sums = _cos_sums(n)
+    for m in (m for m in range(1, n + 1) if n % m == 0):
+        assert _canonical_cos_sum(n, [(m * d, 0) for d in range(1, n // 2)]) == 2 * sums[m], m  # c_0 = 2
+    assert [sums[m] for m in range(-n, 2 * n)] == [sums[gcd(m, n)] for m in range(-n, 2 * n)]
 
 
 @pytest.mark.parametrize("p", primes_in_range(7, 43))
-def test_each_chosen_unit_permutes_the_rows(p):
-    """sigma_u of each unit validate_table applies maps every row of a built
-    table to a row of it, value for value, and the pairs fall into fewer orbits."""
-    from dlcusp.chartable import _galois_units, _pair_representatives, _row_permutations
+def test_pattern_pairs_are_the_canonical_torus_sums(p):
+    """For every two patterns (2a, k), (2b, l) validate_table reads on a
+    torus, 4 ab (S(k + l) + S(k - l)), as the pairing indexes _cos_sums, is
+    4 sum_(0<d<n/2) (a c_kd)(b c_ld) summed in canonical form."""
+    from dlcusp.chartable import _cos_sums, _torus_patterns
 
+    for torus, cells, wanted in _torus_patterns(get_data(p)):
+        n, sums = torus.order, _cos_sums(torus.order)
+        patterns = list(wanted)
+        for i, (a, k) in enumerate(patterns):
+            for b, l in patterns[i:]:
+                got = a * b * (sums[k + l] + sums[k - l])
+                want = _canonical_cos_sum(n, [(k * d, l * d) for d in range(1, n // 2)]).scale(a * b)
+                assert want == got, (torus.torus_type, (a, k), (b, l))
+
+
+@pytest.mark.parametrize("p", primes_in_range(7, 101))
+def test_a_built_table_is_paired_by_its_patterns_alone(monkeypatch, p):
+    """validate_table pairs every pair of a built table in O(1): it reaches
+    neither per-cell kernel."""
+    import dlcusp.chartable
+
+    def unreachable(*args):
+        raise AssertionError("a per-cell kernel was reached")
+
+    monkeypatch.setattr(dlcusp.chartable, "closed_pairings", unreachable)
+    monkeypatch.setattr(dlcusp.chartable, "inner_products", unreachable)
+    assert validate_table(get_data(p))["orthonormal"]
+
+
+def _on_torus(data, label, kind, cells):
+    """A copy of data whose row label takes cells(c, value) at each class c of kind."""
+    row = next(i for i, irr in enumerate(data.irreducibles) if irr.label == label)
+    kinds = [rec.kind for rec in data.table.classes]
+    values = [cells(c, v) if kinds[c] == kind else v for c, v in enumerate(data.irreducibles[row].chi.values)]
+    return row, propchecks.with_row(data, row, ClassFunction(data.table, values))
+
+
+@pytest.mark.parametrize("p, k, k2", [(7, 1, 2), (13, 2, 5), (13, 5, 1), (43, 3, 20)])
+def test_a_principal_row_with_anothers_torus_cells_keeps_a_pattern(p, k, k2):
+    """principal(k) with the split torus cells of principal(k2) is still a
+    pattern row, (2, k2) on the split torus; it is paired in O(1) and fails
+    with the message of the cell-by-cell pair loop."""
     data = get_data(p)
-    irrs, n = data.irreducibles, len(data.irreducibles)
-    rows, closed = _id_rows(data)
-    perms = _row_permutations(rows, closed)
-    units = _galois_units(closed.order)
-    assert len(perms) == len(units) == 3
-    for u, perm in zip(units, perms):
-        assert sorted(perm) == list(range(n)), u
-        for irr, image in zip(irrs, perm):
-            assert [v.galois(u) for v in irr.chi.values] == list(irrs[image].chi.values), (u, irr.label)
-    assert len(_pair_representatives(perms, n)) < n * (n + 1) // 2
+    other = data.irreducible("principal", k2).chi.values
+    row, broken = _on_torus(data, ("principal", k), "split_semisimple", lambda c, v: other[c])
+    assert _patterns(broken)[row] == ((2, k2), (0, 0))
+    want = _outcome(propchecks.check_row_orthonormality, broken)
+    assert want is not None and _outcome(validate_table, broken) == want
 
 
-@pytest.mark.parametrize("p", (7, 11, 13, 31))
-def test_representatives_are_the_orbit_minima(p):
-    """The flat search picks the least pair of each orbit, each once and in
-    lexicographic order, and validate_table pairs every one of them."""
-    from dlcusp.chartable import _pair_representatives, _row_permutations
-
+@pytest.mark.parametrize("p, k", [(11, 1), (13, 3), (43, 10)])
+def test_a_discrete_row_negated_on_its_torus_keeps_a_pattern(p, k):
+    """discrete(k) negated on the nonsplit torus only is c_kd there, the
+    pattern (2, k); it is paired in O(1) and fails with the message of the
+    cell-by-cell pair loop."""
     data = get_data(p)
-    n = len(data.irreducibles)
-    perms = _row_permutations(*_id_rows(data))
-    reps = _pair_representatives(perms, n)
-    assert reps == _orbit_minima(perms, n)
-    assert _pair_representatives([], n) == [(i, j) for i in range(n) for j in range(i, n)]
-    assert validate_table(data)["pairs_paired"] == len(reps)
+    row, broken = _on_torus(data, ("discrete", k), "nonsplit_semisimple", lambda c, v: -v)
+    assert _patterns(broken)[row] == ((0, 0), (2, k))
+    want = _outcome(propchecks.check_row_orthonormality, broken)
+    assert want is not None and _outcome(validate_table, broken) == want
+
+
+@pytest.mark.parametrize("p", (13, 43))
+@pytest.mark.parametrize("kind", ("central", "unipotent"))
+def test_a_cos_value_off_the_tori_leaves_no_pattern(p, kind):
+    """A row holding c_1 of the split torus at a central or unipotent class
+    has closed coordinates everywhere but no pattern, since its six other
+    cells must be r + s tau; it fails with the oracle's message."""
+    data = get_data(p)
+    for label in (("trivial",), ("principal", 1), ("exceptional_nonsplit_plus",)):
+        row = next(i for i, irr in enumerate(data.irreducibles) if irr.label == label)
+        cls = next(c for c, rec in enumerate(data.table.classes) if rec.kind == kind)
+        broken = propchecks.with_cell(data, row, cls, root_of_unity(p - 1) + root_of_unity(p - 1, -1))
+        assert None not in broken.coordinates.coords and _patterns(broken)[row] is None
+        want = _outcome(propchecks.check_row_orthonormality, broken)
+        assert want is not None and _outcome(validate_table, broken) == want, label
 
 
 def test_a_repeated_row_gets_the_full_loop_and_the_oracles_message(data7):
-    """A table with two equal rows uses no orbits, and fails with the
-    message of the cell-by-cell pair loop, for every choice of the pair."""
+    """A table with two equal rows fails with the message of the
+    cell-by-cell pair loop, for every choice of the pair."""
     import copy
-
-    from dlcusp.chartable import _row_permutations
 
     irrs = data7.irreducibles
     for i, src in enumerate(irrs):
@@ -794,7 +857,6 @@ def test_a_repeated_row_gets_the_full_loop_and_the_oracles_message(data7):
                 continue
             broken = copy.copy(data7)
             broken.irreducibles = irrs[:j] + (type(dst)(dst.label, src.chi, dst.degree),) + irrs[j + 1:]
-            assert _row_permutations(*_id_rows(broken)) == []
             want = _outcome(propchecks.check_row_orthonormality, broken)
             assert want is not None and _outcome(validate_table, broken) == want, (i, j)
 
@@ -802,7 +864,7 @@ def test_a_repeated_row_gets_the_full_loop_and_the_oracles_message(data7):
 @pytest.mark.parametrize("p", (7, 13))
 def test_a_row_scaled_by_two_fails_only_its_norm(p):
     """2 chi stays orthogonal to every other row, so only the pair (chi, chi)
-    fails, wherever it falls in the order of representatives."""
+    fails, wherever it falls in the order of pairs."""
     data = get_data(p)
     for row, irr in enumerate(data.irreducibles):
         broken = propchecks.with_row(data, row, irr.chi.scale(2))
@@ -812,8 +874,9 @@ def test_a_row_scaled_by_two_fails_only_its_norm(p):
 
 
 def test_galois_action_commutes_with_the_pairing(data13):
-    """<sigma phi, sigma psi> = sigma <phi, psi> on random class functions,
-    the identity the orbit argument rests on."""
+    """<sigma phi, sigma psi> = sigma <phi, psi> on random class functions:
+    CycNumber.galois commutes with sums, products and conjugation, so the
+    pairing of conjugated functions is the conjugated pairing."""
     import random
 
     rng = random.Random(13)
