@@ -20,8 +20,8 @@ from fractions import Fraction
 from math import lcm
 from operator import itemgetter
 
-from .classfun import ClassFunction, closed_pairings, inner_product, inner_products
-from .cyclotomic import ONE, ZERO, CycNumber, embed_rational, gauss_sum
+from .classfun import ClassFunction, closed_pairings, inner_product
+from .cyclotomic import ONE, ZERO, CycNumber, gauss_sum
 from .group import (
     ConjugacyTable,
     GroupElement,
@@ -484,8 +484,9 @@ class ClosedCoordinates:
     ids, -1 for one the table lacks, and cos_terms their integer terms lifted
     to order n), r + s tau by reading s off one coefficient of tau and
     demanding that v - s tau is rational.  validate_table reads its torus
-    patterns off cos_ids; classfun.closed_pairings and the rebuild of
-    cuspform.decompose_dl sum in coords.
+    patterns off cos_ids; classfun.closed_sum, the pairing kernel of the
+    audit and of cuspform.decompose_dl, sums in coords and assembles its
+    value with value.
     """
 
     def __init__(self, p: int, values: list[CycNumber], ids: dict):
@@ -501,6 +502,7 @@ class ClosedCoordinates:
         exact = [self._exact(v) for v in values]
         self.den = den = lcm(*(Fraction(c).denominator for x in exact if x for c in x[:2]))
         self.coords = [x and (int(x[0] * den), int(x[1] * den), x[2], x[3]) for x in exact]
+        self.cells = list(zip(values, self.coords))  # (value, coordinates) by id
 
     def _exact(self, v: CycNumber) -> tuple | None:
         """The coordinates of v in rationals: (r, s, 0, 0) for r + s tau,
@@ -526,19 +528,27 @@ class ClosedCoordinates:
         r, s = Fraction(x[0]) * self.den, Fraction(x[1]) * self.den
         return (r.numerator, s.numerator, x[2], x[3]) if r.denominator == s.denominator == 1 else None
 
-    def cos_sum(self, n: int, hist: dict[int, int]) -> int | None:
-        """sum_e hist[e] c_e on the torus of order n, or None where it is
-        irrational.  It is summed from the canonical c_e lifted to order n
-        (cos_terms).  A lifted canonical form stays in the residue basis at
-        n (a CRT coordinate b < phi(q^j) scaled by q^(k-j) stays below
-        phi(q^k)), and the basis is linearly independent, so that sum is the
-        canonical form at n: the sum is rational iff no exponent but 0 is
-        left, and it is then the coefficient of exponent 0."""
-        terms, cos_terms = [0] * n, self.cos_terms[n]  # by exponent at order n
-        for e, m in hist.items():
-            for k, a in cos_terms[e]:
-                terms[k] += m * a
-        return None if any(terms[1:]) else terms[0]
+    def value(self, rat: int, tau: int, hist: dict[int, dict[int, int]], scale: int) -> CycNumber:
+        """(rat + tau g + sum_n sum_e hist[n][e] c_e) / scale in canonical
+        form, g the Gauss sum and c_e on the torus of order n.  Each part is
+        a canonical value, so their sum is.  A torus's sum is summed from the
+        canonical c_e lifted to order n (cos_terms), its exponent 0 added to
+        rat: a lifted canonical form stays in the residue basis at n (a CRT
+        coordinate b < phi(q^j) scaled by q^(k-j) stays below phi(q^k)), so
+        the reduction of the rest rewrites no exponent."""
+        parts = []
+        for n, h in hist.items():
+            terms, cos_terms = [0] * n, self.cos_terms[n]  # by exponent at order n
+            for e, m in h.items():
+                for k, a in cos_terms[e]:
+                    terms[k] += m * a
+            rat += terms[0]
+            if any(terms[1:]):
+                parts.append(CycNumber._from_numerators(n, {k: a for k, a in enumerate(terms) if a and k}, scale))
+        out = CycNumber._raw(1, {0: Fraction(rat, scale)} if rat else {})
+        if tau:
+            out += self.tau.scale(Fraction(tau, scale))
+        return sum(parts, out)
 
 
 def _cos(n: int, e: int) -> CycNumber:
@@ -631,15 +641,15 @@ def validate_table(data: CharacterData) -> dict:
     for (a, k) and (b, l) is (|G|/n) a b (S(k + l) + S(k - l)), an integer
     by _cos_sums.  The six other cells (+-I and the four unipotent
     classes) hold r + s tau, tau the Gauss sum, and sum as in
-    classfun.closed_pairings to R + S tau with R and S rational.  So |G|
+    classfun.closed_sum to R + S tau with R and S rational.  So |G|
     <chi, psi> is R' + S tau with R' rational, and tau is irrational (tau^2
     = +-p): the pair passes iff S = 0 and R' = delta_ij |G|.  A failing
-    pair's message prints (R' + S tau)/|G|, whose canonical form is unique.
+    pair's message prints (R' + S tau)/|G| in canonical form
+    (ClosedCoordinates.value).
 
     A pair with a row without a pattern (only a broken table has one) is
-    paired by classfun.closed_pairings, and again by
-    classfun.inner_products in one integer frame where that does not pass:
-    the canonical value decides it and is the one the message prints.
+    paired by classfun.closed_pairings, whose canonical value decides it and
+    is the one the message prints.
     """
     table, irrs = data.table, data.irreducibles
     n = len(irrs)
@@ -731,20 +741,23 @@ def _pair_rows(data: CharacterData, rows: list, pats: list, keys: list):
     """Pair every i <= j in lexicographic order, raising at the first pair
     that fails (validate_table): in O(1) where both rows have patterns
     (_read_patterns), the six other cells of each two keys summed once, and
-    by closed_pairings, then inner_products, where one has none."""
+    by closed_pairings where one has none, all of row i's such pairs in one
+    call before the pairs of row i are checked in order."""
     table, irrs, closed, p = data.table, data.irreducibles, data.coordinates, data.p
     coords, eps, order, den2 = closed.coords, closed.eps, table.group_order, closed.den**2
     target = 4 * den2 * order  # 4 den^2 |G| <chi, chi>, the scale the rational parts are summed at
     sizes = [rec.size for rec in table.classes if rec.kind in ("central", "unipotent")]  # _read_patterns' six cells
     (ws, ss), (wn, sn) = ((den2 * order // t.order, _cos_sums(t.order)) for t in (data.split_torus, data.nonsplit_torus))
+    bare = [j for j, y in enumerate(pats) if not y]  # the rows without a pattern
     six = {}  # per two keys, 4 R and S of their six cells, over den^2
     for i, x in enumerate(pats):
+        js = [j for j in (bare if x else range(i, len(rows))) if j >= i]  # row i's pairs with a row without a pattern
+        if js:
+            paired = dict(zip(js, closed_pairings(closed, table, irrs[i].chi.values, [rows[j] for j in js])))
         for j in range(i, len(rows)):
             y, one = x and pats[j], int(i == j)
-            if not y:  # a row without a pattern: closed coordinates, then one integer frame
-                if closed_pairings(closed, table, [coords[c] for c in rows[i]], [rows[j]]) == [one]:
-                    continue
-                (value,) = inner_products(irrs[i].chi, data.values, [rows[j]])
+            if not y:
+                value = paired[j]
                 if value == one:
                     continue
             else:
@@ -757,7 +770,7 @@ def _pair_rows(data: CharacterData, rows: list, pats: list, keys: list):
                 rat += ws * a * a2 * (ss[k + k2] + ss[k - k2]) + wn * b * b2 * (sn[l + l2] + sn[l - l2])
                 if not tau and rat == one * target:
                     continue
-                value = embed_rational(Fraction(rat, target)) + closed.tau.scale(Fraction(tau, den2 * order))
+                value = closed.value(rat, 4 * tau, {}, target)
             raise TableValidationError(f"<{irrs[i].name}, {irrs[j].name}> = {value.to_text()} at p={p}")
 
 

@@ -8,8 +8,10 @@ restriction.  All operations are pure and exact.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
-from typing import Sequence
+from itertools import compress
+from typing import Iterable, Sequence
 
 from .cyclotomic import ZERO, CycNumber, _common_frame, _raw_dot, coerce
 from .group import ConjugacyTable, SubgroupData
@@ -85,98 +87,82 @@ def dual(phi: ClassFunction) -> ClassFunction:
 
 
 def inner_product(phi: ClassFunction, psi: ClassFunction) -> CycNumber:
-    """Hermitian pairing (1/|G|) sum |c| phi(c) conj(psi(c)), computed by
-    inner_products with psi as one row whose cells are their own ids."""
+    """Hermitian pairing (1/|G|) sum |c| phi(c) conj(psi(c)), in one integer
+    frame (_frame_dot)."""
     phi._check(psi)
-    return inner_products(phi, psi.values, (range(len(psi.values)),))[0]
+    sizes = (rec.size for rec in phi.table.classes)
+    return _frame_dot(zip(sizes, phi.values, psi.values), phi.table.group_order)
 
 
-def inner_products(phi: ClassFunction, values: Sequence[CycNumber], rows: Sequence[Sequence[int]]) -> list[CycNumber]:
-    """The Hermitian pairings (1/|G|) sum |c| phi(c) conj(psi(c)) of phi with
-    each psi in rows, a row being one id into values per class, in one
-    integer frame.
-
-    The rows of a table index few distinct values, so the common order and
-    denominator are taken once over phi's support and the values the rows
-    hold there, phi's numerators are written once per class, and each such
-    value's conjugate numerators once per id.  Each row is then one integer
-    sum, reduced once to its canonical value.  A zero cell adds order 1 and
-    denominator 1 to the frame and no term to a sum.
-    """
-    support = [(i, rec.size) for i, (rec, a) in enumerate(zip(phi.table.classes, phi.values)) if not a.is_zero()]
-    used = {row[i] for row in rows for i, _ in support}
-    n, den = _common_frame([phi.values[i] for i, _ in support] + [values[j] for j in used])
-    left = [(i, w, phi.values[i]._numerators(n, den)) for i, w in support]
-    conj = {j: values[j]._numerators(n, den, conjugate=True) for j in used}
-    scale = den * den * phi.table.group_order
-    return [
-        CycNumber._from_numerators(n, _raw_dot(n, ((w, a, conj[row[i]]) for i, w, a in left)), scale) for row in rows
-    ]
+def _frame_dot(triples, scale: int) -> CycNumber:
+    """sum w a conj(b) / scale over the (integer w, a, b) triples, in one
+    integer frame: every a and b written as numerators over their common
+    order and denominator, the products summed term by term and reduced
+    once to the canonical value.  A zero value adds order 1 and
+    denominator 1 to the frame and no term to the sum."""
+    triples = list(triples)
+    n, den = _common_frame(v for _, a, b in triples for v in (a, b))
+    raw = _raw_dot(n, ((w, a._numerators(n, den), b._numerators(n, den, conjugate=True)) for w, a, b in triples))
+    return CycNumber._from_numerators(n, raw, den * den * scale)
 
 
-def closed_pairings(closed, table: ConjugacyTable, left: Sequence, rows: Sequence[Sequence[int]]) -> list:
-    """The pairings (1/|G|) sum |c| phi(c) conj(psi(c)) of the phi whose
-    values have the closed coordinates left (one per class, over closed.den)
-    with each psi in rows (one id per class into the values closed.coords
-    describes), summed in those coordinates (chartable.ClosedCoordinates),
-    or None for each psi where they do not show the pairing rational.
+def closed_pairings(closed, table: ConjugacyTable, phi: Sequence[CycNumber], rows: Sequence[Sequence[int]]) -> list[CycNumber]:
+    """The pairings (1/|G|) sum |c| phi(c) conj(psi(c)) of the class function
+    with values phi with each psi in rows (one id per class into the values
+    closed describes, chartable.ClosedCoordinates), each by closed_sum over
+    the classes where neither is zero."""
+    support = [c for c, v in enumerate(phi) if v.terms]
+    left = [(table.classes[c].size, phi[c], closed.coordinate(phi[c])) for c in support]
+    out, cell = [], closed.cells.__getitem__
+    for row in rows:
+        ids = list(map(row.__getitem__, support))  # id 0 is zero
+        out.append(closed_sum(closed, compress(left, ids), map(cell, filter(None, ids)), table.group_order))
+    return out
 
-    Per cell, with eps = (-1/p), so that conj(tau) = eps tau and tau^2 = eps p:
+
+def closed_sum(closed, left: Iterable, right: Iterable, scale: int) -> CycNumber:
+    """sum w a conj(b) / scale over the left cells (w, a, x) and right cells
+    (b, y) taken in turn, integer w and values a and b with the closed
+    coordinates x and y (closed.coordinate, None for none), as a canonical
+    value.
+
+    Per product, with eps = (-1/p), so that conj(tau) = eps tau and tau^2 =
+    eps p:
     - (r + s tau) conj(r' + s' tau) = r r' + p s s' + (eps r s' + s r') tau,
       a rational being r + 0 tau;
     - a rational times c_e is a multiple of c_e, and c_a c_b = c_(a+b) +
       c_(a-b) (c_b is real), summed per torus into a histogram H_T(e);
-    - any other product (a cell without coordinates, tau times c_e, c_e of
-      two tori) makes the pair None.
-    The pairing is then R + S tau + sum_T sum_e H_T(e) c_e.  The three parts
-    lie in Q(zeta_p), Q(zeta_(p-1)) and Q(zeta_(p+1)), and Q(zeta_a) meets
-    Q(zeta_b) in Q(zeta_gcd(a, b)): gcd(p - 1, p(p + 1)) = gcd(p + 1,
-    p(p - 1)) = 2 and gcd(p, p^2 - 1) = 1, and Q(zeta_2) = Q.  So the pairing
-    is rational iff S = 0 (tau is irrational) and each torus sum is
-    rational (closed.cos_sum); it is then R plus those rationals.  This is
-    the disjointness argument: if R + S tau + h_split + h_nonsplit = q is
-    rational, then h_split = q - R - S tau - h_nonsplit lies in
-    Q(zeta_(p-1)) and in Q(zeta_(p(p+1))), so in Q; likewise h_nonsplit;
-    then S tau is rational, and tau is not (tau^2 = +-p), so S = 0.
+    - any other product (a value without coordinates, tau times c_e, c_e
+      of two tori) is left to one integer frame (_frame_dot).
+    The sum is closed.value(R, S, H) plus that frame's value.
     """
-    cells = [(c, rec.size, x) for c, (rec, x) in enumerate(zip(table.classes, left)) if x != (0, 0, 0, 0)]
-    if any(x is None for _, _, x in cells):
-        return [None] * len(rows)
-    scale = closed.den * closed.den * table.group_order
-    return [_closed_pairing(closed, cells, row, scale) for row in rows]
-
-
-def _closed_pairing(closed, cells: list, row: Sequence[int], scale: int) -> Fraction | None:
-    """One pairing of closed_pairings: phi's non-zero cells with one row."""
-    coords, p, eps = closed.coords, closed.p, closed.eps
+    p, eps = closed.p, closed.eps
     rat = tau = 0
-    hist: dict[int, dict[int, int]] = {}  # per torus order n, H_T(e) by e in [0, n/2]
-    for c, w, (r, s, n, e) in cells:
-        y = row[c]
-        if not y:
+    hist: dict[int, dict[int, int]] = defaultdict(dict)  # per torus order n, H_T(e) by e in [0, n/2]
+    rest = []
+    for (w, a, x), (b, y) in zip(left, right):
+        if x is None or y is None:
+            rest.append((w, a, b))
             continue
-        y = coords[y]
-        if y is None:
-            return None
+        r, s, n, e = x
         r2, s2, n2, e2 = y
-        if not (n or n2):
+        if not (n or s) and n2:  # a rational times c_e
+            h = hist[n2]
+            h[e2] = h.get(e2, 0) + w * r * r2
+        elif not (n or n2):
             rat += w * (r * r2 + p * s * s2)
             tau += w * (eps * r * s2 + s * r2)
-        elif s or s2 or (n and n2 and n != n2):
-            return None
-        else:  # c_e c_e2 = c_(e+e2) + c_|e-e2|, each e folded into [0, n/2] as c_e = c_(n-e)
-            m, n = w * r * r2, n or n2
-            h = hist.setdefault(n, {})
-            for k in (min(e + e2, n - e - e2), abs(e - e2)) if e and e2 else (e + e2,):
+        elif n == n2:  # c_e c_e2 = c_(e+e2) + c_|e-e2|, each e folded into [0, n/2] as c_e = c_(n-e)
+            h, m = hist[n], w * r * r2
+            for k in (min(e + e2, n - e - e2), abs(e - e2)):
                 h[k] = h.get(k, 0) + m
-    if tau:
-        return None
-    for n, h in hist.items():
-        q = closed.cos_sum(n, h)
-        if q is None:
-            return None
-        rat += q
-    return Fraction(rat, scale)
+        elif n2 or s2:  # tau times c_e either way round, or c_e of two tori
+            rest.append((w, a, b))
+        else:  # c_e times a rational
+            h = hist[n]
+            h[e] = h.get(e, 0) + w * r * r2
+    value = closed.value(rat, tau, hist, closed.den * closed.den * scale)
+    return value + _frame_dot(rest, scale) if rest else value
 
 
 def induce(table: ConjugacyTable, sub: SubgroupData, values: Sequence[CycNumber | int | Fraction]) -> ClassFunction:

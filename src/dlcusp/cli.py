@@ -42,9 +42,9 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 
 # The largest prime any command accepts.  One prime's time grows about as
-# p^2: verify --range p p --no-cache took 0.35 s and 17 MB peak RSS at
-# p = 199, and 2.2 s and 24 MB at p = 599 (CPython 3.11, one core of a
-# loaded 2-core host).  Above the bound, a typo such as --range 7
+# p^2: verify --range p p --no-cache took 0.21-0.34 s and 17.5 MB peak RSS
+# at p = 199, and 0.93-1.51 s and 26.6 MB at p = 599 (CPython 3.11, a shared
+# 2-core host, ten runs each).  Above the bound, a typo such as --range 7
 # 1000000000000 is refused before any prime search instead of running for days.
 MAX_PRIME = 600
 

@@ -14,12 +14,13 @@ permutation characters by the Steinberg tensor identity.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from math import lcm
 from typing import NamedTuple
 
-from .classfun import ClassFunction, closed_pairings, dual, induce, inner_products, trivial_character
+from .classfun import ClassFunction, closed_pairings, closed_sum, dual, induce, trivial_character
 from .chartable import CharacterData, dl_terms, quadratic_character_index
-from .cyclotomic import CycNumber, _common_frame, _raw_dot
+from .cyclotomic import ONE
 from .group import conjugate_into_torus, torus_order
 
 TORI = ("split", "nonsplit")
@@ -221,8 +222,7 @@ def decompose_dl(data: CharacterData, s: ClassFunction | None = None, reading: s
     Coefficients are stored per inversion-orbit representative; the full sum
     counts non-self-inverse orbits twice.  Each coefficient is half a pairing,
     c = <s, R>/2 = sum sign m_label / 2 over dl_terms, with m_label = <s, chi>
-    the multiplicities, summed in the table's closed coordinates
-    (classfun.closed_pairings; inner_products where they do not decide).  By
+    the multiplicities, paired by classfun.closed_pairings.  By
     Deligne-Lusztig orthogonality the rows of distinct orbits (of one torus or
     of the two) are orthogonal, and <R, R> is 2 at theta = theta^-1 and 1
     otherwise, so orbit weight times norm is 2 for every orbit: if s = sum c w
@@ -242,10 +242,8 @@ def decompose_dl(data: CharacterData, s: ClassFunction | None = None, reading: s
         s = weinstein_character(data)
     mults: dict[tuple, Fraction] = {}
     irrs, closed = data.irreducibles, data.coordinates
-    got = closed_pairings(closed, data.table, [closed.coordinate(v) for v in s.values], [irr.ids for irr in irrs])
-    for irr, m in zip(irrs, got):
-        if m is None:  # a cell without coordinates, or an irrational pairing
-            m = inner_products(s, data.values, [irr.ids])[0].as_rational()
+    for irr, value in zip(irrs, closed_pairings(closed, data.table, s.values, [irr.ids for irr in irrs])):
+        m = value.as_rational()
         if m is None:
             raise VerificationError(f"non-rational multiplicity for {irr.name} at p={p}")
         mults[irr.label] = m
@@ -282,70 +280,26 @@ def _rebuild_differs_at(data: CharacterData, coeff: dict[tuple[str, int], Fracti
     By dl_terms each R_T^theta is a signed sum of irreducibles, so the sum
     is sum_chi f_chi chi over the table's id rows, with f_chi the total of
     sign c w over the terms naming chi, each written as an integer over the
-    lcm of their denominators.  A class is decided in the table's closed
-    coordinates (CharacterData.coordinates): the difference sum_chi f_chi
-    chi(c) - s(c) is summed as R + S tau plus one c_e histogram per torus
-    (ClosedCoordinates.cos_sum), and it is zero iff S = 0, each torus sum is
-    rational and the rationals add up to 0.  That is exact, by the
-    disjointness argument of classfun.closed_pairings: if R + S tau +
-    h_split + h_nonsplit = 0, then h_split lies in Q(zeta_(p-1)) and in
-    Q(zeta_(p(p+1))), which meet in Q, so it is rational; likewise
-    h_nonsplit; then S tau is rational, and tau is not, so S = 0.  A class
-    with a cell (or an s(c)) without coordinates is summed in integers
-    instead: each value the rows hold written once as numerators over one
-    common order and denominator, the class one integer sum, reduced once
-    and compared with s in canonical form.
+    lcm of their denominators.  At each class c, classfun.closed_sum sums
+    those integers times conj(chi(c)), and minus the lcm times conj(s(c)),
+    each as a product with the value one: f is rational, so that is the
+    conjugate of the difference of the rebuilt sum and s at c (times the
+    lcm), zero iff the difference is.
     """
-    p, values, closed = data.p, data.values, data.coordinates
+    p, closed = data.p, data.coordinates
     f: dict[tuple, Fraction] = {}
     for (torus_type, k), c in coeff.items():
         for label, sign in dl_terms(p, torus_type, k):
             f[label] = f.get(label, 0) + sign * c * orbit_weight(p, torus_type, k)
     terms = [(x, data.irreducible(*label).ids) for label, x in f.items() if x]
     scale = lcm(*(x.denominator for x, _ in terms))
-    terms = [(x.numerator * (scale // x.denominator), ids) for x, ids in terms]
-    coords, frame = closed.coords, None
-    unit = {0: 1}  # w * a * unit is w * a: the product kernel sums the scaled numerators
-    for i, target in enumerate(s.values):
-        cells = [(x, coords[ids[i]]) for x, ids in terms if ids[i]]
-        cells.append((-scale, closed.coordinate(target)))
-        same = _closed_zero(closed, cells)
-        if same is None:
-            if frame is None:  # the integer frame, made at the first class that needs it
-                used = {j for _, ids in terms for j in ids}
-                n, den = _common_frame([values[j] for j in used])
-                frame = n, den, {j: values[j]._numerators(n, den) for j in used}
-            n, den, nums = frame
-            raw = _raw_dot(n, ((x, nums[ids[i]], unit) for x, ids in terms))
-            same = CycNumber._from_numerators(n, raw, den * scale) == target
-        if not same:
+    one = closed.coordinate(ONE)
+    left, last = [(x.numerator * (scale // x.denominator), ONE, one) for x, _ in terms], (-scale, ONE, one)
+    for i, (target, *column) in enumerate(zip(s.values, *(ids for _, ids in terms))):  # per class, s(c) and the ids
+        right = [*map(closed.cells.__getitem__, filter(None, column)), (target, closed.coordinate(target))]  # id 0 is zero
+        if not closed_sum(closed, [*compress(left, column), last], right, scale).is_zero():
             return i
     return None
-
-
-def _closed_zero(closed, cells: list) -> bool | None:
-    """Whether sum x y over the (integer x, closed coordinates y) cells is
-    zero, or None where a y is None."""
-    rat = tau = 0
-    hist: dict[int, dict[int, int]] = {}  # per torus order n, the coefficient of c_e by e
-    for x, y in cells:
-        if y is None:
-            return None
-        r, s, n, e = y
-        if n:
-            h = hist.setdefault(n, {})
-            h[e] = h.get(e, 0) + x * r
-        else:
-            rat += x * r
-            tau += x * s
-    if tau:
-        return False
-    for n, h in hist.items():
-        q = closed.cos_sum(n, h)
-        if q is None:
-            return False
-        rat += q
-    return rat == 0
 
 
 # -- the independent symbolic pipeline ----------------------------------------

@@ -280,14 +280,8 @@ class CycNumber:
 
     def conj(self) -> "CycNumber":
         """Complex conjugation: zeta^e -> zeta^(N-e), extended linearly."""
-        return self.galois(-1)
-
-    def galois(self, u: int) -> "CycNumber":
-        """sigma_u: zeta -> zeta^u, for u coprime to the order (conj is u = -1)."""
         n = self.order
-        if gcd(u, n) != 1:
-            raise ValueError(f"{u} is not a unit mod {n}")
-        return CycNumber._raw(*_canonicalize(n, {u * e % n: c for e, c in self.terms.items()}))
+        return CycNumber._raw(*_canonicalize(n, {-e % n: c for e, c in self.terms.items()}))
 
     # -- comparison / hashing ----------------------------------------------
 

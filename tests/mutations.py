@@ -63,19 +63,41 @@ MUTATIONS = [
     # a pair with a row without a pattern passes unpaired
     (
         "src/dlcusp/chartable.py",
-        "[rows[j]]) == [one]:",
-        "[rows[j]]) or True:",
+        "if value == one:",
+        "if True:",
         [
             "tests/test_chartable.py::test_faults_outside_closed_coordinates_get_the_oracles_message",
             "tests/test_chartable.py::test_a_cos_value_off_the_tori_leaves_no_pattern",
         ],
     ),
-    # the rebuild without its tau-coefficient test
+    # the rebuild (and every closed sum) without its tau coefficient
     (
-        "src/dlcusp/cuspform.py",
-        "    if tau:\n        return False\n",
-        "",
+        "src/dlcusp/classfun.py",
+        "tau += w * (eps * r * s2 + s * r2)",
+        "pass",
         ["tests/test_cuspform.py::test_one_half_of_an_exceptional_pair_leaves_the_span"],
+    ),
+    # the kernel's products outside closed coordinates dropped
+    (
+        "src/dlcusp/classfun.py",
+        "return value + _frame_dot(rest, scale) if rest else value",
+        "return value",
+        [
+            "tests/test_classfun.py::test_closed_pairings_equal_the_per_class_reference",
+            "tests/test_chartable.py::test_faults_outside_closed_coordinates_get_the_oracles_message",
+            "tests/test_cuspform.py::test_non_rational_multiplicity_names_the_first_row",
+        ],
+    ),
+    # the assembly of a closed sum without its tau part
+    (
+        "src/dlcusp/chartable.py",
+        "out += self.tau.scale(Fraction(tau, scale))",
+        "pass",
+        [
+            "tests/test_classfun.py::test_closed_pairings_equal_the_per_class_reference",
+            "tests/test_chartable.py::test_faults_in_closed_coordinates_agree_with_the_oracle",
+            "tests/test_cuspform.py::test_one_half_of_an_exceptional_pair_leaves_the_span",
+        ],
     ),
     # _closed_rows with one memo for every class, keyed by the exponent alone
     (

@@ -125,8 +125,8 @@ def check_row_orthonormality(data: CharacterData) -> None:
     The full pair loop, one term-by-term sum per pair over the whole table's
     common frame; it raises the same message on the first offending pair
     as validate_table, which pairs rows with torus patterns in O(1) and the
-    others through classfun.closed_pairings and inner_products, and is the
-    reference for that check.
+    others through classfun.closed_pairings, and is the reference for that
+    check.
     """
     table, irrs = data.table, data.irreducibles
     n = len(irrs)

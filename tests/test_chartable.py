@@ -198,8 +198,8 @@ def _outcome(check, data):
 def test_packed_pairing_agrees_with_cell_by_cell_oracle(p):
     """On seeded single-cell faults validate_table raises exactly when the
     cell-by-cell pair loop does, with the same message.  Most of these
-    faults leave the closed coordinates, so the pairs they touch go through
-    classfun.inner_products."""
+    faults leave the closed coordinates, so the pairs they touch reach the
+    integer frame of classfun.closed_sum."""
     data = get_data(p)
     assert _outcome(validate_table, data) is _outcome(propchecks.check_row_orthonormality, data) is None
     changed = 0
@@ -241,20 +241,28 @@ def test_faults_in_closed_coordinates_agree_with_the_oracle(p):
     ],
     ids=["split-plus-zeta_p", "unipotent-plus-zeta_p-1", "split-c1-at-nonsplit"],
 )
-def test_faults_outside_closed_coordinates_get_the_oracles_message(p, kind, fault):
+def test_faults_outside_closed_coordinates_get_the_oracles_message(monkeypatch, p, kind, fault):
     """A cell the coordinates cannot pair (a value without coordinates, or
     c_e of the split torus against the nonsplit torus's values) sends its
-    pairs to classfun.inner_products, and validate_table gives the verdict
-    and message of the cell-by-cell pair loop."""
+    products to the integer frame of classfun.closed_sum, and
+    validate_table gives the verdict and message of the cell-by-cell pair
+    loop.  Where the nonsplit class holds no irrational value (its
+    elements have order 4 at p = 11 and 43), the split c_1 meets only
+    rationals and is summed in coordinates, to an irrational pairing."""
+    import dlcusp.classfun
     from dlcusp.classfun import closed_pairings
 
+    reached, frame_dot = [], dlcusp.classfun._frame_dot
+    monkeypatch.setattr(dlcusp.classfun, "_frame_dot", lambda *args: reached.append(args) or frame_dot(*args))
     data = get_data(p)
     cls = next(c for c, rec in enumerate(data.table.classes) if rec.kind == kind)
     for label in (("trivial",), ("principal", 1), ("exceptional_nonsplit_plus",)):
         row = next(i for i, irr in enumerate(data.irreducibles) if irr.label == label)
         broken = propchecks.with_cell(data, row, cls, fault(p, data.irreducibles[row].chi.values[cls]))
-        closed, rows = broken.coordinates, [irr.ids for irr in broken.irreducibles]
-        assert None in closed_pairings(closed, broken.table, [closed.coords[k] for k in rows[row]], rows), label
+        rows = [irr.ids for irr in broken.irreducibles]
+        reached.clear()
+        pairings = closed_pairings(broken.coordinates, broken.table, broken.irreducibles[row].chi.values, rows)
+        assert reached or any(v.as_rational() is None for v in pairings), label
         want = _outcome(propchecks.check_row_orthonormality, broken)
         assert want is not None and _outcome(validate_table, broken) == want, label
 
@@ -787,12 +795,13 @@ def test_a_built_table_is_paired_by_its_patterns_alone(monkeypatch, p):
     """validate_table pairs every pair of a built table in O(1): it reaches
     neither per-cell kernel."""
     import dlcusp.chartable
+    import dlcusp.classfun
 
     def unreachable(*args):
         raise AssertionError("a per-cell kernel was reached")
 
     monkeypatch.setattr(dlcusp.chartable, "closed_pairings", unreachable)
-    monkeypatch.setattr(dlcusp.chartable, "inner_products", unreachable)
+    monkeypatch.setattr(dlcusp.classfun, "closed_sum", unreachable)
     assert validate_table(get_data(p))["orthonormal"]
 
 
@@ -871,26 +880,6 @@ def test_a_row_scaled_by_two_fails_only_its_norm(p):
         want = _outcome(propchecks.check_row_orthonormality, broken)
         assert want == f"<{irr.name}, {irr.name}> = 1: 4 at p={p}"
         assert _outcome(validate_table, broken) == want
-
-
-def test_galois_action_commutes_with_the_pairing(data13):
-    """<sigma phi, sigma psi> = sigma <phi, psi> on random class functions:
-    CycNumber.galois commutes with sums, products and conjugation, so the
-    pairing of conjugated functions is the conjugated pairing."""
-    import random
-
-    rng = random.Random(13)
-    table = data13.table
-
-    def value():
-        return ZERO if rng.random() < 0.2 else propchecks.random_cyc(rng, rng.choice((12, 28, 100, 52)))
-
-    for _ in range(10):
-        phi = ClassFunction(table, [value() for _ in range(len(table))])
-        psi = ClassFunction(table, [value() for _ in range(len(table))]) + phi.scale(rng.randint(-2, 2))
-        for u in (11, 17, 19):
-            sigma_phi, sigma_psi = (ClassFunction(table, [v.galois(u) for v in f.values]) for f in (phi, psi))
-            assert inner_product(sigma_phi, sigma_psi) == inner_product(phi, psi).galois(u)
 
 
 # -- labels ---------------------------------------------------------------------------

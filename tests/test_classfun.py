@@ -8,7 +8,6 @@ from dlcusp.classfun import (
     dual,
     induce,
     inner_product,
-    inner_products,
     restrict,
     tensor,
     trivial_character,
@@ -176,9 +175,9 @@ def test_dual_equals_conjugate_on_characters():
 
 @pytest.mark.parametrize("p", (7, 13))
 def test_inner_products_equal_the_per_class_reference(p):
-    """Many rows paired in one frame give each row's per-class reference
-    pairing, also for complex class functions (where a lost conjugation
-    shows) and for ones that vanish on some classes."""
+    """Every pair of rows, each paired in one integer frame, gives the
+    per-class reference pairing, also for complex class functions (where a
+    lost conjugation shows) and for ones that vanish on some classes."""
     data = get_data(p)
     rng = random.Random(p)
     n = len(data.table)
@@ -187,11 +186,36 @@ def test_inner_products_equal_the_per_class_reference(p):
         for j in range(3)
     ]
     rows = [irr.chi for irr in data.irreducibles] + randoms
-    values = [*data.values, *(v for psi in randoms for v in psi.values)]
-    ids = [irr.ids for irr in data.irreducibles]
-    ids += [range(len(data.values) + j * n, len(data.values) + j * n + n) for j in range(len(randoms))]
     for phi in rows:
-        assert inner_products(phi, values, ids) == [propchecks.naive_inner_product(phi, psi) for psi in rows]
+        assert [inner_product(phi, psi) for psi in rows] == [propchecks.naive_inner_product(phi, psi) for psi in rows]
+
+
+@pytest.mark.parametrize("p", (7, 13, 29))
+def test_closed_pairings_equal_the_per_class_reference(p):
+    """closed_pairings gives every pairing's canonical value, irrational ones
+    included: s + principal(1), s + R_split(2) (2 + c_e at split classes,
+    without closed coordinates), s plus one exceptional half, and a class
+    function of random table values, where tau times c_e and c_e of two
+    tori meet, each paired with every row."""
+    from dlcusp.classfun import closed_pairings
+    from dlcusp.cuspform import weinstein_character
+
+    data = get_data(p)
+    s = weinstein_character(data)
+    rng = random.Random(p)
+    mixed = ClassFunction(data.table, [rng.choice(data.values) for _ in data.table.classes])
+    rows = [irr.ids for irr in data.irreducibles]
+    irrational = 0
+    for phi in (
+        s + data.irreducible("principal", 1).chi,
+        s + data.dl("split", 2),
+        s + data.irreducible("exceptional_split_plus").chi,
+        mixed,
+    ):
+        want = [propchecks.naive_inner_product(phi, irr.chi) for irr in data.irreducibles]
+        assert closed_pairings(data.coordinates, data.table, phi.values, rows) == want
+        irrational += sum(v.as_rational() is None for v in want)
+    assert irrational
 
 
 @pytest.mark.parametrize("p", (13, 101, 599))

@@ -18,7 +18,7 @@ from dlcusp.cuspform import (
     weinstein_character,
     _TABLE_OFFSETS,
 )
-from dlcusp.classfun import ClassFunction, dual, inner_products
+from dlcusp.classfun import ClassFunction, dual, inner_product
 from dlcusp.cyclotomic import root_of_unity
 from dlcusp.group import torus_order
 from dlcusp.numtheory import primes_in_range
@@ -255,11 +255,8 @@ def test_orbit_weight_times_norm_is_two(p):
     data = get_data(p)
     reps = [(t, k) for t in ("split", "nonsplit") for k in range(0, torus_order(p, t) // 2 + 1, 2)]
     rows = [data.dl(t, k) for t, k in reps]
-    values = [v for row in rows for v in row.values]  # each cell its own id
-    n = len(data.table)
-    ids = [range(j * n, j * n + n) for j in range(len(rows))]
     for (t, k), row in zip(reps, rows):
-        pairings = [v.as_rational() for v in inner_products(row, values, ids)]
+        pairings = [inner_product(row, other).as_rational() for other in rows]
         w = orbit_weight(p, t, k)
         assert pairings == [Fraction(2, w) if key == (t, k) else 0 for key in reps], (t, k)
 
@@ -277,6 +274,18 @@ def test_one_half_of_an_exceptional_pair_leaves_the_span(p, half):
     assert not res.exact and data.table.classes[res.rebuild_differs_at].kind == "unipotent"
     sign = 1 if torus == "split" else -1
     assert res.coefficients[(torus, torus_order(p, torus) // 2)] == sign * (m_half + m_other) / 2
+
+
+@pytest.mark.parametrize("p, torus", [(13, "split"), (11, "nonsplit")])
+def test_a_function_with_every_coefficient_zero_can_leave_the_span(p, torus):
+    """plus - minus of an exceptional pair is orthogonal to every spanning
+    row, so every coefficient is zero and the rebuilt sum is zero: it
+    differs from plus - minus at a unipotent-type class, where that lives."""
+    data = get_data(p)
+    phi = data.irreducible(f"exceptional_{torus}_plus").chi - data.irreducible(f"exceptional_{torus}_minus").chi
+    res = decompose_dl(data, phi)
+    assert set(res.coefficients.values()) == {0}
+    assert not res.exact and data.table.classes[res.rebuild_differs_at].kind == "unipotent"
 
 
 @pytest.mark.parametrize("p, label, n", [(29, ("steinberg",), 30), (37, ("principal", 2), 36)])
@@ -301,6 +310,26 @@ def test_a_stray_torus_value_at_a_split_class_fails_the_rebuild_there(p, label, 
     res = decompose_dl(broken, s)
     assert res.multiplicities == decompose_dl(data, s).multiplicities
     assert not res.exact and res.rebuild_differs_at == c
+
+
+@pytest.mark.parametrize("p", primes_in_range(7, 101))
+def test_a_built_table_and_its_cusp_form_are_summed_in_closed_coordinates(monkeypatch, p):
+    """On a built table every value, and every value of the Weinstein s, has
+    closed coordinates, so the audit, the multiplicities and the rebuild
+    never reach the integer frame."""
+    import dlcusp.classfun
+    from dlcusp.chartable import validate_table
+
+    def unreachable(*args):
+        raise AssertionError("the integer frame was reached")
+
+    data = get_data(p)
+    s = weinstein_character(data)
+    assert None not in data.coordinates.coords
+    assert all(data.coordinates.coordinate(v) is not None for v in s.values)
+    monkeypatch.setattr(dlcusp.classfun, "_frame_dot", unreachable)
+    assert validate_table(data)["orthonormal"]
+    assert decompose_dl(data, s).exact
 
 
 @pytest.mark.parametrize("p", (29, 31))
