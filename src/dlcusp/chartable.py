@@ -34,7 +34,7 @@ from .group import (
 from .numtheory import legendre
 
 SCHEMA = "dlcusp-chartable/1"  # the full table with DL rows, as chartable --format json prints it
-CACHE_SCHEMA = "dlcusp-chartable/2"  # the interned irreducible table a cache file stores
+CACHE_SCHEMA = "dlcusp-chartable/3"  # the interned irreducible table a cache file stores
 
 
 class TableValidationError(Exception):
@@ -379,7 +379,7 @@ class CharacterData:
         read off chi's id row; only the two-term rows are summed per cell."""
         texts = [v.to_text() for v in self.values]
         negated = [(-v).to_text() for v in self.values]
-        doc = self._document(SCHEMA, lambda irr: {"values": [texts[i] for i in irr.ids]})
+        doc = self._document(SCHEMA, _class_records(self.table), lambda irr: {"values": [texts[i] for i in irr.ids]})
         for torus in ("split", "nonsplit"):
             doc[f"dl_{torus}"] = rows = []
             for k in range(torus_order(self.p, torus)):
@@ -392,15 +392,16 @@ class CharacterData:
         return doc
 
     def to_cache_dict(self) -> dict:
-        """The document a cache file stores and from_json_dict reads: the
-        class records, each distinct value's text once (zero first), and
-        per irreducible its label, degree and row of ids into those texts."""
-        doc = self._document(CACHE_SCHEMA, lambda irr: {"ids": list(irr.ids)})
+        """The document a cache file stores and from_json_dict reads: each
+        class's identity [kind, *key], each distinct value's text once (zero
+        first), and per irreducible its label, degree and row of ids into
+        those texts."""
+        doc = self._document(CACHE_SCHEMA, _class_keys(self.table), lambda irr: {"ids": list(irr.ids)})
         return {**doc, "values": [v.to_text() for v in self.values]}
 
-    def _document(self, schema: str, cells) -> dict:
+    def _document(self, schema: str, classes: list, cells) -> dict:
         rows = [{"label": list(irr.label), "degree": irr.degree, **cells(irr)} for irr in self.irreducibles]
-        return {"schema": schema, "p": self.p, "classes": _class_records(self.table), "irreducibles": rows}
+        return {"schema": schema, "p": self.p, "classes": classes, "irreducibles": rows}
 
     def _load_characters(self, doc: dict):
         """The irreducibles of a to_cache_dict document.  Every text is
@@ -415,7 +416,7 @@ class CharacterData:
         ValueError (or the TypeError/KeyError of a wrong shape)."""
         if doc.get("schema") != CACHE_SCHEMA or doc.get("p") != self.p:
             raise ValueError("character-table document does not match this prime/schema")
-        if doc["classes"] != _class_records(self.table):
+        if doc["classes"] != _class_keys(self.table):
             raise ValueError("cached class data disagrees with a fresh build")
         values, texts, field = _Values(), doc["values"], self.p * (self.p**2 - 1) // 2
         if not all(0 < n and field % n == 0 for n in (int(t.partition(":")[0]) for t in texts)):
@@ -575,8 +576,14 @@ def dl_terms(p: int, torus_type: str, k: int) -> tuple[tuple[tuple, int], ...]:
     return (((("principal" if sign > 0 else "discrete"), m), sign),)
 
 
+def _class_keys(table: ConjugacyTable) -> list[list]:
+    """Each class's identity [kind, *key], as a cache document stores it and
+    is checked against: a fresh build derives every other field from it."""
+    return [[r.kind, *r.key] for r in table.classes]
+
+
 def _class_records(table: ConjugacyTable) -> list[dict]:
-    """The per-class records a cache document stores and is checked against."""
+    """The per-class records of the chartable document."""
     return [
         {
             "rep": list(r.rep.entries()),

@@ -14,6 +14,7 @@ import os
 import sys
 import tempfile
 import time
+import zlib
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
@@ -48,6 +49,11 @@ EXIT_MISMATCH = 1
 # 1000000000000 is refused before any prime search instead of running for days.
 MAX_PRIME = 600
 
+# The most bytes a cache load reads from a file, and the most it inflates:
+# the document at p = 599 is 0.31 MB on disk and 1.1 MB inflated, so a file
+# past the bound is not a document, and it is rebuilt without being read in full.
+MAX_CACHE_BYTES = 16 << 20
+
 
 def _json_dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, separators=(",", ": "))
@@ -68,7 +74,7 @@ def default_cache_dir() -> Path:
 
 
 def cache_path(cache_dir: Path, p: int) -> Path:
-    return cache_dir / f"sl2_p{p}.json"
+    return cache_dir / f"sl2_p{p}.json.gz"
 
 
 def load_character_data(p: int, cache_dir: Path | None) -> tuple[CharacterData, bool]:
@@ -78,18 +84,37 @@ def load_character_data(p: int, cache_dir: Path | None) -> tuple[CharacterData, 
         path = cache_path(cache_dir, p)
         if path.is_file():
             try:
-                doc = json.loads(path.read_text())
+                doc = json.loads(_read_gzip(path))
                 if isinstance(doc, dict) and doc.get("schema") == CACHE_SCHEMA and doc.get("p") == p:
                     return CharacterData.from_json_dict(doc), True
-            except (ValueError, KeyError, IndexError, TypeError, AttributeError, OSError, RecursionError):
+            except (ValueError, KeyError, IndexError, TypeError, AttributeError, OSError, RecursionError, zlib.error):
                 pass  # a malformed or stale document of any shape is rebuilt below
     data = CharacterData(p)
     if cache_dir is not None:
+        # level 1 and a zero header mtime: fast, and the same table gives the same bytes
+        deflate = zlib.compressobj(1, zlib.DEFLATED, 31)
+        text = json.dumps(data.to_cache_dict(), separators=(",", ":")).encode()
         try:
-            _atomic_write(cache_path(cache_dir, p), json.dumps(data.to_cache_dict(), separators=(",", ":")))
+            _atomic_write(cache_path(cache_dir, p), deflate.compress(text) + deflate.flush())
         except OSError:
             pass  # like an unreadable cache: the table was built, so go on without the file
     return data, False
+
+
+def _read_gzip(path: Path) -> bytes:
+    """The contents of the one gzip stream that is the file at path.  At
+    most MAX_CACHE_BYTES are read and at most as many inflated; a file past
+    the bound, a stream that inflates past it, a truncated stream and bytes
+    after the stream raise ValueError, and a corrupt stream zlib.error."""
+    with open(path, "rb") as fh:
+        packed = fh.read(MAX_CACHE_BYTES + 1)
+    if len(packed) > MAX_CACHE_BYTES:
+        raise ValueError(f"{path} holds more than {MAX_CACHE_BYTES} bytes")
+    inflate = zlib.decompressobj(31)
+    text = inflate.decompress(packed, MAX_CACHE_BYTES)
+    if not inflate.eof or inflate.unused_data:
+        raise ValueError(f"{path} is not one whole gzip stream of at most {MAX_CACHE_BYTES} bytes")
+    return text
 
 
 def load_checked_data(p: int, cache_dir: Path | None) -> tuple[CharacterData, bool]:
@@ -103,12 +128,12 @@ def load_checked_data(p: int, cache_dir: Path | None) -> tuple[CharacterData, bo
     return data, hit
 
 
-def _atomic_write(path: Path, text: str):
+def _atomic_write(path: Path, blob: bytes):
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(blob)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

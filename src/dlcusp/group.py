@@ -312,6 +312,8 @@ def torus_order(p: int, torus_type: str) -> int:
 def build_torus(table: ConjugacyTable, torus_type: str) -> TorusData:
     """The torus with its least generator by entries and the dlog of each element.
 
+    The nonsplit torus is {[[a, b eps], [b, a]] : a^2 - eps b^2 = 1}: for
+    each a, b is either square root of (a^2 - 1)/eps, where it has one.
     g generates the cyclic group of order n iff g^(n/q) != I for every prime
     q | n: the order of g divides n, and a proper divisor of n divides n/q
     for some such q.  Elements are sorted, so the first one found is the
@@ -323,12 +325,11 @@ def build_torus(table: ConjugacyTable, torus_type: str) -> TorusData:
         eps = None
     elif torus_type == "nonsplit":
         eps = table.epsilon
-        elements = [
-            GroupElement(p, a, b * eps, b, a)
-            for a in range(p)
-            for b in range(p)
-            if (a * a - eps * b * b) % p == 1
-        ]
+        inv_eps, elements = pow(eps, -1, p), []
+        for a in range(p):
+            b = sqrt_mod((a * a - 1) * inv_eps, p)
+            if b is not None:
+                elements += [GroupElement(p, a, x * eps, x, a) for x in {b, -b % p}]
     else:
         raise ValueError(f"unknown torus type {torus_type!r}")
     order = torus_order(p, torus_type)

@@ -106,6 +106,20 @@ MUTATIONS = [
         "memos.setdefault(0, {})",
         ["tests/test_chartable.py::test_closed_rows_equal_the_per_cell_oracle"],
     ),
+    # a cache load that inflates the whole stream, past the bound
+    (
+        "src/dlcusp/cli.py",
+        "inflate.decompress(packed, MAX_CACHE_BYTES)",
+        "inflate.decompress(packed)",
+        ["tests/test_cli.py::test_cache_of_any_malformed_shape_is_rebuilt[padded-past-bound]"],
+    ),
+    # a cache load that accepts bytes after the gzip stream
+    (
+        "src/dlcusp/cli.py",
+        " or inflate.unused_data",
+        "",
+        ["tests/test_cli.py::test_cache_of_any_malformed_shape_is_rebuilt[bytes-after-stream]"],
+    ),
 ]
 
 

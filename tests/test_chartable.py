@@ -195,7 +195,7 @@ def _outcome(check, data):
 
 
 @pytest.mark.parametrize("p", (7, 11, 13, 31, 43))
-def test_packed_pairing_agrees_with_cell_by_cell_oracle(p):
+def test_audit_agrees_with_the_cell_by_cell_oracle(p):
     """On seeded single-cell faults validate_table raises exactly when the
     cell-by-cell pair loop does, with the same message.  Most of these
     faults leave the closed coordinates, so the pairs they touch reach the
@@ -355,8 +355,7 @@ def test_each_text_written_once_gives_the_per_cell_document(p):
 def test_non_canonical_copy_of_a_repeated_text_is_rebuilt(data7, tmp_path):
     """Parsing once per distinct text still checks every text: a value
     written non-canonically, where many cells read it, is refused."""
-    import json
-
+    import cachefiles
     from dlcusp.cli import load_character_data
 
     doc = data7.to_cache_dict()
@@ -365,10 +364,9 @@ def test_non_canonical_copy_of_a_repeated_text_is_rebuilt(data7, tmp_path):
     doc["values"][one] = "1: 2/2"
     with pytest.raises(ValueError, match="non-canonical"):
         CharacterData.from_json_dict(doc)
-    path = tmp_path / "sl2_p7.json"
-    path.write_text(json.dumps(doc))
+    cachefiles.write(tmp_path, 7, doc)
     data, hit = load_character_data(7, tmp_path)
-    assert not hit and json.loads(path.read_text()) == data7.to_cache_dict()
+    assert not hit and cachefiles.read(tmp_path, 7) == data7.to_cache_dict()
 
 
 def test_dual_closure():

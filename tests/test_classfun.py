@@ -174,10 +174,11 @@ def test_dual_equals_conjugate_on_characters():
 
 
 @pytest.mark.parametrize("p", (7, 13))
-def test_inner_products_equal_the_per_class_reference(p):
-    """Every pair of rows, each paired in one integer frame, gives the
-    per-class reference pairing, also for complex class functions (where a
-    lost conjugation shows) and for ones that vanish on some classes."""
+def test_inner_product_equals_the_per_class_reference(p):
+    """inner_product of every pair of rows, each paired in one integer
+    frame, gives the per-class reference pairing, also for complex class
+    functions (where a lost conjugation shows) and for ones that vanish on
+    some classes."""
     data = get_data(p)
     rng = random.Random(p)
     n = len(data.table)
@@ -220,10 +221,11 @@ def test_closed_pairings_equal_the_per_class_reference(p):
 
 @pytest.mark.parametrize("p", (13, 101, 599))
 def test_lifted_canonical_cosines_sum_to_the_canonical_form(p):
-    """closed_pairings decides a torus sum sum_e H(e) c_e from the canonical
-    forms of the c_e lifted to order n = p -+ 1, without reducing again: the
-    sum of the lifted forms must be the canonical form of the sum at n, for
-    any histogram, a Galois-stable (so rational) one included."""
+    """ClosedCoordinates.value sums a torus part sum_e H(e) c_e from the
+    canonical forms of the c_e lifted to order n = p -+ 1 and hands the sum
+    to _from_numerators, whose reduction must rewrite no exponent: the sum
+    of the lifted forms must be the canonical form of the sum at n, for any
+    histogram, a Galois-stable (so rational) one included."""
     from dlcusp.chartable import ClosedCoordinates
     from dlcusp.cyclotomic import CycNumber
 

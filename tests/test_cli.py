@@ -1,3 +1,4 @@
+import gzip
 import json
 import re
 from fractions import Fraction
@@ -6,6 +7,8 @@ import pytest
 
 from dlcusp.chartable import CharacterData, validate_table
 from dlcusp.cli import builtin_table_markdown, main
+
+import cachefiles
 
 # one shared cache directory keeps the CLI tests from rebuilding tables
 _CACHE = None
@@ -56,7 +59,7 @@ def test_chartable_json_round_trip(capsys, cache_dir):
     code, out = run(capsys, "chartable", "7", "--format", "json", "--cache-dir", str(cache_dir))
     assert code == 0
     doc = json.loads(out)
-    data = CharacterData.from_json_dict(json.loads((cache_dir / "sl2_p7.json").read_text()))
+    data = CharacterData.from_json_dict(cachefiles.read(cache_dir, 7))
     assert data.from_cache
     report = validate_table(data)
     assert report["orthonormal"]
@@ -261,11 +264,10 @@ def test_papertable_refuses_a_cell_with_one_prime(capsys, cache_dir):
 
 
 def test_cache_corruption_recovers(capsys, cache_dir):
-    bad = cache_dir / "sl2_p13.json"
-    bad.write_text("{not json")
+    cachefiles.write(cache_dir, 13, "{not json")
     code, out = run(capsys, "decompose", "13", "--format", "json", "--cache-dir", str(cache_dir))
     assert code == 0
-    assert json.loads(bad.read_text())["p"] == 13  # rebuilt and rewritten
+    assert cachefiles.read(cache_dir, 13)["p"] == 13  # rebuilt and rewritten
 
 
 def _row_of(doc, label):
@@ -308,30 +310,66 @@ def _fault(shape, doc):
         _row_of(doc, ["principal", 1])["label"] = ["principal", True]
     elif shape in ("label-string", "label-empty"):
         _row_of(doc, ["trivial"])["label"] = "trivial" if shape == "label-string" else []
+    elif shape == "class-key":  # a class no build of p = 7 has
+        doc["classes"][6] = ["split_semisimple", 99]
+
+
+def _file_fault(shape, fresh) -> bytes:
+    """The bytes of a cache file whose fault is in its gzip stream, around
+    the document fresh."""
+    from dlcusp.cli import MAX_CACHE_BYTES
+
+    text = json.dumps(fresh).encode()
+    whole = gzip.compress(text, mtime=0)
+    if shape == "truncated":
+        return whole[:-1]
+    if shape == "bad-crc":
+        return whole[:-8] + bytes([whole[-8] ^ 1]) + whole[-7:]
+    if shape == "bytes-after-stream":
+        return whole + b"trailing"
+    if shape == "plain-json":
+        return text
+    if shape == "zeros-past-bound":  # 64 MiB of zeros in about 64 KB
+        return gzip.compress(bytes(64 << 20), compresslevel=9, mtime=0)
+    # a whole document, but only with whitespace that takes it one byte past the bound
+    return gzip.compress(text + b" " * (MAX_CACHE_BYTES + 1 - len(text)), compresslevel=9, mtime=0)
 
 
 @pytest.mark.parametrize(
     "shape",
     ["array", "string", "number", "null", "inner", "id-out-of-range", "id-negative", "id-bool", "id-float",
      "row-length", "equal-texts", "zero-not-first", "non-canonical", "zero-denominator", "huge-order", "schema-1",
-     "nested", "degree-bool", "degree-float", "label-bool", "label-string", "label-empty"],
+     "nested", "degree-bool", "degree-float", "label-bool", "label-string", "label-empty", "class-key",
+     "truncated", "bad-crc", "bytes-after-stream", "plain-json", "zeros-past-bound", "padded-past-bound", "sparse"],
 )
 def test_cache_of_any_malformed_shape_is_rebuilt(capsys, tmp_path, shape):
     fresh = CharacterData(7).to_cache_dict()
+    blob = None
     if shape == "nested":  # deeper than the JSON decoder's recursion allows
         text = "[" * 200000 + "]" * 200000
     elif shape in ("array", "string", "number", "null"):
         text = json.dumps({"array": [1, 2], "string": "sl2", "number": 7, "null": None}[shape])
-    else:  # right schema and prime (or the stale schema 1), one fault inside
+    elif shape in ("truncated", "bad-crc", "bytes-after-stream", "plain-json", "zeros-past-bound", "padded-past-bound"):
+        blob = _file_fault(shape, fresh)
+    elif shape != "sparse":  # right schema and prime (or the stale schema 1), one fault inside
         doc = json.loads(json.dumps(fresh))
         _fault(shape, doc)
         text = json.dumps(doc)
-    bad = tmp_path / "sl2_p7.json"
-    bad.write_text(text)
+
+    def plant():
+        if shape == "sparse":  # 64 MiB of zeros that take no disk
+            with open(cachefiles.path(tmp_path, 7), "wb") as fh:
+                fh.truncate(64 << 20)
+        elif blob is not None:
+            cachefiles.path(tmp_path, 7).write_bytes(blob)
+        else:
+            cachefiles.write(tmp_path, 7, text)
+
+    plant()
     code, out = run(capsys, "decompose", "7", "--format", "json", "--cache-dir", str(tmp_path))
     assert code == 0 and json.loads(out)["exact"]
-    assert json.loads(bad.read_text()) == fresh  # rebuilt and rewritten
-    bad.write_text(text)
+    assert cachefiles.read(tmp_path, 7) == fresh  # rebuilt and rewritten
+    plant()
     code, out = run(capsys, "verify", "--range", "7", "7", "--format", "json", "--no-timestamp",
                     "--cache-dir", str(tmp_path))
     assert code == 0 and json.loads(out)["primes"][0]["cache_hit"] is False
@@ -340,7 +378,7 @@ def test_cache_of_any_malformed_shape_is_rebuilt(capsys, tmp_path, shape):
 def test_cache_rejects_wrong_prime_or_schema(cache_dir):
     from dlcusp.chartable import CharacterData
 
-    doc = json.loads((cache_dir / "sl2_p7.json").read_text())
+    doc = cachefiles.read(cache_dir, 7)
     with pytest.raises(ValueError):
         CharacterData(11, _cached=doc)
     doc["schema"] = "something-else/9"
@@ -383,12 +421,12 @@ def _corrupted_cache(directory):
 
     doc = CharacterData(7).to_cache_dict()
     values, ids = doc["values"], _ids_of(doc, ["principal", 1])
-    cls = next(i for i, c in enumerate(doc["classes"]) if c["kind"] == "split_semisimple" and ids[i] != 0)
+    cls = next(i for i, c in enumerate(doc["classes"]) if c[0] == "split_semisimple" and ids[i] != 0)
     negated = (-CycNumber.from_text(values[ids[cls]])).to_text()
     if negated not in values:
         values.append(negated)
     ids[cls] = values.index(negated)
-    (directory / "sl2_p7.json").write_text(json.dumps(doc))
+    cachefiles.write(directory, 7, doc)
     return str(directory)
 
 
@@ -422,12 +460,14 @@ def test_verify_reports_why_a_check_failed(capsys, tmp_path, cache_dir):
 
 def test_cache_document_holds_only_the_irreducible_table(capsys, tmp_path):
     """The cache stores what validate_table audits, interned on one line:
-    each distinct text once, and per irreducible an id row; DL rows are derived."""
+    each class by its kind and key, each distinct text once, and per
+    irreducible an id row; DL rows are derived."""
     code, _ = run(capsys, "decompose", "7", "--cache-dir", str(tmp_path))
-    text = (tmp_path / "sl2_p7.json").read_text()
+    text = cachefiles.read_text(tmp_path, 7)
     doc = json.loads(text)
     assert code == 0 and sorted(doc) == ["classes", "irreducibles", "p", "schema", "values"]
-    assert doc["schema"] == "dlcusp-chartable/2" and "\n" not in text
+    assert doc["schema"] == "dlcusp-chartable/3" and "\n" not in text
+    assert doc["classes"] == [[r.kind, *r.key] for r in CharacterData(7).table.classes]
     assert len(doc["values"]) == len(set(doc["values"])) and doc["values"][0] == "1: 0"
     assert all(sorted(d) == ["degree", "ids", "label"] and len(d["ids"]) == len(doc["classes"])
                for d in doc["irreducibles"])
@@ -441,15 +481,47 @@ def test_old_format_dl_rows_are_never_read(capsys, tmp_path):
     row = doc["dl_split"][2]["values"]
     cls = next(i for i, c in enumerate(doc["classes"]) if c["kind"] == "split_semisimple" and row[i] == "1: -1")
     row[cls] = "1: 1"
-    (tmp_path / "sl2_p7.json").write_text(json.dumps(doc))
+    cachefiles.write(tmp_path, 7, doc)
     args = ("verify", "--range", "7", "7", "--format", "json", "--no-timestamp", "--cache-dir", str(tmp_path))
     code, out = run(capsys, *args)
     assert code == 0 and json.loads(out)["primes"][0]["cache_hit"] is False
     fresh = run(capsys, "chartable", "7", "--format", "json", "--no-cache")
-    (tmp_path / "sl2_p7.json").write_text(json.dumps(doc))
+    cachefiles.write(tmp_path, 7, doc)
     assert run(capsys, "chartable", "7", "--format", "json", "--cache-dir", str(tmp_path)) == fresh
     code, out = run(capsys, *args)
     assert code == 0 and json.loads(out)["primes"][0]["cache_hit"]
+
+
+def test_two_cold_runs_write_identical_cache_files(capsys, tmp_path):
+    """A cache file is one gzip stream with a zero mtime in its header, so
+    the same tables give the same bytes, run after run."""
+    blobs = []
+    for run_dir in (tmp_path / "first", tmp_path / "second"):
+        code, _ = run(capsys, "verify", "--range", "7", "13", "--no-timestamp", "--cache-dir", str(run_dir))
+        assert code == 0
+        blobs.append({f.name: f.read_bytes() for f in sorted(run_dir.iterdir())})
+    assert blobs[0] == blobs[1] and sorted(blobs[0]) == ["sl2_p11.json.gz", "sl2_p13.json.gz", "sl2_p7.json.gz"]
+    assert all(blob[:10] == bytes.fromhex("1f8b0800000000000403") for blob in blobs[0].values())
+
+
+def test_a_schema_2_document_beside_the_cache_file_is_ignored(capsys, tmp_path):
+    """The plain-JSON sl2_p<p>.json of schema 2 is neither read nor deleted:
+    a run next to one builds, writes the gzip file and hits it the next time."""
+    from dlcusp.chartable import _class_records
+
+    data = CharacterData(7)
+    old = tmp_path / "sl2_p7.json"
+    old.write_text(json.dumps({**data.to_cache_dict(), "schema": "dlcusp-chartable/2",
+                               "classes": _class_records(data.table)}, separators=(",", ":")))
+    before = old.read_bytes()
+    args = ("verify", "--range", "7", "7", "--format", "json", "--no-timestamp", "--cache-dir", str(tmp_path))
+    hits = []
+    for _ in range(2):
+        code, out = run(capsys, *args)
+        assert code == 0
+        hits.append(json.loads(out)["primes"][0]["cache_hit"])
+    assert hits == [False, True] and old.read_bytes() == before
+    assert cachefiles.read(tmp_path, 7) == data.to_cache_dict()
 
 
 def _refused(capsys, tmp_path, p, message):
@@ -470,7 +542,7 @@ def test_swapped_cached_degrees_are_refused(capsys, tmp_path):
     rows = {tuple(d["label"]): d for d in doc["irreducibles"]}
     a, b = rows[("principal", 1)], rows[("discrete", 1)]
     a["degree"], b["degree"] = b["degree"], a["degree"]
-    (tmp_path / "sl2_p7.json").write_text(json.dumps(doc))
+    cachefiles.write(tmp_path, 7, doc)
     _refused(capsys, tmp_path, 7, r"principal\(1\) has degree 6 but chi\(1\) = 1: 8 at p=7")
 
 
@@ -489,7 +561,7 @@ def test_swapped_cached_labels_are_refused(capsys, tmp_path, swap, message):
     doc = CharacterData(13).to_cache_dict()
     a, b = (next(d for d in doc["irreducibles"] if d["label"] == label) for label in swap)
     a["label"], b["label"] = b["label"], a["label"]
-    (tmp_path / "sl2_p13.json").write_text(json.dumps(doc))
+    cachefiles.write(tmp_path, 13, doc)
     _refused(capsys, tmp_path, 13, message)
 
 
@@ -521,7 +593,7 @@ def test_cached_table_with_swapped_columns_is_refused(capsys, tmp_path, p, pairs
     for d in doc["irreducibles"]:
         for a, b in pairs:
             d["ids"][a], d["ids"][b] = d["ids"][b], d["ids"][a]
-    (tmp_path / f"sl2_p{p}.json").write_text(json.dumps(doc))
+    cachefiles.write(tmp_path, p, doc)
     _refused(capsys, tmp_path, p, message)
 
 

@@ -222,8 +222,9 @@ def test_rebuild_tells_a_spanned_character_from_one_outside_the_span(p):
 
 @pytest.mark.parametrize("p", [*primes_in_range(7, 43), 101])
 def test_multiplicities_equal_the_pairwise_inner_products(p):
-    """The p + 4 multiplicities, paired in one frame, are the per-class
-    reference inner products row by row, for s, s + principal(1) and s / 2."""
+    """The p + 4 multiplicities, paired by classfun.closed_pairings, are the
+    per-class reference inner products row by row, for s, s + principal(1)
+    and s / 2."""
     data = get_data(p)
     s = weinstein_character(data)
     for phi in (s, s + data.irreducible("principal", 1).chi, s.scale(Fraction(1, 2))):

@@ -257,3 +257,20 @@ def test_torus_generator_by_prime_divisors_matches_order_search():
             torus = build_torus(table, torus_type)
             elements = sorted(torus.elements, key=GroupElement.entries)
             assert torus.generator == next(g for g in elements if g.order() == torus.order), (p, torus_type)
+
+
+@pytest.mark.parametrize("p", primes_in_range(7, 101))
+def test_nonsplit_torus_by_square_roots_matches_the_pair_search(p):
+    """Solving b^2 = (a^2 - 1)/eps per a gives the elements of the search
+    over all p^2 pairs (a, b), in the same order, so the same least
+    generator and the same dlog."""
+    table = build_conjugacy_table(p)
+    torus, eps = build_torus(table, "nonsplit"), table.epsilon
+    oracle = sorted(
+        (GroupElement(p, a, b * eps, b, a) for a in range(p) for b in range(p) if (a * a - eps * b * b) % p == 1),
+        key=GroupElement.entries,
+    )
+    assert list(torus.elements) == oracle
+    generator = next(g for g in oracle if g.order() == p + 1)
+    assert torus.generator == generator
+    assert torus.dlog == {generator**k: k for k in range(p + 1)}
