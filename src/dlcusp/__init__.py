@@ -8,8 +8,8 @@ the cusp-form character over them, with a CLI verifier for prime ranges.
 __version__ = "0.1.0"
 
 from .chartable import CharacterData, Irreducible, validate_table
-from .classfun import ClassFunction, dual, induce, inner_product, restrict, tensor
-from .cyclotomic import CycNumber, embed_rational, gauss_sum, root_of_unity
+from .classfun import ClassFunction, dual, induce, inner_product
+from .cyclotomic import CycNumber, embed_rational, gauss_sum
 from .cuspform import decompose_dl, paper_coefficients, remark_pipeline, weinstein_character
 from .group import ConjugacyTable, GroupElement, build_conjugacy_table, build_subgroup, build_torus
 
@@ -22,12 +22,9 @@ __all__ = [
     "dual",
     "induce",
     "inner_product",
-    "restrict",
-    "tensor",
     "CycNumber",
     "embed_rational",
     "gauss_sum",
-    "root_of_unity",
     "decompose_dl",
     "paper_coefficients",
     "remark_pipeline",

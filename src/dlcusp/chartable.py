@@ -112,6 +112,7 @@ class CharacterData:
         self._by_label = {irr.label: irr for irr in self._irreducibles}
         self._dl: dict[tuple[str, int], ClassFunction] = {}  # dl's rows, derived on first use
         self._coordinates = None
+        self._audited = False  # set by a passing validate_table only
 
     @property
     def coordinates(self) -> "ClosedCoordinates":
@@ -622,7 +623,8 @@ def validate_table(data: CharacterData) -> dict:
     Checks that there is one irreducible per class, pairwise
     orthonormality, that each stored degree is the value at the identity,
     closure under duality, and that each label names its row (_check_labels).
-    Raises TableValidationError naming the first offender.
+    Raises TableValidationError naming the first offender; a pass marks data
+    audited (ensure_audited).
 
     The second (column) orthogonality relations follow and are not checked
     separately.  Let X be the table (rows = irreducibles, columns = classes)
@@ -676,6 +678,7 @@ def validate_table(data: CharacterData) -> dict:
             raise TableValidationError(f"dual of {irr.name} is not in the table at p={data.p}")
     _check_labels(data, tori)
     _check_center(data)
+    data._audited = True
     return {
         "p": data.p,
         "irreducibles": n,
@@ -683,6 +686,14 @@ def validate_table(data: CharacterData) -> dict:
         "second_orthogonality": True,
         "dual_closed": True,
     }
+
+
+def ensure_audited(data: CharacterData):
+    """validate_table(data), unless it has passed on data since the rows were
+    last set: a build, a cache load, an irreducibles assignment and a
+    with_row copy all start unaudited (CharacterData._set)."""
+    if not data._audited:
+        validate_table(data)
 
 
 def _families(p: int, k: int = 0) -> dict[str, tuple]:

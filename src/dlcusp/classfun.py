@@ -1,9 +1,9 @@
 """Class functions on SL2(F_p) over exact cyclotomics.
 
 The carrier for every character and virtual character in the package: one
-CycNumber per conjugacy class, with the Hermitian pairing, pointwise tensor
-product, duality, induction from a subgroup through its fusion data, and
-restriction.  All operations are pure and exact.
+CycNumber per conjugacy class, with the Hermitian pairing, duality and
+induction from a subgroup through its fusion data.  All operations are pure
+and exact.
 """
 
 from __future__ import annotations
@@ -72,12 +72,6 @@ class ClassFunction:
 
 def trivial_character(table: ConjugacyTable) -> ClassFunction:
     return ClassFunction(table, [1] * len(table))
-
-
-def tensor(phi: ClassFunction, psi: ClassFunction) -> ClassFunction:
-    """Pointwise product (character of the tensor product)."""
-    phi._check(psi)
-    return ClassFunction(phi.table, [a * b for a, b in zip(phi.values, psi.values)])
 
 
 def dual(phi: ClassFunction) -> ClassFunction:
@@ -185,8 +179,3 @@ def induce(table: ConjugacyTable, sub: SubgroupData, values: Sequence[CycNumber 
         else:
             out.append(sum(hit, ZERO).scale(Fraction(rec.centralizer_order, sub.order)))
     return ClassFunction(table, out)
-
-
-def restrict(phi: ClassFunction, sub: SubgroupData) -> list[CycNumber]:
-    """Values of phi on the subgroup elements, through the fusion map."""
-    return [phi.values[i] for i in sub.fusion]

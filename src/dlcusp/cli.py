@@ -346,14 +346,16 @@ def _verify_one(p: int, cache_dir_str: str | None, reading: str) -> dict:
 
     def check(data: CharacterData) -> DecompositionResult | None:
         """Every check of one table, in order; the decomposition, if made."""
-        if run(("table_valid",), "validate_table", validate_table, data) is not None:
+        valid = run(("table_valid",), "validate_table", validate_table, data) is not None
+        if valid:
             checks["table_valid"] = True
         if run(("torus_placement",), "verify_torus_placement", verify_torus_placement, data) is not None:
             checks["torus_placement"] = True
         s = run(("degree_identity",), "weinstein_character", weinstein_character, data)
-        if s is None:
-            return skipped("weinstein_character")
-        checks["degree_identity"] = True
+        if s is not None:
+            checks["degree_identity"] = True
+        if not valid or s is None:  # placement and the degrees read no character; a decomposition needs both
+            return skipped("weinstein_character" if valid else "validate_table")
         res = run(("exact", "table_match", "remark_oracle"), "decompose_dl", decompose_dl, data, s, reading)
         if res is None:
             return skipped("decompose_dl")

@@ -14,13 +14,11 @@ permutation characters by the Steinberg tensor identity.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress
-from math import lcm
 from typing import NamedTuple
 
-from .classfun import ClassFunction, closed_pairings, closed_sum, dual, induce, trivial_character
-from .chartable import CharacterData, dl_terms, quadratic_character_index
-from .cyclotomic import ONE
+from .classfun import ClassFunction, closed_pairings, dual, induce, trivial_character
+from .chartable import CharacterData, dl_terms, ensure_audited, quadratic_character_index
+from .cyclotomic import ZERO
 from .group import conjugate_into_torus, torus_order
 
 TORI = ("split", "nonsplit")
@@ -217,7 +215,8 @@ def _zc_orbit_reps(p: int, torus_type: str) -> range:
 
 def decompose_dl(data: CharacterData, s: ClassFunction | None = None, reading: str = "primary") -> DecompositionResult:
     """The coefficients of the cusp-form character over the DL characters with
-    central character one, replayed class by class and compared with the table.
+    central character one, read off its multiplicities on the audited table
+    and compared with the coefficient table.
 
     Coefficients are stored per inversion-orbit representative; the full sum
     counts non-self-inverse orbits twice.  Each coefficient is half a pairing,
@@ -232,12 +231,15 @@ def decompose_dl(data: CharacterData, s: ClassFunction | None = None, reading: s
     principal and discrete rows, and +-(m_plus + m_minus)/2 for an
     exceptional pair, which is +-m_plus wherever the two multiplicities
     agree.  Where they differ, s has a component along plus - minus, which
-    is orthogonal to every spanning row, so s is outside the span: the
-    rebuild then differs from s (at a unipotent-type class, the support of
-    plus - minus) and exact is false.  That class-by-class rebuild is what
-    makes any coefficient formula sound.
+    is orthogonal to every spanning row, so s is outside the span and exact
+    is false (_rebuild_differs_at).
+
+    The table is audited first (chartable.ensure_audited), and a table that
+    fails raises TableValidationError: exactness is read off the audited
+    basis, which a table nobody audited is not.
     """
     p = data.p
+    ensure_audited(data)
     if s is None:
         s = weinstein_character(data)
     mults: dict[tuple, Fraction] = {}
@@ -269,37 +271,42 @@ def decompose_dl(data: CharacterData, s: ClassFunction | None = None, reading: s
         table_match=not mismatches,
         multiplicities=mults,
         mismatches=mismatches,
-        rebuild_differs_at=_rebuild_differs_at(data, coeff, s),
+        rebuild_differs_at=_rebuild_differs_at(data, coeff, mults),
     )
 
 
-def _rebuild_differs_at(data: CharacterData, coeff: dict[tuple[str, int], Fraction], s: ClassFunction) -> int | None:
+def _rebuild_differs_at(data: CharacterData, coeff: dict[tuple[str, int], Fraction], mults: dict[tuple, Fraction]) -> int | None:
     """The first class where sum c w R_T^theta over the coefficients is not
-    s, or None where the sum equals s at every class.
+    s, or None where the sum equals s at every class, on an audited table
+    whose multiplicities of s are mults.
 
     By dl_terms each R_T^theta is a signed sum of irreducibles, so the sum
-    is sum_chi f_chi chi over the table's id rows, with f_chi the total of
-    sign c w over the terms naming chi, each written as an integer over the
-    lcm of their denominators.  At each class c, classfun.closed_sum sums
-    those integers times conj(chi(c)), and minus the lcm times conj(s(c)),
-    each as a product with the value one: f is rational, so that is the
-    conjugate of the difference of the rebuilt sum and s at c (times the
-    lcm), zero iff the difference is.
+    is sum_chi f_chi chi, with f_chi the total of sign c w over the terms
+    naming chi (0 for a row no term names).  validate_table has proved the
+    table square and orthonormal, so its rows are linearly independent (a
+    relation sum a_chi chi = 0 paired with psi gives a_psi = 0) and, being
+    as many as the classes, a basis of the class functions.  Pairing s =
+    sum a_chi chi with psi gives a_psi = <s, psi> = m_psi, so s = sum m_chi
+    chi, and the rebuild less s is sum (f_chi - m_chi) chi.  That is zero
+    iff f_chi = m_chi for every row, so exact is f = m, with no class
+    summed; and where f and m differ, its value at class c is the sum over
+    the differing rows alone (_first_class_off).
     """
-    p, closed = data.p, data.coordinates
+    p = data.p
     f: dict[tuple, Fraction] = {}
     for (torus_type, k), c in coeff.items():
         for label, sign in dl_terms(p, torus_type, k):
             f[label] = f.get(label, 0) + sign * c * orbit_weight(p, torus_type, k)
-    terms = [(x, data.irreducible(*label).ids) for label, x in f.items() if x]
-    scale = lcm(*(x.denominator for x, _ in terms))
-    one = closed.coordinate(ONE)
-    left, last = [(x.numerator * (scale // x.denominator), ONE, one) for x, _ in terms], (-scale, ONE, one)
-    for i, (target, *column) in enumerate(zip(s.values, *(ids for _, ids in terms))):  # per class, s(c) and the ids
-        right = [*map(closed.cells.__getitem__, filter(None, column)), (target, closed.coordinate(target))]  # id 0 is zero
-        if not closed_sum(closed, [*compress(left, column), last], right, scale).is_zero():
-            return i
-    return None
+    diff = [(x, irr.ids) for irr in data.irreducibles if (x := f.get(irr.label, 0) - mults[irr.label])]
+    return _first_class_off(data, diff) if diff else None
+
+
+def _first_class_off(data: CharacterData, diff: list[tuple[Fraction, tuple]]) -> int:
+    """The first class c where sum (f_chi - m_chi) chi(c) is not zero, over
+    the (f_chi - m_chi, id row) of the rows where f and m differ.  The rows
+    are a basis, so some class is; should none be, next raises."""
+    values = data.values
+    return next(c for c in range(len(data.table)) if not sum((values[ids[c]].scale(x) for x, ids in diff), ZERO).is_zero())
 
 
 # -- the independent symbolic pipeline ----------------------------------------

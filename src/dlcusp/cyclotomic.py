@@ -350,20 +350,6 @@ def embed_rational(q: Fraction | int) -> CycNumber:
     return CycNumber._raw(1, {0: q})
 
 
-def root_of_unity(n: int, k: int = 1) -> CycNumber:
-    """zeta_n^k as an exact value."""
-    if n < 1:
-        raise ValueError("order must be >= 1")
-    return _root_of_unity(n, k % n)
-
-
-@lru_cache(maxsize=None)
-def _root_of_unity(n: int, k: int) -> CycNumber:
-    # values are immutable, so one shared instance per (n, k mod n) is safe;
-    # a prime p asks for O(p) of them (the torus characters' values)
-    return CycNumber(n, {k: _ONE})
-
-
 def gauss_sum(p: int) -> CycNumber:
     """Quadratic Gauss sum sum_t (t/p) zeta_p^t; its square is (-1)^((p-1)/2) p."""
     return CycNumber(p, {t: Fraction(legendre(t, p)) for t in range(1, p)})

@@ -260,7 +260,8 @@ def _closure(gens: list[GroupElement]) -> list[GroupElement]:
 
 
 def build_subgroup(table: ConjugacyTable, name: str) -> SubgroupData:
-    """One of the seven distinguished subgroups, elements sorted and fused."""
+    """One of the four distinguished subgroups of the permutation formula
+    (Z, Gx_tilde, Gy_tilde, Gz_tilde), elements sorted and fused."""
     p = table.p
     if name == "Z":
         elements = [identity(p), -identity(p)]
@@ -274,17 +275,6 @@ def build_subgroup(table: ConjugacyTable, name: str) -> SubgroupData:
     elif name == "Gz_tilde":
         elements = _closure([GroupElement(p, 1, 1, 0, 1), -identity(p)])
         expected = 2 * p
-    elif name == "Borel":
-        elements = [
-            GroupElement(p, a, b, 0, pow(a, -1, p))
-            for a in range(1, p)
-            for b in range(p)
-        ]
-        elements.sort(key=GroupElement.entries)
-        expected = p * (p - 1)
-    elif name in ("Ts", "Ta"):
-        torus = build_torus(table, "split" if name == "Ts" else "nonsplit")
-        elements, expected = torus.elements, torus.order
     else:
         raise ValueError(f"unknown subgroup {name!r}")
     assert len(elements) == expected

@@ -70,12 +70,15 @@ MUTATIONS = [
             "tests/test_chartable.py::test_a_cos_value_off_the_tori_leaves_no_pattern",
         ],
     ),
-    # the rebuild (and every closed sum) without its tau coefficient
+    # every closed sum without its tau coefficient
     (
         "src/dlcusp/classfun.py",
         "tau += w * (eps * r * s2 + s * r2)",
         "pass",
-        ["tests/test_cuspform.py::test_one_half_of_an_exceptional_pair_leaves_the_span"],
+        [
+            "tests/test_classfun.py::test_closed_pairings_equal_the_per_class_reference",
+            "tests/test_chartable.py::test_faults_outside_closed_coordinates_get_the_oracles_message",
+        ],
     ),
     # the kernel's products outside closed coordinates dropped
     (
@@ -96,7 +99,7 @@ MUTATIONS = [
         [
             "tests/test_classfun.py::test_closed_pairings_equal_the_per_class_reference",
             "tests/test_chartable.py::test_faults_in_closed_coordinates_agree_with_the_oracle",
-            "tests/test_cuspform.py::test_one_half_of_an_exceptional_pair_leaves_the_span",
+            "tests/test_chartable.py::test_faults_outside_closed_coordinates_get_the_oracles_message",
         ],
     ),
     # _closed_rows with one memo for every class, keyed by the exponent alone
@@ -119,6 +122,43 @@ MUTATIONS = [
         " or inflate.unused_data",
         "",
         ["tests/test_cli.py::test_cache_of_any_malformed_shape_is_rebuilt[bytes-after-stream]"],
+    ),
+    # verify decomposes a table its audit failed
+    (
+        "src/dlcusp/cli.py",
+        "if not valid or s is None:",
+        "if s is None:",
+        [
+            "tests/test_cli.py::test_a_table_that_fails_its_audit_is_never_decomposed",
+            "tests/test_cli.py::test_a_build_with_flipped_central_signs_fails_only_the_center_check",
+        ],
+    ),
+    # the audit helper trusts a table no audit has passed
+    (
+        "src/dlcusp/chartable.py",
+        "if not data._audited:",
+        "if False:",
+        [
+            "tests/test_chartable.py::test_only_a_passing_audit_marks_a_table",
+            "tests/test_cuspform.py::test_decompose_dl_refuses_a_copy_that_breaks_orthonormality",
+        ],
+    ),
+    # setting the rows keeps the mark of the rows before
+    (
+        "src/dlcusp/chartable.py",
+        "self._audited = False",
+        "self._audited = getattr(self, '_audited', False)",
+        ["tests/test_chartable.py::test_every_set_clears_the_mark"],
+    ),
+    # the naming step drops one of the rows where f and m differ
+    (
+        "src/dlcusp/cuspform.py",
+        "for x, ids in diff)",
+        "for x, ids in diff[1:])",
+        [
+            "tests/test_cuspform.py::test_rebuild_differs_at_equals_the_class_by_class_replay[13]",
+            "tests/test_cuspform.py::test_one_half_of_an_exceptional_pair_leaves_the_span[13-exceptional_split_plus]",
+        ],
     ),
 ]
 

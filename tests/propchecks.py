@@ -5,14 +5,58 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import compress
 from math import gcd, lcm
 from typing import Sequence
 
-from dlcusp.chartable import CharacterData, TableValidationError
-from dlcusp.classfun import ClassFunction, dual, induce, inner_product, restrict, tensor
-from dlcusp.cuspform import VerificationError, embedded_subgroups
-from dlcusp.cyclotomic import ZERO, CycNumber, _common_frame, _raw_dot, gauss_sum, root_of_unity
-from dlcusp.group import GroupElement, SubgroupData, build_subgroup
+from dlcusp import group
+from dlcusp.chartable import CharacterData, TableValidationError, dl_terms
+from dlcusp.classfun import ClassFunction, closed_sum, dual, induce, inner_product
+from dlcusp.cuspform import VerificationError, embedded_subgroups, orbit_weight
+from dlcusp.cyclotomic import ONE, ZERO, CycNumber, _common_frame, _raw_dot, gauss_sum
+from dlcusp.group import ConjugacyTable, GroupElement, SubgroupData, build_torus
+
+
+# -- test support: what the tests build that the package never needs ---------------
+
+
+def root_of_unity(n: int, k: int = 1) -> CycNumber:
+    """zeta_n^k as an exact value."""
+    if n < 1:
+        raise ValueError("order must be >= 1")
+    return _root_of_unity(n, k % n)
+
+
+@lru_cache(maxsize=None)
+def _root_of_unity(n: int, k: int) -> CycNumber:
+    # values are immutable, so one shared instance per (n, k mod n) is safe
+    return CycNumber(n, {k: 1})
+
+
+def tensor(phi: ClassFunction, psi: ClassFunction) -> ClassFunction:
+    """Pointwise product (character of the tensor product)."""
+    phi._check(psi)
+    return ClassFunction(phi.table, [a * b for a, b in zip(phi.values, psi.values)])
+
+
+def restrict(phi: ClassFunction, sub: SubgroupData) -> list[CycNumber]:
+    """Values of phi on the subgroup elements, through the fusion map."""
+    return [phi.values[i] for i in sub.fusion]
+
+
+def build_subgroup(table: ConjugacyTable, name: str) -> SubgroupData:
+    """group.build_subgroup, and the three subgroups only the tests use: the
+    Borel subgroup and the split ("Ts") and anisotropic ("Ta") tori."""
+    p = table.p
+    if name == "Borel":
+        elements = sorted((GroupElement(p, a, b, 0, pow(a, -1, p)) for a in range(1, p) for b in range(p)),
+                          key=GroupElement.entries)
+    elif name in ("Ts", "Ta"):
+        elements = build_torus(table, "split" if name == "Ts" else "nonsplit").elements
+    else:
+        return group.build_subgroup(table, name)
+    return SubgroupData(name, p, tuple(elements), len(elements), tuple(map(table.class_of, elements)))
 
 
 def random_cyc(rng: random.Random, order: int, max_terms: int = 4, dens=None) -> CycNumber:
@@ -119,7 +163,7 @@ def check_second_orthogonality(data: CharacterData) -> int:
     return checked
 
 
-def check_row_orthonormality(data: CharacterData) -> None:
+def check_row_orthonormality(data: CharacterData, changed=None) -> None:
     """<chi_i, chi_j> = delta_ij for every pair i <= j, cell by cell.
 
     The full pair loop, one term-by-term sum per pair over the whole table's
@@ -127,16 +171,27 @@ def check_row_orthonormality(data: CharacterData) -> None:
     as validate_table, which pairs rows with torus patterns in O(1) and the
     others through classfun.closed_pairings, and is the reference for that
     check.
+
+    With changed, the indices of the rows a fault changed in a table that
+    passed in full, only the pairs touching one of them are summed, still
+    in lexicographic order: every other pair is a pair of that table, so it
+    passes, and the first failing pair and its message are those of the
+    full loop.  Each distinct value object is written in the frame once.
     """
     table, irrs = data.table, data.irreducibles
     n = len(irrs)
-    order, dens = _common_frame(v for irr in irrs for v in irr.chi.values)
-    rows = [[v._numerators(order, dens) for v in irr.chi.values] for irr in irrs]
-    conj_rows = [[v._numerators(order, dens, conjugate=True) for v in irr.chi.values] for irr in irrs]
+    distinct = {id(v): v for irr in irrs for v in irr.chi.values}
+    order, dens = _common_frame(distinct.values())
+    num = {k: v._numerators(order, dens) for k, v in distinct.items()}
+    conj = {k: v._numerators(order, dens, conjugate=True) for k, v in distinct.items()}
+    rows = [[num[id(v)] for v in irr.chi.values] for irr in irrs]
+    conj_rows = [[conj[id(v)] for v in irr.chi.values] for irr in irrs]
     sizes = [r.size for r in table.classes]
     den = dens * dens * table.group_order
     for i in range(n):
         for j in range(i, n):
+            if changed is not None and i not in changed and j not in changed:
+                continue
             triples = ((w, a, b) for w, a, b in zip(sizes, rows[i], conj_rows[j]) if a and b)
             got = CycNumber._from_numerators(order, _raw_dot(order, triples), den)
             want = 1 if i == j else 0
@@ -144,6 +199,42 @@ def check_row_orthonormality(data: CharacterData) -> None:
                 raise TableValidationError(
                     f"<{irrs[i].name}, {irrs[j].name}> = {got.to_text()} at p={data.p}"
                 )
+
+
+def changed_rows(data: CharacterData, broken: CharacterData) -> set[int]:
+    """The indices of the rows of broken that differ from those of data."""
+    return {i for i, (a, b) in enumerate(zip(data.irreducibles, broken.irreducibles)) if a != b}
+
+
+def replay_rebuild_differs_at(data: CharacterData, coeff: dict, s: ClassFunction) -> int | None:
+    """The first class where sum c w R_T^theta over the coefficients is not
+    s, or None where the sum equals s at every class, replayed class by
+    class on any table, audited or not.  The reference for
+    cuspform._rebuild_differs_at, which reads the same answer off the
+    audited basis.
+
+    By dl_terms each R_T^theta is a signed sum of irreducibles, so the sum
+    is sum_chi f_chi chi over the table's id rows, with f_chi the total of
+    sign c w over the terms naming chi, each written as an integer over the
+    lcm of their denominators.  At each class c, classfun.closed_sum sums
+    those integers times conj(chi(c)), and minus the lcm times conj(s(c)),
+    each as a product with the value one: f is rational, so that is the
+    conjugate of the difference of the rebuilt sum and s at c (times the
+    lcm), zero iff the difference is."""
+    p, closed = data.p, data.coordinates
+    f: dict[tuple, Fraction] = {}
+    for (torus_type, k), c in coeff.items():
+        for label, sign in dl_terms(p, torus_type, k):
+            f[label] = f.get(label, 0) + sign * c * orbit_weight(p, torus_type, k)
+    terms = [(x, data.irreducible(*label).ids) for label, x in f.items() if x]
+    scale = lcm(*(x.denominator for x, _ in terms))
+    one = closed.coordinate(ONE)
+    left, last = [(x.numerator * (scale // x.denominator), ONE, one) for x, _ in terms], (-scale, ONE, one)
+    for i, (target, *column) in enumerate(zip(s.values, *(ids for _, ids in terms))):  # per class, s(c) and the ids
+        right = [*map(closed.cells.__getitem__, filter(None, column)), (target, closed.coordinate(target))]  # id 0 is zero
+        if not closed_sum(closed, [*compress(left, column), last], right, scale).is_zero():
+            return i
+    return None
 
 
 def closed_rows_oracle(data: CharacterData, torus_type: str, ks, values, sign: int = 1) -> list[tuple[int, ...]]:

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from dlcusp.chartable import quadratic_character_index, validate_table
-from dlcusp.classfun import dual, inner_product, tensor
+from dlcusp.classfun import dual, inner_product
 from dlcusp.cuspform import (
     corollary_all_appear,
     corollary_odd_multiplicity,
@@ -27,7 +27,7 @@ from dlcusp.numtheory import primes_in_range
 
 import propchecks
 from conftest import get_data
-from propchecks import steinberg_tensor_identity_holds
+from propchecks import steinberg_tensor_identity_holds, tensor
 
 PRIMES = primes_in_range(7, 101)
 

@@ -3,13 +3,20 @@ from fractions import Fraction
 import pytest
 
 from dlcusp.chartable import CharacterData, TableValidationError, dl_terms, quadratic_character_index, validate_table
-from dlcusp.classfun import ClassFunction, dual, inner_product, tensor, trivial_character
-from dlcusp.cyclotomic import ONE, ZERO, root_of_unity
+from dlcusp.classfun import ClassFunction, dual, inner_product, trivial_character
+from dlcusp.cyclotomic import ONE, ZERO
 from dlcusp.numtheory import primes_in_range
 
 import propchecks
 from conftest import get_data
-from propchecks import TorusCharacter, induced_torus_character, lemma_tensor_sign, steinberg_tensor_identity_holds
+from propchecks import (
+    TorusCharacter,
+    induced_torus_character,
+    lemma_tensor_sign,
+    root_of_unity,
+    steinberg_tensor_identity_holds,
+    tensor,
+)
 
 
 def test_torus_character_counts(data7):
@@ -180,15 +187,48 @@ def test_negated_principal_series_value_is_caught(data7):
         validate_table(broken)
 
 
+def test_only_a_passing_audit_marks_a_table(monkeypatch):
+    """A build starts unaudited, a failing validate_table leaves a table so,
+    and a passing one marks it: ensure_audited then audits it no more."""
+    import dlcusp.chartable
+    from dlcusp.chartable import ensure_audited
+
+    data = CharacterData(7)
+    broken = _with_value(data, ("principal", 1), "split_semisimple", lambda v: -v)
+    assert not data._audited and not broken._audited
+    with pytest.raises(TableValidationError):
+        validate_table(broken)
+    assert not broken._audited
+    validate_table(data)
+    assert data._audited
+    audits = []
+    monkeypatch.setattr(dlcusp.chartable, "validate_table", lambda d: audits.append(d.p))
+    ensure_audited(data)
+    ensure_audited(broken)
+    assert audits == [7]
+
+
+def test_every_set_clears_the_mark():
+    """A cache load, an irreducibles assignment and a with_row copy of an
+    audited table each set the rows afresh, so each starts unaudited."""
+    data = CharacterData(7)
+    validate_table(data)
+    loaded = CharacterData.from_json_dict(data.to_cache_dict())
+    copied = propchecks.with_row(data, 0, data.irreducibles[0].chi)
+    assert data._audited and not loaded._audited and not copied._audited
+    data.irreducibles = data.irreducibles
+    assert not data._audited
+
+
 def test_changed_exceptional_value_at_unipotent_class_is_caught(data7):
     broken = _with_value(data7, ("exceptional_split_plus",), "unipotent", lambda v: v + 1)
     with pytest.raises(TableValidationError, match=r"^<trivial, exceptional_split_plus> = .* at p=7$"):
         validate_table(broken)
 
 
-def _outcome(check, data):
+def _outcome(check, data, *args):
     try:
-        check(data)
+        check(data, *args)
     except TableValidationError as exc:
         return str(exc)
     return None
@@ -199,12 +239,13 @@ def test_audit_agrees_with_the_cell_by_cell_oracle(p):
     """On seeded single-cell faults validate_table raises exactly when the
     cell-by-cell pair loop does, with the same message.  Most of these
     faults leave the closed coordinates, so the pairs they touch reach the
-    integer frame of classfun.closed_sum."""
+    integer frame of classfun.closed_sum.  The unbroken table passes both,
+    so the oracle pairs only the pairs that touch the changed row."""
     data = get_data(p)
     assert _outcome(validate_table, data) is _outcome(propchecks.check_row_orthonormality, data) is None
     changed = 0
     for broken in propchecks.single_cell_faults(data, count=40):
-        want = _outcome(propchecks.check_row_orthonormality, broken)
+        want = _outcome(propchecks.check_row_orthonormality, broken, propchecks.changed_rows(data, broken))
         assert _outcome(validate_table, broken) == want
         # any changed cell breaks orthogonality to the trivial row (or, in
         # the trivial row, to some other), while negating or rotating a zero
@@ -219,12 +260,15 @@ def test_faults_in_closed_coordinates_agree_with_the_oracle(p):
     """Seeded single-cell faults that keep every value in closed coordinates
     (another c_e at a torus class, tau added at a unipotent or central
     class, a negation) are paired in coordinates, and validate_table still
-    raises exactly when the cell-by-cell pair loop does, with its message."""
+    raises exactly when the cell-by-cell pair loop does, with its message.
+    The unbroken table passes both, so the oracle pairs only the pairs that
+    touch the changed row."""
     data = get_data(p)
+    assert _outcome(validate_table, data) is _outcome(propchecks.check_row_orthonormality, data) is None
     changed = 0
     for broken in propchecks.closed_cell_faults(data):
         assert None not in broken.coordinates.coords
-        want = _outcome(propchecks.check_row_orthonormality, broken)
+        want = _outcome(propchecks.check_row_orthonormality, broken, propchecks.changed_rows(data, broken))
         assert _outcome(validate_table, broken) == want
         assert (want is not None) == (broken.irreducibles != data.irreducibles)
         changed += want is not None

@@ -3,21 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from dlcusp.classfun import (
-    ClassFunction,
-    dual,
-    induce,
-    inner_product,
-    restrict,
-    tensor,
-    trivial_character,
-)
-from dlcusp.cyclotomic import ZERO, root_of_unity
-from dlcusp.group import build_subgroup
+from dlcusp.classfun import ClassFunction, dual, induce, inner_product, trivial_character
+from dlcusp.cyclotomic import ZERO
 
 import propchecks
 from conftest import get_data
-from propchecks import decompose_multiplicities
+from propchecks import build_subgroup, decompose_multiplicities, restrict, root_of_unity, tensor
 
 
 def test_inner_product_of_trivial():

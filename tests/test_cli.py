@@ -556,8 +556,9 @@ def test_swapped_cached_degrees_are_refused(capsys, tmp_path):
     ],
 )
 def test_swapped_cached_labels_are_refused(capsys, tmp_path, swap, message):
-    """A cached table with two labels swapped passes every other check (the
-    first swap even every verify check); the label audit names the row."""
+    """A cached table with two labels swapped passes every other audit check
+    (the first swap would even pass every check of its decomposition, which
+    verify therefore skips); the label audit names the row."""
     doc = CharacterData(13).to_cache_dict()
     a, b = (next(d for d in doc["irreducibles"] if d["label"] == label) for label in swap)
     a["label"], b["label"] = b["label"], a["label"]
@@ -636,9 +637,11 @@ def test_a_fresh_build_is_audited_before_use(capsys, monkeypatch):
 
 def test_a_build_with_flipped_central_signs_fails_only_the_center_check(capsys, monkeypatch):
     """Both exceptional pairs built with the wrong central sign in their
-    difference pass every pairing, degree, duality and label check, and
-    every other check of verify; the build no longer checks the central
-    character, and the audit's center check refuses the table."""
+    difference pass every pairing, degree, duality and label check; the
+    build no longer checks the central character, and the audit's center
+    check refuses the table.  verify then decomposes nothing: the checks
+    that read the decomposition are skipped, and placement and the degree
+    identity, which read no character, still pass."""
     import dlcusp.chartable
 
     legendre = dlcusp.chartable.legendre
@@ -649,8 +652,9 @@ def test_a_build_with_flipped_central_signs_fails_only_the_center_check(capsys, 
     assert code == 1 and captured.out == "" and captured.err == f"verification failure: {message}\n"
     code, out = run(capsys, "verify", "--range", "7", "7", "--format", "json", "--no-timestamp", "--no-cache")
     row = json.loads(out)["primes"][0]
-    assert code == 1 and [name for name, ok in row["checks"].items() if not ok] == ["table_valid"]
-    assert row["reasons"] == {"table_valid": message}
+    skipped = ["exact", "remark_oracle", "table_match"]
+    assert code == 1 and sorted(name for name, ok in row["checks"].items() if not ok) == [*skipped, "table_valid"]
+    assert row["reasons"] == {"table_valid": message, **dict.fromkeys(skipped, "skipped: validate_table failed")}
 
 
 def test_an_internal_error_fails_only_its_check(capsys, monkeypatch, cache_dir):
@@ -786,36 +790,34 @@ def test_a_degree_identity_fault_is_named(capsys, monkeypatch, cache_dir):
 
 
 def test_an_exact_rebuild_fault_names_the_class(capsys, monkeypatch, cache_dir):
-    """One cell the rebuild reads changed, in the row of a Deligne-Lusztig
-    character with a non-zero coefficient: the rebuild differs from s at
-    that class only, and exact names it.  The rebuild reads the rows
-    dl_terms names through CharacterData.irreducible; the multiplicities
-    and the audit read data.irreducibles, so they see no fault."""
-    from dlcusp.chartable import Irreducible, dl_terms
-    from dlcusp.cuspform import decompose_dl
+    """The rebuild's f fed a coefficient off by 1/2 at split k = 2 and by
+    -1/2 at k = 4, which shifts f by 1 at principal(2) and by -1 at
+    principal(4) and leaves the reported coefficients and multiplicities
+    alone: exact fails on its own, naming the first class where
+    principal(2) and principal(4) differ, as the rebuild less s is
+    principal(2) - principal(4) there."""
+    import dlcusp.cuspform
 
     from conftest import get_data
 
+    rebuild = dlcusp.cuspform._rebuild_differs_at
+
+    def shifted(data, coeff, mults):
+        coeff = {**coeff, ("split", 2): coeff[("split", 2)] + Fraction(1, 2),
+                 ("split", 4): coeff[("split", 4)] - Fraction(1, 2)}
+        return rebuild(data, coeff, mults)
+
+    monkeypatch.setattr(dlcusp.cuspform, "_rebuild_differs_at", shifted)
     data = get_data(11)
-    coefficients = decompose_dl(data).coefficients
-    (label, _), = next(dl_terms(11, *key) for key, c in coefficients.items() if c and len(dl_terms(11, *key)) == 1)
-    i = next(i for i, rec in enumerate(data.table.classes) if rec.kind == "split_semisimple")
-    irreducible = CharacterData.irreducible
-
-    def faulty(self, *name):
-        irr = irreducible(self, *name)
-        if name != label:
-            return irr
-        ids = list(irr.ids)
-        ids[i] = next(j for j, v in enumerate(self.values) if v != self.values[ids[i]])
-        return Irreducible(irr.label, irr.chi, irr.degree, tuple(ids))
-
-    monkeypatch.setattr(CharacterData, "irreducible", faulty)
+    plus, minus = (data.irreducible("principal", k).chi.values for k in (2, 4))
+    i = next(c for c, (a, b) in enumerate(zip(plus, minus)) if a != b)
     code, out = run(capsys, "verify", "--range", "11", "11", "--format", "json", "--no-timestamp",
                     "--cache-dir", str(cache_dir))
     report = json.loads(out)
     assert code == 1 and _failed(report) == {11: ["exact"]}
-    assert report["primes"][0]["reasons"] == {"exact": f"rebuild differs from s at class {i} (split_semisimple) at p=11"}
+    kind = data.table.classes[i].kind
+    assert kind == "split_semisimple"
+    assert report["primes"][0]["reasons"] == {"exact": f"rebuild differs from s at class {i} ({kind}) at p=11"}
 
 
 def test_a_corollary_2_fault_is_named(capsys, monkeypatch, cache_dir):
@@ -962,6 +964,33 @@ def test_a_remark_oracle_fault_names_the_first_difference(capsys, monkeypatch, c
     assert code == 1 and _failed(report) == {13: ["remark_oracle"]}
     reason = f"first difference at ('nonsplit', 2): remark pipeline {want + 1}, decompose_dl {want} at p=13"
     assert report["primes"][0]["reasons"] == {"remark_oracle": reason}
+
+
+def test_a_table_that_fails_its_audit_is_never_decomposed(capsys, tmp_path, cache_dir):
+    """A p = 13 cache with the labels of principal(2) and principal(4)
+    swapped: the label audit fails it, and verify decomposes nothing there.
+    exact, table_match and remark_oracle are skipped rather than echoing
+    the bad labels (or reading exactness off rows nobody audited), and p =
+    13 adds nothing to the linearity fit, which stays clean."""
+    import shutil
+
+    for path in cache_dir.glob("sl2_p*.json.gz"):
+        shutil.copy(path, tmp_path)
+    doc = CharacterData(13).to_cache_dict()
+    a, b = (next(d for d in doc["irreducibles"] if d["label"] == ["principal", k]) for k in (2, 4))
+    a["label"], b["label"] = b["label"], a["label"]
+    cachefiles.write(tmp_path, 13, doc)
+    code, out = run(capsys, "verify", "--range", "7", "43", "--format", "json", "--no-timestamp",
+                    "--cache-dir", str(tmp_path))
+    report = json.loads(out)
+    skipped = ["exact", "remark_oracle", "table_match"]
+    assert code == 1 and _failed(report) == {p: [] for p in (7, 11, 17, 19, 23, 29, 31, 37, 41, 43)} | {
+        13: [*skipped, "table_valid"]}
+    row = next(row for row in report["primes"] if row["p"] == 13)
+    message = "principal(2) is 1: -1 at the split torus generator, not 1: 1 at p=13"
+    assert row["reasons"] == {"table_valid": message, **dict.fromkeys(skipped, "skipped: validate_table failed")}
+    assert row["checks"]["torus_placement"] and row["checks"]["degree_identity"]
+    assert report["linearity"]["ok"] and report["linearity"]["failures"] == []
 
 
 def test_a_table_match_fault_names_the_first_mismatch(capsys, cache_dir):

@@ -18,13 +18,13 @@ from dlcusp.cuspform import (
     weinstein_character,
     _TABLE_OFFSETS,
 )
+from dlcusp.chartable import TableValidationError, validate_table
 from dlcusp.classfun import ClassFunction, dual, inner_product
-from dlcusp.cyclotomic import root_of_unity
 from dlcusp.group import torus_order
 from dlcusp.numtheory import primes_in_range
 
 from conftest import get_data
-from propchecks import naive_inner_product, table_offset, triangular_coefficients
+from propchecks import naive_inner_product, root_of_unity, table_offset, triangular_coefficients
 
 
 def test_degree_p7(data7):
@@ -289,28 +289,53 @@ def test_a_function_with_every_coefficient_zero_can_leave_the_span(p, torus):
     assert not res.exact and data.table.classes[res.rebuild_differs_at].kind == "unipotent"
 
 
+def _refused_with_the_audits_message(data, s):
+    """decompose_dl raises what validate_table raises on data."""
+    with pytest.raises(TableValidationError) as refused:
+        decompose_dl(data, s)
+    with pytest.raises(TableValidationError) as audit:
+        validate_table(data)
+    assert str(refused.value) == str(audit.value)
+
+
+def test_decompose_dl_refuses_a_copy_that_breaks_orthonormality(data7):
+    """principal(1) negated at a split class fails the pair <trivial,
+    principal(1)>: decompose_dl raises the audit's message, not a result."""
+    import propchecks
+
+    row = next(i for i, irr in enumerate(data7.irreducibles) if irr.label == ("principal", 1))
+    values = data7.irreducibles[row].chi.values
+    c = next(i for i, rec in enumerate(data7.table.classes) if rec.kind == "split_semisimple" and not values[i].is_zero())
+    broken = propchecks.with_cell(data7, row, c, -values[c])
+    with pytest.raises(TableValidationError, match=r"^<trivial, principal\(1\)> = .* at p=7$"):
+        decompose_dl(broken)
+    _refused_with_the_audits_message(broken, weinstein_character(data7))
+
+
 @pytest.mark.parametrize("p, label, n", [(29, ("steinberg",), 30), (37, ("principal", 2), 36)])
-def test_a_stray_torus_value_at_a_split_class_fails_the_rebuild_there(p, label, n):
+def test_a_stray_torus_value_at_a_split_class_is_refused_before_the_rebuild(p, label, n):
     """One row with c_1 on the torus of order n at one split class, where
     s - 2 (s less twice the trivial character) is zero, so that every
-    multiplicity stays rational: the rebuild, summed in closed coordinates,
-    first differs from s - 2 at that class.  In the Steinberg row the
-    anisotropic torus sum turns irrational and the rational part is off;
-    in principal(2) only the split torus sum is off, and it is irrational."""
+    multiplicity stays rational.  decompose_dl reads exactness off the
+    audited basis, so it refuses the copy with the audit's message.  The
+    class-by-class replay, summed in closed coordinates on any table, first
+    differs from s - 2 at that class: in the Steinberg row the anisotropic
+    torus sum turns irrational and the rational part is off; in principal(2)
+    only the split torus sum is off, and it is irrational."""
     import propchecks
 
     data = get_data(p)
     s = weinstein_character(data) - ClassFunction(data.table, [2] * len(data.table))
-    assert decompose_dl(data, s).exact
+    res = decompose_dl(data, s)
+    assert res.exact
     c = next(i for i, rec in enumerate(data.table.classes) if rec.kind == "split_semisimple" and s.values[i].is_zero())
     row = next(i for i, irr in enumerate(data.irreducibles) if irr.label == label)
     stray = root_of_unity(n, 1) + root_of_unity(n, -1)
     assert stray != data.irreducibles[row].chi.values[c]
     broken = propchecks.with_cell(data, row, c, stray)
     assert broken.coordinates.coordinate(stray) == (broken.coordinates.den, 0, n, 1)
-    res = decompose_dl(broken, s)
-    assert res.multiplicities == decompose_dl(data, s).multiplicities
-    assert not res.exact and res.rebuild_differs_at == c
+    _refused_with_the_audits_message(broken, s)
+    assert propchecks.replay_rebuild_differs_at(broken, res.coefficients, s) == c
 
 
 @pytest.mark.parametrize("p", primes_in_range(7, 101))
@@ -336,11 +361,13 @@ def test_a_built_table_and_its_cusp_form_are_summed_in_closed_coordinates(monkey
 @pytest.mark.parametrize("p", (29, 31))
 def test_a_class_without_closed_coordinates_is_rebuilt_in_integers(p):
     """s + R_split(2) is 2 + c_e at split classes, which has no closed
-    coordinates: those classes are summed in one integer frame, and s +
-    R_split(2) is in the span; likewise s + R_nonsplit(2).  A Steinberg cell 1 + c_1 at a split class
-    where s - 2 is zero has no coordinates either, and the integer sum
-    differs from s - 2 there (St appears in s from p = 23 on, so its
-    weight in the rebuild is not zero)."""
+    coordinates: its multiplicities are paired in one integer frame, and s
+    + R_split(2) is in the span; likewise s + R_nonsplit(2).  A Steinberg
+    cell 1 + c_1 at a split class where s - 2 is zero has no coordinates
+    either: decompose_dl refuses that copy with the audit's message, and
+    the class-by-class replay, summed in one integer frame there, differs
+    from s - 2 at that class (St appears in s from p = 23 on, so its weight
+    in the rebuild is not zero)."""
     import propchecks
 
     data = get_data(p)
@@ -354,4 +381,45 @@ def test_a_class_without_closed_coordinates_is_rebuilt_in_integers(p):
     stray = 1 + root_of_unity(p - 1, 1) + root_of_unity(p - 1, -1)
     broken = propchecks.with_cell(data, row, c, stray)
     assert broken.coordinates.coordinate(stray) is None
-    assert decompose_dl(broken, s).rebuild_differs_at == c
+    _refused_with_the_audits_message(broken, s)
+    assert propchecks.replay_rebuild_differs_at(broken, decompose_dl(data, s).coefficients, s) == c
+
+
+@pytest.mark.parametrize("p", primes_in_range(7, 101))
+def test_rebuild_differs_at_equals_the_class_by_class_replay(p):
+    """Read off the audited basis, rebuild_differs_at is the first class
+    where the class-by-class replay of sum c w R_T^theta differs from the
+    input, or None where it never does, for s, two inputs in the span and
+    two outside it."""
+    import propchecks
+
+    data = get_data(p)
+    s = weinstein_character(data)
+    inputs = {
+        "s": s,
+        "s + R_split(2)": s + data.dl("split", 2),
+        "s + exceptional_split_plus": s + data.irreducible("exceptional_split_plus").chi,
+        "s + principal(1)": s + data.irreducible("principal", 1).chi,
+        "R_nonsplit(2)": data.dl("nonsplit", 2),
+    }
+    exact = {}
+    for name, phi in inputs.items():
+        res = decompose_dl(data, phi)
+        assert res.rebuild_differs_at == propchecks.replay_rebuild_differs_at(data, res.coefficients, phi), name
+        exact[name] = res.exact
+    assert [name for name, ok in exact.items() if not ok] == ["s + exceptional_split_plus", "s + principal(1)"]
+
+
+@pytest.mark.parametrize("p", primes_in_range(7, 101))
+def test_the_cusp_form_is_exact_without_naming_a_class(monkeypatch, p):
+    """For the Weinstein s the coefficients' f equals the multiplicities m
+    row for row, so no class is ever summed."""
+    import dlcusp.cuspform
+
+    def unreachable(*args):
+        raise AssertionError("the naming step ran")
+
+    data = get_data(p)
+    s = weinstein_character(data)
+    monkeypatch.setattr(dlcusp.cuspform, "_first_class_off", unreachable)
+    assert decompose_dl(data, s).exact

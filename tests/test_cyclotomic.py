@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from dlcusp.cyclotomic import CycNumber, ZERO, ONE, embed_rational, gauss_sum, root_of_unity
+from dlcusp.cyclotomic import CycNumber, ZERO, ONE, embed_rational, gauss_sum
 from dlcusp.numtheory import legendre
 
 import propchecks
+from propchecks import root_of_unity
 
 
 def z(n, k=1):

@@ -148,7 +148,7 @@ def test_subgroup_orders():
         table = build_conjugacy_table(p)
         expect = {"Z": 2, "Gx_tilde": 4, "Gy_tilde": 6, "Gz_tilde": 2 * p, "Borel": p * (p - 1), "Ts": p - 1, "Ta": p + 1}
         for name, order in expect.items():
-            sub = build_subgroup(table, name)
+            sub = propchecks.build_subgroup(table, name)
             assert sub.order == order == len(sub.elements)
             assert identity(p) in sub.elements
 
