@@ -79,7 +79,7 @@ class CharacterData:
     once, ZERO first, and each irreducible carries its row of ids into that
     list, so equal ids are equal values.  Validation, pairing, serialization
     and the rebuild index the list instead of finding the distinct values
-    again.  Assigning irreducibles interns any rows afresh.
+    again.  Rows enter a table only through _set: by a build or a cache load.
     """
 
     def __init__(self, p: int, _cached: dict | None = None):
@@ -88,7 +88,6 @@ class CharacterData:
         self.subgroups = {name: build_subgroup(self.table, name) for name in ("Z", "Gx_tilde", "Gy_tilde", "Gz_tilde")}
         self.split_torus = build_torus(self.table, "split")
         self.nonsplit_torus = build_torus(self.table, "nonsplit")
-        self.from_cache = _cached is not None
         if _cached is None:
             self._build_characters()
         else:
@@ -97,11 +96,6 @@ class CharacterData:
     @property
     def irreducibles(self) -> tuple[Irreducible, ...]:
         return self._irreducibles
-
-    @irreducibles.setter
-    def irreducibles(self, irrs):
-        values = _Values()
-        self._set(values, [(irr.label, values.row(irr.chi), irr.degree) for irr in irrs])
 
     def _set(self, values: "_Values", entries: list[tuple[tuple, tuple, int]]):
         """The table of (label, id row, degree) entries over values."""
@@ -134,7 +128,6 @@ class CharacterData:
         rows in the order of out, each class by class.  So the ids, and the
         values list, are those of interning every cell's value in turn."""
         p, table = self.p, self.table
-        self.borel_fallbacks = 0  # induction cells that needed canonical forms; 0 on a true table
         self._check_borel_induction()
         values, ends = _Values(), _Values()
         inner, outer = {}, {}  # per torus, the id rows at 0 < k < |T|/2 and, into ends, the rows at k = 0, |T|/2
@@ -264,6 +257,11 @@ class CharacterData:
         denominator are equal values, so those classes are proved for all k at
         once.  Only the other classes (none on a true table) are compared at
         every k in canonical form, the full check.
+
+        That comparison can only name the first k where a class fails, never
+        pass it: the value at theta_k is the discrete Fourier transform at k
+        of the integer map over Z/n, over den, and the transform is
+        invertible, so two different maps differ at some k.
         """
         p = self.p
         n, den = p - 1, p * (p - 1)
@@ -274,7 +272,6 @@ class CharacterData:
                 unequal.append((induced, closed))
         for k in range(n):
             for induced, closed in unequal:
-                self.borel_fallbacks += 1
                 got, want = (CycNumber._from_numerators(n, _exponents(m, k, n), den) for m in (induced, closed))
                 if got != want:
                     raise TableValidationError(
@@ -454,9 +451,6 @@ class _Values(list):
         if i == len(self):
             self.append(v)
         return i
-
-    def row(self, chi: ClassFunction) -> tuple[int, ...]:
-        return tuple(map(self.intern, chi.values))
 
     def keyed_row(self, keys: list, make) -> tuple[int, ...]:
         """The ids of make(key) per key, each distinct key's value made and
@@ -690,8 +684,8 @@ def validate_table(data: CharacterData) -> dict:
 
 def ensure_audited(data: CharacterData):
     """validate_table(data), unless it has passed on data since the rows were
-    last set: a build, a cache load, an irreducibles assignment and a
-    with_row copy all start unaudited (CharacterData._set)."""
+    last set: a build and a cache load both start unaudited
+    (CharacterData._set)."""
     if not data._audited:
         validate_table(data)
 

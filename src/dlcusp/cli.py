@@ -20,7 +20,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .chartable import CACHE_SCHEMA, CharacterData, TableValidationError, validate_table
+from .chartable import CACHE_SCHEMA, CharacterData, TableValidationError, ensure_audited, validate_table
 from .cuspform import (
     READINGS,
     RESIDUES,
@@ -79,7 +79,9 @@ def cache_path(cache_dir: Path, p: int) -> Path:
 
 def load_character_data(p: int, cache_dir: Path | None) -> tuple[CharacterData, bool]:
     """Build or load the per-prime tables; invalid cache entries are rebuilt,
-    and a cache that cannot be read or written is done without."""
+    and a cache that cannot be read or written is done without.  The table
+    is not audited here: decompose_dl audits every table it decomposes
+    (chartable.ensure_audited), and chartable audits the table it prints."""
     if cache_dir is not None:
         path = cache_path(cache_dir, p)
         if path.is_file():
@@ -115,17 +117,6 @@ def _read_gzip(path: Path) -> bytes:
     if not inflate.eof or inflate.unused_data:
         raise ValueError(f"{path} is not one whole gzip stream of at most {MAX_CACHE_BYTES} bytes")
     return text
-
-
-def load_checked_data(p: int, cache_dir: Path | None) -> tuple[CharacterData, bool]:
-    """load_character_data for the commands that do not audit the table
-    themselves (verify does, as its table_valid check): every table, fresh
-    or cached, passes validate_table first, since the audit is what proves a
-    table and the build checks only what the audit cannot (Borel induction).
-    A table that fails raises TableValidationError (exit 1)."""
-    data, hit = load_character_data(p, cache_dir)
-    validate_table(data)
-    return data, hit
 
 
 def _atomic_write(path: Path, blob: bytes):
@@ -230,7 +221,8 @@ def cmd_classes(parser, args) -> int:
 def cmd_chartable(parser, args) -> int:
     p = args.p
     _require_prime(parser, p)
-    data, _ = load_checked_data(p, _cache_dir_from_args(args))
+    data, _ = load_character_data(p, _cache_dir_from_args(args))
+    ensure_audited(data)
     if args.format == "json":
         print(_json_dump(data.to_json_dict()))
         return EXIT_OK
@@ -260,7 +252,7 @@ def _decompose_doc(data: CharacterData, reading: str) -> dict:
 def cmd_decompose(parser, args) -> int:
     p = args.p
     _require_prime(parser, p)
-    data, _ = load_checked_data(p, _cache_dir_from_args(args))
+    data, _ = load_character_data(p, _cache_dir_from_args(args))
     readings = list(READINGS) if args.reading == "both" else [args.reading]
     docs = [_decompose_doc(data, r) for r in readings]
     if args.reading == "both":
@@ -489,7 +481,7 @@ def cmd_corollaries(parser, args) -> int:
     out_rows = []
     ok = True
     for p in primes:
-        data, hit = load_checked_data(p, cache_dir)
+        data, hit = load_character_data(p, cache_dir)
         res = decompose_dl(data)
         row: dict = {"p": p, "cache_hit": hit}
         if not (res.exact and res.table_match):
@@ -538,10 +530,12 @@ def cmd_corollaries(parser, args) -> int:
 
 
 def render_cell(a: Fraction, b: Fraction) -> str:
-    """Render c = a p + b as the canonical "(p-r)/12 + k" cell text."""
-    if abs(a) != Fraction(1, 12):
+    """Render c = a p + b as the canonical "(p-r)/12 + k" cell text, or as
+    "a*p + b" where no such text is c: |a| is not 1/12, or a r + b is an
+    integer at no residue r."""
+    r = next((r for r in RESIDUES if (a * r + b).denominator == 1), None)
+    if abs(a) != Fraction(1, 12) or r is None:
         return f"{a}*p + {b}"
-    r = next(r for r in RESIDUES if (a * r + b).denominator == 1)
     offset, core = int(a * r + b), f"{'-' if a < 0 else ''}(p-{r})/12"
     return f"{core} {'+' if offset > 0 else '-'} {abs(offset)}" if offset else core
 
@@ -590,7 +584,7 @@ def cmd_papertable(parser, args) -> int:
     cache_dir = _cache_dir_from_args(args)
     results = []
     for p in primes:
-        data, _ = load_checked_data(p, cache_dir)
+        data, _ = load_character_data(p, cache_dir)
         res = decompose_dl(data)
         if not (res.exact and res.table_match):
             print(f"decomposition failed at p={p}", file=sys.stderr)
@@ -679,7 +673,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit:
         raise
     except Exception as exc:  # internal failure still counts as a mismatch, never a new code
-        print(f"internal error: {exc}", file=sys.stderr)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
 
 

@@ -131,12 +131,17 @@ class ConjugacyTable:
 
         records.append(central(1))
         records.append(central(-1))
-        # unipotent-type classes z*u_c, u_c = [[1, c], [0, 1]], c in {1, eps}
+        # unipotent-type classes z*u_c, u_c = [[1, c], [0, 1]], c in {1, eps}.  Every other
+        # class is its own inverse (g^-1 has the trace of g); u_c^-1 = u_(-c), so the inverse
+        # of the class with residue (c/p) is the one with (c/p)(-1/p)
+        flip = legendre(-1, p)
         for sign in (1, -1):
+            first = len(records)  # the (sign, 1) class; the (sign, -1) class follows it
             for c in (1, eps):
                 u = GroupElement(p, 1, c, 0, 1)
                 g = u if sign == 1 else -u
-                records.append(ClassRecord(g, half, 2 * p, g.trace, "unipotent", -1, (sign, legendre(c, p))))
+                res = legendre(c, p)
+                records.append(ClassRecord(g, half, 2 * p, g.trace, "unipotent", first + (res * flip == -1), (sign, res)))
         # split semisimple d(a), keyed by min(a, a^-1)
         seen = set()
         for a in range(2, p - 1):
@@ -145,7 +150,7 @@ class ConjugacyTable:
                 continue
             seen.add(k)
             g = GroupElement(p, k, 0, 0, pow(k, -1, p))
-            records.append(ClassRecord(g, p * (p + 1), p - 1, g.trace, "split_semisimple", -1, (k,)))
+            records.append(ClassRecord(g, p * (p + 1), p - 1, g.trace, "split_semisimple", len(records), (k,)))
         # nonsplit semisimple, keyed by trace t with t^2 - 4 a nonsquare
         inv2 = pow(2, -1, p)
         for t in range(p):
@@ -156,21 +161,8 @@ class ConjugacyTable:
             assert b is not None
             g = GroupElement(p, a, b * eps, b, a)
             assert g.trace == t
-            records.append(ClassRecord(g, p * (p - 1), p + 1, t, "nonsplit_semisimple", -1, (t,)))
-
-        # link inverse classes; g^-1 has the same trace, so only the
-        # unipotent-type classes can move (u_c^-1 ~ u_(-c))
-        index = {(r.kind, r.key): i for i, r in enumerate(records)}
-        sign_flip = legendre(-1, p)
-        linked = []
-        for i, r in enumerate(records):
-            if r.kind == "unipotent":
-                sign, res = r.key
-                j = index[("unipotent", (sign, res * sign_flip))]
-            else:
-                j = i
-            linked.append(ClassRecord(r.rep, r.size, r.centralizer_order, r.trace, r.kind, j, r.key))
-        return linked
+            records.append(ClassRecord(g, p * (p - 1), p + 1, t, "nonsplit_semisimple", len(records), (t,)))
+        return records
 
     def __len__(self) -> int:
         return len(self.classes)

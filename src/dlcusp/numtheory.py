@@ -2,31 +2,11 @@
 
 from __future__ import annotations
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for every modulus this package uses."""
-    if n < 2:
-        return False
-    for q in _MR_BASES:
-        if n % q == 0:
-            return n == q
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    """Whether n is prime, by factorize's trial division: O(sqrt(n)), and
+    the commands accept no prime above 600."""
+    return n >= 2 and factorize(n) == {n: 1}
 
 
 def primes_in_range(lo: int, hi: int) -> list[int]:

@@ -160,6 +160,20 @@ MUTATIONS = [
             "tests/test_cuspform.py::test_one_half_of_an_exceptional_pair_leaves_the_span[13-exceptional_split_plus]",
         ],
     ),
+    # chartable prints a table no audit has passed
+    (
+        "src/dlcusp/cli.py",
+        "ensure_audited(data)",
+        "None",
+        ["tests/test_cli.py::test_corrupted_cached_table_is_refused_before_use[command3]"],
+    ),
+    # each unipotent-type class linked to itself as its inverse, whatever (-1/p) is
+    (
+        "src/dlcusp/group.py",
+        "first + (res * flip == -1)",
+        "first + (res == -1)",
+        ["tests/test_group.py::test_inverse_class_is_an_involution_matching_true_inverses"],
+    ),
 ]
 
 

@@ -292,15 +292,21 @@ def check_exceptional_pairs(data: CharacterData) -> None:
         assert naive_inner_product(plus, minus) == 0, torus
 
 
-def with_row(data: CharacterData, row: int, chi: ClassFunction) -> CharacterData:
-    """A shallow copy of data whose irreducible number row has the values of chi."""
+def with_row(data: CharacterData, row: int, chi: ClassFunction, label: tuple | None = None,
+             degree: int | None = None) -> CharacterData:
+    """A shallow copy of data whose irreducible number row has the values of
+    chi, and label and degree where given.  The copy's values are a copy of
+    data's, with only chi's values interned into it, so the other rows keep
+    their ids; its list may then hold a value no cell holds, as a cache
+    document's may, and the audit reads only the cells' ids."""
     import copy
 
-    irr = data.irreducibles[row]
-    broken = copy.copy(data)
-    irrs = list(data.irreducibles)
-    irrs[row] = type(irr)(irr.label, chi, irr.degree)
-    broken.irreducibles = tuple(irrs)
+    broken, values = copy.copy(data), copy.copy(data.values)
+    values.ids = dict(data.values.ids)
+    entries = [(irr.label, irr.ids, irr.degree) for irr in data.irreducibles]
+    old_label, _, old_degree = entries[row]
+    entries[row] = (label or old_label, tuple(map(values.intern, chi.values)), old_degree if degree is None else degree)
+    broken._set(values, entries)
     return broken
 
 

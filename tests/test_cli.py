@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from dlcusp.chartable import CharacterData, validate_table
-from dlcusp.cli import builtin_table_markdown, main
+from dlcusp.cli import builtin_table_markdown, load_character_data, main, render_cell
 
 import cachefiles
 
@@ -59,8 +59,8 @@ def test_chartable_json_round_trip(capsys, cache_dir):
     code, out = run(capsys, "chartable", "7", "--format", "json", "--cache-dir", str(cache_dir))
     assert code == 0
     doc = json.loads(out)
-    data = CharacterData.from_json_dict(cachefiles.read(cache_dir, 7))
-    assert data.from_cache
+    data, hit = load_character_data(7, cache_dir)
+    assert hit
     report = validate_table(data)
     assert report["orthonormal"]
     assert data.to_json_dict() == doc
@@ -261,6 +261,25 @@ def test_papertable_refuses_a_cell_with_one_prime(capsys, cache_dir):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "cell (B,split,1) has data only at p=37" in captured.err
+
+
+def test_a_fit_without_a_twelfths_text_is_printed_as_a_line(capsys, monkeypatch, cache_dir):
+    """A fit with |a| = 1/12 that is an integer at no residue has no
+    "(p-r)/12 + k" text: render_cell prints it as a*p + b, and papertable
+    prints the computed table and says that it differs from the built-in one."""
+    import dlcusp.cli
+    from dlcusp.cuspform import RESIDUES, SET_LABELS, LinearityReport, coefficient_line
+
+    assert render_cell(Fraction(1, 12), Fraction(0)) == "1/12*p + 0"
+    assert render_cell(Fraction(-1, 12), Fraction(1, 2)) == "-1/12*p + 1/2"
+    fits = {(label, torus, r): coefficient_line(label, torus, r)
+            for label in SET_LABELS for torus in ("split", "nonsplit") for r in RESIDUES}
+    fits["A", "split", 1] = (Fraction(1, 12), Fraction(0))  # the built-in fits, but for this cell
+    monkeypatch.setattr(dlcusp.cli, "linearity_fit", lambda results: LinearityReport(fits, 0, [], {}))
+    code = main(["papertable", "--range", "7", "7", "--cache-dir", str(cache_dir)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == "computed table differs from the built-in table\n"
+    assert "| A_s | 1/12*p + 0 | (p-5)/12 | (p-7)/12 | (p-11)/12 |" in captured.out.splitlines()
 
 
 def test_cache_corruption_recovers(capsys, cache_dir):
@@ -675,6 +694,20 @@ def test_an_internal_error_fails_only_its_check(capsys, monkeypatch, cache_dir):
         assert row["reasons"] == {"remark_oracle": "internal: remark_pipeline: RuntimeError: planted fault"}
     code, out = run(capsys, *args)
     assert code == 1 and out.count("reason remark_oracle: internal: remark_pipeline: RuntimeError: planted fault") == 2
+
+
+def test_an_internal_error_line_names_the_exception_type(capsys, monkeypatch):
+    """main's catch-all prints the exception's type before its text, so an
+    exception with an empty text, such as KeyError(''), still names itself."""
+    import dlcusp.cli
+
+    def broken(p):
+        raise KeyError("")
+
+    monkeypatch.setattr(dlcusp.cli, "build_conjugacy_table", broken)
+    assert main(["classes", "7"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "internal error: KeyError: ''\n"
 
 
 @pytest.mark.parametrize("argv", [("verify", "--range", "7", "1000000000000"), ("chartable", "1000003"),

@@ -12,9 +12,19 @@ from dlcusp.numtheory import (
 
 def test_is_prime():
     assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
-    assert not is_prime(1) and not is_prime(0)
+    assert not is_prime(1) and not is_prime(0) and not is_prime(-7)
     assert is_prime(104729)
     assert not is_prime(104729 * 104729)
+
+
+def test_is_prime_agrees_with_a_sieve():
+    """is_prime against the sieve of Eratosthenes at every n in 0..10,000."""
+    limit = 10_000
+    sieve = [False, False] + [True] * (limit - 1)
+    for n in range(2, int(limit**0.5) + 1):
+        if sieve[n]:
+            sieve[n * n::n] = [False] * len(range(n * n, limit + 1, n))
+    assert [is_prime(n) for n in range(limit + 1)] == sieve
 
 
 def test_primes_in_range():
