@@ -8,7 +8,7 @@ the cusp-form character over them, with a CLI verifier for prime ranges.
 __version__ = "0.1.0"
 
 from .chartable import CharacterData, Irreducible, validate_table
-from .classfun import ClassFunction, dual, induce, inner_product
+from .classfun import ClassFunction, dual, inner_product
 from .cyclotomic import CycNumber, embed_rational, gauss_sum
 from .cuspform import decompose_dl, paper_coefficients, remark_pipeline, weinstein_character
 from .group import ConjugacyTable, GroupElement, build_conjugacy_table, build_subgroup, build_torus
@@ -20,7 +20,6 @@ __all__ = [
     "validate_table",
     "ClassFunction",
     "dual",
-    "induce",
     "inner_product",
     "CycNumber",
     "embed_rational",

@@ -786,15 +786,15 @@ def _pair_rows(data: CharacterData, rows: list, pats: list, keys: list):
             raise TableValidationError(f"<{irrs[i].name}, {irrs[j].name}> = {value.to_text()} at p={p}")
 
 
-def _check_labels(data: CharacterData, tori: list | None = None):
+def _check_labels(data: CharacterData, tori: list):
     """Each of the p + 4 labels once, with its family's degree, and each
     parametrized row at its defining classes: principal(k) and discrete(k)
     at every regular class of their torus, with the ids of their pattern
-    there (_torus_patterns, built here unless validate_table passes its
-    own), and plus - minus of each exceptional pair is the Gauss sum at the
-    unipotent class keyed (1, 1).  A table whose labels were permuted, or
-    whose columns of two classes of one torus were swapped in every row,
-    passes every other check, and decompose_dl reads the labels.
+    there (tori, as _torus_patterns gives them), and plus - minus of each
+    exceptional pair is the Gauss sum at the unipotent class keyed (1, 1).
+    A table whose labels were permuted, or whose columns of two classes of
+    one torus were swapped in every row, passes every other check, and
+    decompose_dl reads the labels.
 
     At the class of the torus elements g^(+-d) (g the generator, n = |T|),
     principal(k) is c_kd = zeta_n^(kd) + zeta_n^(-kd) and discrete(k) is
@@ -811,7 +811,7 @@ def _check_labels(data: CharacterData, tori: list | None = None):
         by_label[irr.label] = irr
         if irr.degree != families[irr.label[0]][0]:
             raise TableValidationError(f"{irr.name} has degree {irr.degree}, not {families[irr.label[0]][0]} at p={p}")
-    for side, (torus, cells, wanted), family in zip((1, 2), tori or _torus_patterns(data), ("principal", "discrete")):
+    for side, (torus, cells, wanted), family in zip((1, 2), tori, ("principal", "discrete")):
         n, gen = torus.order, cells[0][0]
         for k in range(1, n // 2):
             irr, pattern = by_label[(family, k)], _families(p, k)[family][side]

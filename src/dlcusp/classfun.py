@@ -1,9 +1,8 @@
 """Class functions on SL2(F_p) over exact cyclotomics.
 
 The carrier for every character and virtual character in the package: one
-CycNumber per conjugacy class, with the Hermitian pairing, duality and
-induction from a subgroup through its fusion data.  All operations are pure
-and exact.
+CycNumber per conjugacy class, with the Hermitian pairing and duality.  All
+operations are pure and exact.
 """
 
 from __future__ import annotations
@@ -13,8 +12,8 @@ from fractions import Fraction
 from itertools import compress
 from typing import Iterable, Sequence
 
-from .cyclotomic import ZERO, CycNumber, _common_frame, _raw_dot, coerce
-from .group import ConjugacyTable, SubgroupData
+from .cyclotomic import CycNumber, _common_frame, _raw_dot, coerce
+from .group import ConjugacyTable
 
 
 class ClassFunction:
@@ -68,10 +67,6 @@ class ClassFunction:
 
     def __repr__(self):
         return f"ClassFunction(p={self.table.p}, deg={self.degree.to_text()})"
-
-
-def trivial_character(table: ConjugacyTable) -> ClassFunction:
-    return ClassFunction(table, [1] * len(table))
 
 
 def dual(phi: ClassFunction) -> ClassFunction:
@@ -157,25 +152,3 @@ def closed_sum(closed, left: Iterable, right: Iterable, scale: int) -> CycNumber
             h[e] = h.get(e, 0) + w * r * r2
     value = closed.value(rat, tau, hist, closed.den * closed.den * scale)
     return value + _frame_dot(rest, scale) if rest else value
-
-
-def induce(table: ConjugacyTable, sub: SubgroupData, values: Sequence[CycNumber | int | Fraction]) -> ClassFunction:
-    """Induced class function: |C_G(g)|/|H| times the sum over fused elements.
-
-    values are indexed by sub.elements and must be constant on the ambient
-    fusion fibers within a subgroup class (automatic for linear characters).
-    """
-    if len(values) != sub.order:
-        raise ValueError("need one value per subgroup element")
-    vals = [coerce(v) for v in values]
-    buckets: dict[int, list[CycNumber]] = {}
-    for cls_idx, v in zip(sub.fusion, vals):
-        buckets.setdefault(cls_idx, []).append(v)
-    out = []
-    for i, rec in enumerate(table.classes):
-        hit = buckets.get(i)
-        if hit is None:
-            out.append(ZERO)
-        else:
-            out.append(sum(hit, ZERO).scale(Fraction(rec.centralizer_order, sub.order)))
-    return ClassFunction(table, out)

@@ -166,6 +166,23 @@ def _cache_dir_from_args(args) -> Path | None:
     return default_cache_dir()
 
 
+def _decomposition_reasons(data: CharacterData, res: DecompositionResult) -> dict[str, str]:
+    """Why a decomposition is not exact or does not match the table, by the
+    check that fails: the first class where the rebuild differs from s, and
+    the first mismatch with the coefficient table; empty where both hold."""
+    reasons = {}
+    if not res.exact:
+        i = res.rebuild_differs_at
+        reasons["exact"] = f"rebuild differs from s at class {i} ({data.table.classes[i].kind}) at p={data.p}"
+    if res.mismatches:
+        reasons["table_match"] = f"first mismatch at p={data.p}: {res.mismatches[0]}"
+    return reasons
+
+
+def _reason_text(reasons: dict[str, str]) -> str:
+    return "; ".join(f"{check}: {reason}" for check, reason in sorted(reasons.items()))
+
+
 def _decomposition_rows(res: DecompositionResult) -> list[dict]:
     rows = []
     for (torus, k) in sorted(res.coefficients):
@@ -352,12 +369,8 @@ def _verify_one(p: int, cache_dir_str: str | None, reading: str) -> dict:
         if res is None:
             return skipped("decompose_dl")
         checks["exact"] = res.exact
-        if not res.exact:
-            i = res.rebuild_differs_at
-            reasons["exact"] = f"rebuild differs from s at class {i} ({data.table.classes[i].kind}) at p={p}"
         checks["table_match"] = res.table_match
-        if res.mismatches:
-            reasons["table_match"] = f"first mismatch at p={p}: {res.mismatches[0]}"
+        reasons.update(_decomposition_reasons(data, res))
         remark = run(("remark_oracle",), "remark_pipeline", remark_pipeline, data)
         if remark is not None:
             checks["remark_oracle"] = remark == res.coefficients
@@ -486,6 +499,7 @@ def cmd_corollaries(parser, args) -> int:
         row: dict = {"p": p, "cache_hit": hit}
         if not (res.exact and res.table_match):
             row["decomposition"] = "fail"
+            row["reasons"] = _decomposition_reasons(data, res)
             ok = False
         try:
             app = corollary_all_appear(data, res)
@@ -513,7 +527,7 @@ def cmd_corollaries(parser, args) -> int:
         print(_json_dump(report))
     else:
         for row in out_rows:
-            bits = []
+            bits = [f"decomposition=FAIL ({_reason_text(row['reasons'])})"] if "reasons" in row else []
             if row.get("all_nontrivial_appear") is not None:
                 bits.append(f"all-appear={'ok' if row['all_nontrivial_appear'] else 'FAIL'}")
             if row.get("missing"):
@@ -587,7 +601,7 @@ def cmd_papertable(parser, args) -> int:
         data, _ = load_character_data(p, cache_dir)
         res = decompose_dl(data)
         if not (res.exact and res.table_match):
-            print(f"decomposition failed at p={p}", file=sys.stderr)
+            print(f"decomposition failed at p={p}: {_reason_text(_decomposition_reasons(data, res))}", file=sys.stderr)
             return EXIT_MISMATCH
         results.append(res)
     computed = computed_table_markdown(results)

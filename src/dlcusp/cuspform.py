@@ -13,13 +13,14 @@ permutation characters by the Steinberg tensor identity.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
-from .classfun import ClassFunction, closed_pairings, dual, induce, trivial_character
+from .classfun import ClassFunction, closed_pairings, dual
 from .chartable import CharacterData, dl_terms, ensure_audited, quadratic_character_index
 from .cyclotomic import ZERO
-from .group import conjugate_into_torus, torus_order
+from .group import ConjugacyTable, SubgroupData, conjugate_into_torus, torus_order
 
 TORI = ("split", "nonsplit")
 SET_LABELS = ("A", "B", "C", "D", "E")
@@ -71,29 +72,38 @@ def verify_torus_placement(data: CharacterData) -> dict[str, str]:
     return pattern
 
 
+def _permutation_character(table: ConjugacyTable, sub: SubgroupData) -> dict[int, Fraction]:
+    """1_H^G by counting, at the classes where it is not zero: at class c it
+    is |C(c)| |H & c| / |H|, with |H & c| the subgroup elements that fuse
+    to c."""
+    return {c: Fraction(table.classes[c].centralizer_order * count, sub.order) for c, count in Counter(sub.fusion).items()}
+
+
 def weinstein_character(data: CharacterData) -> ClassFunction:
     """The degree-2(1 + (p^2-1)(p-6)/24) character from the permutation formula.
 
-    Alternating sum of the four permutation characters induced from the
-    distinguished subgroups, plus twice the trivial character; the degree is
-    cross-checked against the index arithmetic and the genus count.
+    1_Z^G less the permutation characters of Gx_tilde, Gy_tilde and
+    Gz_tilde, plus 2 at every class (twice the trivial character).  Each
+    permutation character is counted off its subgroup's fusion
+    (_permutation_character), so s is summed in rationals, one per class,
+    and only then made a class function.  The degree is cross-checked
+    against the index arithmetic and the genus count, and the values must
+    be integers, self-dual and the same at I and -I.
     """
     table, p = data.table, data.p
-    s = induce(table, data.subgroups["Z"], [1, 1])
-    for name in ("Gx_tilde", "Gy_tilde", "Gz_tilde"):
-        sub = data.subgroups[name]
-        s = s - induce(table, sub, [1] * sub.order)
-    s = s + trivial_character(table).scale(2)
-    deg = s.degree.as_rational()
+    values = [2] * len(table)
+    for name, sign in (("Z", 1), ("Gx_tilde", -1), ("Gy_tilde", -1), ("Gz_tilde", -1)):
+        for c, v in _permutation_character(table, data.subgroups[name]).items():
+            values[c] += sign * v
+    deg = values[table.identity_index()]
     half = table.group_order // 2
     index_deg = Fraction(half) * (1 - Fraction(1, 2) - Fraction(1, 3) - Fraction(1, p)) + 2
     genus_deg = 2 * (1 + Fraction((p * p - 1) * (p - 6), 24))
     if not (deg == index_deg == genus_deg):
         raise VerificationError(f"degree {deg} != index formula {index_deg} / genus formula {genus_deg}")
-    for v in s.values:
-        r = v.as_rational()
-        if r is None or r.denominator != 1:
-            raise VerificationError("permutation character has a non-integral value")
+    if any(v.denominator != 1 for v in values):
+        raise VerificationError("permutation character has a non-integral value")
+    s = ClassFunction(table, values)
     if dual(s) != s or s.values[0] != s.values[1]:
         raise VerificationError("cusp-form character must be self-dual and trivial on the center")
     return s
@@ -195,9 +205,6 @@ class DecompositionResult(NamedTuple):
     @property
     def exact(self) -> bool:
         return self.rebuild_differs_at is None
-
-    def orbit_weight(self, torus: str, k: int) -> int:
-        return orbit_weight(self.p, torus, k)
 
 
 def orbit_weight(p: int, torus_type: str, k: int) -> int:
@@ -312,60 +319,52 @@ def _first_class_off(data: CharacterData, diff: list[tuple[Fraction, tuple]]) ->
 # -- the independent symbolic pipeline ----------------------------------------
 
 
-def _steinberg_tensor_coefficients(p: int, t1: str, k1: int, torus_type: str, zc_ks: list[int]) -> dict[int, int]:
-    """Per-character coefficient of each R with central character one in
-    St (x) R_{T1}^{theta1}, for the seven tabulated cases: -1 on the other
-    torus, and 1 +- [theta = theta1] on T1 (+ split, - anisotropic)."""
-    if t1 != torus_type:
-        return dict.fromkeys(zc_ks, -1)
-    k1 %= torus_order(p, t1)
-    sign = 1 if torus_type == "split" else -1
-    return {k: 1 + sign * (k == k1) for k in zc_ks}
-
-
 def remark_pipeline(data: CharacterData) -> dict[tuple[str, int], Fraction]:
     """Re-derive the decomposition symbolically, without class functions.
 
-    Expands the permutation formula (the two split-torus sums, twice the
-    trivial character written as R_split(1) + R_nonsplit(1), and the two
-    subgroup sums with their torus-rank signs), replacing every Steinberg
-    tensor by its tabulated coefficient list, then symmetrizes inversion
+    Expands the permutation formula (the split-torus sum of St (x) R - R,
+    twice the trivial character written as R_split(1) + R_nonsplit(1), and
+    the two subgroup sums with their torus-rank signs), replacing every
+    Steinberg tensor by its tabulated expansion, then symmetrizes inversion
     orbits: an orbit's coefficient is its characters' total over its weight.
-    Every coefficient and sign is an integer, so the sums stay in int and
-    only that division makes a Fraction.  Output keys match
-    decompose_dl's coefficients exactly.
+    Each St (x) R_{T1}^{theta1} is one constant per torus plus one point: -1
+    at every character of the other torus, and on T1 1 at every character
+    plus +-1 at theta1 (+ split, - anisotropic).  So the coefficient of
+    R_T^theta_k is base[T] + point[T][k], each expansion adds to two bases
+    and one point, and the whole is O(p).  Every coefficient and sign is an
+    integer, so the sums stay in int and only the orbit division makes a
+    Fraction.  It reads only p and embedding_pattern(p), no table; output
+    keys match decompose_dl's coefficients exactly.
     """
     p = data.p
-    zc = {t: [k for k in range(0, torus_order(p, t)) if k % 2 == 0] for t in TORI}
-    acc: dict[tuple[str, int], int] = {(t, k): 0 for t in TORI for k in zc[t]}
+    base = dict.fromkeys(TORI, 0)
+    point = {t: [0] * torus_order(p, t) for t in TORI}
 
     def add_tensor_expansion(t1: str, k1: int, scale: int):
         for torus_type in TORI:
-            for k, c in _steinberg_tensor_coefficients(p, t1, k1, torus_type, zc[torus_type]).items():
-                acc[(torus_type, k)] += scale * c
+            base[torus_type] += scale if torus_type == t1 else -scale
+        point[t1][k1 % len(point[t1])] += scale if t1 == "split" else -scale
 
     # sum over split characters trivial on the center: St (x) R - R
-    for k in zc["split"]:
+    for k in range(0, p - 1, 2):
         add_tensor_expansion("split", k, 1)
-        acc[("split", k)] -= 1
+        point["split"][k] -= 1
     # 2 * trivial = R_split(1) + R_nonsplit(1)
-    acc[("split", 0)] += 1
-    acc[("nonsplit", 0)] += 1
+    point["split"][0] += 1
+    point["nonsplit"][0] += 1
     # the two cyclic-subgroup sums, with the tensor-identity sign of their torus
     pattern = embedding_pattern(p)
     for s in ("x", "y"):
         torus_type = pattern[s]
-        n = torus_order(p, torus_type)
         sign = -1 if torus_type == "split" else 1
-        m = _SUBGROUP_ORDERS[s]
-        for k in range(0, n, m):
+        for k in range(0, torus_order(p, torus_type), _SUBGROUP_ORDERS[s]):
             add_tensor_expansion(torus_type, k, sign)
 
     out: dict[tuple[str, int], Fraction] = {}
     for torus_type in TORI:
         n = torus_order(p, torus_type)
         for k in _zc_orbit_reps(p, torus_type):
-            total = sum(acc[(torus_type, j)] for j in {k, -k % n})
+            total = sum(base[torus_type] + point[torus_type][j] for j in {k, -k % n})
             out[(torus_type, k)] = Fraction(total, orbit_weight(p, torus_type, k))
     return out
 

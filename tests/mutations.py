@@ -5,7 +5,9 @@ tree, an exact snippet that occurs once in it, what the snippet becomes,
 and the pytest node ids that must each fail once it is replaced.  A check
 whose mutation no named test notices is a check nothing shows to fire.
 test_mutations.py, in tier 1, only checks that every snippet still occurs
-exactly once, so that an edit of the source cannot silently retire one.
+exactly once and that every test named is a def in its file, so that
+neither an edit of the source nor a renamed test can retire a mutation
+unnoticed.
 
 Run the mutations from the repository root:
 
@@ -166,6 +168,27 @@ MUTATIONS = [
         "ensure_audited(data)",
         "None",
         ["tests/test_cli.py::test_corrupted_cached_table_is_refused_before_use[command3]"],
+    ),
+    # the remark's St (x) R without its point: one constant per torus only
+    (
+        "src/dlcusp/cuspform.py",
+        'point[t1][k1 % len(point[t1])] += scale if t1 == "split" else -scale',
+        "pass",
+        ["tests/test_cuspform.py::test_remark_pipeline_equals_the_expansion_it_replaces"],
+    ),
+    # the remark's point with the split sign on the anisotropic torus too
+    (
+        "src/dlcusp/cuspform.py",
+        'scale if t1 == "split" else -scale',
+        "scale",
+        ["tests/test_cuspform.py::test_remark_pipeline_equals_the_expansion_it_replaces"],
+    ),
+    # a permutation character counted with the class size for the centralizer order
+    (
+        "src/dlcusp/cuspform.py",
+        "table.classes[c].centralizer_order",
+        "table.classes[c].size",
+        ["tests/test_cuspform.py::test_counted_s_equals_the_induced_s"],
     ),
     # each unipotent-type class linked to itself as its inverse, whatever (-1/p) is
     (

@@ -12,10 +12,18 @@ from typing import Sequence
 
 from dlcusp import group
 from dlcusp.chartable import CharacterData, TableValidationError, dl_terms
-from dlcusp.classfun import ClassFunction, closed_sum, dual, induce, inner_product
-from dlcusp.cuspform import VerificationError, embedded_subgroups, orbit_weight
-from dlcusp.cyclotomic import ONE, ZERO, CycNumber, _common_frame, _raw_dot, gauss_sum
-from dlcusp.group import ConjugacyTable, GroupElement, SubgroupData, build_torus
+from dlcusp.classfun import ClassFunction, closed_sum, dual, inner_product
+from dlcusp.cuspform import (
+    _SUBGROUP_ORDERS,
+    TORI,
+    VerificationError,
+    _zc_orbit_reps,
+    embedded_subgroups,
+    embedding_pattern,
+    orbit_weight,
+)
+from dlcusp.cyclotomic import ONE, ZERO, CycNumber, _common_frame, _raw_dot, coerce, gauss_sum
+from dlcusp.group import ConjugacyTable, GroupElement, SubgroupData, build_torus, torus_order
 
 
 # -- test support: what the tests build that the package never needs ---------------
@@ -38,6 +46,32 @@ def tensor(phi: ClassFunction, psi: ClassFunction) -> ClassFunction:
     """Pointwise product (character of the tensor product)."""
     phi._check(psi)
     return ClassFunction(phi.table, [a * b for a, b in zip(phi.values, psi.values)])
+
+
+def trivial_character(table: ConjugacyTable) -> ClassFunction:
+    return ClassFunction(table, [1] * len(table))
+
+
+def induce(table: ConjugacyTable, sub: SubgroupData, values: Sequence[CycNumber | int | Fraction]) -> ClassFunction:
+    """Induced class function: |C_G(g)|/|H| times the sum over fused elements.
+
+    values are indexed by sub.elements and must be constant on the ambient
+    fusion fibers within a subgroup class (automatic for linear characters).
+    """
+    if len(values) != sub.order:
+        raise ValueError("need one value per subgroup element")
+    vals = [coerce(v) for v in values]
+    buckets: dict[int, list[CycNumber]] = {}
+    for cls_idx, v in zip(sub.fusion, vals):
+        buckets.setdefault(cls_idx, []).append(v)
+    out = []
+    for i, rec in enumerate(table.classes):
+        hit = buckets.get(i)
+        if hit is None:
+            out.append(ZERO)
+        else:
+            out.append(sum(hit, ZERO).scale(Fraction(rec.centralizer_order, sub.order)))
+    return ClassFunction(table, out)
 
 
 def restrict(phi: ClassFunction, sub: SubgroupData) -> list[CycNumber]:
@@ -569,3 +603,61 @@ def triangular_coefficients(p: int, mults: dict[tuple, Fraction]) -> dict[tuple[
                     raise VerificationError(f"{torus} exceptional multiplicities differ at p={p}")
                 coeff[(torus, k)] = sign * m_plus
     return coeff
+
+
+def weinstein_by_induction(data: CharacterData) -> ClassFunction:
+    """s as weinstein_character once built it: 1_Z^G less the other three
+    permutation characters, each induced through induce and summed as class
+    functions, plus twice the trivial character; no check is made."""
+    table = data.table
+    s = induce(table, data.subgroups["Z"], [1, 1])
+    for name in ("Gx_tilde", "Gy_tilde", "Gz_tilde"):
+        sub = data.subgroups[name]
+        s = s - induce(table, sub, [1] * sub.order)
+    return s + trivial_character(table).scale(2)
+
+
+def steinberg_tensor_coefficients(p: int, t1: str, k1: int, torus_type: str, zc_ks: list[int]) -> dict[int, int]:
+    """Per-character coefficient of each R with central character one in
+    St (x) R_{T1}^{theta1}, for the seven tabulated cases: -1 on the other
+    torus, and 1 +- [theta = theta1] on T1 (+ split, - anisotropic)."""
+    if t1 != torus_type:
+        return dict.fromkeys(zc_ks, -1)
+    k1 %= torus_order(p, t1)
+    sign = 1 if torus_type == "split" else -1
+    return {k: 1 + sign * (k == k1) for k in zc_ks}
+
+
+def remark_by_expansion(p: int) -> dict[tuple[str, int], Fraction]:
+    """remark_pipeline as it once ran, in O(p^2): every Steinberg tensor
+    expanded into a dict over every character with central character one
+    (steinberg_tensor_coefficients), added into one accumulator, and the
+    inversion orbits symmetrized."""
+    zc = {t: [k for k in range(0, torus_order(p, t)) if k % 2 == 0] for t in TORI}
+    acc: dict[tuple[str, int], int] = {(t, k): 0 for t in TORI for k in zc[t]}
+
+    def add_tensor_expansion(t1: str, k1: int, scale: int):
+        for torus_type in TORI:
+            for k, c in steinberg_tensor_coefficients(p, t1, k1, torus_type, zc[torus_type]).items():
+                acc[(torus_type, k)] += scale * c
+
+    for k in zc["split"]:
+        add_tensor_expansion("split", k, 1)
+        acc[("split", k)] -= 1
+    acc[("split", 0)] += 1
+    acc[("nonsplit", 0)] += 1
+    pattern = embedding_pattern(p)
+    for s in ("x", "y"):
+        torus_type = pattern[s]
+        n = torus_order(p, torus_type)
+        sign = -1 if torus_type == "split" else 1
+        for k in range(0, n, _SUBGROUP_ORDERS[s]):
+            add_tensor_expansion(torus_type, k, sign)
+
+    out: dict[tuple[str, int], Fraction] = {}
+    for torus_type in TORI:
+        n = torus_order(p, torus_type)
+        for k in _zc_orbit_reps(p, torus_type):
+            total = sum(acc[(torus_type, j)] for j in {k, -k % n})
+            out[(torus_type, k)] = Fraction(total, orbit_weight(p, torus_type, k))
+    return out

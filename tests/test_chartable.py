@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from dlcusp.chartable import CharacterData, TableValidationError, dl_terms, quadratic_character_index, validate_table
-from dlcusp.classfun import ClassFunction, dual, inner_product, trivial_character
+from dlcusp.classfun import ClassFunction, dual, inner_product
 from dlcusp.cyclotomic import ONE, ZERO
 from dlcusp.numtheory import primes_in_range
 
@@ -16,6 +16,7 @@ from propchecks import (
     root_of_unity,
     steinberg_tensor_identity_holds,
     tensor,
+    trivial_character,
 )
 
 
@@ -946,6 +947,7 @@ def test_each_label_must_name_its_row(data13, relabel, message):
 def test_built_labels_name_their_rows(p):
     """Every built table passes the label audit, so its conditions are the
     paper's: theta_k at the torus generators and +tau at the class (1, 1)."""
-    from dlcusp.chartable import _check_labels
+    from dlcusp.chartable import _check_labels, _torus_patterns
 
-    _check_labels(get_data(p))
+    data = get_data(p)
+    _check_labels(data, _torus_patterns(data))

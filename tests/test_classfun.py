@@ -3,12 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from dlcusp.classfun import ClassFunction, dual, induce, inner_product, trivial_character
+from dlcusp.classfun import ClassFunction, dual, inner_product
 from dlcusp.cyclotomic import ZERO
 
 import propchecks
 from conftest import get_data
-from propchecks import build_subgroup, decompose_multiplicities, restrict, root_of_unity, tensor
+from propchecks import build_subgroup, decompose_multiplicities, induce, restrict, root_of_unity, tensor, trivial_character
 
 
 def test_inner_product_of_trivial():

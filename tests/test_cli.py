@@ -807,14 +807,25 @@ def test_a_torus_placement_fault_is_named(capsys, monkeypatch, cache_dir):
     assert report["primes"][0]["reasons"] == {"torus_placement": "Gx_tilde embeds in no torus at p=7"}
 
 
+def _plant_two_more_on_z(monkeypatch):
+    """1_Z^G counted with 2 more at every class, as if twice the trivial
+    character were added twice over."""
+    import dlcusp.cuspform
+
+    counted = dlcusp.cuspform._permutation_character
+
+    def planted(table, sub):
+        chi = counted(table, sub)
+        return {c: chi.get(c, 0) + 2 for c in range(len(table))} if sub.name == "Z" else chi
+
+    monkeypatch.setattr(dlcusp.cuspform, "_permutation_character", planted)
+
+
 def test_a_degree_identity_fault_is_named(capsys, monkeypatch, cache_dir):
     """Twice the trivial character added twice over: the degree formulas
     disagree, degree_identity fails with both degrees in the reason, and no
     decomposition is attempted."""
-    import dlcusp.cuspform
-
-    trivial = dlcusp.cuspform.trivial_character
-    monkeypatch.setattr(dlcusp.cuspform, "trivial_character", lambda table: trivial(table).scale(2))
+    _plant_two_more_on_z(monkeypatch)
     code, out = run(capsys, "verify", "--range", "7", "7", "--format", "json", "--no-timestamp",
                     "--cache-dir", str(cache_dir))
     report = json.loads(out)
@@ -901,10 +912,9 @@ def test_a_linearity_fault_is_named(capsys, monkeypatch, cache_dir):
 def test_checks_skipped_after_a_failed_stage_say_so(capsys, monkeypatch, cache_dir, p):
     """No decomposition after the degree identity failed: every check of the
     prime is still in the row, and each skipped one says which stage stopped it."""
-    import dlcusp.cuspform
+    import dlcusp.cli
 
-    trivial = dlcusp.cuspform.trivial_character
-    monkeypatch.setattr(dlcusp.cuspform, "trivial_character", lambda table: trivial(table).scale(2))
+    _plant_two_more_on_z(monkeypatch)
     code, out = run(capsys, "verify", "--range", str(p), str(p), "--format", "json", "--no-timestamp",
                     "--cache-dir", str(cache_dir))
     row = json.loads(out)["primes"][0]
@@ -1039,6 +1049,50 @@ def test_a_table_match_fault_names_the_first_mismatch(capsys, cache_dir):
     code, out = run(capsys, *args)
     assert code == 1 and f"      reason table_match: {reason}\n" in out
 
+
+
+def _plant_one_mismatch(monkeypatch, at: int) -> str:
+    """decompose_dl reports one table mismatch at p = at, and nothing else
+    changes; returns the reason every command must give for it."""
+    import dlcusp.cli
+
+    decompose = dlcusp.cli.decompose_dl
+    mismatch = {"torus": "split", "k_orbit": 0, "set_label": "E", "computed": "0", "table": "1"}
+
+    def planted(data, s=None, reading="primary"):
+        res = decompose(data, s, reading)
+        return res._replace(table_match=False, mismatches=[mismatch]) if data.p == at else res
+
+    monkeypatch.setattr(dlcusp.cli, "decompose_dl", planted)
+    return f"first mismatch at p={at}: {mismatch}"
+
+
+def test_corollaries_name_a_failed_decomposition(capsys, monkeypatch, cache_dir):
+    """A table mismatch at p = 29: its text line and its JSON row give the
+    reason verify gives, and the rows of the other primes keep none."""
+    reason = _plant_one_mismatch(monkeypatch, 29)
+    args = ("corollaries", "--range", "23", "31", "--cache-dir", str(cache_dir))
+    code, out = run(capsys, *args)
+    assert code == 1 and out.splitlines()[1:] == [
+        f"p= 29 decomposition=FAIL (table_match: {reason})  all-appear=ok  trivial-absent=ok",
+        "p= 31 all-appear=ok  trivial-absent=ok",
+        "aggregate: fail",
+    ]
+    code, out = run(capsys, *args, "--format", "json", "--no-timestamp")
+    rows = json.loads(out)["primes"]
+    assert code == 1 and [row["p"] for row in rows] == [23, 29, 31]
+    assert rows[1]["decomposition"] == "fail" and rows[1]["reasons"] == {"table_match": reason}
+    assert all("reasons" not in row and "decomposition" not in row for row in (rows[0], rows[2]))
+
+
+def test_papertable_names_a_failed_decomposition(capsys, monkeypatch, cache_dir):
+    """A table mismatch at p = 13: papertable stops there, and its stderr
+    line gives the reason verify gives."""
+    reason = _plant_one_mismatch(monkeypatch, 13)
+    code = main(["papertable", "--range", "7", "17", "--cache-dir", str(cache_dir)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"decomposition failed at p=13: table_match: {reason}\n"
 
 def test_the_text_report_names_each_linearity_failure(capsys, monkeypatch, cache_dir):
     """After "linearity: FAIL" the text report gives one line per failure:

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -24,7 +25,14 @@ from dlcusp.group import torus_order
 from dlcusp.numtheory import primes_in_range
 
 from conftest import get_data
-from propchecks import naive_inner_product, root_of_unity, table_offset, triangular_coefficients
+from propchecks import (
+    naive_inner_product,
+    remark_by_expansion,
+    root_of_unity,
+    table_offset,
+    triangular_coefficients,
+    weinstein_by_induction,
+)
 
 
 def test_degree_p7(data7):
@@ -133,7 +141,7 @@ def test_decomposition_degree_identity():
         total = Fraction(0)
         for (torus, k), c in res.coefficients.items():
             deg = p + 1 if torus == "split" else 1 - p
-            total += c * deg * res.orbit_weight(torus, k)
+            total += c * deg * orbit_weight(p, torus, k)
         assert total == s.degree.as_rational()
 
 
@@ -141,6 +149,23 @@ def test_decomposition_degree_identity():
 def test_remark_pipeline_agrees(p):
     data = get_data(p)
     assert remark_pipeline(data) == decompose_dl(data).coefficients
+
+
+def test_remark_pipeline_equals_the_expansion_it_replaces():
+    """Each St (x) R as one constant per torus plus one point gives what
+    expanding it over every character gave, at every prime in 7..199; fed
+    the prime alone, remark_pipeline shows that it reads no table."""
+    for p in primes_in_range(7, 199):
+        assert remark_pipeline(SimpleNamespace(p=p)) == remark_by_expansion(p), p
+
+
+def test_counted_s_equals_the_induced_s():
+    """The permutation characters counted in rationals give, value for
+    value, the s that induction and class-function sums give, at every
+    prime in 7..101."""
+    for p in primes_in_range(7, 101):
+        data = get_data(p)
+        assert weinstein_character(data).values == weinstein_by_induction(data).values, p
 
 
 def test_alternative_reading_fails_at_p7(data7):

@@ -1,14 +1,15 @@
 """Coset fixed-point oracle: induction of the trivial character from first
-principles, with no shared code path with classfun.induce."""
+principles, with no shared code path with propchecks.induce or with the
+counted permutation characters of cuspform.weinstein_character."""
 
 from fractions import Fraction
 
 import pytest
 
-from dlcusp.classfun import induce
 from dlcusp.group import GroupElement, build_subgroup
 
 from conftest import get_data
+from propchecks import induce
 from test_group import all_elements
 
 
