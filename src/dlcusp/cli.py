@@ -406,20 +406,85 @@ def _verify_one(p: int, cache_dir_str: str | None, reading: str) -> dict:
     return row
 
 
-def _run_pool(primes: list[int], jobs: int, cache_dir: Path | None, reading: str, done=lambda r: r) -> list[dict]:
-    """_verify_one at every prime, in order of p; done sees each row as its prime finishes."""
-    cd = str(cache_dir) if cache_dir else None
-    # every worker starts up front, so never more than there is work or cores for
-    workers = min(jobs, len(primes), os.cpu_count() or 1)
-    if workers <= 1:
-        return [done(_verify_one(p, cd, reading)) for p in primes]
-    # the largest primes cost the most, so they go first and the small ones fill the gaps
-    order = sorted(primes, reverse=True)
-    # imported here, so that a run without a pool never imports it
-    from concurrent.futures import ProcessPoolExecutor, as_completed
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform
+    has one, which taskset and cgroup cpusets narrow, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        rows = [done(f.result()) for f in as_completed([pool.submit(_verify_one, p, cd, reading) for p in order])]
+
+def _shares(primes: list[int], workers: int) -> list[list[int]]:
+    """primes in workers shares of about equal cost, share 0 the parent's.
+
+    Every stage of _verify_one grows as about p^2, so a prime is estimated
+    to cost p^2; the primes go largest first, each to the share cheapest so
+    far (the lowest index on a tie), so the small ones even out the ends."""
+    shares: list[list[int]] = [[] for _ in range(workers)]
+    costs = [0] * workers
+    for p in sorted(primes, reverse=True):
+        i = costs.index(min(costs))
+        shares[i].append(p)
+        costs[i] += p * p
+    return shares
+
+
+def _run_pool(primes: list[int], jobs: int, cache_dir: Path | None, reading: str, done=lambda r: r) -> list[dict]:
+    """_verify_one at every prime, in order of p; done sees each row as the
+    parent gets it: its own share's as each prime finishes, then each child's.
+
+    The parent verifies share 0 itself and forks one child per other share.
+    A child sends its rows through a pipe, pickled once at the end, and leaves
+    through os._exit, so it never runs the parent's cleanup or flushes the
+    parent's buffers.  A child that fails, or whose rows do not unpickle, is
+    an error naming its primes, and no child outlives the call."""
+    cd = str(cache_dir) if cache_dir else None
+    # every worker starts up front, so never more than there is work or CPUs for
+    workers = min(jobs, len(primes), _usable_cpus())
+    if workers <= 1 or not hasattr(os, "fork"):
+        return [done(_verify_one(p, cd, reading)) for p in primes]
+    # imported here, so that a serial run never imports them
+    import pickle
+    import signal
+
+    shares = _shares(primes, workers)
+    children = {}  # pid -> (the read end of its pipe, its share), until reaped
+    try:
+        for share in shares[1:]:
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(r)
+                    blob = pickle.dumps([_verify_one(p, cd, reading) for p in share])
+                    with open(w, "wb") as pipe:
+                        pipe.write(blob)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(w)
+            children[pid] = (open(r, "rb"), share)
+        rows = [done(_verify_one(p, cd, reading)) for p in shares[0]]
+        for pid, (pipe, share) in list(children.items()):
+            with pipe:
+                blob = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            worker = f"the worker for primes {', '.join(map(str, share))}"
+            if status:
+                raise RuntimeError(f"{worker} died of signal {-status}" if status < 0
+                                   else f"{worker} exited with status {status}")
+            try:
+                got = pickle.loads(blob)
+            except Exception as exc:
+                raise RuntimeError(f"{worker} sent rows that do not unpickle: {type(exc).__name__}: {exc}") from exc
+            rows += [done(row) for row in got]
+    finally:
+        for pid, (pipe, _) in children.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
     return sorted(rows, key=lambda r: r["p"])
 
 

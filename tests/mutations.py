@@ -197,6 +197,27 @@ MUTATIONS = [
         "first + (res == -1)",
         ["tests/test_group.py::test_inverse_class_is_an_involution_matching_true_inverses"],
     ),
+    # the rows the children send are dropped: only the parent's share is reported
+    (
+        "src/dlcusp/cli.py",
+        "rows += [done(row) for row in got]",
+        "pass",
+        ["tests/test_cli.py::test_verify_jobs_match_serial"],
+    ),
+    # a child's exit status ignored: a worker that died is read as one that sent nothing
+    (
+        "src/dlcusp/cli.py",
+        "if status:",
+        "if False:",
+        ["tests/test_cli.py::test_a_failing_worker_fails_the_run_and_names_its_primes[exit]"],
+    ),
+    # the pool clamped on the machine's CPUs, not on those the process may use
+    (
+        "src/dlcusp/cli.py",
+        "return len(os.sched_getaffinity(0))",
+        "return os.cpu_count() or 1",
+        ["tests/test_cli.py::test_the_pool_counts_only_the_cpus_it_may_use"],
+    ),
 ]
 
 

@@ -130,11 +130,36 @@ def test_verify_mod12_filter(capsys, cache_dir):
     assert [row["p"] for row in doc["primes"]] == [11, 23, 47, 59]
 
 
-def test_verify_jobs_match_serial(capsys, cache_dir):
-    args = ("verify", "--range", "7", "23", "--format", "json", "--no-timestamp", "--cache-dir", str(cache_dir))
-    _, serial = run(capsys, *args)
-    _, parallel = run(capsys, *args, "--jobs", "3")
-    assert serial == parallel
+@pytest.fixture
+def usable_cpus(monkeypatch):
+    """usable_cpus(n): the pool sees an affinity mask of n CPUs, whatever
+    the host has, so that a test forks the workers it means to."""
+    import os
+
+    def usable(n: int):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+    return usable
+
+
+def test_verify_jobs_match_serial(capsys, tmp_path, usable_cpus):
+    """--jobs 3 on three CPUs prints what a serial run prints, cold and then
+    warm, each from its own cache directory, and the cold runs write the same
+    cache files byte for byte."""
+    import os
+
+    usable_cpus(3)
+    serial_dir, parallel_dir = tmp_path / "serial", tmp_path / "parallel"
+    args = ("verify", "--range", "7", "23", "--format", "json", "--no-timestamp")
+    for hits in (0, 6):
+        code, serial = run(capsys, *args, "--cache-dir", str(serial_dir))
+        assert code == 0 and json.loads(serial)["cache_hits"] == hits
+        assert run(capsys, *args, "--cache-dir", str(parallel_dir), "--jobs", "3") == (code, serial)
+        names = sorted(path.name for path in serial_dir.iterdir())
+        assert len(names) == 6 and sorted(path.name for path in parallel_dir.iterdir()) == names
+        assert all((serial_dir / name).read_bytes() == (parallel_dir / name).read_bytes() for name in names)
+    with pytest.raises(ChildProcessError):  # every child reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -145,69 +170,88 @@ def test_jobs_below_one_exits_2(capsys, jobs):
     assert "--jobs" in capsys.readouterr().err
 
 
-@pytest.fixture
-def fake_pool(monkeypatch):
-    """A ProcessPoolExecutor stand-in that runs in this process and records
-    the worker counts it was started with and the primes handed to it, so no
-    real pool is ever started.  The CLI imports the pool where it starts one,
-    so the stand-in replaces it in concurrent.futures."""
-    import concurrent.futures
+def _record_shares(monkeypatch) -> list[int]:
+    """The worker count of every pool started from now on."""
+    import dlcusp.cli
 
-    record = {"started": [], "submitted": []}
+    started = []
+    shares = dlcusp.cli._shares
 
-    class FakePool:
-        def __init__(self, max_workers):
-            record["started"].append(max_workers)
+    def recorded(primes, workers):
+        started.append(workers)
+        return shares(primes, workers)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, p, *rest):
-            record["submitted"].append(p)
-            future = concurrent.futures.Future()
-            future.set_result(fn(p, *rest))  # already finished when submitted
-            return future
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-    return record
+    monkeypatch.setattr(dlcusp.cli, "_shares", recorded)
+    return started
 
 
 @pytest.mark.parametrize("cpus, workers", [(4, 3), (2, 2), (None, None)])
-def test_pool_size_is_clamped(capsys, monkeypatch, fake_pool, cache_dir, cpus, workers):
-    """min(jobs, primes, cores) workers, and no pool at all for one."""
+def test_pool_size_is_clamped(capsys, monkeypatch, cache_dir, cpus, workers):
+    """min(jobs, primes, CPUs) workers, and no pool at all for one; with no
+    affinity mask to read, the machine's CPU count is the clamp."""
     import os
 
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    started = _record_shares(monkeypatch)
     code, _ = run(capsys, "verify", "--range", "7", "13", "--jobs", "64", "--cache-dir", str(cache_dir),
                   "--no-timestamp")
     assert code == 0
-    assert fake_pool["started"] == ([] if workers is None else [workers])
+    assert started == ([] if workers is None else [workers])
 
 
-def test_pool_gets_the_largest_primes_first(capsys, monkeypatch, fake_pool, cache_dir):
-    """Primes go to the pool largest first, and the report is still sorted."""
+def test_the_pool_counts_only_the_cpus_it_may_use(capsys, monkeypatch, cache_dir, usable_cpus):
+    """With an affinity mask of one CPU on a machine of four, --jobs 2 runs
+    serially: it never forks."""
     import os
 
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    code, out = run(capsys, "verify", "--range", "7", "13", "--jobs", "2", "--format", "json",
-                    "--cache-dir", str(cache_dir), "--no-timestamp")
-    assert code == 0
-    assert fake_pool["submitted"] == [13, 11, 7]
-    assert [row["p"] for row in json.loads(out)["primes"]] == [7, 11, 13]
+    def no_fork():
+        raise AssertionError("forked with one usable CPU")
+
+    usable_cpus(1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(os, "fork", no_fork)
+    code, out = run(capsys, "verify", "--range", "7", "13", "--jobs", "2", "--cache-dir", str(cache_dir),
+                    "--no-timestamp")
+    assert code == 0 and "aggregate: pass" in out
+
+
+def test_a_platform_without_fork_verifies_serially(capsys, monkeypatch, cache_dir, usable_cpus):
+    """Where os.fork does not exist, --jobs 2 verifies every prime in this process."""
+    import os
+
+    usable_cpus(2)
+    monkeypatch.delattr(os, "fork")
+    started = _record_shares(monkeypatch)
+    code, out = run(capsys, "verify", "--range", "7", "13", "--jobs", "2", "--cache-dir", str(cache_dir),
+                    "--no-timestamp")
+    assert code == 0 and "aggregate: pass" in out and started == []
+
+
+def test_pool_gets_the_largest_primes_first():
+    """The shares take the primes largest first, each to the share whose
+    cost, at p^2 a prime, is lowest so far; share 0, the parent's, gets the
+    largest prime, and every prime is in exactly one share."""
+    from dlcusp.cli import _shares
+    from dlcusp.numtheory import primes_in_range
+
+    assert _shares([7, 11, 13], 2) == [[13], [11, 7]]
+    assert _shares([13, 7, 11], 3) == [[13], [11], [7]]
+    assert _shares(primes_in_range(7, 43), 2) == [[43, 31, 29, 17, 13], [41, 37, 23, 19, 11, 7]]
+    for workers in (2, 3, 5):
+        shares = _shares(primes_in_range(7, 101), workers)
+        assert len(shares) == workers and sorted(sum(shares, [])) == primes_in_range(7, 101)
+        assert all(share == sorted(share, reverse=True) for share in shares) and shares[0][0] == 101
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
-def test_verify_reports_progress_only_to_a_terminal(capsys, monkeypatch, fake_pool, jobs):
+def test_verify_reports_progress_only_to_a_terminal(capsys, monkeypatch, usable_cpus, jobs):
     """With stderr a terminal, verify prints one line per finished prime
     there; stdout is byte-identical either way, and a stderr that is not a
     terminal gets nothing."""
-    import os
     import sys
 
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    usable_cpus(2)
     args = ["verify", "--range", "7", "13", "--jobs", jobs, "--format", "json", "--no-timestamp", "--no-cache"]
     assert main(args) == 0
     quiet = capsys.readouterr()
@@ -218,8 +262,61 @@ def test_verify_reports_progress_only_to_a_terminal(capsys, monkeypatch, fake_po
     line = re.compile(r"verify: p=(\d+) pass in [0-9.]+ s \((\d)/3\)$")
     lines = [line.match(text).groups() for text in loud.err.splitlines()]
     assert [count for _, count in lines] == ["1", "2", "3"]
-    primes = [int(p) for p, _ in lines]
-    assert (primes if jobs == "1" else sorted(primes)) == [7, 11, 13]  # a pool's come in finishing order
+    # the parent's share [13] as it finishes, then the child's [11, 7]
+    assert [int(p) for p, _ in lines] == ([7, 11, 13] if jobs == "1" else [13, 11, 7])
+
+
+@pytest.mark.parametrize("fault, reason", [
+    ("exit", "exited with status 3"),
+    ("signal", "died of signal 9"),
+    ("garbage", "sent rows that do not unpickle: UnpicklingError: "),
+], ids=["exit", "signal", "garbage"])
+def test_a_failing_worker_fails_the_run_and_names_its_primes(capsys, monkeypatch, usable_cpus, fault, reason):
+    """A child that dies, or whose rows do not unpickle, ends the run as an
+    internal error naming the primes of its share, and leaves no child."""
+    import os
+    import pickle
+    import signal
+
+    import dlcusp.cli
+
+    usable_cpus(2)
+    parent = os.getpid()
+    verify_one = dlcusp.cli._verify_one
+
+    def dying(p, *rest):
+        if p == 11 and os.getpid() != parent:
+            if fault == "signal":
+                os.kill(os.getpid(), signal.SIGKILL)
+            os._exit(3)
+        return verify_one(p, *rest)
+
+    if fault != "garbage":
+        monkeypatch.setattr(dlcusp.cli, "_verify_one", dying)
+    else:
+        monkeypatch.setattr(pickle, "dumps", lambda obj: b"not a pickle")
+    code = main(["verify", "--range", "7", "13", "--jobs", "2", "--no-cache", "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith(f"internal error: RuntimeError: the worker for primes 11, 7 {reason}")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_an_exception_in_the_parent_leaves_no_worker_behind(usable_cpus):
+    """done raising in the parent propagates, and every child is killed and reaped."""
+    import os
+
+    from dlcusp.cli import _run_pool
+
+    def done(row):
+        raise RuntimeError("planted fault")
+
+    usable_cpus(2)
+    with pytest.raises(RuntimeError, match="planted fault"):
+        _run_pool([7, 11, 13], 2, None, "primary", done)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_classes_builds_no_characters(capsys, monkeypatch, tmp_path):
@@ -749,8 +846,9 @@ def _loaded_by_importing_the_cli(*modules: str) -> list[str]:
 
 
 def test_importing_the_cli_leaves_the_process_pool_out():
-    """Only a run with a pool pays for importing one."""
-    assert _loaded_by_importing_the_cli("concurrent.futures.process") == []
+    """No run pays for importing a process pool, and only a run that forks
+    pays for pickle."""
+    assert _loaded_by_importing_the_cli("concurrent.futures.process", "multiprocessing", "pickle") == []
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
@@ -760,28 +858,37 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
-def test_a_failing_load_fails_only_its_prime(capsys, monkeypatch, fake_pool, cache_dir, jobs):
+def test_a_failing_load_fails_only_its_prime(capsys, monkeypatch, usable_cpus, cache_dir, jobs):
     """An exception while loading one prime's table fails every check of that
     prime with the stage named; the other primes are still verified and the
-    exit code stays 1, with and without the pool."""
+    exit code stays 1, with and without the pool, where 11 is the child's."""
     import os
 
     import dlcusp.cli
 
     load = dlcusp.cli.load_character_data
+    fork = os.fork
+    forks = []
 
     def broken(p, cache_dir):
         if p == 11:
             raise RuntimeError("planted fault")
         return load(p, cache_dir)
 
+    def counted():
+        forks.append(1)
+        return fork()
+
     monkeypatch.setattr(dlcusp.cli, "load_character_data", broken)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "fork", counted)
+    usable_cpus(2)
     code, out = run(capsys, "verify", "--range", "7", "13", "--jobs", jobs, "--format", "json", "--no-timestamp",
                     "--cache-dir", str(cache_dir))
     report = json.loads(out)
     assert code == 1 and report["aggregate"] == "fail"
-    assert fake_pool["submitted"] == ([] if jobs == "1" else [13, 11, 7])
+    assert len(forks) == (0 if jobs == "1" else 1)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
     rows = {row["p"]: row for row in report["primes"]}
     assert list(rows) == [7, 11, 13] and rows[7]["status"] == rows[13]["status"] == "pass"
     failed = rows[11]
