@@ -45,15 +45,8 @@ class ClassFunction:
         self._check(other)
         return ClassFunction(self.table, [a + b for a, b in zip(self.values, other.values)])
 
-    def __sub__(self, other: "ClassFunction") -> "ClassFunction":
-        self._check(other)
-        return ClassFunction(self.table, [a - b for a, b in zip(self.values, other.values)])
-
     def __neg__(self) -> "ClassFunction":
         return ClassFunction(self.table, [-a for a in self.values])
-
-    def scale(self, r: Fraction | int) -> "ClassFunction":
-        return ClassFunction(self.table, [a.scale(r) for a in self.values])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ClassFunction) and self.values == other.values
@@ -64,9 +57,6 @@ class ClassFunction:
     @property
     def degree(self) -> CycNumber:
         return self.values[self.table.identity_index()]
-
-    def __repr__(self):
-        return f"ClassFunction(p={self.table.p}, deg={self.degree.to_text()})"
 
 
 def dual(phi: ClassFunction) -> ClassFunction:

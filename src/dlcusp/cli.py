@@ -43,9 +43,9 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 
 # The largest prime any command accepts.  One prime's time grows about as
-# p^2: verify --range p p --no-cache took 0.21-0.34 s and 17.5 MB peak RSS
-# at p = 199, and 0.93-1.51 s and 26.6 MB at p = 599 (CPython 3.11, a shared
-# 2-core host, ten runs each).  Above the bound, a typo such as --range 7
+# p^2: verify --range p p --no-cache took 0.17-0.22 s and 17.5-17.7 MB peak
+# RSS at p = 199, and 0.56-0.78 s and 26.4-26.7 MB at p = 599 (CPython 3.11,
+# a shared 2-core host, ten runs each).  Above the bound, a typo such as --range 7
 # 1000000000000 is refused before any prime search instead of running for days.
 MAX_PRIME = 600
 
@@ -66,11 +66,16 @@ def _timestamp() -> str:
 # -- cache ---------------------------------------------------------------------
 
 
-def default_cache_dir() -> Path:
+def default_cache_dir() -> Path | None:
+    """$DLCUSP_CACHE, else ~/.cache/dlcusp; None, so that the run goes on
+    without a cache, when there is no home directory to find."""
     env = os.environ.get("DLCUSP_CACHE")
     if env:
         return Path(env)
-    return Path.home() / ".cache" / "dlcusp"
+    try:
+        return Path.home() / ".cache" / "dlcusp"
+    except RuntimeError:  # HOME unset and no passwd entry for the uid
+        return None
 
 
 def cache_path(cache_dir: Path, p: int) -> Path:
@@ -318,9 +323,8 @@ def _check_names(p: int) -> tuple[str, ...]:
     return _CHECKS + ("corollary_2",) if p >= 23 else _CHECKS
 
 
-def _verify_one(p: int, cache_dir_str: str | None, reading: str) -> dict:
-    """Per-prime end-to-end verification; worker for the process pool."""
-    cache_dir = Path(cache_dir_str) if cache_dir_str else None
+def _verify_one(p: int, cache_dir: Path | None, reading: str) -> dict:
+    """Per-prime end-to-end verification: every check, its reasons and its stage times."""
     t0 = time.monotonic()
     names = _check_names(p)
     checks: dict[str, bool] = {}
@@ -436,13 +440,13 @@ def _run_pool(primes: list[int], jobs: int, cache_dir: Path | None, reading: str
     The parent verifies share 0 itself and forks one child per other share.
     A child sends its rows through a pipe, pickled once at the end, and leaves
     through os._exit, so it never runs the parent's cleanup or flushes the
-    parent's buffers.  A child that fails, or whose rows do not unpickle, is
-    an error naming its primes, and no child outlives the call."""
-    cd = str(cache_dir) if cache_dir else None
+    parent's buffers.  A child that fails writes the type and text of its
+    exception to stderr; that, or rows that do not unpickle, is an error
+    naming its primes, and no child outlives the call."""
     # every worker starts up front, so never more than there is work or CPUs for
     workers = min(jobs, len(primes), _usable_cpus())
     if workers <= 1 or not hasattr(os, "fork"):
-        return [done(_verify_one(p, cd, reading)) for p in primes]
+        return [done(_verify_one(p, cache_dir, reading)) for p in primes]
     # imported here, so that a serial run never imports them
     import pickle
     import signal
@@ -457,15 +461,17 @@ def _run_pool(primes: list[int], jobs: int, cache_dir: Path | None, reading: str
                 status = 1
                 try:
                     os.close(r)
-                    blob = pickle.dumps([_verify_one(p, cd, reading) for p in share])
+                    blob = pickle.dumps([_verify_one(p, cache_dir, reading) for p in share])
                     with open(w, "wb") as pipe:
                         pipe.write(blob)
                     status = 0
+                except Exception as exc:  # past the stdio buffers, which the child never flushes
+                    os.write(2, f"{type(exc).__name__}: {exc}\n".encode())
                 finally:
                     os._exit(status)
             os.close(w)
             children[pid] = (open(r, "rb"), share)
-        rows = [done(_verify_one(p, cd, reading)) for p in shares[0]]
+        rows = [done(_verify_one(p, cache_dir, reading)) for p in shares[0]]
         for pid, (pipe, share) in list(children.items()):
             with pipe:
                 blob = pipe.read()

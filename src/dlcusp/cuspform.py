@@ -20,7 +20,7 @@ from typing import NamedTuple
 from .classfun import ClassFunction, closed_pairings, dual
 from .chartable import CharacterData, dl_terms, ensure_audited, quadratic_character_index
 from .cyclotomic import ZERO
-from .group import ConjugacyTable, SubgroupData, conjugate_into_torus, torus_order
+from .group import ConjugacyTable, SubgroupData, torus_order
 
 TORI = ("split", "nonsplit")
 SET_LABELS = ("A", "B", "C", "D", "E")
@@ -50,20 +50,26 @@ def embedding_pattern(p: int) -> dict[str, str]:
 
 
 def verify_torus_placement(data: CharacterData) -> dict[str, str]:
-    """Replay-checked placement of both cyclic subgroups (witness verified).
+    """The torus each cyclic subgroup lies in a conjugate of, read off the
+    class table: H lies in a conjugate of T iff the representative of every
+    class H meets (set(H.fusion)) is in T.
 
-    Returns the same mapping as embedding_pattern; raises if a witness is
-    missing where divisibility promises one, or if a subgroup conjugates into
-    both tori.
+    (<=) The class of a generator g of H has its representative r in T,
+    so h g h^-1 = r for some h, and h H h^-1 = <r> lies in T.  (=>) Every
+    element of H is conjugate into T, so its class meets T; and a class
+    that meets a torus has its representative in it, as the table builds
+    them: +-I in both, diag(k, k^-1) in the split torus and
+    [[a, b eps], [b, a]] in the nonsplit one, while a unipotent-type class
+    meets neither.
+
+    Returns the same mapping as embedding_pattern; raises if a subgroup lies
+    in no torus or in both, or if the placement is not that mapping.
     """
+    classes = data.table.classes
     pattern = {}
     for key, name in (("x", "Gx_tilde"), ("y", "Gy_tilde")):
-        sub = data.subgroups[name]
-        placements = []
-        for torus_type in TORI:
-            h = conjugate_into_torus(sub, data.torus(torus_type))
-            if h is not None:
-                placements.append(torus_type)
+        reps = [classes[c].rep for c in set(data.subgroups[name].fusion)]
+        placements = [t for t in TORI if all(r in data.torus(t).dlog for r in reps)]
         if len(placements) != 1:
             raise VerificationError(f"{name} embeds in {placements or 'no torus'} at p={data.p}")
         pattern[key] = placements[0]

@@ -9,7 +9,6 @@ table's memo of the class of a trace.
 
 from __future__ import annotations
 
-from math import gcd
 from typing import NamedTuple
 
 from .numtheory import factorize, is_prime, legendre, smallest_nonsquare, sqrt_mod
@@ -70,17 +69,6 @@ class GroupElement:
     @property
     def trace(self) -> int:
         return (self.a + self.d) % self.p
-
-    def conjugate_by(self, h: "GroupElement") -> "GroupElement":
-        return h * self * h.inverse()
-
-    def order(self) -> int:
-        n, x = 1, self
-        e = identity(self.p)
-        while x != e:
-            x = x * self
-            n += 1
-        return n
 
     def entries(self) -> tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)
@@ -326,84 +314,3 @@ def build_torus(table: ConjugacyTable, torus_type: str) -> TorusData:
     assert len(dlog) == order
     return TorusData(torus_type, p, tuple(elements), order, generator, dlog, eps)
 
-
-def conjugate_into_torus(sub: SubgroupData, torus: TorusData) -> GroupElement | None:
-    """h with h sub h^-1 inside the torus, or None when no embedding exists.
-
-    Only the two cyclic subgroups with semisimple generators are eligible; a
-    cyclic group embeds in a cyclic group iff its order divides, and the
-    witness is assembled from companion-form base changes plus a centralizer
-    correction that lands the determinant on 1.
-    """
-    if sub.name not in ("Gx_tilde", "Gy_tilde"):
-        raise ValueError("only Gx_tilde / Gy_tilde placement is supported")
-    m = sub.order
-    if torus.order % m != 0:
-        return None
-    p = sub.p
-    g = min((x for x in sub.elements if x.order() == m), key=GroupElement.entries)
-    step = torus.order // m
-    for j in range(1, m):
-        if gcd(j, m) != 1:
-            continue
-        u = torus.generator ** (step * j)
-        if u.trace != g.trace:
-            continue
-        h = _conjugator(g, u)
-        if h is not None:
-            for x in sub.elements:
-                assert x.conjugate_by(h) in torus.dlog
-            return h
-    return None
-
-
-def _cyclic_vector(g: GroupElement) -> tuple[int, int]:
-    p = g.p
-    for v in ((1, 0), (0, 1), (1, 1)):
-        w = ((g.a * v[0] + g.b * v[1]) % p, (g.c * v[0] + g.d * v[1]) % p)
-        if (v[0] * w[1] - v[1] * w[0]) % p != 0:
-            return v
-    raise AssertionError("element is scalar, no cyclic vector")
-
-
-def _conjugator(g: GroupElement, u: GroupElement) -> GroupElement | None:
-    """Solve h g h^-1 = u with det h = 1 for regular semisimple g, u of equal trace."""
-    p = g.p
-    v = _cyclic_vector(g)
-    w = _cyclic_vector(u)
-    gv = ((g.a * v[0] + g.b * v[1]) % p, (g.c * v[0] + g.d * v[1]) % p)
-    uw = ((u.a * w[0] + u.b * w[1]) % p, (u.c * w[0] + u.d * w[1]) % p)
-    pm = (v[0], gv[0], v[1], gv[1])  # columns [v | gv]
-    qm = (w[0], uw[0], w[1], uw[1])
-    det_p = (pm[0] * pm[3] - pm[1] * pm[2]) % p
-    inv_det = pow(det_p, -1, p)
-    # h0 = Q P^-1 conjugates g to u, determinant arbitrary
-    pinv = (pm[3] * inv_det % p, -pm[1] * inv_det % p, -pm[2] * inv_det % p, pm[0] * inv_det % p)
-    h0 = (
-        (qm[0] * pinv[0] + qm[1] * pinv[2]) % p,
-        (qm[0] * pinv[1] + qm[1] * pinv[3]) % p,
-        (qm[2] * pinv[0] + qm[3] * pinv[2]) % p,
-        (qm[2] * pinv[1] + qm[3] * pinv[3]) % p,
-    )
-    d0 = (h0[0] * h0[3] - h0[1] * h0[2]) % p
-    # correct by x + y*g inside the centralizer of g:
-    # det(xI + yg) = x^2 + tr(g) xy + y^2 must equal d0^-1
-    target = pow(d0, -1, p)
-    t = g.trace
-    for x in range(p):
-        for y in range(p):
-            if (x * x + t * x * y + y * y) % p == target:
-                ca = (x + y * g.a) % p
-                cb = y * g.b % p
-                cc = y * g.c % p
-                cd = (x + y * g.d) % p
-                h = GroupElement(
-                    p,
-                    h0[0] * ca + h0[1] * cc,
-                    h0[0] * cb + h0[1] * cd,
-                    h0[2] * ca + h0[3] * cc,
-                    h0[2] * cb + h0[3] * cd,
-                )
-                assert g.conjugate_by(h) == u
-                return h
-    return None

@@ -218,6 +218,48 @@ MUTATIONS = [
         "return os.cpu_count() or 1",
         ["tests/test_cli.py::test_the_pool_counts_only_the_cpus_it_may_use"],
     ),
+    # a subgroup placed in a torus that holds the representative of any one of its classes, not of all
+    (
+        "src/dlcusp/cuspform.py",
+        "all(r in data.torus(t).dlog for r in reps)",
+        "any(r in data.torus(t).dlog for r in reps)",
+        [
+            "tests/test_cuspform.py::test_verify_torus_placement_matches_the_witness_oracle",
+            "tests/test_acceptance.py::test_criterion_07_torus_placement",
+            "tests/test_cli.py::test_a_torus_placement_fault_is_named",
+        ],
+    ),
+    # the placement tests the split torus only
+    (
+        "src/dlcusp/cuspform.py",
+        "placements = [t for t in TORI if",
+        "placements = [t for t in TORI[:1] if",
+        [
+            "tests/test_cuspform.py::test_verify_torus_placement_matches_the_witness_oracle",
+            "tests/test_acceptance.py::test_criterion_07_torus_placement",
+        ],
+    ),
+    # the placement never compared with the mod-12 table
+    (
+        "src/dlcusp/cuspform.py",
+        "if pattern != embedding_pattern(data.p):",
+        "if False:",
+        ["tests/test_cli.py::test_a_placement_off_the_mod12_table_is_named"],
+    ),
+    # a child that raises exits without saying why
+    (
+        "src/dlcusp/cli.py",
+        'os.write(2, f"{type(exc).__name__}: {exc}\\n".encode())',
+        "pass",
+        ["tests/test_cli.py::test_a_worker_that_raises_reports_its_exception"],
+    ),
+    # no home directory ends the run instead of its cache
+    (
+        "src/dlcusp/cli.py",
+        "except RuntimeError:  # HOME unset",
+        "except KeyError:  # HOME unset",
+        ["tests/test_cli.py::test_no_home_directory_means_no_cache"],
+    ),
 ]
 
 

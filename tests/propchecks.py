@@ -8,6 +8,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
 from math import gcd, lcm
+from types import SimpleNamespace
 from typing import Sequence
 
 from dlcusp import group
@@ -72,6 +73,24 @@ def induce(table: ConjugacyTable, sub: SubgroupData, values: Sequence[CycNumber 
         else:
             out.append(sum(hit, ZERO).scale(Fraction(rec.centralizer_order, sub.order)))
     return ClassFunction(table, out)
+
+
+def scaled(phi: ClassFunction, r: Fraction | int) -> ClassFunction:
+    """r times phi, class by class."""
+    return ClassFunction(phi.table, [v.scale(r) for v in phi.values])
+
+
+def element_order(g: GroupElement) -> int:
+    """The least n >= 1 with g^n = I, by repeated multiplication."""
+    n, x, one = 1, g, group.identity(g.p)
+    while x != one:
+        x, n = x * g, n + 1
+    return n
+
+
+def conjugate(g: GroupElement, h: GroupElement) -> GroupElement:
+    """h g h^-1."""
+    return h * g * h.inverse()
 
 
 def restrict(phi: ClassFunction, sub: SubgroupData) -> list[CycNumber]:
@@ -318,7 +337,7 @@ def check_exceptional_pairs(data: CharacterData) -> None:
             tau.scale(rec.key[1] * (1 if rec.key[0] == 1 else center_sign)) if rec.kind == "unipotent" else ZERO
             for rec in table.classes
         ])
-        assert plus == (base + delta).scale(Fraction(1, 2)) and minus == (base - delta).scale(Fraction(1, 2)), torus
+        assert plus == scaled(base + delta, Fraction(1, 2)) and minus == scaled(base + (-delta), Fraction(1, 2)), torus
         assert plus + minus == base, torus
         for irr, chi in zip(pair, (plus, minus)):
             assert irr.degree == chi.degree == deg and naive_inner_product(chi, chi) == 1, torus
@@ -432,7 +451,7 @@ def check_conjugation_invariance(data: CharacterData, seed: int = 7, conjugators
     for idx, rec in enumerate(table.classes):
         for _ in range(conjugators_per_class):
             h = _random_element(rng, p)
-            assert table.class_of(rec.rep.conjugate_by(h)) == idx
+            assert table.class_of(conjugate(rec.rep, h)) == idx
             checked += 1
     return checked
 
@@ -519,6 +538,104 @@ class TorusCharacter:
         return self.order // gcd(self.k, self.order) if self.k else 1
 
 
+def placement_data(p: int) -> SimpleNamespace:
+    """What cuspform.verify_torus_placement reads of a CharacterData (p, the
+    class table, Gx_tilde and Gy_tilde, the tori), built without characters."""
+    table = group.build_conjugacy_table(p)
+    tori = {t: build_torus(table, t) for t in TORI}
+    subgroups = {name: group.build_subgroup(table, name) for name in ("Gx_tilde", "Gy_tilde")}
+    return SimpleNamespace(p=p, table=table, subgroups=subgroups, torus=tori.__getitem__)
+
+
+def witness_placement(data) -> dict[str, list[str]]:
+    """The tori each cyclic subgroup conjugates into, keyed "x"/"y", each
+    found by an explicit conjugating element (conjugate_into_torus)."""
+    return {key: [t for t in TORI if conjugate_into_torus(data.subgroups[name], data.torus(t)) is not None]
+            for key, name in (("x", "Gx_tilde"), ("y", "Gy_tilde"))}
+
+
+def conjugate_into_torus(sub: SubgroupData, torus) -> GroupElement | None:
+    """h with h sub h^-1 inside the torus, or None when no embedding exists.
+
+    Only the two cyclic subgroups with semisimple generators are eligible; a
+    cyclic group embeds in a cyclic group iff its order divides, and the
+    witness is assembled from companion-form base changes plus a centralizer
+    correction that lands the determinant on 1.  Every witness is replayed
+    on every element of sub before it is returned.
+    """
+    if sub.name not in ("Gx_tilde", "Gy_tilde"):
+        raise ValueError("only Gx_tilde / Gy_tilde placement is supported")
+    m = sub.order
+    if torus.order % m != 0:
+        return None
+    g = min((x for x in sub.elements if element_order(x) == m), key=GroupElement.entries)
+    step = torus.order // m
+    for j in range(1, m):
+        if gcd(j, m) != 1:
+            continue
+        u = torus.generator ** (step * j)
+        if u.trace != g.trace:
+            continue
+        h = _conjugator(g, u)
+        if h is not None:
+            for x in sub.elements:
+                assert conjugate(x, h) in torus.dlog
+            return h
+    return None
+
+
+def _cyclic_vector(g: GroupElement) -> tuple[int, int]:
+    p = g.p
+    for v in ((1, 0), (0, 1), (1, 1)):
+        w = ((g.a * v[0] + g.b * v[1]) % p, (g.c * v[0] + g.d * v[1]) % p)
+        if (v[0] * w[1] - v[1] * w[0]) % p != 0:
+            return v
+    raise AssertionError("element is scalar, no cyclic vector")
+
+
+def _conjugator(g: GroupElement, u: GroupElement) -> GroupElement | None:
+    """Solve h g h^-1 = u with det h = 1 for regular semisimple g, u of equal trace."""
+    p = g.p
+    v = _cyclic_vector(g)
+    w = _cyclic_vector(u)
+    gv = ((g.a * v[0] + g.b * v[1]) % p, (g.c * v[0] + g.d * v[1]) % p)
+    uw = ((u.a * w[0] + u.b * w[1]) % p, (u.c * w[0] + u.d * w[1]) % p)
+    pm = (v[0], gv[0], v[1], gv[1])  # columns [v | gv]
+    qm = (w[0], uw[0], w[1], uw[1])
+    det_p = (pm[0] * pm[3] - pm[1] * pm[2]) % p
+    inv_det = pow(det_p, -1, p)
+    # h0 = Q P^-1 conjugates g to u, determinant arbitrary
+    pinv = (pm[3] * inv_det % p, -pm[1] * inv_det % p, -pm[2] * inv_det % p, pm[0] * inv_det % p)
+    h0 = (
+        (qm[0] * pinv[0] + qm[1] * pinv[2]) % p,
+        (qm[0] * pinv[1] + qm[1] * pinv[3]) % p,
+        (qm[2] * pinv[0] + qm[3] * pinv[2]) % p,
+        (qm[2] * pinv[1] + qm[3] * pinv[3]) % p,
+    )
+    d0 = (h0[0] * h0[3] - h0[1] * h0[2]) % p
+    # correct by x + y*g inside the centralizer of g:
+    # det(xI + yg) = x^2 + tr(g) xy + y^2 must equal d0^-1
+    target = pow(d0, -1, p)
+    t = g.trace
+    for x in range(p):
+        for y in range(p):
+            if (x * x + t * x * y + y * y) % p == target:
+                ca = (x + y * g.a) % p
+                cb = y * g.b % p
+                cc = y * g.c % p
+                cd = (x + y * g.d) % p
+                h = GroupElement(
+                    p,
+                    h0[0] * ca + h0[1] * cc,
+                    h0[0] * cb + h0[1] * cd,
+                    h0[2] * ca + h0[3] * cc,
+                    h0[2] * cb + h0[3] * cd,
+                )
+                assert conjugate(g, h) == u
+                return h
+    return None
+
+
 def lemma_tensor_sign(torus_type: str) -> int:
     """Sign making St (x) R equal the induced torus character: +1 split, -1 not."""
     return 1 if torus_type == "split" else -1
@@ -536,7 +653,7 @@ def induced_torus_character(data: CharacterData, torus_type: str, k: int) -> Cla
 def steinberg_tensor_identity_holds(data: CharacterData, torus_type: str, k: int) -> bool:
     """(+-1) St (x) R_T^theta == Ind_T theta, exactly."""
     st = data.irreducible("steinberg").chi
-    lhs = tensor(st, data.dl(torus_type, k)).scale(lemma_tensor_sign(torus_type))
+    lhs = scaled(tensor(st, data.dl(torus_type, k)), lemma_tensor_sign(torus_type))
     return lhs == induced_torus_character(data, torus_type, k)
 
 
@@ -559,7 +676,7 @@ def decompose_multiplicities(phi: ClassFunction, irreducibles: Sequence[ClassFun
     rebuilt = ClassFunction(phi.table, [ZERO] * len(phi.table))
     for m, chi in zip(mults, irreducibles):
         if m:
-            rebuilt = rebuilt + chi.scale(m)
+            rebuilt = rebuilt + scaled(chi, m)
     if rebuilt != phi:
         raise ValueError("multiplicities do not rebuild the class function")
     return mults
@@ -613,8 +730,8 @@ def weinstein_by_induction(data: CharacterData) -> ClassFunction:
     s = induce(table, data.subgroups["Z"], [1, 1])
     for name in ("Gx_tilde", "Gy_tilde", "Gz_tilde"):
         sub = data.subgroups[name]
-        s = s - induce(table, sub, [1] * sub.order)
-    return s + trivial_character(table).scale(2)
+        s = s + -induce(table, sub, [1] * sub.order)
+    return s + scaled(trivial_character(table), 2)
 
 
 def steinberg_tensor_coefficients(p: int, t1: str, k1: int, torus_type: str, zc_ks: list[int]) -> dict[int, int]:

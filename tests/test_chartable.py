@@ -14,6 +14,7 @@ from propchecks import (
     induced_torus_character,
     lemma_tensor_sign,
     root_of_unity,
+    scaled,
     steinberg_tensor_identity_holds,
     tensor,
     trivial_character,
@@ -71,7 +72,7 @@ def test_nonsplit_series_trivial_theta():
     for p in (7, 11):
         data = get_data(p)
         r = data.dl("nonsplit", 0)
-        assert r == trivial_character(data.table) - data.irreducible("steinberg").chi
+        assert r == trivial_character(data.table) + -data.irreducible("steinberg").chi
         assert r.degree.as_rational() == 1 - p
 
 
@@ -418,8 +419,8 @@ def _flipped_central_sign(data7):
             s, residue = rec.key
             delta_vals[i] = tau.scale(residue * (1 if s == 1 else wrong))
     delta = ClassFunction(data7.table, delta_vals)
-    plus = (base + delta).scale(Fraction(1, 2))
-    minus = (base - delta).scale(Fraction(1, 2))
+    plus = scaled(base + delta, Fraction(1, 2))
+    minus = scaled(base + (-delta), Fraction(1, 2))
     broken = data7
     for i, irr in enumerate(data7.irreducibles):
         if irr.label[0].startswith("exceptional_split_"):
@@ -520,7 +521,7 @@ def test_tensor_sign_convention_is_forced(data7):
     """The opposite sign assignment fails, pinning the rank convention."""
     st = data7.irreducible("steinberg").chi
     k = 2
-    lhs = tensor(st, data7.dl("split", k)).scale(-lemma_tensor_sign("split"))
+    lhs = scaled(tensor(st, data7.dl("split", k)), -lemma_tensor_sign("split"))
     assert lhs != induced_torus_character(data7, "split", k)
 
 
@@ -547,7 +548,7 @@ def _dl_orbit_coefficients(data, phi):
     rebuilt = ClassFunction(data.table, [0] * len(data.table))
     for (torus, k), c in coeff.items():
         if c:
-            rebuilt = rebuilt + data.dl(torus, k).scale(c)
+            rebuilt = rebuilt + scaled(data.dl(torus, k), c)
     assert rebuilt == phi, "function is not in the DL span"
     return coeff
 
@@ -713,7 +714,7 @@ def test_derived_dl_rows_equal_the_closed_form(p):
             assert data.dl(torus, k) == closed, (torus, k)
             assert data.dl(torus, k + n) is data.dl(torus, n - k)
             terms = dl_terms(p, torus, k)
-            rows = [data.irreducible(*label).chi.scale(sign) for label, sign in terms]
+            rows = [scaled(data.irreducible(*label).chi, sign) for label, sign in terms]
             assert sum(rows[1:], rows[0]) == closed, (torus, k)
             if len(terms) == 1 and terms[0][1] == 1:  # an irreducible's own row
                 assert data.dl(torus, k) is data.irreducible(*terms[0][0]).chi
@@ -895,7 +896,7 @@ def test_a_row_scaled_by_two_fails_only_its_norm(p):
     fails, wherever it falls in the order of pairs."""
     data = get_data(p)
     for row, irr in enumerate(data.irreducibles):
-        broken = propchecks.with_row(data, row, irr.chi.scale(2))
+        broken = propchecks.with_row(data, row, scaled(irr.chi, 2))
         want = _outcome(propchecks.check_row_orthonormality, broken)
         assert want == f"<{irr.name}, {irr.name}> = 1: 4 at p={p}"
         assert _outcome(validate_table, broken) == want

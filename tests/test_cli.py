@@ -303,6 +303,49 @@ def test_a_failing_worker_fails_the_run_and_names_its_primes(capsys, monkeypatch
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_a_worker_that_raises_reports_its_exception(capfd, monkeypatch, usable_cpus):
+    """A child whose own code raises (here pickle.dumps, outside every
+    per-stage handler) writes the type and text of the exception to stderr
+    before it exits; the parent's line and exit 1 stay as they were."""
+    import os
+    import pickle
+
+    def planted(obj):
+        raise pickle.PicklingError("planted")
+
+    usable_cpus(2)
+    monkeypatch.setattr(pickle, "dumps", planted)
+    code = main(["verify", "--range", "7", "13", "--jobs", "2", "--no-cache", "--no-timestamp"])
+    captured = capfd.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.splitlines() == [
+        "PicklingError: planted",
+        "internal error: RuntimeError: the worker for primes 11, 7 exited with status 1",
+    ]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_no_home_directory_means_no_cache(capsys, monkeypatch):
+    """With no DLCUSP_CACHE and no home directory to find (Path.home raises,
+    as with HOME unset and no passwd entry for the uid), verify runs without
+    a cache: every table is built, none is a hit, and the run passes."""
+    from pathlib import Path
+
+    from dlcusp.cli import default_cache_dir
+
+    def homeless():
+        raise RuntimeError("Could not determine home directory.")
+
+    monkeypatch.delenv("DLCUSP_CACHE", raising=False)
+    monkeypatch.setattr(Path, "home", homeless)
+    assert default_cache_dir() is None
+    code, out = run(capsys, "verify", "--range", "7", "11", "--format", "json", "--no-timestamp")
+    report = json.loads(out)
+    assert code == 0 and report["aggregate"] == "pass" and report["cache_hits"] == 0
+    assert [row["cache_hit"] for row in report["primes"]] == [False, False]
+
+
 def test_an_exception_in_the_parent_leaves_no_worker_behind(usable_cpus):
     """done raising in the parent propagates, and every child is killed and reaped."""
     import os
@@ -902,16 +945,66 @@ def _failed(report):
     return {row["p"]: sorted(name for name, ok in row["checks"].items() if not ok) for row in report["primes"]}
 
 
-def test_a_torus_placement_fault_is_named(capsys, monkeypatch, cache_dir):
-    """No conjugation witness found: torus_placement fails, with the reason."""
-    import dlcusp.cuspform
+def _plant_fusion(monkeypatch, name, fuse):
+    """verify_torus_placement reads subgroup name with the fusion fuse(table,
+    sub) in place of its own; no other check sees the planted fusion."""
+    from types import SimpleNamespace
 
-    monkeypatch.setattr(dlcusp.cuspform, "conjugate_into_torus", lambda sub, torus: None)
+    import dlcusp.cli
+
+    check = dlcusp.cli.verify_torus_placement
+
+    def planted(data):
+        sub = data.subgroups[name]
+        subgroups = {**data.subgroups, name: sub._replace(fusion=fuse(data.table, sub))}
+        return check(SimpleNamespace(p=data.p, table=data.table, subgroups=subgroups, torus=data.torus))
+
+    monkeypatch.setattr(dlcusp.cli, "verify_torus_placement", planted)
+
+
+def test_a_torus_placement_fault_is_named(capsys, monkeypatch, cache_dir):
+    """A Gx_tilde fusion that meets a split and a nonsplit class lies in no
+    torus: torus_placement fails alone, with the reason."""
+
+    def split_and_nonsplit(table, sub):
+        split = next(c for c, rec in enumerate(table.classes) if rec.kind == "split_semisimple")
+        fusion = (split,) + sub.fusion[1:]
+        assert {table.classes[c].kind for c in fusion} >= {"split_semisimple", "nonsplit_semisimple"}
+        return fusion
+
+    _plant_fusion(monkeypatch, "Gx_tilde", split_and_nonsplit)
     code, out = run(capsys, "verify", "--range", "7", "7", "--format", "json", "--no-timestamp",
                     "--cache-dir", str(cache_dir))
     report = json.loads(out)
     assert code == 1 and _failed(report) == {7: ["torus_placement"]}
     assert report["primes"][0]["reasons"] == {"torus_placement": "Gx_tilde embeds in no torus at p=7"}
+
+
+def test_a_placement_in_both_tori_is_named(capsys, monkeypatch, cache_dir):
+    """A Gx_tilde fusion of the two central classes only lies in both tori:
+    torus_placement fails alone, naming both."""
+    _plant_fusion(monkeypatch, "Gx_tilde", lambda table, sub: tuple(i % 2 for i in range(sub.order)))
+    code, out = run(capsys, "verify", "--range", "7", "7", "--format", "json", "--no-timestamp",
+                    "--cache-dir", str(cache_dir))
+    report = json.loads(out)
+    assert code == 1 and _failed(report) == {7: ["torus_placement"]}
+    assert report["primes"][0]["reasons"] == {"torus_placement": "Gx_tilde embeds in ['split', 'nonsplit'] at p=7"}
+
+
+def test_a_placement_off_the_mod12_table_is_named(capsys, monkeypatch, cache_dir):
+    """embedding_pattern with its tori swapped: the placement read off the
+    class table disagrees with it, and torus_placement names that."""
+    import dlcusp.cuspform
+
+    pattern = dlcusp.cuspform.embedding_pattern
+    swap = {"split": "nonsplit", "nonsplit": "split"}
+    monkeypatch.setattr(dlcusp.cuspform, "embedding_pattern",
+                        lambda p: {key: swap[t] for key, t in pattern(p).items()})
+    code, out = run(capsys, "verify", "--range", "7", "7", "--format", "json", "--no-timestamp",
+                    "--cache-dir", str(cache_dir))
+    report = json.loads(out)
+    assert code == 1 and "torus_placement" in _failed(report)[7]
+    assert report["primes"][0]["reasons"]["torus_placement"] == "placement disagrees with the mod-12 table at p=7"
 
 
 def _plant_two_more_on_z(monkeypatch):

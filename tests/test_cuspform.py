@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import pytest
 
 from dlcusp.cuspform import (
+    TORI,
     VerificationError,
     classify_theta,
     corollary_all_appear,
@@ -24,11 +25,13 @@ from dlcusp.classfun import ClassFunction, dual, inner_product
 from dlcusp.group import torus_order
 from dlcusp.numtheory import primes_in_range
 
+import propchecks
 from conftest import get_data
 from propchecks import (
     naive_inner_product,
     remark_by_expansion,
     root_of_unity,
+    scaled,
     table_offset,
     triangular_coefficients,
     weinstein_by_induction,
@@ -70,9 +73,28 @@ def test_embedding_pattern():
     assert embedded_subgroups(13, "nonsplit") == ()
 
 
-def test_verify_torus_placement_replays_witnesses(data7, data11, data13):
-    for data in (data7, data11, data13):
-        assert verify_torus_placement(data) == embedding_pattern(data.p)
+def test_verify_torus_placement_matches_the_witness_oracle():
+    """At every prime in 7..199 the placement read off the class table is
+    embedding_pattern's, and the one that explicit conjugation witnesses
+    give (propchecks.witness_placement, which replays each witness)."""
+    for p in primes_in_range(7, 199):
+        data = propchecks.placement_data(p)
+        pattern = verify_torus_placement(data)
+        assert pattern == embedding_pattern(p), p
+        assert propchecks.witness_placement(data) == {key: [t] for key, t in pattern.items()}, p
+
+
+def test_a_class_meets_a_torus_iff_its_representative_is_in_it():
+    """The premise of (=>) in verify_torus_placement's proof, at every prime
+    in 7..199: the classes that a torus's elements fall in are exactly the
+    classes whose representative is in the torus."""
+    for p in primes_in_range(7, 199):
+        data = propchecks.placement_data(p)
+        classes = data.table.classes
+        for torus_type in TORI:
+            torus = data.torus(torus_type)
+            met = set(map(data.table.class_of, torus.elements))
+            assert met == {c for c, rec in enumerate(classes) if rec.rep in torus.dlog}, (p, torus_type)
 
 
 def test_classify_examples():
@@ -252,7 +274,7 @@ def test_multiplicities_equal_the_pairwise_inner_products(p):
     and s / 2."""
     data = get_data(p)
     s = weinstein_character(data)
-    for phi in (s, s + data.irreducible("principal", 1).chi, s.scale(Fraction(1, 2))):
+    for phi in (s, s + data.irreducible("principal", 1).chi, scaled(s, Fraction(1, 2))):
         want = {irr.label: naive_inner_product(phi, irr.chi).as_rational() for irr in data.irreducibles}
         assert decompose_dl(data, phi).multiplicities == want
 
@@ -269,7 +291,7 @@ def test_coefficients_equal_the_triangular_solve(p):
     multiplicities, for s, s + R_split(2) and s / 2."""
     data = get_data(p)
     s = weinstein_character(data)
-    for phi in (s, s + data.dl("split", 2), s.scale(Fraction(1, 2))):
+    for phi in (s, s + data.dl("split", 2), scaled(s, Fraction(1, 2))):
         res = decompose_dl(data, phi)
         assert res.coefficients == triangular_coefficients(p, res.multiplicities)
 
@@ -308,7 +330,7 @@ def test_a_function_with_every_coefficient_zero_can_leave_the_span(p, torus):
     row, so every coefficient is zero and the rebuilt sum is zero: it
     differs from plus - minus at a unipotent-type class, where that lives."""
     data = get_data(p)
-    phi = data.irreducible(f"exceptional_{torus}_plus").chi - data.irreducible(f"exceptional_{torus}_minus").chi
+    phi = data.irreducible(f"exceptional_{torus}_plus").chi + -data.irreducible(f"exceptional_{torus}_minus").chi
     res = decompose_dl(data, phi)
     assert set(res.coefficients.values()) == {0}
     assert not res.exact and data.table.classes[res.rebuild_differs_at].kind == "unipotent"
@@ -350,7 +372,7 @@ def test_a_stray_torus_value_at_a_split_class_is_refused_before_the_rebuild(p, l
     import propchecks
 
     data = get_data(p)
-    s = weinstein_character(data) - ClassFunction(data.table, [2] * len(data.table))
+    s = weinstein_character(data) + ClassFunction(data.table, [-2] * len(data.table))
     res = decompose_dl(data, s)
     assert res.exact
     c = next(i for i, rec in enumerate(data.table.classes) if rec.kind == "split_semisimple" and s.values[i].is_zero())
@@ -400,7 +422,7 @@ def test_a_class_without_closed_coordinates_is_rebuilt_in_integers(p):
     for phi in (s + data.dl("split", 2), s + data.dl("nonsplit", 2)):
         assert any(data.coordinates.coordinate(v) is None for v in phi.values)
         assert decompose_dl(data, phi).exact
-    s = s - ClassFunction(data.table, [2] * len(data.table))
+    s = s + ClassFunction(data.table, [-2] * len(data.table))
     c = next(i for i, rec in enumerate(data.table.classes) if rec.kind == "split_semisimple" and s.values[i].is_zero())
     row = next(i for i, irr in enumerate(data.irreducibles) if irr.label == ("steinberg",))
     stray = 1 + root_of_unity(p - 1, 1) + root_of_unity(p - 1, -1)

@@ -7,7 +7,6 @@ from dlcusp.group import (
     build_conjugacy_table,
     build_subgroup,
     build_torus,
-    conjugate_into_torus,
     identity,
 )
 from dlcusp.numtheory import factorize, primes_in_range
@@ -173,7 +172,7 @@ def test_gx_gy_cyclic():
     assert set(gx.elements) == {s**k for k in range(4)}
     gy = build_subgroup(table, "Gy_tilde")
     w = GroupElement(7, 0, 1, -1, -1)
-    assert w.order() == 3
+    assert propchecks.element_order(w) == 3
     assert set(gy.elements) == {(-w) ** k for k in range(6)}
 
 
@@ -184,7 +183,7 @@ def test_torus_structure():
         ta = build_torus(table, "nonsplit")
         assert ts.order == p - 1 and ta.order == p + 1
         for torus in (ts, ta):
-            assert torus.generator.order() == torus.order
+            assert propchecks.element_order(torus.generator) == torus.order
             for q in factorize(torus.order):
                 assert torus.generator ** (torus.order // q) != identity(p)
             for k in range(torus.order):
@@ -196,13 +195,7 @@ def test_torus_structure():
 def test_torus_placement_matches_mod12_pattern():
     """Order-4 and order-6 subgroup placement over every prime up to 101."""
     for p in primes_in_range(7, 101):
-        table = build_conjugacy_table(p)
-        ts, ta = build_torus(table, "split"), build_torus(table, "nonsplit")
-        gx, gy = build_subgroup(table, "Gx_tilde"), build_subgroup(table, "Gy_tilde")
-        placement = {
-            "x": [t.torus_type for t in (ts, ta) if conjugate_into_torus(gx, t) is not None],
-            "y": [t.torus_type for t in (ts, ta) if conjugate_into_torus(gy, t) is not None],
-        }
+        placement = propchecks.witness_placement(propchecks.placement_data(p))
         expect = {
             1: {"x": ["split"], "y": ["split"]},
             5: {"x": ["split"], "y": ["nonsplit"]},
@@ -216,7 +209,7 @@ def test_conjugate_into_torus_rejects_other_subgroups():
     table = build_conjugacy_table(7)
     torus = build_torus(table, "split")
     with pytest.raises(ValueError):
-        conjugate_into_torus(build_subgroup(table, "Z"), torus)
+        propchecks.conjugate_into_torus(build_subgroup(table, "Z"), torus)
 
 
 def test_conjugation_witness_replay():
@@ -226,13 +219,13 @@ def test_conjugation_witness_replay():
             sub = build_subgroup(table, name)
             for torus_type in ("split", "nonsplit"):
                 torus = build_torus(table, torus_type)
-                h = conjugate_into_torus(sub, torus)
+                h = propchecks.conjugate_into_torus(sub, torus)
                 if h is None:
                     assert torus.order % sub.order != 0
                     continue
                 members = set(torus.elements)
                 for x in sub.elements:
-                    assert x.conjugate_by(h) in members
+                    assert propchecks.conjugate(x, h) in members
 
 
 @pytest.mark.parametrize("p", (7, 11, 13))
@@ -250,13 +243,13 @@ def test_class_of_trace_memo_matches_unmemoized(p):
 
 def test_torus_generator_by_prime_divisors_matches_order_search():
     """The least generator by entries, found from the prime divisors of |T|,
-    is the least element of order |T| (GroupElement.order as the oracle)."""
+    is the least element of order |T| (propchecks.element_order as the oracle)."""
     for p in primes_in_range(7, 199):
         table = build_conjugacy_table(p)
         for torus_type in ("split", "nonsplit"):
             torus = build_torus(table, torus_type)
             elements = sorted(torus.elements, key=GroupElement.entries)
-            assert torus.generator == next(g for g in elements if g.order() == torus.order), (p, torus_type)
+            assert torus.generator == next(g for g in elements if propchecks.element_order(g) == torus.order), (p, torus_type)
 
 
 @pytest.mark.parametrize("p", primes_in_range(7, 101))
@@ -271,6 +264,6 @@ def test_nonsplit_torus_by_square_roots_matches_the_pair_search(p):
         key=GroupElement.entries,
     )
     assert list(torus.elements) == oracle
-    generator = next(g for g in oracle if g.order() == p + 1)
+    generator = next(g for g in oracle if propchecks.element_order(g) == p + 1)
     assert torus.generator == generator
     assert torus.dlog == {generator**k: k for k in range(p + 1)}
