@@ -7,11 +7,13 @@ characters of both maximal tori.  The split virtual characters are computed
 twice, by induction from the Borel subgroup and by the closed form, and the
 two must agree exactly; that is the one thing the build proves.  The
 exceptional constituents are the halves (R +- delta)/2 of R(alpha), with
-delta the Gauss-sum correction, rather than a transcribed table.  What makes
-the result a character table is validate_table, which every command runs on
-every table, built or cached: orthonormality, degrees, duality, labels at
-every torus class and the central character.  The irreducible table is all
-that is kept: every Deligne-Lusztig character is derived from it on demand.
+delta the Gauss-sum correction, rather than a transcribed table.
+validate_table, which every command runs on every table, built or cached,
+checks orthonormality and pins every row to its family's closed values at
+every class: a table that passes is the closed-form table.  Whether that is
+the character table is not yet checked independently (orthonormality alone
+pins no table).  The irreducible table is all that is kept: every
+Deligne-Lusztig character is derived from it on demand.
 """
 
 from __future__ import annotations
@@ -308,13 +310,12 @@ class CharacterData:
         table a command uses, implies each check the pair once had.
         - plus + minus == base holds by construction: (b + d)/2 + (b - d)/2 = b
           exactly, in any field.
-        - The degree: the audit checks each stored degree against chi(1), and
-          _check_labels checks the stored degree of each exceptional label
-          against (p +- 1)/2.
+        - The degree and the central character: the pin (_pin_rows) checks
+          each stored degree against (p +- 1)/2, and every cell against the
+          half's closed value, so chi(1) is the degree and chi(-g) =
+          (-1)^k chi(g).
         - Norm one and <plus, minus> = 0: both are pairs of the row
           orthonormality audit.
-        - The central character: _check_center checks chi(-g) =
-          (chi(-1)/chi(1)) chi(g) on every row.
         """
         p, table = self.p, self.table
         tau = gauss_sum(p)
@@ -615,10 +616,23 @@ def validate_table(data: CharacterData) -> dict:
     """Full orthogonality audit of the irreducible table.
 
     Checks that there is one irreducible per class, pairwise
-    orthonormality, that each stored degree is the value at the identity,
-    closure under duality, and that each label names its row (_check_labels).
+    orthonormality, and then the pin (_pin_rows): each label once with its
+    family's degree, and every cell equal to its family's closed value.
     Raises TableValidationError naming the first offender; a pass marks data
     audited (ensure_audited).
+
+    A table that passes is the closed-form table, cell for cell: whether
+    that is the character table is not checked here, and orthonormality
+    alone cannot say, as any unitary change of basis keeps it.  The pin
+    implies four checks the audit once made (the tests keep each as an
+    oracle in propchecks): each degree is chi(1), since the identity cell
+    is the family's degree; the table is closed under duality, since a
+    closed-form row read at the inverse classes is the row with t replaced
+    by (-1/p) t, itself or the other half of its exceptional pair; plus -
+    minus is the Gauss sum at the unipotent class (1, 1), where the halves
+    are u +- tau/2; and the center acts on each row by chi(-1)/chi(1) =
+    (-1)^k, since -g^d = g^(d + n/2) on a torus and c_(k(d + n/2)) = (-1)^k
+    c_kd, and s I and the unipotent class (s, r) go to -s.
 
     The second (column) orthogonality relations follow and are not checked
     separately.  Let X be the table (rows = irreducibles, columns = classes)
@@ -628,11 +642,10 @@ def validate_table(data: CharacterData) -> dict:
     is therefore checked here rather than assumed, since a cached table
     never passes through the build.  The degree-square sum follows too: at
     the identity column X* X gives sum_chi |chi(1)|^2 = |C(1)| = |G|, and
-    each degree is checked to be chi(1), so sum_chi degree^2 = |G|.
+    the pin makes each degree chi(1), so sum_chi degree^2 = |G|.
 
     The checks work on the table's interned id rows (CharacterData.values, 0
-    for zero): equal ids are equal values, so the table is closed under
-    duality iff its id rows are.  Every pair i <= j is paired, in
+    for zero): equal ids are equal values.  Every pair i <= j is paired, in
     lexicographic order, and the first that fails raises.
 
     A pair of rows with patterns (_read_patterns) is paired in O(1).  On a
@@ -660,18 +673,7 @@ def validate_table(data: CharacterData) -> dict:
         raise TableValidationError(f"{n} irreducibles for {len(table.classes)} classes at p={data.p}")
     rows, tori = [irr.ids for irr in irrs], _torus_patterns(data)
     _pair_rows(data, rows, *_read_patterns(data, rows, tori))
-    # equal ids are equal values, so duality closes the table iff it closes the id rows
-    id_rows = {tuple(row) for row in rows}
-    inverse = [r.inverse_class for r in table.classes]
-    for irr, row in zip(irrs, rows):
-        if irr.chi.degree != irr.degree:
-            raise TableValidationError(
-                f"{irr.name} has degree {irr.degree} but chi(1) = {irr.chi.degree.to_text()} at p={data.p}"
-            )
-        if tuple(row[c] for c in inverse) not in id_rows:
-            raise TableValidationError(f"dual of {irr.name} is not in the table at p={data.p}")
-    _check_labels(data, tori)
-    _check_center(data)
+    _pin_rows(data, tori)
     data._audited = True
     return {
         "p": data.p,
@@ -691,17 +693,19 @@ def ensure_audited(data: CharacterData):
 
 
 def _families(p: int, k: int = 0) -> dict[str, tuple]:
-    """Per family, at the label parameter k: its degree, and its pattern
-    (2a, k) on the split and on the nonsplit torus (validate_table): a
-    c_kd at the class of g^(+-d), 2a = 0 being zero there."""
+    """Per family, at the label parameter k: its degree, its pattern (2a, k)
+    on the split and on the nonsplit torus (validate_table): a c_kd at the
+    class of g^(+-d), 2a = 0 being zero there, and (2u, 2t): its value at
+    the unipotent class keyed (s, r) is s^k (u + t r tau), tau the Gauss
+    sum, with k the parameter of its pattern (_pin_rows)."""
     hs, hn = (p - 1) // 2, (p + 1) // 2  # n/2 of the split and of the nonsplit torus
     return {
-        "trivial": (1, (1, 0), (1, 0)),
-        "steinberg": (p, (1, 0), (-1, 0)),
-        "principal": (p + 1, (2, k), (0, 0)),
-        "discrete": (p - 1, (0, 0), (-2, k)),
-        **{f"exceptional_split_{s}": (hn, (1, hs), (0, 0)) for s in ("plus", "minus")},
-        **{f"exceptional_nonsplit_{s}": (hs, (0, 0), (-1, hn)) for s in ("plus", "minus")},
+        "trivial": (1, (1, 0), (1, 0), 2, 0),
+        "steinberg": (p, (1, 0), (-1, 0), 0, 0),
+        "principal": (p + 1, (2, k), (0, 0), 2, 0),
+        "discrete": (p - 1, (0, 0), (-2, k), -2, 0),
+        **{f"exceptional_split_{s}": (hn, (1, hs), (0, 0), 1, t) for s, t in (("plus", 1), ("minus", -1))},
+        **{f"exceptional_nonsplit_{s}": (hs, (0, 0), (-1, hn), -1, t) for s, t in (("plus", 1), ("minus", -1))},
     }
 
 
@@ -786,24 +790,29 @@ def _pair_rows(data: CharacterData, rows: list, pats: list, keys: list):
             raise TableValidationError(f"<{irrs[i].name}, {irrs[j].name}> = {value.to_text()} at p={p}")
 
 
-def _check_labels(data: CharacterData, tori: list):
-    """Each of the p + 4 labels once, with its family's degree, and each
-    parametrized row at its defining classes: principal(k) and discrete(k)
-    at every regular class of their torus, with the ids of their pattern
-    there (tori, as _torus_patterns gives them), and plus - minus of each
-    exceptional pair is the Gauss sum at the unipotent class keyed (1, 1).
-    A table whose labels were permuted, or whose columns of two classes of
-    one torus were swapped in every row, passes every other check, and
-    decompose_dl reads the labels.
+def _pin_rows(data: CharacterData, tori: list):
+    """Each of the p + 4 labels once, with its family's degree, and then
+    every row, label by label in the build's order, equal to its family's
+    closed values at every class (validate_table).  The labels are the
+    constituents dl_terms names across both tori, and decompose_dl reads
+    them.
 
-    At the class of the torus elements g^(+-d) (g the generator, n = |T|),
-    principal(k) is c_kd = zeta_n^(kd) + zeta_n^(-kd) and discrete(k) is
-    -c_kd = c_(kd + n/2).  For every k the generator's class comes first: a
-    table with permuted labels fails there, with the message it had when
-    only the generator was checked."""
-    p, table, families = data.p, data.table, _families(data.p)
-    # the p + 4 labels are the constituents dl_terms names across both tori
-    expected = {label for torus in ("split", "nonsplit") for k in range(torus_order(p, torus)) for label, _ in dl_terms(p, torus, k)}
+    On each torus (tori, as _torus_patterns gives them) a row's ids at the
+    regular classes must be those of its family's pattern (2a, k): at the
+    class of g^(+-d), g the generator and n = |T|, (a/2) c_kd with c_e =
+    zeta_n^e + zeta_n^-e.  The generator's class comes first, so a table
+    with permuted labels fails there.  At the six other cells, the class of
+    s I (s = +-1) holds s^k deg and the unipotent class keyed (s, r) holds
+    s^k (u + t r tau), tau the Gauss sum, with k the family's pattern
+    parameter and (2u, 2t) its last two fields (_families).  These are
+    compared in the integer closed coordinates over den, never as values.
+    The first cell that differs raises, naming the row, its value there and
+    its family's."""
+    p, table, closed = data.p, data.table, data.coordinates
+    coords, den, families = closed.coords, closed.den, _families(p)
+    expected = dict.fromkeys(
+        label for torus in ("split", "nonsplit") for k in range(torus_order(p, torus)) for label, _ in dl_terms(p, torus, k)
+    )
     by_label = {}
     for irr in data.irreducibles:
         if irr.label not in expected or irr.label in by_label:
@@ -811,35 +820,25 @@ def _check_labels(data: CharacterData, tori: list):
         by_label[irr.label] = irr
         if irr.degree != families[irr.label[0]][0]:
             raise TableValidationError(f"{irr.name} has degree {irr.degree}, not {families[irr.label[0]][0]} at p={p}")
-    for side, (torus, cells, wanted), family in zip((1, 2), tori, ("principal", "discrete")):
-        n, gen = torus.order, cells[0][0]
-        for k in range(1, n // 2):
-            irr, pattern = by_label[(family, k)], _families(p, k)[family][side]
-            if tuple(irr.ids[c] for c, _ in cells) != wanted[pattern]:
+    on_tori = [(torus, cells, wanted, itemgetter(*(c for c, _ in cells))) for torus, cells, wanted in tori]
+    six = [(c, *rec.key) for c, rec in enumerate(table.classes) if rec.kind in ("central", "unipotent")]
+
+    def off(irr: Irreducible, c: int, want: CycNumber, gen: str = ""):  # irr is not want at class c
+        where = f"the {gen} torus generator" if gen else f"class {c} ({table.classes[c].kind})"
+        return TableValidationError(f"{irr.name} is {irr.chi.values[c].to_text()} at {where}, not {want.to_text()} at p={p}")
+
+    for label in expected:
+        irr = by_label[label]
+        deg, *patterns, u, t = _families(p, *label[1:])[label[0]]
+        for (torus, cells, wanted, get), pattern in zip(on_tori, patterns):
+            if get(irr.ids) != wanted[pattern]:
                 c, d = next(cd for cd, w in zip(cells, wanted[pattern]) if irr.ids[cd[0]] != w)
-                where = f"the {torus.torus_type} torus generator" if c == gen else f"class {c} ({table.classes[c].kind})"
-                want = _cos(n, k * d).scale(pattern[0] // 2).to_text()
-                raise TableValidationError(f"{family}({k}) is {irr.chi.values[c].to_text()} at {where}, not {want} at p={p}")
-    c = next(i for i, rec in enumerate(table.classes) if rec.kind == "unipotent" and rec.key == (1, 1))
-    for torus in ("split", "nonsplit"):
-        plus, minus = (by_label[(f"exceptional_{torus}_{s}",)].chi.values[c] for s in ("plus", "minus"))
-        if plus - minus != data.coordinates.tau:
-            raise TableValidationError(
-                f"exceptional_{torus}_plus - exceptional_{torus}_minus is not the Gauss sum "
-                f"at the unipotent class (1, 1) at p={p}"
-            )
-
-
-def _check_center(data: CharacterData):
-    """The center {+-I} acts on each row by the sign chi(-1)/chi(1): chi(-g)
-    = chi(g) at every class if chi(-1) = chi(1), and chi(-g) = -chi(g) at
-    every class if chi(-1) = -chi(1).  Row orthonormality does not imply it.
-    Checked on id rows, with each value's negation looked up once; it runs
-    after every other check of validate_table, so their messages stand."""
-    negated = [data.values.ids.get(-v, -1) for v in data.values]
-    neg = [data.table.class_of(-rec.rep) for rec in data.table.classes]  # the class of -g, per class of g
-    for irr in data.irreducibles:
-        image = irr.ids if irr.ids[neg[0]] == irr.ids[0] else tuple(map(negated.__getitem__, irr.ids))  # class 0 is I's
-        if tuple(map(irr.ids.__getitem__, neg)) != image:  # the row at -g, class by class
-            c = next(c for c, d in enumerate(neg) if irr.ids[d] != image[c])
-            raise TableValidationError(f"the center does not act on {irr.name} by chi(-1)/chi(1) at class {c} at p={data.p}")
+                want = _cos(torus.order, pattern[1] * d).scale(Fraction(pattern[0], 2))
+                raise off(irr, c, want, torus.torus_type if c == cells[0][0] else "")
+        k = patterns[0][1] or patterns[1][1]
+        for c, s, *r in six:
+            rat, tau = (u, t * r[0]) if r else (2 * deg, 0)  # twice the value at s = 1
+            rat, tau = s**k * rat, s**k * tau
+            x = coords[irr.ids[c]]
+            if x is None or (2 * x[0], 2 * x[1], x[2]) != (rat * den, tau * den, 0):
+                raise off(irr, c, closed.value(rat, tau, {}, 2))

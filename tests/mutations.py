@@ -132,7 +132,7 @@ MUTATIONS = [
         "if s is None:",
         [
             "tests/test_cli.py::test_a_table_that_fails_its_audit_is_never_decomposed",
-            "tests/test_cli.py::test_a_build_with_flipped_central_signs_fails_only_the_center_check",
+            "tests/test_cli.py::test_a_build_with_flipped_central_signs_fails_only_the_audit",
         ],
     ),
     # the audit helper trusts a table no audit has passed
@@ -259,6 +259,34 @@ MUTATIONS = [
         "except RuntimeError:  # HOME unset",
         "except KeyError:  # HOME unset",
         ["tests/test_cli.py::test_no_home_directory_means_no_cache"],
+    ),
+    # the pin reads each family on the torus where it is not zero only
+    (
+        "src/dlcusp/chartable.py",
+        "if get(irr.ids) != wanted[pattern]:",
+        "if pattern[0] and get(irr.ids) != wanted[pattern]:",
+        ["tests/test_chartable.py::test_the_pin_names_a_planted_cell[principal_off_its_torus]"],
+    ),
+    # the pin skips the six cells at +-I and the unipotent-type classes
+    (
+        "src/dlcusp/chartable.py",
+        "for c, s, *r in six:",
+        "for c, s, *r in six[:0]:",
+        [
+            "tests/test_cli.py::test_a_cached_table_that_only_the_pin_refuses_is_refused[p29_reflected]",
+            "tests/test_chartable.py::test_the_pin_names_a_planted_cell[steinberg_at_u]",
+            "tests/test_cli.py::test_cached_table_with_swapped_columns_is_refused[p7_minus_u]",
+        ],
+    ),
+    # the six cells pinned without the central sign s^k
+    (
+        "src/dlcusp/chartable.py",
+        "rat, tau = s**k * rat, s**k * tau",
+        "pass",
+        [
+            "tests/test_chartable.py::test_built_labels_name_their_rows[7]",
+            "tests/test_chartable.py::test_the_pin_names_a_planted_cell[exceptional_at_minus_u]",
+        ],
     ),
 ]
 

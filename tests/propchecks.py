@@ -345,6 +345,70 @@ def check_exceptional_pairs(data: CharacterData) -> None:
         assert naive_inner_product(plus, minus) == 0, torus
 
 
+# The four checks validate_table made before its pin (chartable._pin_rows),
+# kept as oracles.  The pin implies each: every cell of a table that passes it
+# equals its family's closed value, s^k deg at s I, (a/2) c_kd at the torus
+# class of g^(+-d) and s^k (u + t r tau) at the unipotent class (s, r), and
+# its labels are the p + 4 of the build, each with its family's degree.
+
+
+def check_degrees(data: CharacterData) -> None:
+    """Each stored degree is chi(1).  Implied by the pin: the degree is its
+    family's, and so is the identity cell, s^k deg at s = 1."""
+    for irr in data.irreducibles:
+        if irr.chi.degree != irr.degree:
+            raise TableValidationError(
+                f"{irr.name} has degree {irr.degree} but chi(1) = {irr.chi.degree.to_text()} at p={data.p}"
+            )
+
+
+def check_id_row_duality(data: CharacterData) -> None:
+    """The table is closed under duality: each id row read at the inverse
+    classes is an id row of the table (equal ids are equal values).
+    Implied by the pin: g and g^-1 lie in one class at +-I and on the tori,
+    and the inverse of the unipotent class (s, r) is (s, (-1/p) r).  So the
+    dual of a closed-form row is the row with t replaced by (-1/p) t: the
+    row itself where t = 0, and the other half of its exceptional pair
+    ((-1/p) = -1) or the half itself ((-1/p) = 1), both in the table."""
+    id_rows = {irr.ids for irr in data.irreducibles}
+    inverse = [rec.inverse_class for rec in data.table.classes]
+    for irr in data.irreducibles:
+        if tuple(irr.ids[c] for c in inverse) not in id_rows:
+            raise TableValidationError(f"dual of {irr.name} is not in the table at p={data.p}")
+
+
+def check_gauss_difference(data: CharacterData) -> None:
+    """plus - minus of each exceptional pair is the Gauss sum tau at the
+    unipotent class (1, 1).  Implied by the pin: there the halves are u +
+    tau/2 and u - tau/2."""
+    c = next(i for i, rec in enumerate(data.table.classes) if rec.kind == "unipotent" and rec.key == (1, 1))
+    for torus in TORI:
+        plus, minus = (data.irreducible(f"exceptional_{torus}_{s}").chi.values[c] for s in ("plus", "minus"))
+        if plus - minus != gauss_sum(data.p):
+            raise TableValidationError(
+                f"exceptional_{torus}_plus - exceptional_{torus}_minus is not the Gauss sum "
+                f"at the unipotent class (1, 1) at p={data.p}"
+            )
+
+
+def check_center(data: CharacterData) -> None:
+    """The center {+-I} acts on each row by the sign chi(-1)/chi(1): chi(-g)
+    = chi(g) at every class if chi(-1) = chi(1), and chi(-g) = -chi(g) at
+    every class if chi(-1) = -chi(1); checked on id rows, with each value's
+    negation looked up once.  Row orthonormality does not imply it; the pin
+    does, with chi(-1)/chi(1) = (-1)^k.  -I is s I with s = -1, the
+    unipotent class (s, r) goes to (-s, r), and on a torus of order n, -1 is
+    g^(n/2), so -g^d = g^(d + n/2), where (a/2) c_(k(d + n/2)) = (-1)^k
+    (a/2) c_kd."""
+    negated = [data.values.ids.get(-v, -1) for v in data.values]
+    neg = [data.table.class_of(-rec.rep) for rec in data.table.classes]  # the class of -g, per class of g
+    for irr in data.irreducibles:
+        image = irr.ids if irr.ids[neg[0]] == irr.ids[0] else tuple(map(negated.__getitem__, irr.ids))  # class 0 is I's
+        if tuple(map(irr.ids.__getitem__, neg)) != image:  # the row at -g, class by class
+            c = next(c for c, d in enumerate(neg) if irr.ids[d] != image[c])
+            raise TableValidationError(f"the center does not act on {irr.name} by chi(-1)/chi(1) at class {c} at p={data.p}")
+
+
 def with_row(data: CharacterData, row: int, chi: ClassFunction, label: tuple | None = None,
              degree: int | None = None) -> CharacterData:
     """A shallow copy of data whose irreducible number row has the values of
@@ -368,6 +432,34 @@ def with_cell(data: CharacterData, row: int, cls: int, value: CycNumber) -> Char
     values = list(data.irreducibles[row].chi.values)
     values[cls] = value
     return with_row(data, row, ClassFunction(data.table, values))
+
+
+def mixed_trivial_steinberg(data: CharacterData) -> CharacterData:
+    """A copy of data whose trivial and Steinberg rows are a 1 + b St and
+    b 1 - a St, with a = (1 - p^2)/(1 + p^2) and b = 2p/(1 + p^2).  The
+    mix is a rational reflection: it keeps orthonormality, both degrees (1
+    and p), duality and the action of the center, so only a check that
+    pins the two rows' values refuses it."""
+    p = data.p
+    a, b = Fraction(1 - p * p, 1 + p * p), Fraction(2 * p, 1 + p * p)
+    (i, one), (j, st) = ((i, irr.chi) for i, irr in enumerate(data.irreducibles) if irr.label in (("trivial",), ("steinberg",)))
+    return with_row(with_row(data, i, scaled(one, a) + scaled(st, b)), j, scaled(one, b) + scaled(st, -a))
+
+
+def reflected_in_unipotent(data: CharacterData) -> CharacterData:
+    """A copy of data whose every row X is X - 2 <X, f> f / <f, f>, f the
+    indicator of the four unipotent-type classes.  The reflection keeps
+    orthonormality and changes rows at those four classes only: every torus
+    cell, every degree, duality, the center and plus - minus at the class
+    (1, 1) stay, so only a check that pins the unipotent cells refuses it."""
+    table = data.table
+    f = ClassFunction(table, [ONE if rec.kind == "unipotent" else ZERO for rec in table.classes])
+    norm, broken = inner_product(f, f).as_rational(), data
+    for i, irr in enumerate(data.irreducibles):
+        c = inner_product(irr.chi, f).as_rational()
+        if c:
+            broken = with_row(broken, i, irr.chi + scaled(f, -2 * c / norm))
+    return broken
 
 
 def single_cell_faults(data: CharacterData, seed: int = 5, count: int = 40):

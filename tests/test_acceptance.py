@@ -7,10 +7,8 @@ The per-prime data is shared across criteria through a module-level cache.
 
 from fractions import Fraction
 
-import pytest
-
 from dlcusp.chartable import quadratic_character_index, validate_table
-from dlcusp.classfun import dual, inner_product
+from dlcusp.classfun import dual
 from dlcusp.cuspform import (
     corollary_all_appear,
     corollary_odd_multiplicity,
@@ -18,7 +16,6 @@ from dlcusp.cuspform import (
     embedding_pattern,
     linearity_fit,
     paper_coefficients,
-    remark_pipeline,
     verify_torus_placement,
     weinstein_character,
 )

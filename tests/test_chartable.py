@@ -450,14 +450,26 @@ def test_flipped_central_sign_is_caught(data7):
     ids=("flipped_sign", "value_at_minus_one", "odd_row_not_negated"),
 )
 def test_the_center_check_names_a_planted_row(data7, plant, message):
-    """_check_center, which validate_table runs last, on rows whose center
-    does not act by chi(-1)/chi(1): the flipped sign, a value at -I that is
-    not +-chi(1), and one class of an odd row not negated at -g."""
-    from dlcusp.chartable import _check_center
-
-    _check_center(data7)
+    """The center check, which validate_table's pin implies and which lives
+    on as the oracle propchecks.check_center, on rows whose center does not
+    act by chi(-1)/chi(1): the flipped sign, a value at -I that is not
+    +-chi(1), and one class of an odd row not negated at -g."""
+    propchecks.check_center(data7)
     with pytest.raises(TableValidationError, match=f"^the center does not act on {message} at p=7$"):
-        _check_center(plant(data7))
+        propchecks.check_center(plant(data7))
+
+
+@pytest.mark.parametrize("p", primes_in_range(7, 101))
+def test_the_checks_the_pin_implies_hold_on_every_built_table(p):
+    """The four checks validate_table dropped for its pin still hold on
+    every built table: the center acts by chi(-1)/chi(1), the id rows are
+    closed under duality, each degree is chi(1), and plus - minus is the
+    Gauss sum at the class (1, 1)."""
+    data = get_data(p)
+    propchecks.check_center(data)
+    propchecks.check_id_row_duality(data)
+    propchecks.check_degrees(data)
+    propchecks.check_gauss_difference(data)
 
 
 @pytest.mark.parametrize("p", [*primes_in_range(7, 43), 101])
@@ -732,13 +744,13 @@ def test_degree_square_sum_oracle(p):
 
 def test_swapped_degrees_are_caught(data7):
     """Swapping two stored degrees keeps their square sum; the audit of each
-    degree against the value at the identity names the row."""
+    label's degree against its family's names the row."""
     broken = data7
     swap = {("principal", 1): ("discrete", 1), ("discrete", 1): ("principal", 1)}
     for i, irr in enumerate(data7.irreducibles):
         if irr.label in swap:
             broken = propchecks.with_row(broken, i, irr.chi, degree=data7.irreducible(*swap[irr.label]).degree)
-    with pytest.raises(TableValidationError, match=r"^principal\(1\) has degree 6 but chi\(1\) = 1: 8 at p=7$"):
+    with pytest.raises(TableValidationError, match=r"^principal\(1\) has degree 6, not 8 at p=7$"):
         validate_table(broken)
 
 
@@ -763,7 +775,7 @@ def test_every_built_row_has_its_familys_pattern(p):
 
     data = get_data(p)
     for irr, x in zip(data.irreducibles, _patterns(data)):
-        assert x == _families(p, *irr.label[1:])[irr.label[0]][1:], irr.label
+        assert x == _families(p, *irr.label[1:])[irr.label[0]][1:3], irr.label
 
 
 def _canonical_cos_sum(n, pairs):
@@ -924,10 +936,10 @@ def _relabelled(data, relabel):
          r"discrete\(2\) is .* at the nonsplit torus generator, not .* at p=13"),
         ({("exceptional_split_plus",): ("exceptional_split_minus",),
           ("exceptional_split_minus",): ("exceptional_split_plus",)},
-         r"exceptional_split_plus - exceptional_split_minus is not the Gauss sum at the unipotent class \(1, 1\) at p=13"),
+         r"exceptional_split_plus is 13: 1 \+ .* at class 2 \(unipotent\), not 13: -1\*z\^2 \+ .* at p=13"),
         ({("exceptional_nonsplit_plus",): ("exceptional_nonsplit_minus",),
           ("exceptional_nonsplit_minus",): ("exceptional_nonsplit_plus",)},
-         r"exceptional_nonsplit_plus - exceptional_nonsplit_minus is not the Gauss sum .* at p=13"),
+         r"exceptional_nonsplit_plus is .* at class 2 \(unipotent\), not .* at p=13"),
         ({("principal", 1): ("discrete", 1), ("discrete", 1): ("principal", 1)},
          r"discrete\(1\) has degree 14, not 12 at p=13"),
         ({("principal", 1): ("principal", 6)}, r"unexpected or repeated label \['principal', 6\] at p=13"),
@@ -936,8 +948,9 @@ def _relabelled(data, relabel):
     ],
 )
 def test_each_label_must_name_its_row(data13, relabel, message):
-    """Rows under the wrong labels keep the table orthonormal, dual-closed
-    and each degree equal to chi(1); the label audit names the first one."""
+    """Rows under the wrong labels keep the table orthonormal; the pin names
+    the first one, by its label or its degree, or at the first class where
+    its values are not its family's."""
     broken = _relabelled(data13, relabel)
     assert _outcome(propchecks.check_row_orthonormality, broken) is None
     with pytest.raises(TableValidationError, match=f"^{message}$"):
@@ -946,9 +959,35 @@ def test_each_label_must_name_its_row(data13, relabel, message):
 
 @pytest.mark.parametrize("p", primes_in_range(7, 43))
 def test_built_labels_name_their_rows(p):
-    """Every built table passes the label audit, so its conditions are the
-    paper's: theta_k at the torus generators and +tau at the class (1, 1)."""
-    from dlcusp.chartable import _check_labels, _torus_patterns
+    """Every built table passes the pin, so its conditions are the paper's:
+    theta_k at the torus generators and +tau at the class (1, 1)."""
+    from dlcusp.chartable import _pin_rows, _torus_patterns
 
     data = get_data(p)
-    _check_labels(data, _torus_patterns(data))
+    _pin_rows(data, _torus_patterns(data))
+
+
+@pytest.mark.parametrize(
+    "label, cls, value, message",
+    [
+        # St is 0 at the unipotent classes
+        (("steinberg",), 3, lambda data: ONE, r"steinberg is 1: 1 at class 3 \(unipotent\), not 1: 0"),
+        # one exceptional half at the class (-1, 1) of -u takes its value at (-1, -1)
+        (("exceptional_split_plus",), 4, lambda data: data.irreducible("exceptional_split_plus").chi.values[5],
+         r"exceptional_split_plus is 7: 1\*z\^1 \+ 1\*z\^2 \+ 1\*z\^4 at class 4 \(unipotent\), "
+         r"not 7: -1 \+ -1\*z\^1 \+ -1\*z\^2 \+ -1\*z\^4"),
+        # principal(1) is 0 off its own torus; class 10 holds the nonsplit generator
+        (("principal", 1), 10, lambda data: ONE, r"principal\(1\) is 1: 1 at the nonsplit torus generator, not 1: 0"),
+    ],
+    ids=("steinberg_at_u", "exceptional_at_minus_u", "principal_off_its_torus"),
+)
+def test_the_pin_names_a_planted_cell(data7, label, cls, value, message):
+    """Single-cell faults at cells that no check but orthonormality read
+    before the pin, given to the pin alone: its message names the row, the
+    class, the cell's value there and its family's."""
+    from dlcusp.chartable import _pin_rows, _torus_patterns
+
+    row = next(i for i, irr in enumerate(data7.irreducibles) if irr.label == label)
+    broken = propchecks.with_cell(data7, row, cls, value(data7))
+    with pytest.raises(TableValidationError, match=f"^{message} at p=7$"):
+        _pin_rows(broken, _torus_patterns(broken))

@@ -9,6 +9,7 @@ from dlcusp.chartable import CharacterData, validate_table
 from dlcusp.cli import builtin_table_markdown, load_character_data, main, render_cell
 
 import cachefiles
+import propchecks
 
 # one shared cache directory keeps the CLI tests from rebuilding tables
 _CACHE = None
@@ -696,13 +697,13 @@ def _refused(capsys, tmp_path, p, message):
 
 def test_swapped_cached_degrees_are_refused(capsys, tmp_path):
     """Swapping the degree fields of principal(1) and discrete(1) keeps the
-    degree-square sum; the per-row degree audit names the row."""
+    degree-square sum; the audit of each label's degree names the row."""
     doc = CharacterData(7).to_cache_dict()
     rows = {tuple(d["label"]): d for d in doc["irreducibles"]}
     a, b = rows[("principal", 1)], rows[("discrete", 1)]
     a["degree"], b["degree"] = b["degree"], a["degree"]
     cachefiles.write(tmp_path, 7, doc)
-    _refused(capsys, tmp_path, 7, r"principal\(1\) has degree 6 but chi\(1\) = 1: 8 at p=7")
+    _refused(capsys, tmp_path, 7, r"principal\(1\) has degree 6, not 8 at p=7")
 
 
 @pytest.mark.parametrize(
@@ -711,13 +712,13 @@ def test_swapped_cached_degrees_are_refused(capsys, tmp_path):
         # principal(1) and principal(3) are both non-trivial on the center
         ((["principal", 1], ["principal", 3]), r"principal\(1\) is 1: 0 at the split torus generator, not .* at p=13"),
         ((["exceptional_split_plus"], ["exceptional_split_minus"]),
-         r"exceptional_split_plus - exceptional_split_minus is not the Gauss sum at the unipotent class \(1, 1\) at p=13"),
+         r"exceptional_split_plus is 13: 1 \+ .* at class 2 \(unipotent\), not 13: -1\*z\^2 \+ .* at p=13"),
     ],
 )
 def test_swapped_cached_labels_are_refused(capsys, tmp_path, swap, message):
     """A cached table with two labels swapped passes every other audit check
     (the first swap would even pass every check of its decomposition, which
-    verify therefore skips); the label audit names the row."""
+    verify therefore skips); the pin names the row."""
     doc = CharacterData(13).to_cache_dict()
     a, b = (next(d for d in doc["irreducibles"] if d["label"] == label) for label in swap)
     a["label"], b["label"] = b["label"], a["label"]
@@ -737,11 +738,11 @@ def test_swapped_cached_labels_are_refused(capsys, tmp_path, swap, message):
         (31, [(6, 8), (16, 19)], r"principal\(1\) is .* at class 6 \(split_semisimple\), not .* at p=31"),
         (43, [(6, 8), (22, 25)], r"principal\(1\) is .* at class 6 \(split_semisimple\), not .* at p=43"),
         (101, [(7, 8), (49, 26)], r"principal\(1\) is .* at class 7 \(split_semisimple\), not .* at p=101"),
-        # the two classes of -u: every check but the center's passes (the
-        # swap keeps class sizes, commutes with inversion and leaves the
-        # semisimple classes and the unipotent class (1, 1) alone)
-        (7, [(4, 5)], r"the center does not act on exceptional_split_plus by chi\(-1\)/chi\(1\) at class 2 at p=7"),
-        (13, [(4, 5)], r"the center does not act on exceptional_split_plus by chi\(-1\)/chi\(1\) at class 2 at p=13"),
+        # the two classes of -u: every pairing passes (the swap keeps class
+        # sizes, commutes with inversion and leaves the semisimple classes
+        # alone), and the pin names the first row that differs there
+        (7, [(4, 5)], r"exceptional_split_plus is 7: .* at class 4 \(unipotent\), not 7: .* at p=7"),
+        (13, [(4, 5)], r"exceptional_split_plus is 13: .* at class 4 \(unipotent\), not 13: .* at p=13"),
     ],
     ids=("p11", "p31", "p17_with_negatives", "p31_with_negatives", "p43_with_negatives", "p101_with_negatives",
          "p7_minus_u", "p13_minus_u"),
@@ -754,6 +755,25 @@ def test_cached_table_with_swapped_columns_is_refused(capsys, tmp_path, p, pairs
         for a, b in pairs:
             d["ids"][a], d["ids"][b] = d["ids"][b], d["ids"][a]
     cachefiles.write(tmp_path, p, doc)
+    _refused(capsys, tmp_path, p, message)
+
+
+@pytest.mark.parametrize(
+    "p, craft, message",
+    [
+        (7, propchecks.mixed_trivial_steinberg, r"trivial is 1: -17/25 at the split torus generator, not 1: 1 at p=7"),
+        (29, propchecks.mixed_trivial_steinberg, r"trivial is 1: -391/421 at the split torus generator, not 1: 1 at p=29"),
+        (29, propchecks.reflected_in_unipotent, r"trivial is 1: -1 at class 2 \(unipotent\), not 1: 1 at p=29"),
+    ],
+    ids=("p7_mixed", "p29_mixed", "p29_reflected"),
+)
+def test_a_cached_table_that_only_the_pin_refuses_is_refused(capsys, tmp_path, p, craft, message):
+    """Two orthonormal tables that are not the character table, written as
+    cache documents: the trivial and Steinberg rows mixed by a rational
+    reflection, and every row reflected in the indicator of the
+    unipotent-type classes.  Each keeps every degree, duality and the
+    center, and (b) every torus cell too; the pin names the trivial row."""
+    cachefiles.write(tmp_path, p, craft(CharacterData(p)).to_cache_dict())
     _refused(capsys, tmp_path, p, message)
 
 
@@ -794,18 +814,19 @@ def test_a_fresh_build_is_audited_before_use(capsys, monkeypatch):
         assert re.fullmatch(r"verification failure: <trivial, principal\(1\)> = .* at p=7\n", captured.err)
 
 
-def test_a_build_with_flipped_central_signs_fails_only_the_center_check(capsys, monkeypatch):
+def test_a_build_with_flipped_central_signs_fails_only_the_audit(capsys, monkeypatch):
     """Both exceptional pairs built with the wrong central sign in their
-    difference pass every pairing, degree, duality and label check; the
-    build no longer checks the central character, and the audit's center
-    check refuses the table.  verify then decomposes nothing: the checks
-    that read the decomposition are skipped, and placement and the degree
-    identity, which read no character, still pass."""
+    difference pass every pairing and every label and degree; the build
+    does not check the central character, and the audit's pin refuses the
+    table at the first class of -u.  verify then decomposes nothing: the
+    checks that read the decomposition are skipped, and placement and the
+    degree identity, which read no character, still pass."""
     import dlcusp.chartable
 
     legendre = dlcusp.chartable.legendre
     monkeypatch.setattr(dlcusp.chartable, "legendre", lambda a, p: -legendre(a, p))
-    message = "the center does not act on exceptional_split_plus by chi(-1)/chi(1) at class 2 at p=7"
+    message = ("exceptional_split_plus is 7: 1*z^1 + 1*z^2 + 1*z^4 at class 4 (unipotent), "
+               "not 7: -1 + -1*z^1 + -1*z^2 + -1*z^4 at p=7")
     code = main(["decompose", "7", "--no-cache"])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == "" and captured.err == f"verification failure: {message}\n"
@@ -1211,7 +1232,7 @@ def test_a_remark_oracle_fault_names_the_first_difference(capsys, monkeypatch, c
 
 def test_a_table_that_fails_its_audit_is_never_decomposed(capsys, tmp_path, cache_dir):
     """A p = 13 cache with the labels of principal(2) and principal(4)
-    swapped: the label audit fails it, and verify decomposes nothing there.
+    swapped: the pin fails it, and verify decomposes nothing there.
     exact, table_match and remark_oracle are skipped rather than echoing
     the bad labels (or reading exactness off rows nobody audited), and p =
     13 adds nothing to the linearity fit, which stays clean."""
