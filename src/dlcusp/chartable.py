@@ -9,11 +9,11 @@ two must agree exactly; that is the one thing the build proves.  The
 exceptional constituents are the halves (R +- delta)/2 of R(alpha), with
 delta the Gauss-sum correction, rather than a transcribed table.
 validate_table, which every command runs on every table, built or cached,
-checks orthonormality and pins every row to its family's closed values at
-every class: a table that passes is the closed-form table.  Whether that is
-the character table is not yet checked independently (orthonormality alone
-pins no table).  The irreducible table is all that is kept: every
-Deligne-Lusztig character is derived from it on demand.
+pins every row to its family's closed values at every class and then
+checks orthonormality: a table that passes is the closed-form table.
+Whether that is the character table is not yet checked independently
+(orthonormality alone pins no table).  The irreducible table is all that
+is kept: every Deligne-Lusztig character is derived from it on demand.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import lcm
 from operator import itemgetter
 
-from .classfun import ClassFunction, closed_pairings, inner_product
+from .classfun import ClassFunction, inner_product
 from .cyclotomic import ONE, ZERO, CycNumber, gauss_sum
 from .group import (
     ConjugacyTable,
@@ -480,10 +480,12 @@ class ClosedCoordinates:
     among the canonical c_e, 0 <= e <= n/2, of both tori (cos_ids holds their
     ids, -1 for one the table lacks, and cos_terms their integer terms lifted
     to order n), r + s tau by reading s off one coefficient of tau and
-    demanding that v - s tau is rational.  validate_table reads its torus
-    patterns off cos_ids; classfun.closed_sum, the pairing kernel of the
-    audit and of cuspform.decompose_dl, sums in coords and assembles its
-    value with value.
+    demanding that v - s tau is rational.  validate_table's pin compares
+    the torus cells with ids from cos_ids and the six other cells with
+    coords, and its pairs sum those six in coords and print a failing
+    pair's value; classfun.closed_sum, the pairing kernel of
+    cuspform.decompose_dl, sums in coords and assembles its value with
+    value.
     """
 
     def __init__(self, p: int, values: list[CycNumber], ids: dict):
@@ -615,9 +617,9 @@ def _cos_sums(n: int) -> list[int]:
 def validate_table(data: CharacterData) -> dict:
     """Full orthogonality audit of the irreducible table.
 
-    Checks that there is one irreducible per class, pairwise
-    orthonormality, and then the pin (_pin_rows): each label once with its
-    family's degree, and every cell equal to its family's closed value.
+    Checks that there is one irreducible per class, then the pin
+    (_pin_rows): each label once with its family's degree, and every cell
+    equal to its family's closed value; and then pairwise orthonormality.
     Raises TableValidationError naming the first offender; a pass marks data
     audited (ensure_audited).
 
@@ -648,32 +650,32 @@ def validate_table(data: CharacterData) -> dict:
     for zero): equal ids are equal values.  Every pair i <= j is paired, in
     lexicographic order, and the first that fails raises.
 
-    A pair of rows with patterns (_read_patterns) is paired in O(1).  On a
-    torus of order n the regular classes are those of g^(+-d), 0 < d < n/2,
-    each of size |G|/n, and a row with the pattern (a, k) there is a c_kd at
-    the class of g^(+-d): its ids there are those of a c_kd
-    (_torus_patterns), and equal ids are equal values.  c_e is real
-    and c_x c_y = c_(x+y) + c_(x-y), so the torus's part of |G| <chi, psi>
-    for (a, k) and (b, l) is (|G|/n) a b (S(k + l) + S(k - l)), an integer
-    by _cos_sums.  The six other cells (+-I and the four unipotent
-    classes) hold r + s tau, tau the Gauss sum, and sum as in
+    Orthonormality stays, although on a table the pin passed it is the
+    orthonormality of the closed-form table: norm 1 is what a proof that
+    the closed-form table is the character table would need.  Each pair is
+    paired in O(1) from the two rows' patterns, taken from their labels
+    (_families): the pin has passed, so on a torus of order n each row's
+    ids at the regular classes, those of g^(+-d), 0 < d < n/2, each of size
+    |G|/n, are the ids its family's pattern (2a, k) wants there
+    (_torus_patterns), those of a c_kd at the class of g^(+-d), and
+    equal ids are equal values; and its six other cells (+-I and the four
+    unipotent classes) hold their closed values r + s tau, tau the Gauss
+    sum.  So the pattern read from the label is the row's own.  c_e is
+    real and c_x c_y = c_(x+y) + c_(x-y), so the torus's part of |G|
+    <chi, psi> for (2a, k) and (2b, l) is (|G|/n) a b (S(k + l) + S(k -
+    l)), an integer by _cos_sums.  The six cells sum as in
     classfun.closed_sum to R + S tau with R and S rational.  So |G|
     <chi, psi> is R' + S tau with R' rational, and tau is irrational (tau^2
     = +-p): the pair passes iff S = 0 and R' = delta_ij |G|.  A failing
     pair's message prints (R' + S tau)/|G| in canonical form
     (ClosedCoordinates.value).
-
-    A pair with a row without a pattern (only a broken table has one) is
-    paired by classfun.closed_pairings, whose canonical value decides it and
-    is the one the message prints.
     """
     table, irrs = data.table, data.irreducibles
     n = len(irrs)
     if n != len(table.classes):
         raise TableValidationError(f"{n} irreducibles for {len(table.classes)} classes at p={data.p}")
-    rows, tori = [irr.ids for irr in irrs], _torus_patterns(data)
-    _pair_rows(data, rows, *_read_patterns(data, rows, tori))
-    _pin_rows(data, tori)
+    _pin_rows(data, _torus_patterns(data))
+    _pair_rows(data)
     data._audited = True
     return {
         "p": data.p,
@@ -714,10 +716,9 @@ def _torus_patterns(data: CharacterData) -> list[tuple]:
     (class, d) of its regular classes, the generator's first, each with the
     dlog d of one of its two elements g^(+-d) (either gives the same
     values).  wanted maps each family's pattern (2a, k) on the torus
-    (_families), then each one's negation (-2a, k), to its ids at cells, -1
-    where the table lacks the value.  (a/2) c_kd is c_e for |a| = 2, the id
-    cos_ids holds, and c_e/2 for |a| = 1, where kd is 0 or n/2: 1 at e = 0
-    and -1 at e = n/2."""
+    (_families) to its ids at cells, -1 where the table lacks the value.
+    (a/2) c_kd is c_e for |a| = 2, the id cos_ids holds, and c_e/2 for |a|
+    = 1, where kd is 0 or n/2: 1 at e = 0 and -1 at e = n/2."""
     p, table, ids = data.p, data.table, data.values.ids
     out = []
     for side, torus in enumerate((data.split_torus, data.nonsplit_torus), 1):
@@ -729,65 +730,40 @@ def _torus_patterns(data: CharacterData) -> list[tuple]:
         at = {a: [lookup[abs(a)][min(e, n - e)] for e in ((x + n // 2 * (a < 0)) % n for x in range(n))] for a in (-2, -1, 1, 2)}
         own = sorted({family[side] for k in range(1, n // 2) for family in _families(p, k).values()})
         wanted = {(0, 0): (0,) * len(cells)}  # the zero row
-        for a, k in [(sign * a, k) for sign in (1, -1) for a, k in own if a]:
-            wanted.setdefault((a, k), tuple([at[a][k * d % n] for _, d in cells]))
+        wanted.update(((a, k), tuple([at[a][k * d % n] for _, d in cells])) for a, k in own if a)
         out.append((torus, cells, wanted))
     return out
 
 
-def _read_patterns(data: CharacterData, rows: list, tori: list) -> tuple[list, list]:
-    """Per row, (g, 2a, k, 2b, l): its patterns (2a, k) split and (2b, l)
-    nonsplit, and keys[g] the ids of its six other cells; or None where it
-    has none: where its ids on a torus are no pattern of _torus_patterns
-    there, or one of its six other cells is not r + s tau.  Where two
-    patterns have the same ids (only at p = 7), the first, the family's, is
-    read: either gives the same pairings, as they are the same values."""
-    table, coords = data.table, data.coordinates.coords
-    six = itemgetter(*(c for c, rec in enumerate(table.classes) if rec.kind in ("central", "unipotent")))
-    found = [(itemgetter(*(c for c, _ in cells)), {ids: a_k for a_k, ids in reversed(wanted.items())}) for _, cells, wanted in tori]
-    keys, out = {}, []
-    for row in rows:
-        key, (split, nonsplit) = six(row), (lookup.get(get(row)) for get, lookup in found)
-        ok = split and nonsplit and all(coords[x] is not None and not coords[x][2] for x in key)
-        out.append((keys.setdefault(key, len(keys)), *split, *nonsplit) if ok else None)
-    return out, list(keys)
-
-
-def _pair_rows(data: CharacterData, rows: list, pats: list, keys: list):
-    """Pair every i <= j in lexicographic order, raising at the first pair
-    that fails (validate_table): in O(1) where both rows have patterns
-    (_read_patterns), the six other cells of each two keys summed once, and
-    by closed_pairings where one has none, all of row i's such pairs in one
-    call before the pairs of row i are checked in order."""
+def _pair_rows(data: CharacterData):
+    """Pair every i <= j in lexicographic order, each in O(1) from the two
+    rows' patterns, raising at the first pair that fails (validate_table).
+    A row's patterns (2a, k) split and (2b, l) nonsplit are its label's
+    family's (_families), and its key is the ids of its six other cells;
+    the six cells of each two keys are summed once."""
     table, irrs, closed, p = data.table, data.irreducibles, data.coordinates, data.p
     coords, eps, order, den2 = closed.coords, closed.eps, table.group_order, closed.den**2
     target = 4 * den2 * order  # 4 den^2 |G| <chi, chi>, the scale the rational parts are summed at
-    sizes = [rec.size for rec in table.classes if rec.kind in ("central", "unipotent")]  # _read_patterns' six cells
+    cells = [(c, rec.size) for c, rec in enumerate(table.classes) if rec.kind in ("central", "unipotent")]
+    sizes, six = [w for _, w in cells], itemgetter(*(c for c, _ in cells))
     (ws, ss), (wn, sn) = ((den2 * order // t.order, _cos_sums(t.order)) for t in (data.split_torus, data.nonsplit_torus))
-    bare = [j for j, y in enumerate(pats) if not y]  # the rows without a pattern
-    six = {}  # per two keys, 4 R and S of their six cells, over den^2
-    for i, x in enumerate(pats):
-        js = [j for j in (bare if x else range(i, len(rows))) if j >= i]  # row i's pairs with a row without a pattern
-        if js:
-            paired = dict(zip(js, closed_pairings(closed, table, irrs[i].chi.values, [rows[j] for j in js])))
-        for j in range(i, len(rows)):
-            y, one = x and pats[j], int(i == j)
-            if not y:
-                value = paired[j]
-                if value == one:
-                    continue
-            else:
-                (g, a, k, b, l), (h, a2, k2, b2, l2) = x, y
-                if (g, h) not in six:
-                    cells = [(w, *coords[u][:2], *coords[v][:2]) for w, u, v in zip(sizes, keys[g], keys[h])]
-                    rat = 4 * sum(w * (r * r2 + p * s * s2) for w, r, s, r2, s2 in cells)
-                    six[g, h] = rat, sum(w * (eps * r * s2 + s * r2) for w, r, s, r2, s2 in cells)
-                rat, tau = six[g, h]
-                rat += ws * a * a2 * (ss[k + k2] + ss[k - k2]) + wn * b * b2 * (sn[l + l2] + sn[l - l2])
-                if not tau and rat == one * target:
-                    continue
+    keys, pats = {}, []
+    for irr in irrs:
+        _, split, nonsplit, *_ = _families(p, *irr.label[1:])[irr.label[0]]
+        pats.append((keys.setdefault(six(irr.ids), len(keys)), *split, *nonsplit))
+    keys, sums = list(keys), {}  # per two keys, 4 R and S of their six cells, over den^2
+    for i, (g, a, k, b, l) in enumerate(pats):
+        for j in range(i, len(pats)):
+            h, a2, k2, b2, l2 = pats[j]
+            if (g, h) not in sums:
+                terms = [(w, *coords[u][:2], *coords[v][:2]) for w, u, v in zip(sizes, keys[g], keys[h])]
+                rat = 4 * sum(w * (r * r2 + p * s * s2) for w, r, s, r2, s2 in terms)
+                sums[g, h] = rat, sum(w * (eps * r * s2 + s * r2) for w, r, s, r2, s2 in terms)
+            rat, tau = sums[g, h]
+            rat += ws * a * a2 * (ss[k + k2] + ss[k - k2]) + wn * b * b2 * (sn[l + l2] + sn[l - l2])
+            if tau or rat != (i == j) * target:
                 value = closed.value(rat, 4 * tau, {}, target)
-            raise TableValidationError(f"<{irrs[i].name}, {irrs[j].name}> = {value.to_text()} at p={p}")
+                raise TableValidationError(f"<{irrs[i].name}, {irrs[j].name}> = {value.to_text()} at p={p}")
 
 
 def _pin_rows(data: CharacterData, tori: list):

@@ -52,35 +52,39 @@ MUTATIONS = [
         [
             "tests/test_chartable.py::test_every_built_row_has_its_familys_pattern",
             "tests/test_chartable.py::test_a_built_table_is_paired_by_its_patterns_alone",
-            "tests/test_chartable.py::test_a_discrete_row_negated_on_its_torus_keeps_a_pattern",
+            "tests/test_chartable.py::test_a_planted_row_gets_the_pins_oracle_message[p11-discrete1-negated-on-its-torus]",
         ],
     ),
-    # a row is given a pattern with a c_e coordinate at one of its six other cells
+    # the pairs run before the pin, on rows no pin has matched to their labels
     (
         "src/dlcusp/chartable.py",
-        "coords[x] is not None and not coords[x][2]",
-        "coords[x] is not None",
-        ["tests/test_chartable.py::test_a_cos_value_off_the_tori_leaves_no_pattern"],
-    ),
-    # a pair with a row without a pattern passes unpaired
-    (
-        "src/dlcusp/chartable.py",
-        "if value == one:",
-        "if True:",
+        "    _pin_rows(data, _torus_patterns(data))\n    _pair_rows(data)\n",
+        "    _pair_rows(data)\n    _pin_rows(data, _torus_patterns(data))\n",
         [
-            "tests/test_chartable.py::test_faults_outside_closed_coordinates_get_the_oracles_message",
-            "tests/test_chartable.py::test_a_cos_value_off_the_tori_leaves_no_pattern",
+            "tests/test_chartable.py::test_audit_agrees_with_the_cell_by_cell_oracle",
+            "tests/test_chartable.py::test_a_planted_row_gets_the_pins_oracle_message[p7-principal1-2-rotated]",
         ],
+    ),
+    # a pair check that never raises
+    (
+        "src/dlcusp/chartable.py",
+        "if tau or rat != (i == j) * target:",
+        "if False:",
+        ["tests/test_chartable.py::test_the_pair_check_fires_on_a_table_a_wrong_closed_form_pins"],
+    ),
+    # the pairs read each row's split pattern as its nonsplit one and back
+    (
+        "src/dlcusp/chartable.py",
+        "_, split, nonsplit, *_ = _families(",
+        "_, nonsplit, split, *_ = _families(",
+        ["tests/test_chartable.py::test_validate_table", "tests/test_chartable.py::test_a_built_table_is_paired_by_its_patterns_alone"],
     ),
     # every closed sum without its tau coefficient
     (
         "src/dlcusp/classfun.py",
         "tau += w * (eps * r * s2 + s * r2)",
         "pass",
-        [
-            "tests/test_classfun.py::test_closed_pairings_equal_the_per_class_reference",
-            "tests/test_chartable.py::test_faults_outside_closed_coordinates_get_the_oracles_message",
-        ],
+        ["tests/test_classfun.py::test_closed_pairings_equal_the_per_class_reference"],
     ),
     # the kernel's products outside closed coordinates dropped
     (
@@ -89,7 +93,6 @@ MUTATIONS = [
         "return value",
         [
             "tests/test_classfun.py::test_closed_pairings_equal_the_per_class_reference",
-            "tests/test_chartable.py::test_faults_outside_closed_coordinates_get_the_oracles_message",
             "tests/test_cuspform.py::test_non_rational_multiplicity_names_the_first_row",
         ],
     ),

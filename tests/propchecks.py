@@ -216,20 +216,18 @@ def check_second_orthogonality(data: CharacterData) -> int:
     return checked
 
 
-def check_row_orthonormality(data: CharacterData, changed=None) -> None:
+def check_row_orthonormality(data: CharacterData) -> None:
     """<chi_i, chi_j> = delta_ij for every pair i <= j, cell by cell.
 
     The full pair loop, one term-by-term sum per pair over the whole table's
     common frame; it raises the same message on the first offending pair
-    as validate_table, which pairs rows with torus patterns in O(1) and the
-    others through classfun.closed_pairings, and is the reference for that
-    check.
-
-    With changed, the indices of the rows a fault changed in a table that
-    passed in full, only the pairs touching one of them are summed, still
-    in lexicographic order: every other pair is a pair of that table, so it
-    passes, and the first failing pair and its message are those of the
-    full loop.  Each distinct value object is written in the frame once.
+    as validate_table's pair check (chartable._pair_rows), and is the
+    reference for that check.  validate_table pairs only a table its pin
+    has passed, each pair in O(1) from the patterns the rows' labels name;
+    so on a table the pin refuses, the message is the pin's
+    (first_difference), and only a wrong closed form that a table matches
+    lets a pair fail.  Each distinct value object is written in the frame
+    once.
     """
     table, irrs = data.table, data.irreducibles
     n = len(irrs)
@@ -243,8 +241,6 @@ def check_row_orthonormality(data: CharacterData, changed=None) -> None:
     den = dens * dens * table.group_order
     for i in range(n):
         for j in range(i, n):
-            if changed is not None and i not in changed and j not in changed:
-                continue
             triples = ((w, a, b) for w, a, b in zip(sizes, rows[i], conj_rows[j]) if a and b)
             got = CycNumber._from_numerators(order, _raw_dot(order, triples), den)
             want = 1 if i == j else 0
@@ -254,9 +250,45 @@ def check_row_orthonormality(data: CharacterData, changed=None) -> None:
                 )
 
 
-def changed_rows(data: CharacterData, broken: CharacterData) -> set[int]:
-    """The indices of the rows of broken that differ from those of data."""
-    return {i for i, (a, b) in enumerate(zip(data.irreducibles, broken.irreducibles)) if a != b}
+def first_difference(built: CharacterData, broken: CharacterData) -> tuple | None:
+    """The first row of broken, label by label in the build's order (the
+    constituents dl_terms names across both tori), whose values differ from
+    built's row of that label: (that row, a class where it differs, its
+    value there, built's value there), or None where every row is built's.
+    The class is the first that differs in the order the pin reads them:
+    the split torus's regular classes, its generator's first, then the
+    nonsplit torus's likewise, then +-I and the unipotent classes, each
+    group in class order.
+
+    The reference for chartable._pin_rows on a table whose labels and
+    degrees are the build's: a built table is the closed-form table, so the
+    pin refuses a row iff it differs from the build's.  It compares values
+    class by class, not ids or closed coordinates."""
+    p, table = built.p, built.table
+    labels = dict.fromkeys(label for torus in TORI for k in range(torus_order(p, torus)) for label, _ in dl_terms(p, torus, k))
+    gens = [table.class_of(t.generator) for t in (built.split_torus, built.nonsplit_torus)]
+    rank = {"split_semisimple": 0, "nonsplit_semisimple": 1}
+    order = sorted(range(len(table)), key=lambda c: (rank.get(table.classes[c].kind, 2), c not in gens, c))
+    for label in labels:
+        irr, want = broken.irreducible(*label), built.irreducible(*label).chi.values
+        c = next((c for c in order if irr.chi.values[c] != want[c]), None)
+        if c is not None:
+            return irr, c, irr.chi.values[c], want[c]
+    return None
+
+
+def pin_message(built: CharacterData, broken: CharacterData) -> str | None:
+    """The message the pin raises on broken, from first_difference: the row,
+    the class (by the torus it generates, if it holds a torus generator),
+    the row's value there and the build's; None where it finds none."""
+    found = first_difference(built, broken)
+    if found is None:
+        return None
+    irr, c, got, want = found
+    table = built.table
+    gens = {table.class_of(t.generator): t.torus_type for t in (built.split_torus, built.nonsplit_torus)}
+    where = f"the {gens[c]} torus generator" if c in gens else f"class {c} ({table.classes[c].kind})"
+    return f"{irr.name} is {got.to_text()} at {where}, not {want.to_text()} at p={built.p}"
 
 
 def replay_rebuild_differs_at(data: CharacterData, coeff: dict, s: ClassFunction) -> int | None:

@@ -170,7 +170,7 @@ def _with_value(data, label, class_kind, new_value):
 
 def test_negated_principal_series_value_is_caught(data7):
     broken = _with_value(data7, ("principal", 1), "split_semisimple", lambda v: -v)
-    with pytest.raises(TableValidationError, match=r"^<trivial, principal\(1\)> = .* at p=7$"):
+    with pytest.raises(TableValidationError, match=r"^principal\(1\) is 1: 1 at class 6 \(split_semisimple\), not 1: -1 at p=7$"):
         validate_table(broken)
 
 
@@ -207,8 +207,9 @@ def test_every_set_clears_the_mark():
 
 def test_changed_exceptional_value_at_unipotent_class_is_caught(data7):
     broken = _with_value(data7, ("exceptional_split_plus",), "unipotent", lambda v: v + 1)
-    with pytest.raises(TableValidationError, match=r"^<trivial, exceptional_split_plus> = .* at p=7$"):
+    with pytest.raises(TableValidationError, match=r"^exceptional_split_plus is .* at class 2 \(unipotent\), not .* at p=7$"):
         validate_table(broken)
+    assert _outcome(validate_table, broken) == propchecks.pin_message(data7, broken)
 
 
 def _outcome(check, data, *args):
@@ -222,19 +223,16 @@ def _outcome(check, data, *args):
 @pytest.mark.parametrize("p", (7, 11, 13, 31, 43))
 def test_audit_agrees_with_the_cell_by_cell_oracle(p):
     """On seeded single-cell faults validate_table raises exactly when the
-    cell-by-cell pair loop does, with the same message.  Most of these
-    faults leave the closed coordinates, so the pairs they touch reach the
-    integer frame of classfun.closed_sum.  The unbroken table passes both,
-    so the oracle pairs only the pairs that touch the changed row."""
+    pin's oracle (propchecks.first_difference) finds a row that differs
+    from the build's, with the message it gives.  Most of these faults
+    leave the closed coordinates."""
     data = get_data(p)
-    assert _outcome(validate_table, data) is _outcome(propchecks.check_row_orthonormality, data) is None
+    assert _outcome(validate_table, data) is propchecks.pin_message(data, data) is None
     changed = 0
     for broken in propchecks.single_cell_faults(data, count=40):
-        want = _outcome(propchecks.check_row_orthonormality, broken, propchecks.changed_rows(data, broken))
+        want = propchecks.pin_message(data, broken)
         assert _outcome(validate_table, broken) == want
-        # any changed cell breaks orthogonality to the trivial row (or, in
-        # the trivial row, to some other), while negating or rotating a zero
-        # cell changes nothing
+        # negating or rotating a zero cell changes nothing
         assert (want is not None) == (broken.irreducibles != data.irreducibles)
         changed += want is not None
     assert changed >= 20
@@ -244,16 +242,14 @@ def test_audit_agrees_with_the_cell_by_cell_oracle(p):
 def test_faults_in_closed_coordinates_agree_with_the_oracle(p):
     """Seeded single-cell faults that keep every value in closed coordinates
     (another c_e at a torus class, tau added at a unipotent or central
-    class, a negation) are paired in coordinates, and validate_table still
-    raises exactly when the cell-by-cell pair loop does, with its message.
-    The unbroken table passes both, so the oracle pairs only the pairs that
-    touch the changed row."""
+    class, a negation), which the pin compares in ids and coordinates:
+    validate_table raises exactly when the pin's oracle finds a row that
+    differs from the build's, with its message."""
     data = get_data(p)
-    assert _outcome(validate_table, data) is _outcome(propchecks.check_row_orthonormality, data) is None
     changed = 0
     for broken in propchecks.closed_cell_faults(data):
         assert None not in broken.coordinates.coords
-        want = _outcome(propchecks.check_row_orthonormality, broken, propchecks.changed_rows(data, broken))
+        want = propchecks.pin_message(data, broken)
         assert _outcome(validate_table, broken) == want
         assert (want is not None) == (broken.irreducibles != data.irreducibles)
         changed += want is not None
@@ -270,40 +266,29 @@ def test_faults_in_closed_coordinates_agree_with_the_oracle(p):
     ],
     ids=["split-plus-zeta_p", "unipotent-plus-zeta_p-1", "split-c1-at-nonsplit"],
 )
-def test_faults_outside_closed_coordinates_get_the_oracles_message(monkeypatch, p, kind, fault):
-    """A cell the coordinates cannot pair (a value without coordinates, or
-    c_e of the split torus against the nonsplit torus's values) sends its
-    products to the integer frame of classfun.closed_sum, and
-    validate_table gives the verdict and message of the cell-by-cell pair
-    loop.  Where the nonsplit class holds no irrational value (its
-    elements have order 4 at p = 11 and 43), the split c_1 meets only
-    rationals and is summed in coordinates, to an irrational pairing."""
-    import dlcusp.classfun
-    from dlcusp.classfun import closed_pairings
-
-    reached, frame_dot = [], dlcusp.classfun._frame_dot
-    monkeypatch.setattr(dlcusp.classfun, "_frame_dot", lambda *args: reached.append(args) or frame_dot(*args))
+def test_faults_outside_closed_coordinates_get_the_oracles_message(p, kind, fault):
+    """A cell the closed coordinates do not place on its own class (a value
+    without coordinates, or c_e of the split torus at a nonsplit class)
+    fails the pin, with the message of its oracle."""
     data = get_data(p)
     cls = next(c for c, rec in enumerate(data.table.classes) if rec.kind == kind)
     for label in (("trivial",), ("principal", 1), ("exceptional_nonsplit_plus",)):
         row = next(i for i, irr in enumerate(data.irreducibles) if irr.label == label)
         broken = propchecks.with_cell(data, row, cls, fault(p, data.irreducibles[row].chi.values[cls]))
-        rows = [irr.ids for irr in broken.irreducibles]
-        reached.clear()
-        pairings = closed_pairings(broken.coordinates, broken.table, broken.irreducibles[row].chi.values, rows)
-        assert reached or any(v.as_rational() is None for v in pairings), label
-        want = _outcome(propchecks.check_row_orthonormality, broken)
+        x = broken.coordinates.coords[broken.irreducibles[row].ids[cls]]
+        assert x is None or x[2] == p - 1, label
+        want = propchecks.pin_message(data, broken)
         assert want is not None and _outcome(validate_table, broken) == want, label
 
 
 def test_huge_coefficient_is_rejected(data7):
     """A cell with a coefficient far above |G| is still rejected, with the
-    oracle's message: the pairing's canonical values have no size bound."""
+    oracle's message: the canonical values have no size bound."""
     row = next(i for i, irr in enumerate(data7.irreducibles) if irr.label == ("principal", 1))
     cls = next(i for i, rec in enumerate(data7.table.classes) if rec.kind == "split_semisimple")
     value = data7.irreducibles[row].chi.values[cls] + root_of_unity(6, 1).scale(2**70 + 1)
     broken = propchecks.with_cell(data7, row, cls, value)
-    want = _outcome(propchecks.check_row_orthonormality, broken)
+    want = propchecks.pin_message(data7, broken)
     assert want is not None and "1180591620717411303425" in want
     assert _outcome(validate_table, broken) == want
 
@@ -757,25 +742,22 @@ def test_swapped_degrees_are_caught(data7):
 # -- the pairing: every pair in lexicographic order ----------------------------------
 
 
-def _patterns(data):
-    """Per row of data, the patterns (2a, k) validate_table reads on the
-    split and the nonsplit torus, or None."""
-    from dlcusp.chartable import _read_patterns, _torus_patterns
-
-    pats, _ = _read_patterns(data, [irr.ids for irr in data.irreducibles], _torus_patterns(data))
-    return [x and (x[1:3], x[3:]) for x in pats]
-
-
 @pytest.mark.parametrize("p", primes_in_range(7, 101))
 def test_every_built_row_has_its_familys_pattern(p):
-    """Each row of a built table is a c_kd on the regular classes of each
-    torus, with the (2a, k) its label's family names (_families), and
-    holds r + s tau at its six other cells."""
-    from dlcusp.chartable import _families
+    """Each row of a built table is, on the regular classes of each torus,
+    the ids its label's family's pattern (2a, k) wants there (_families,
+    _torus_patterns), and holds r + s tau at its six other cells: the
+    pattern validate_table's pairs take from the label is the row's own."""
+    from dlcusp.chartable import _families, _torus_patterns
 
     data = get_data(p)
-    for irr, x in zip(data.irreducibles, _patterns(data)):
-        assert x == _families(p, *irr.label[1:])[irr.label[0]][1:3], irr.label
+    tori, coords = _torus_patterns(data), data.coordinates.coords
+    six = [c for c, rec in enumerate(data.table.classes) if rec.kind in ("central", "unipotent")]
+    for irr in data.irreducibles:
+        patterns = _families(p, *irr.label[1:])[irr.label[0]][1:3]
+        for (torus, cells, wanted), pattern in zip(tori, patterns):
+            assert tuple(irr.ids[c] for c, _ in cells) == wanted[pattern], (irr.label, torus.torus_type)
+        assert all(coords[irr.ids[c]][2] == 0 for c in six), irr.label
 
 
 def _canonical_cos_sum(n, pairs):
@@ -829,89 +811,142 @@ def test_pattern_pairs_are_the_canonical_torus_sums(p):
 def test_a_built_table_is_paired_by_its_patterns_alone(monkeypatch, p):
     """validate_table pairs every pair of a built table in O(1): it reaches
     neither per-cell kernel."""
-    import dlcusp.chartable
     import dlcusp.classfun
 
     def unreachable(*args):
         raise AssertionError("a per-cell kernel was reached")
 
-    monkeypatch.setattr(dlcusp.chartable, "closed_pairings", unreachable)
+    monkeypatch.setattr(dlcusp.classfun, "closed_pairings", unreachable)
     monkeypatch.setattr(dlcusp.classfun, "closed_sum", unreachable)
     assert validate_table(get_data(p))["orthonormal"]
 
 
-def _on_torus(data, label, kind, cells):
-    """A copy of data whose row label takes cells(c, value) at each class c of kind."""
-    row = next(i for i, irr in enumerate(data.irreducibles) if irr.label == label)
-    kinds = [rec.kind for rec in data.table.classes]
-    values = [cells(c, v) if kinds[c] == kind else v for c, v in enumerate(data.irreducibles[row].chi.values)]
-    return row, propchecks.with_row(data, row, ClassFunction(data.table, values))
+def _on_torus(label, kind, cells):
+    """A plant: a copy of data whose row label takes cells(data, c, value)
+    at each class c of kind."""
+    def plant(data):
+        row = next(i for i, irr in enumerate(data.irreducibles) if irr.label == label)
+        kinds = [rec.kind for rec in data.table.classes]
+        values = [cells(data, c, v) if kinds[c] == kind else v for c, v in enumerate(data.irreducibles[row].chi.values)]
+        return propchecks.with_row(data, row, ClassFunction(data.table, values))
+
+    return plant
 
 
-@pytest.mark.parametrize("p, k, k2", [(7, 1, 2), (13, 2, 5), (13, 5, 1), (43, 3, 20)])
-def test_a_principal_row_with_anothers_torus_cells_keeps_a_pattern(p, k, k2):
-    """principal(k) with the split torus cells of principal(k2) is still a
-    pattern row, (2, k2) on the split torus; it is paired in O(1) and fails
-    with the message of the cell-by-cell pair loop."""
-    data = get_data(p)
-    other = data.irreducible("principal", k2).chi.values
-    row, broken = _on_torus(data, ("principal", k), "split_semisimple", lambda c, v: other[c])
-    assert _patterns(broken)[row] == ((2, k2), (0, 0))
-    want = _outcome(propchecks.check_row_orthonormality, broken)
-    assert want is not None and _outcome(validate_table, broken) == want
-
-
-@pytest.mark.parametrize("p, k", [(11, 1), (13, 3), (43, 10)])
-def test_a_discrete_row_negated_on_its_torus_keeps_a_pattern(p, k):
-    """discrete(k) negated on the nonsplit torus only is c_kd there, the
-    pattern (2, k); it is paired in O(1) and fails with the message of the
-    cell-by-cell pair loop."""
-    data = get_data(p)
-    row, broken = _on_torus(data, ("discrete", k), "nonsplit_semisimple", lambda c, v: -v)
-    assert _patterns(broken)[row] == ((0, 0), (2, k))
-    want = _outcome(propchecks.check_row_orthonormality, broken)
-    assert want is not None and _outcome(validate_table, broken) == want
-
-
-@pytest.mark.parametrize("p", (13, 43))
-@pytest.mark.parametrize("kind", ("central", "unipotent"))
-def test_a_cos_value_off_the_tori_leaves_no_pattern(p, kind):
-    """A row holding c_1 of the split torus at a central or unipotent class
-    has closed coordinates everywhere but no pattern, since its six other
-    cells must be r + s tau; it fails with the oracle's message."""
-    data = get_data(p)
-    for label in (("trivial",), ("principal", 1), ("exceptional_nonsplit_plus",)):
+def _with_cos(label, kind):
+    """A plant: a copy whose row label holds c_1 of the split torus at the
+    first class of kind."""
+    def plant(data):
         row = next(i for i, irr in enumerate(data.irreducibles) if irr.label == label)
         cls = next(c for c, rec in enumerate(data.table.classes) if rec.kind == kind)
-        broken = propchecks.with_cell(data, row, cls, root_of_unity(p - 1) + root_of_unity(p - 1, -1))
-        assert None not in broken.coordinates.coords and _patterns(broken)[row] is None
-        want = _outcome(propchecks.check_row_orthonormality, broken)
-        assert want is not None and _outcome(validate_table, broken) == want, label
+        return propchecks.with_cell(data, row, cls, root_of_unity(data.p - 1) + root_of_unity(data.p - 1, -1))
+
+    return plant
+
+
+def _rotated(k, k2):
+    """A plant: a copy whose principal(k) and principal(k2) rows, chi and
+    psi, are (3 chi + 4 psi)/5 and (4 chi - 3 psi)/5.  The change of basis
+    is orthogonal, so the table stays orthonormal, and each row keeps its
+    label and its stored degree."""
+    def plant(data):
+        (i, chi), (j, psi) = ((i, irr.chi) for i, irr in enumerate(data.irreducibles)
+                              if irr.label in (("principal", k), ("principal", k2)))
+        a, b = Fraction(3, 5), Fraction(4, 5)
+        broken = propchecks.with_row(data, i, scaled(chi, a) + scaled(psi, b))
+        return propchecks.with_row(broken, j, scaled(chi, b) + scaled(psi, -a))
+
+    return plant
+
+
+_PLANTED = {
+    # a principal row with the split torus cells of another principal row
+    **{f"p{p}-principal{k}-with-principal{k2}s-cells":
+       (p, _on_torus(("principal", k), "split_semisimple", lambda data, c, v, k2=k2: data.irreducible("principal", k2).chi.values[c]))
+       for p, k, k2 in [(7, 1, 2), (13, 2, 5), (13, 5, 1), (43, 3, 20)]},
+    # a discrete row negated on its own torus only, so c_kd there
+    **{f"p{p}-discrete{k}-negated-on-its-torus": (p, _on_torus(("discrete", k), "nonsplit_semisimple", lambda data, c, v: -v))
+       for p, k in [(11, 1), (13, 3), (43, 10)]},
+    # c_1 of the split torus at a central or unipotent class, where every row holds r + s tau
+    **{f"p{p}-{label[0]}-c1-at-{kind}": (p, _with_cos(label, kind))
+       for p in (13, 43) for kind in ("central", "unipotent")
+       for label in (("trivial",), ("principal", 1), ("exceptional_nonsplit_plus",))},
+    "p7-principal1-2-rotated": (7, _rotated(1, 2)),
+    "p13-principal2-5-rotated": (13, _rotated(2, 5)),
+}
+
+
+@pytest.mark.parametrize("p, plant", _PLANTED.values(), ids=_PLANTED)
+def test_a_planted_row_gets_the_pins_oracle_message(p, plant):
+    """Rows that have some family's shape on a torus, or hold closed
+    coordinates everywhere, or keep the table orthonormal, still differ
+    from their family's closed values somewhere; validate_table names the
+    first, with the message of the pin's oracle."""
+    data = get_data(p)
+    broken = plant(data)
+    want = propchecks.pin_message(data, broken)
+    assert want is not None and _outcome(validate_table, broken) == want
+
+
+def test_the_rotated_principal_rows_stay_orthonormal():
+    """The rotated rows keep every pair, so only the pin refuses them."""
+    for p, plant in (_PLANTED["p7-principal1-2-rotated"], _PLANTED["p13-principal2-5-rotated"]):
+        assert _outcome(propchecks.check_row_orthonormality, plant(get_data(p))) is None
 
 
 def test_a_repeated_row_gets_the_full_loop_and_the_oracles_message(data7):
-    """A table with two equal rows fails with the message of the
-    cell-by-cell pair loop, for every choice of the pair."""
+    """A table with two equal rows fails with the message of the pin's
+    oracle, for every choice of the pair."""
     irrs = data7.irreducibles
     for i, src in enumerate(irrs):
         for j in range(len(irrs)):
             if i == j:
                 continue
             broken = propchecks.with_row(data7, j, src.chi)
-            want = _outcome(propchecks.check_row_orthonormality, broken)
+            want = propchecks.pin_message(data7, broken)
             assert want is not None and _outcome(validate_table, broken) == want, (i, j)
 
 
 @pytest.mark.parametrize("p", (7, 13))
 def test_a_row_scaled_by_two_fails_only_its_norm(p):
-    """2 chi stays orthogonal to every other row, so only the pair (chi, chi)
-    fails, wherever it falls in the order of pairs."""
+    """2 chi stays orthogonal to every other row, so of all pairs only (chi,
+    chi) fails; the pin, which runs first, names the row at its first
+    non-zero cell, with the message of its oracle."""
     data = get_data(p)
     for row, irr in enumerate(data.irreducibles):
         broken = propchecks.with_row(data, row, scaled(irr.chi, 2))
-        want = _outcome(propchecks.check_row_orthonormality, broken)
-        assert want == f"<{irr.name}, {irr.name}> = 1: 4 at p={p}"
-        assert _outcome(validate_table, broken) == want
+        assert _outcome(propchecks.check_row_orthonormality, broken) == f"<{irr.name}, {irr.name}> = 1: 4 at p={p}"
+        want = propchecks.pin_message(data, broken)
+        assert want is not None and _outcome(validate_table, broken) == want
+
+
+def test_the_pair_check_fires_on_a_table_a_wrong_closed_form_pins(monkeypatch, data7):
+    """With discrete's closed value at the unipotent class (s, r) made s^k
+    in place of -s^k, and the discrete rows planted to match, the pin
+    passes; the pairs then fail, with the message of the cell-by-cell pair
+    loop (propchecks.check_row_orthonormality)."""
+    import dlcusp.chartable
+    from dlcusp.chartable import _pin_rows, _torus_patterns
+
+    families = dlcusp.chartable._families
+
+    def wrong(p, k=0):
+        out = families(p, k)
+        deg, split, nonsplit, _, t = out["discrete"]
+        out["discrete"] = (deg, split, nonsplit, 2, t)
+        return out
+
+    broken, table = data7, data7.table
+    for row, irr in enumerate(data7.irreducibles):
+        if irr.label[0] == "discrete":
+            values = [rec.key[0] ** irr.label[1] if rec.kind == "unipotent" else v
+                      for rec, v in zip(table.classes, irr.chi.values)]
+            broken = propchecks.with_row(broken, row, ClassFunction(table, values))
+    monkeypatch.setattr(dlcusp.chartable, "_families", wrong)
+    _pin_rows(broken, _torus_patterns(broken))
+    want = _outcome(propchecks.check_row_orthonormality, broken)
+    assert want == "<trivial, discrete(2)> = 1: 4/7 at p=7"  # s^k sums to 0 over the unipotent classes at odd k
+    assert _outcome(validate_table, broken) == want
 
 
 # -- labels ---------------------------------------------------------------------------
@@ -946,6 +981,8 @@ def _relabelled(data, relabel):
         ({("principal", 1): ("principal", 2)}, r"unexpected or repeated label \['principal', 2\] at p=13"),
         ({("steinberg",): ("st",)}, r"unexpected or repeated label \['st'\] at p=13"),
     ],
+    ids=("principal_1_3", "discrete_2_4", "exceptional_split", "exceptional_nonsplit", "principal_discrete_1",
+         "principal_6", "principal_2_twice", "st"),
 )
 def test_each_label_must_name_its_row(data13, relabel, message):
     """Rows under the wrong labels keep the table orthonormal; the pin names

@@ -590,7 +590,7 @@ def _corrupted_cache(directory):
     return str(directory)
 
 
-_BROKEN_PAIR = r"<trivial, principal\(1\)> = .* at p=7"
+_BROKEN_ROW = r"principal\(1\) is 1: 1 at class 6 \(split_semisimple\), not 1: -1 at p=7"
 
 
 @pytest.mark.parametrize(
@@ -601,7 +601,7 @@ def test_corrupted_cached_table_is_refused_before_use(capsys, tmp_path, command)
     code = main([*command, "--cache-dir", _corrupted_cache(tmp_path)])
     captured = capsys.readouterr()
     assert code == 1
-    assert re.fullmatch(f"verification failure: {_BROKEN_PAIR}\n", captured.err)
+    assert re.fullmatch(f"verification failure: {_BROKEN_ROW}\n", captured.err)
     assert captured.out == ""
 
 
@@ -611,9 +611,9 @@ def test_verify_reports_why_a_check_failed(capsys, tmp_path, cache_dir):
     code, out = run(capsys, *args, cache, "--format", "json")
     row = json.loads(out)["primes"][0]
     assert code == 1 and row["checks"]["table_valid"] is False
-    assert re.fullmatch(_BROKEN_PAIR, row["reasons"]["table_valid"])
+    assert re.fullmatch(_BROKEN_ROW, row["reasons"]["table_valid"])
     code, out = run(capsys, *args, cache)
-    assert code == 1 and re.search(f"^      reason table_valid: {_BROKEN_PAIR}$", out, re.M)
+    assert code == 1 and re.search(f"^      reason table_valid: {_BROKEN_ROW}$", out, re.M)
     code, out = run(capsys, *args, str(cache_dir), "--format", "json")
     assert code == 0 and "reasons" not in json.loads(out)["primes"][0]  # only failing rows carry reasons
 
@@ -714,6 +714,7 @@ def test_swapped_cached_degrees_are_refused(capsys, tmp_path):
         ((["exceptional_split_plus"], ["exceptional_split_minus"]),
          r"exceptional_split_plus is 13: 1 \+ .* at class 2 \(unipotent\), not 13: -1\*z\^2 \+ .* at p=13"),
     ],
+    ids=("principal_1_3", "exceptional_split"),
 )
 def test_swapped_cached_labels_are_refused(capsys, tmp_path, swap, message):
     """A cached table with two labels swapped passes every other audit check
@@ -793,7 +794,7 @@ def test_a_cache_that_cannot_be_written_is_done_without(capsys, tmp_path):
 
 def test_a_fresh_build_is_audited_before_use(capsys, monkeypatch):
     """A build whose closed form negates principal(1) at one split class is
-    refused by chartable and decompose, naming the pair, as a cached table
+    refused by chartable and decompose, naming the row, as a cached table
     with that fault is: every table a command uses is audited."""
     closed_rows = CharacterData._closed_rows
 
@@ -811,7 +812,7 @@ def test_a_fresh_build_is_audited_before_use(capsys, monkeypatch):
         code = main([command, "7", "--no-cache"])
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
-        assert re.fullmatch(r"verification failure: <trivial, principal\(1\)> = .* at p=7\n", captured.err)
+        assert re.fullmatch(f"verification failure: {_BROKEN_ROW}\n", captured.err)
 
 
 def test_a_build_with_flipped_central_signs_fails_only_the_audit(capsys, monkeypatch):

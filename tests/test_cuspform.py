@@ -346,15 +346,15 @@ def _refused_with_the_audits_message(data, s):
 
 
 def test_decompose_dl_refuses_a_copy_that_breaks_orthonormality(data7):
-    """principal(1) negated at a split class fails the pair <trivial,
-    principal(1)>: decompose_dl raises the audit's message, not a result."""
+    """principal(1) negated at a split class fails the audit's pin there:
+    decompose_dl raises the audit's message, not a result."""
     import propchecks
 
     row = next(i for i, irr in enumerate(data7.irreducibles) if irr.label == ("principal", 1))
     values = data7.irreducibles[row].chi.values
     c = next(i for i, rec in enumerate(data7.table.classes) if rec.kind == "split_semisimple" and not values[i].is_zero())
     broken = propchecks.with_cell(data7, row, c, -values[c])
-    with pytest.raises(TableValidationError, match=r"^<trivial, principal\(1\)> = .* at p=7$"):
+    with pytest.raises(TableValidationError, match=r"^principal\(1\) is 1: 1 at class 6 \(split_semisimple\), not 1: -1 at p=7$"):
         decompose_dl(broken)
     _refused_with_the_audits_message(broken, weinstein_character(data7))
 
