@@ -143,8 +143,9 @@ class CharacterData:
             *((("principal", k), row, p + 1) for k, row in enumerate(inner["split"], 1)),
             *((("discrete", k), row, p - 1) for k, row in enumerate(inner["nonsplit"], 1)),
         ]
+        halves = {}  # (id into ends, coefficient of tau) -> (ends[id] + coefficient tau)/2, for both tori
         for torus in ("split", "nonsplit"):
-            out.extend(self._exceptional_pair(torus, outer[torus][1], ends, values))
+            out.extend(self._exceptional_pair(torus, outer[torus][1], ends, values, halves))
         self._set(values, out)
 
     def _build_borel_buckets(self) -> list[dict[int, int]]:
@@ -293,11 +294,16 @@ class CharacterData:
             raise TableValidationError(f"Steinberg norm is not 1 at p={self.p}")
         return row
 
-    def _exceptional_pair(self, torus_type: str, base: tuple[int, ...], ends: "_Values", values: "_Values") -> list:
+    def _exceptional_pair(
+        self, torus_type: str, base: tuple[int, ...], ends: "_Values", values: "_Values", halves: dict
+    ) -> list:
         """The (label, id row, degree) entries of the two halves (base +
         delta)/2 and (base - delta)/2 of base, the order-2-character virtual
-        character, given as a row of ids into ends.  Each half is made once
-        per distinct (base id, coefficient of delta in tau) of its cells.
+        character, given as a row of ids into ends.  A cell of plus with
+        base id b and coefficient c of delta in tau is (ends[b] + c tau)/2,
+        and minus there is plus at (b, -c): so halves, one memo for both
+        halves and both tori, makes each such value once per prime, from
+        one Gauss sum (gauss_sum is memoized).
 
         base is R(alpha) for the split torus and -R(alpha) for the anisotropic
         one; delta is supported on the four unipotent-type classes, where it
@@ -332,11 +338,17 @@ class CharacterData:
                 keys.append((b, residue * (1 if sign == 1 else center_sign)))
             else:
                 keys.append((b, 0))
-        halves = {
-            "plus": lambda key: (ends[key[0]] + tau.scale(key[1])).scale(Fraction(1, 2)),
-            "minus": lambda key: (ends[key[0]] - tau.scale(key[1])).scale(Fraction(1, 2)),
-        }
-        return [((f"exceptional_{torus_type}_{half}",), values.keyed_row(keys, make), deg) for half, make in halves.items()]
+
+        def plus(key: tuple[int, int]) -> CycNumber:
+            v = halves.get(key)
+            if v is None:
+                v = halves[key] = (ends[key[0]] + tau.scale(key[1])).scale(Fraction(1, 2))
+            return v
+
+        return [
+            ((f"exceptional_{torus_type}_plus",), values.keyed_row(keys, plus), deg),
+            ((f"exceptional_{torus_type}_minus",), values.keyed_row(keys, lambda key: plus((key[0], -key[1]))), deg),
+        ]
 
     # -- lookups --------------------------------------------------------------
 
@@ -479,11 +491,12 @@ class ClosedCoordinates:
     None where a value is none of these.  c_e is found by looking its value up
     among the canonical c_e, 0 <= e <= n/2, of both tori (cos_ids holds their
     ids, -1 for one the table lacks, and cos_terms their integer terms lifted
-    to order n), r + s tau by reading s off one coefficient of tau and
-    demanding that v - s tau is rational.  validate_table's pin compares
-    the torus cells with ids from cos_ids and the six other cells with
-    coords, and its pairs sum those six in coords and print a failing
-    pair's value; classfun.closed_sum, the pairing kernel of
+    to order n), and r + s tau straight off v's integer numerators, which
+    must be one multiple of tau's off exponent 0 (_exact), so no v - s tau
+    is made; tau = gauss_sum(p) is made once per prime.  validate_table's
+    pin compares the torus cells with ids from cos_ids and the six other
+    cells with coords, and its pairs sum those six in coords and print a
+    failing pair's value; classfun.closed_sum, the pairing kernel of
     cuspform.decompose_dl, sums in coords and assembles its value with
     value.
     """
@@ -491,28 +504,35 @@ class ClosedCoordinates:
     def __init__(self, p: int, values: list[CycNumber], ids: dict):
         self.p, self.eps, self.ids = p, legendre(-1, p), ids
         self.tau = tau = gauss_sum(p)
-        self._t = next(e for e in tau.terms if e)
+        self._t = next(e for e in tau.num if e)
+        self._support = len(tau.num) - (0 in tau.num)
         self.cos_ids, self.cos_terms, self._cos = {}, {}, {}
         for n in (p - 1, p + 1):
             cs = [_cos(n, e) for e in range(n // 2 + 1)]
             self.cos_ids[n] = [ids.get(c, -1) for c in cs]
-            self.cos_terms[n] = [[(k * (n // c.order), int(a)) for k, a in c.terms.items()] for c in cs]
+            self.cos_terms[n] = [[(k * (n // c.order), a) for k, a in c.num.items()] for c in cs]
             self._cos.update((c, (1, 0, n, e)) for e, c in enumerate(cs) if c.order > 1)
         exact = [self._exact(v) for v in values]
-        self.den = den = lcm(*(Fraction(c).denominator for x in exact if x for c in x[:2]))
+        self.den = den = lcm(*(c.denominator for x in exact if x for c in x[:2]))
         self.coords = [x and (int(x[0] * den), int(x[1] * den), x[2], x[3]) for x in exact]
         self.cells = list(zip(values, self.coords))  # (value, coordinates) by id
 
     def _exact(self, v: CycNumber) -> tuple | None:
         """The coordinates of v in rationals: (r, s, 0, 0) for r + s tau,
-        (1, 0, n, e) for c_e, or None."""
+        (1, 0, n, e) for c_e, or None.  An order-p v = (sum_e N_e zeta_p^e)/D
+        is r + s tau iff its numerators off exponent 0 are D s times tau's,
+        on exactly tau's exponents: s is read at one exponent t of tau, the
+        rest are compared by cross-multiplying, and r = (N_0 - D s tau_0)/D."""
         if v.order == 1:
             return (v.as_rational(), 0, 0, 0)
         x = self._cos.get(v)
         if x is None and v.order == self.p:
-            s = v.terms.get(self._t, 0) / self.tau.terms[self._t]
-            r = (v - self.tau.scale(s)).as_rational()
-            x = None if r is None else (r, s, 0, 0)
+            num, tau, den = v.num, self.tau.num, v.den
+            a, b = num.get(self._t, 0), tau[self._t]  # s = a / (D b)
+            if a and len(num) - (0 in num) == self._support and all(
+                num.get(e, 0) * b == a * c for e, c in tau.items() if e
+            ):
+                x = (Fraction(num.get(0, 0) * b - a * tau.get(0, 0), den * b), Fraction(a, den * b), 0, 0)
         return x
 
     def coordinate(self, v: CycNumber) -> tuple | None:
@@ -544,7 +564,7 @@ class ClosedCoordinates:
             rat += terms[0]
             if any(terms[1:]):
                 parts.append(CycNumber._from_numerators(n, {k: a for k, a in enumerate(terms) if a and k}, scale))
-        out = CycNumber._raw(1, {0: Fraction(rat, scale)} if rat else {})
+        out = CycNumber._from_numerators(1, {0: rat}, scale)
         if tau:
             out += self.tau.scale(Fraction(tau, scale))
         return sum(parts, out)

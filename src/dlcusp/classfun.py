@@ -90,7 +90,7 @@ def closed_pairings(closed, table: ConjugacyTable, phi: Sequence[CycNumber], row
     with values phi with each psi in rows (one id per class into the values
     closed describes, chartable.ClosedCoordinates), each by closed_sum over
     the classes where neither is zero."""
-    support = [c for c, v in enumerate(phi) if v.terms]
+    support = [c for c, v in enumerate(phi) if v.num]
     left = [(table.classes[c].size, phi[c], closed.coordinate(phi[c])) for c in support]
     out, cell = [], closed.cells.__getitem__
     for row in rows:

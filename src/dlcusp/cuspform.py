@@ -234,11 +234,11 @@ def decompose_dl(data: CharacterData, s: ClassFunction | None = None, reading: s
     Coefficients are stored per inversion-orbit representative; the full sum
     counts non-self-inverse orbits twice.  Each coefficient is half a pairing,
     c = <s, R>/2 = sum sign m_label / 2 over dl_terms, with m_label = <s, chi>
-    the multiplicities, paired by classfun.closed_pairings.  By
-    Deligne-Lusztig orthogonality the rows of distinct orbits (of one torus or
-    of the two) are orthogonal, and <R, R> is 2 at theta = theta^-1 and 1
-    otherwise, so orbit weight times norm is 2 for every orbit: if s = sum c w
-    R, pairing with one R leaves <s, R> = 2c.
+    the multiplicities.  By Deligne-Lusztig orthogonality the rows of
+    distinct orbits (of one torus or of the two) are orthogonal, and <R, R>
+    is 2 at theta = theta^-1 and 1 otherwise, so orbit weight times norm is
+    2 for every orbit: if s = sum c w R, pairing with one R leaves <s, R> =
+    2c.
 
     Per family this reads (m_trivial +- m_St)/2 at k = 0, m/2 and -m/2 for
     principal and discrete rows, and +-(m_plus + m_minus)/2 for an
@@ -246,6 +246,14 @@ def decompose_dl(data: CharacterData, s: ClassFunction | None = None, reading: s
     agree.  Where they differ, s has a component along plus - minus, which
     is orthogonal to every spanning row, so s is outside the span and exact
     is false (_rebuild_differs_at).
+
+    The multiplicities pair s - c, not s, by classfun.closed_pairings, with c
+    the value s takes most often (the first on a tie), and add c to the
+    trivial row's.  For any constant c, <s, chi> = <s - c, chi> + c <1, chi>
+    by linearity in the first argument, and <1, chi> = [chi trivial] by
+    orthonormality, the audit having pinned the trivial row to 1 at every
+    class.  closed_pairings skips the classes where s - c is zero: for the
+    cusp form c is 2 from p = 11 on, and s - 2 is zero off nine classes.
 
     The table is audited first (chartable.ensure_audited), and a table that
     fails raises TableValidationError: exactness is read off the audited
@@ -257,8 +265,11 @@ def decompose_dl(data: CharacterData, s: ClassFunction | None = None, reading: s
         s = weinstein_character(data)
     mults: dict[tuple, Fraction] = {}
     irrs, closed = data.irreducibles, data.coordinates
-    for irr, value in zip(irrs, closed_pairings(closed, data.table, s.values, [irr.ids for irr in irrs])):
-        m = value.as_rational()
+    counts = Counter(s.values)
+    c = max(counts, key=counts.get)  # the first of the most frequent, as max keeps the first
+    shifted = [v - c for v in s.values]
+    for irr, value in zip(irrs, closed_pairings(closed, data.table, shifted, [irr.ids for irr in irrs])):
+        m = (value + c if irr.label == ("trivial",) else value).as_rational()
         if m is None:
             raise VerificationError(f"non-rational multiplicity for {irr.name} at p={p}")
         mults[irr.label] = m

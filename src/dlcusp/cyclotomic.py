@@ -1,7 +1,8 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N) with canonical sparse forms.
 
-A value is a finite map exponent -> rational coefficient at a root-of-unity
-order N.  Two invariants are maintained after every operation:
+A value is (sum_e num[e] zeta_N^e) / den: integer numerators over one
+denominator, at a root-of-unity order N.  Three invariants are maintained
+after every operation:
 
 * exponents lie in a canonical residue basis of Q(zeta_N): for each prime
   power q^k | N the CRT coordinate of the exponent stays below phi(q^k), so
@@ -10,16 +11,18 @@ order N.  Two invariants are maintained after every operation:
   with the vanishing-sum relation for zeta_q);
 * N is minimal, i.e. equal to the conductor-adjusted order of the value
   (after basis reduction every exponent of a subfield value is divisible by
-  the index, so dividing by the common gcd lands exactly on the subfield).
+  the index, so dividing by the common gcd lands exactly on the subfield);
+* den > 0 and gcd(den, every numerator) = 1.
 
 Equal values therefore have identical representations: equality, hashing and
 the textual serialization are structural.  No floating point anywhere.
 
-Products and pairings share one integer kernel: the values are lifted to a
-common order and denominator as integer numerator maps (_common_frame,
-CycNumber._numerators), multiplied term by term (_raw_dot), and each sum is
-reduced once into the residue basis (CycNumber._from_numerators).  The
-result is canonical, so exact comparison needs no bound on its size.
+Every operation runs on Python ints.  A sum rescales both numerator maps to
+the common order and denominator; products and pairings lift the values to
+a common frame (_common_frame, CycNumber._numerators) and multiply term by
+term (_raw_dot); each result is reduced once into the residue basis and to
+lowest terms (CycNumber._from_numerators).  The result is canonical, so
+exact comparison needs no bound on its size.
 """
 
 from __future__ import annotations
@@ -30,12 +33,14 @@ from math import gcd, lcm
 
 from .numtheory import factorize, legendre
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_set = object.__setattr__
 
 
-def _exact(c) -> Fraction:
-    """Coerce to Fraction, refusing floats (no binary rounding may sneak in)."""
+def _exact(c) -> int | Fraction:
+    """c as an int or a Fraction, refusing floats (no binary rounding may
+    sneak in); either has the numerator and denominator the kernel reads."""
+    if isinstance(c, (int, Fraction)):
+        return c
     if isinstance(c, float):
         raise TypeError("floating-point coefficients are not allowed in exact arithmetic")
     return Fraction(c)
@@ -65,16 +70,16 @@ def _field(n: int) -> _Field:
     return _Field(n)
 
 
-def _canonicalize(n: int, raw: dict[int, Fraction | int]) -> tuple[int, dict[int, Fraction | int]]:
+def _canonicalize(n: int, raw: dict[int, int]) -> tuple[int, dict[int, int]]:
     """Rewrite exponents into the residue basis, merge terms, minimize order.
 
     Coefficients are only added and negated, so integer ones stay integers.
     """
     if n < 1:
         raise ValueError("cyclotomic order must be >= 1")
-    terms: dict[int, Fraction] = {}
+    terms: dict[int, int] = {}
     if n == 1:
-        c = sum(raw.values(), _ZERO)
+        c = sum(raw.values())
         return (1, {0: c} if c else {})
     rows = _field(n).rows
     stack = [(e % n, c) for e, c in raw.items() if c]
@@ -98,7 +103,7 @@ def _canonicalize(n: int, raw: dict[int, Fraction | int]) -> tuple[int, dict[int
     return _minimize(n, terms)
 
 
-def _minimize(n: int, terms: dict[int, Fraction]) -> tuple[int, dict[int, Fraction]]:
+def _minimize(n: int, terms: dict[int, int]) -> tuple[int, dict[int, int]]:
     """Drop to the smallest order; assumes exponents already basis-admissible."""
     if not terms:
         return 1, {}
@@ -110,15 +115,14 @@ def _minimize(n: int, terms: dict[int, Fraction]) -> tuple[int, dict[int, Fracti
     return n // g, {e // g: c for e, c in terms.items()}
 
 
-def _denominator(terms: dict[int, Fraction]) -> int:
-    """The least common denominator of a term map's coefficients."""
-    # a loop rather than lcm(*...): the star-argument tuples of one or two
-    # items, one per product, would pile up in the interpreter's tuple free list
-    den = 1
-    for c in terms.values():
-        if den % c.denominator:
-            den = lcm(den, c.denominator)
-    return den
+def _lowest(n: int, num: dict[int, int], den: int) -> tuple[int, int, dict[int, int]]:
+    """(n, den, num) divided by gcd(den, every numerator); den must be > 0."""
+    g = den
+    for c in num.values():
+        if g == 1:
+            break
+        g = gcd(g, c)
+    return (n, den, num) if g == 1 else (n, den // g, {e: c // g for e, c in num.items()})
 
 
 def _common_frame(values) -> tuple[int, int]:
@@ -126,7 +130,7 @@ def _common_frame(values) -> tuple[int, int]:
     n = den = 1
     for v in values:
         n = lcm(n, v.order)
-        den = lcm(den, _denominator(v.terms))
+        den = lcm(den, v.den)
     return n, den
 
 
@@ -146,38 +150,29 @@ def _raw_dot(n: int, triples) -> dict[int, int]:
     return acc
 
 
-def _merge(n: int, a: dict[int, Fraction], b: dict[int, Fraction], sign: int) -> tuple[int, dict[int, Fraction]]:
-    """Sum of two basis-admissible term maps at the same order (no rewrite needed)."""
-    terms = dict(a)
-    for e, c in b.items():
-        prev = terms.get(e)
-        if prev is None:
-            terms[e] = sign * c
-        else:
-            s = prev + sign * c
-            if s:
-                terms[e] = s
-            else:
-                del terms[e]
-    return _minimize(n, terms)
-
-
 class CycNumber:
-    """An element of Q(zeta_N), immutable, always in canonical form."""
+    """An element of Q(zeta_N), immutable, always in canonical form: the
+    integer numerators num (exponent -> nonzero int) over den.  A rational
+    hashes as the Fraction it equals, as equal objects must."""
 
-    __slots__ = ("order", "terms")
+    __slots__ = ("order", "den", "num", "_hash", "_terms")
 
     def __init__(self, order: int, terms: dict[int, Fraction | int]):
-        n, t = _canonicalize(order, {e: _exact(c) for e, c in terms.items()})
-        object.__setattr__(self, "order", n)
-        object.__setattr__(self, "terms", t)
+        coefs = [_exact(c) for c in terms.values()]
+        den = lcm(1, *(c.denominator for c in coefs))
+        raw = {e: c.numerator * (den // c.denominator) for e, c in zip(terms, coefs)}
+        n, den, num = _lowest(*_canonicalize(order, raw), den)
+        _set(self, "order", n)
+        _set(self, "den", den)
+        _set(self, "num", num)
 
     @classmethod
-    def _raw(cls, order: int, terms: dict[int, Fraction]) -> "CycNumber":
+    def _raw(cls, order: int, den: int, num: dict[int, int]) -> "CycNumber":
         """Wrap already-canonical data without re-reducing."""
         x = object.__new__(cls)
-        object.__setattr__(x, "order", order)
-        object.__setattr__(x, "terms", terms)
+        _set(x, "order", order)
+        _set(x, "den", den)
+        _set(x, "num", num)
         return x
 
     def __setattr__(self, name, value):
@@ -186,60 +181,71 @@ class CycNumber:
     # -- predicates and accessors ------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
+
+    @property
+    def terms(self) -> dict[int, Fraction]:
+        """The coefficients as a map exponent -> Fraction, made on the first
+        read and not to be modified."""
+        try:
+            return self._terms
+        except AttributeError:
+            _set(self, "_terms", {e: Fraction(c, self.den) for e, c in self.num.items()})
+            return self._terms
 
     def as_rational(self) -> Fraction | None:
         """The exact rational value, or None if the value is irrational."""
         if self.order != 1:
             return None
-        return self.terms.get(0, _ZERO)
+        return Fraction(self.num.get(0, 0), self.den)
 
     # -- ring structure ----------------------------------------------------
 
-    def _lift(self, n: int) -> dict[int, Fraction]:
-        if n == self.order:
-            return self.terms
-        m = n // self.order
-        return {e * m: c for e, c in self.terms.items()}
-
     def _numerators(self, n: int, den: int, conjugate: bool = False) -> dict[int, int]:
         """den * self (or its conjugate) at order n as a raw integer exponent
-        map; den must be a multiple of every coefficient's denominator."""
-        m = n // self.order
+        map; den must be a multiple of self.den."""
+        m, f = n // self.order, den // self.den
         sign = -m if conjugate else m
-        return {(e * sign) % n: c.numerator * (den // c.denominator) for e, c in self.terms.items()}
+        return {(e * sign) % n: c * f for e, c in self.num.items()}
 
     @classmethod
     def _from_numerators(cls, n: int, raw: dict[int, int], den: int) -> "CycNumber":
-        """The canonical value of (sum raw[e] zeta_n^e) / den.
+        """The canonical value of (sum raw[e] zeta_n^e) / den, den > 0."""
+        return cls._raw(*_lowest(*_canonicalize(n, raw), den))
 
-        The reduction only adds and negates coefficients, so it runs on the
-        integers and each surviving term becomes one Fraction at the end.
-        """
-        n, terms = _canonicalize(n, raw)
-        return cls._raw(n, {e: Fraction(c, den) for e, c in terms.items()})
-
-    def __add__(self, other) -> "CycNumber":
+    def _plus(self, other, sign: int) -> "CycNumber":
+        """self + sign * other.  Each is lifted to the common order, where a
+        canonical form stays in the residue basis (a CRT coordinate b <
+        phi(q^j) scaled by q^(k-j) stays below phi(q^k)), so the sum needs
+        no rewrite, only the order and the denominator brought down."""
         other = coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        n = lcm(self.order, other.order)
-        return CycNumber._raw(*_merge(n, self._lift(n), other._lift(n), 1))
+        n, den = lcm(self.order, other.order), lcm(self.den, other.den)
+        m, f = n // self.order, den // self.den
+        num = {e * m: c * f for e, c in self.num.items()}
+        m, f = n // other.order, sign * (den // other.den)
+        for e, c in other.num.items():
+            s = num.get(e * m, 0) + c * f
+            if s:
+                num[e * m] = s
+            else:
+                del num[e * m]
+        return CycNumber._raw(*_lowest(*_minimize(n, num), den))
+
+    def __add__(self, other) -> "CycNumber":
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "CycNumber":
-        other = coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        n = lcm(self.order, other.order)
-        return CycNumber._raw(*_merge(n, self._lift(n), other._lift(n), -1))
+        return self._plus(other, -1)
 
     def __rsub__(self, other) -> "CycNumber":
         return -(self - other)
 
     def __neg__(self) -> "CycNumber":
-        return CycNumber._raw(self.order, {e: -c for e, c in self.terms.items()})
+        return CycNumber._raw(self.order, self.den, {e: -c for e, c in self.num.items()})
 
     def __mul__(self, other) -> "CycNumber":
         if isinstance(other, (int, Fraction)):
@@ -251,9 +257,8 @@ class CycNumber:
         if self.order == 1:
             return other.scale(self.as_rational())
         n = lcm(self.order, other.order)
-        da, db = _denominator(self.terms), _denominator(other.terms)
-        raw = _raw_dot(n, ((1, self._numerators(n, da), other._numerators(n, db)),))
-        return CycNumber._from_numerators(n, raw, da * db)
+        raw = _raw_dot(n, ((1, self._numerators(n, self.den), other._numerators(n, other.den)),))
+        return CycNumber._from_numerators(n, raw, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -261,7 +266,8 @@ class CycNumber:
         r = _exact(r)
         if not r:
             return ZERO
-        return CycNumber._raw(self.order, {e: c * r for e, c in self.terms.items()})
+        a = r.numerator
+        return CycNumber._raw(*_lowest(self.order, {e: c * a for e, c in self.num.items()}, self.den * r.denominator))
 
     def __truediv__(self, r) -> "CycNumber":
         if isinstance(r, (int, Fraction)):
@@ -281,7 +287,7 @@ class CycNumber:
     def conj(self) -> "CycNumber":
         """Complex conjugation: zeta^e -> zeta^(N-e), extended linearly."""
         n = self.order
-        return CycNumber._raw(*_canonicalize(n, {-e % n: c for e, c in self.terms.items()}))
+        return CycNumber._from_numerators(n, {-e % n: c for e, c in self.num.items()}, self.den)
 
     # -- comparison / hashing ----------------------------------------------
 
@@ -289,28 +295,38 @@ class CycNumber:
         other = coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.order == other.order and self.terms == other.terms
+        return self.order == other.order and self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash((self.order, frozenset(self.terms.items())))
+        try:
+            return self._hash
+        except AttributeError:
+            if self.order == 1:  # as the int or Fraction it equals
+                h = hash(self.num.get(0, 0)) if self.den == 1 else hash(Fraction(self.num[0], self.den))
+            else:
+                h = hash((self.order, self.den, frozenset(self.num.items())))
+            _set(self, "_hash", h)
+            return h
 
     # -- serialization -----------------------------------------------------
 
     def to_text(self) -> str:
         """Canonical text form "N: c0 + c1*z^e1 + ..."; parses back exactly."""
-        if not self.terms:
+        if not self.num:
             return "1: 0"
-        parts = []
-        for e in sorted(self.terms):
-            c = self.terms[e]
-            parts.append(str(c) if e == 0 else f"{c}*z^{e}")
+        parts, den = [], self.den
+        for e in sorted(self.num):
+            c = self.num[e]
+            g = gcd(c, den)
+            q = f"{c // g}" if g == den else f"{c // g}/{den // g}"
+            parts.append(q if e == 0 else f"{q}*z^{e}")
         return f"{self.order}: " + " + ".join(parts)
 
     @classmethod
     def from_text(cls, text: str) -> "CycNumber":
         head, _, body = text.partition(":")
         n = int(head.strip())
-        terms: dict[int, Fraction] = {}
+        terms: dict[int, tuple[int, int]] = {}  # exponent -> (numerator, denominator)
         body = body.strip()
         if body != "0":
             for part in body.split(" + "):
@@ -318,11 +334,12 @@ class CycNumber:
                 e = int(zpow) if star else 0
                 if e in terms:
                     raise ValueError(f"duplicate exponent in {text!r}")
-                try:
-                    terms[e] = Fraction(coef.strip())
-                except ZeroDivisionError:
-                    raise ValueError(f"zero denominator in {text!r}") from None
-        out = cls(n, terms)
+                a, slash, b = coef.partition("/")
+                terms[e] = int(a), int(b) if slash else 1
+                if not terms[e][1]:
+                    raise ValueError(f"zero denominator in {text!r}")
+        den = lcm(1, *(b for _, b in terms.values()))
+        out = cls._from_numerators(n, {e: a * (den // b) for e, (a, b) in terms.items()}, den)
         if out.to_text() != f"{n}: {body}" and not (n == 1 and body == "0"):
             raise ValueError(f"non-canonical cyclotomic text {text!r}")
         return out
@@ -331,8 +348,8 @@ class CycNumber:
         return f"Cyc({self.to_text()!r})"
 
 
-ZERO = CycNumber._raw(1, {})
-ONE = CycNumber._raw(1, {0: _ONE})
+ZERO = CycNumber._raw(1, 1, {})
+ONE = CycNumber._raw(1, 1, {0: 1})
 
 
 def coerce(x) -> "CycNumber":
@@ -347,9 +364,11 @@ def embed_rational(q: Fraction | int) -> CycNumber:
     q = _exact(q)
     if not q:
         return ZERO
-    return CycNumber._raw(1, {0: q})
+    return CycNumber._raw(1, q.denominator, {0: q.numerator})
 
 
+@lru_cache(maxsize=None)
 def gauss_sum(p: int) -> CycNumber:
-    """Quadratic Gauss sum sum_t (t/p) zeta_p^t; its square is (-1)^((p-1)/2) p."""
-    return CycNumber(p, {t: Fraction(legendre(t, p)) for t in range(1, p)})
+    """Quadratic Gauss sum sum_t (t/p) zeta_p^t; its square is (-1)^((p-1)/2) p.
+    Memoized: a value is immutable, so one per p serves every caller."""
+    return CycNumber(p, {t: legendre(t, p) for t in range(1, p)})

@@ -16,9 +16,11 @@ Run the mutations from the repository root:
 Each mutation is applied alone to a copy of src/ and tests/ in a temporary
 directory, and each of its tests runs there in its own pytest process, one
 process at a time.  A test is red when pytest exits 1 (tests failed), not
-when it cannot collect or finds no test.  The runner prints one line per
-mutation and exits 1 if any mutation survives, i.e. if any of its named
-tests stays green.
+when it cannot collect or finds no test.  A test still running after
+TEST_TIMEOUT_S seconds is stopped, and its mutation's outcome is TIMEOUT:
+a mutant that makes a test hang is neither killed nor shown to survive.
+The runner prints one line per mutation and exits 1 unless every mutation
+is killed, i.e. if any named test stays green or times out.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+TEST_TIMEOUT_S = 120  # the slowest named test takes a few seconds
 
 MUTATIONS = [
     # S(m) without its (-1)^m term: the torus part of every pattern pair is wrong
@@ -93,7 +96,7 @@ MUTATIONS = [
         "return value",
         [
             "tests/test_classfun.py::test_closed_pairings_equal_the_per_class_reference",
-            "tests/test_cuspform.py::test_non_rational_multiplicity_names_the_first_row",
+            "tests/test_cuspform.py::test_an_irrational_value_at_one_class_is_paired_in_the_integer_frame",
         ],
     ),
     # the assembly of a closed sum without its tau part
@@ -291,18 +294,113 @@ MUTATIONS = [
             "tests/test_chartable.py::test_the_pin_names_a_planted_cell[exceptional_at_minus_u]",
         ],
     ),
+    # values left out of lowest terms: equal values no longer structurally equal
+    (
+        "src/dlcusp/cyclotomic.py",
+        "return (n, den, num) if g == 1 else (n, den // g, {e: c // g for e, c in num.items()})",
+        "return n, den, num",
+        ["tests/test_cyclotomic.py::test_every_value_is_in_lowest_terms"],
+    ),
+    # a sum that rescales only its first operand to the common denominator
+    (
+        "src/dlcusp/cyclotomic.py",
+        "m, f = n // other.order, sign * (den // other.den)",
+        "m, f = n // other.order, sign",
+        ["tests/test_cyclotomic.py::test_ring_axioms_randomized", "tests/test_cyclotomic.py::test_every_value_is_in_lowest_terms"],
+    ),
+    # the r + s tau decode accepts one exponent more than tau has
+    (
+        "src/dlcusp/chartable.py",
+        "len(num) - (0 in num) == self._support",
+        "len(num) - (0 in num) <= self._support + 1",
+        ["tests/test_chartable.py::test_r_plus_s_tau_is_decoded_only_on_taus_exact_exponents"],
+    ),
+    # the shift c added back to a row other than the trivial one
+    (
+        "src/dlcusp/cuspform.py",
+        'value + c if irr.label == ("trivial",) else value',
+        'value + c if irr.label == ("steinberg",) else value',
+        [
+            "tests/test_cuspform.py::test_multiplicities_equal_the_pairwise_inner_products[7]",
+            "tests/test_cuspform.py::test_decompose_p7",
+        ],
+    ),
+    # s never checked integral
+    (
+        "src/dlcusp/cuspform.py",
+        "if any(v.denominator != 1 for v in values):",
+        "if False:",
+        ["tests/test_cuspform.py::test_weinstein_refuses_a_non_integral_value"],
+    ),
+    # s never checked self-dual and trivial on the center
+    (
+        "src/dlcusp/cuspform.py",
+        "if dual(s) != s or s.values[0] != s.values[1]:",
+        "if False:",
+        [
+            "tests/test_cuspform.py::test_weinstein_refuses_a_value_off_the_center_or_duality[minus_identity]",
+            "tests/test_cuspform.py::test_weinstein_refuses_a_value_off_the_center_or_duality[unipotent_not_self_inverse]",
+        ],
+    ),
+    # a negative multiplicity read as an appearance
+    (
+        "src/dlcusp/cuspform.py",
+        "if m < 0:",
+        "if False:",
+        ["tests/test_cuspform.py::test_corollary_all_appear_refuses_a_negative_multiplicity"],
+    ),
+    # a split exceptional half allowed in the cusp form at p = 23 mod 24
+    (
+        "src/dlcusp/cuspform.py",
+        "if result.multiplicities[(name,)] != 0:",
+        "if False:",
+        ["tests/test_cuspform.py::test_corollary_odd_multiplicity_refuses_a_split_half"],
+    ),
+    # the odd-multiplicity report never raises
+    (
+        "src/dlcusp/cuspform.py",
+        "if not (all_odd and real and dual_closed):",
+        "if False:",
+        ["tests/test_cuspform.py::test_corollary_odd_multiplicity_refuses_an_even_multiplicity"],
+    ),
+    # a fit outside (1/12)Z accepted
+    (
+        "src/dlcusp/cuspform.py",
+        "if 12 % a.denominator or 12 % b.denominator:",
+        "if False:",
+        ["tests/test_cuspform.py::test_a_fit_outside_twelfths_is_a_failure"],
+    ),
+    # a cached text's order parsed unbounded: a huge prime order is factored by trial division
+    (
+        "src/dlcusp/chartable.py",
+        "if not all(0 < n and field % n == 0 for n in",
+        "if False and not all(0 < n and field % n == 0 for n in",
+        ["tests/test_cli.py::test_cache_of_any_malformed_shape_is_rebuilt[huge-order]"],
+    ),
+    # a cache file read past its length bound
+    (
+        "src/dlcusp/cli.py",
+        "if len(packed) > MAX_CACHE_BYTES:",
+        "if False:",
+        ["tests/test_cli.py::test_a_cache_file_past_the_bound_is_refused_unread[one-byte-past]"],
+    ),
 ]
 
 
-def _red(tree: Path, test: str) -> bool:
-    """Whether test fails (pytest exits 1) in tree."""
+def _outcome(tree: Path, test: str) -> str:
+    """"red" if test fails (pytest exits 1) in tree, "timeout" if it runs
+    past TEST_TIMEOUT_S, else "green"."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", test]
-    return subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode == 1
+    try:
+        done = subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=TEST_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return "timeout"
+    return "red" if done.returncode == 1 else "green"
 
 
 def run() -> int:
-    survived = 0
+    killed = 0
     for file, snippet, replacement, tests in MUTATIONS:
         with tempfile.TemporaryDirectory(prefix="dlcusp-mutation-") as tmp:
             tree = Path(tmp)
@@ -314,11 +412,13 @@ def run() -> int:
             if text.count(snippet) != 1:
                 raise SystemExit(f"{file}: the snippet {snippet!r} does not occur exactly once")
             path.write_text(text.replace(snippet, replacement))
-            green = [test for test in tests if not _red(tree, test)]
-        survived += bool(green)
-        print(f"{'SURVIVED' if green else 'killed'}: {file}: {snippet.strip()!r}", *(f"  green: {t}" for t in green), sep="\n")
-    print(f"{len(MUTATIONS) - survived} of {len(MUTATIONS)} mutations killed")
-    return 1 if survived else 0
+            outcomes = {test: _outcome(tree, test) for test in tests}
+        left = {test: o for test, o in outcomes.items() if o != "red"}
+        verdict = "TIMEOUT" if "timeout" in left.values() else "SURVIVED" if left else "killed"
+        killed += not left
+        print(f"{verdict}: {file}: {snippet.strip()!r}", *(f"  {o}: {t}" for t, o in left.items()), sep="\n")
+    print(f"{killed} of {len(MUTATIONS)} mutations killed")
+    return 0 if killed == len(MUTATIONS) else 1
 
 
 if __name__ == "__main__":

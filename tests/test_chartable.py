@@ -1028,3 +1028,21 @@ def test_the_pin_names_a_planted_cell(data7, label, cls, value, message):
     broken = propchecks.with_cell(data7, row, cls, value(data7))
     with pytest.raises(TableValidationError, match=f"^{message} at p=7$"):
         _pin_rows(broken, _torus_patterns(broken))
+
+
+@pytest.mark.parametrize("p", (7, 13))
+def test_r_plus_s_tau_is_decoded_only_on_taus_exact_exponents(p):
+    """ClosedCoordinates reads r + s tau off the numerators: r and s come
+    back exactly, and a value with one exponent more or one fewer than tau
+    off exponent 0 has no coordinates."""
+    from dlcusp.chartable import ClosedCoordinates
+    from dlcusp.cyclotomic import gauss_sum
+
+    closed, tau = ClosedCoordinates(p, [ZERO], {ZERO: 0}), gauss_sum(p)
+    r, s = Fraction(1, 3), Fraction(-2, 5)
+    assert closed._exact(tau.scale(s) + r) == (r, s, 0, 0)
+    assert closed._exact(tau) == (0, 1, 0, 0)
+    spare = next(e for e in range(1, p - 1) if e not in tau.num)  # a basis exponent tau does not use
+    used = next(e for e in tau.num if e)
+    for v in (tau + root_of_unity(p, spare), tau - root_of_unity(p, used).scale(tau.num[used])):
+        assert v.order == p and closed._exact(v) is None, v

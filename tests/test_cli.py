@@ -1,6 +1,8 @@
+import contextlib
 import gzip
 import json
 import re
+import signal
 from fractions import Fraction
 
 import pytest
@@ -526,13 +528,52 @@ def test_cache_of_any_malformed_shape_is_rebuilt(capsys, tmp_path, shape):
             cachefiles.write(tmp_path, 7, text)
 
     plant()
-    code, out = run(capsys, "decompose", "7", "--format", "json", "--cache-dir", str(tmp_path))
+    with _time_box(20):  # a fault no bound stops (huge-order unbounded) fails here, not after minutes
+        code, out = run(capsys, "decompose", "7", "--format", "json", "--cache-dir", str(tmp_path))
     assert code == 0 and json.loads(out)["exact"]
     assert cachefiles.read(tmp_path, 7) == fresh  # rebuilt and rewritten
     plant()
-    code, out = run(capsys, "verify", "--range", "7", "7", "--format", "json", "--no-timestamp",
-                    "--cache-dir", str(tmp_path))
+    with _time_box(20):
+        code, out = run(capsys, "verify", "--range", "7", "7", "--format", "json", "--no-timestamp",
+                        "--cache-dir", str(tmp_path))
     assert code == 0 and json.loads(out)["primes"][0]["cache_hit"] is False
+
+
+class _Expired(Exception):
+    """A time-boxed block ran past its time (_time_box)."""
+
+
+@contextlib.contextmanager
+def _time_box(seconds: float):
+    """Raise _Expired in the block once it has run seconds of wall time.
+    No handler of the cache reader catches it, so the test fails."""
+
+    def expire(signum, frame):
+        raise _Expired(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("past", (0, 1), ids=("at-bound", "one-byte-past"))
+def test_a_cache_file_past_the_bound_is_refused_unread(capsys, monkeypatch, tmp_path, past):
+    """A file longer than MAX_CACHE_BYTES is refused by its length alone.
+    The inflate bound and the whole-stream check cannot stand in for it: a
+    stored (uncompressed) gzip stream is longer than what it inflates to, so
+    with the bound set one byte under the file's length it inflates whole.
+    At the bound the same file is a cache hit."""
+    from dlcusp import cli
+
+    blob = gzip.compress(json.dumps(CharacterData(7).to_cache_dict()).encode(), compresslevel=0, mtime=0)
+    monkeypatch.setattr(cli, "MAX_CACHE_BYTES", len(blob) - past)
+    cachefiles.path(tmp_path, 7).write_bytes(blob)
+    code, out = run(capsys, "verify", "--range", "7", "7", "--format", "json", "--no-timestamp", "--cache-dir", str(tmp_path))
+    assert code == 0 and json.loads(out)["primes"][0]["cache_hit"] is (not past)
 
 
 def test_cache_rejects_wrong_prime_or_schema(cache_dir):

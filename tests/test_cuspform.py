@@ -470,3 +470,101 @@ def test_the_cusp_form_is_exact_without_naming_a_class(monkeypatch, p):
     s = weinstein_character(data)
     monkeypatch.setattr(dlcusp.cuspform, "_first_class_off", unreachable)
     assert decompose_dl(data, s).exact
+
+
+def _plant_in_s(monkeypatch, extra: dict):
+    """Add extra {class: value} to the counted 1_Z^G, so that
+    weinstein_character's s moves by extra at those classes."""
+    from dlcusp import cuspform
+
+    count = cuspform._permutation_character
+
+    def planted(table, sub):
+        out = count(table, sub)
+        if sub.order == 2:  # Z
+            for c, v in extra.items():
+                out[c] = out.get(c, 0) + v
+        return out
+
+    monkeypatch.setattr(cuspform, "_permutation_character", planted)
+
+
+def test_weinstein_refuses_a_non_integral_value(monkeypatch, data7):
+    _plant_in_s(monkeypatch, {len(data7.table) - 1: Fraction(1, 2)})
+    with pytest.raises(VerificationError, match=r"^permutation character has a non-integral value$"):
+        weinstein_character(data7)
+
+
+@pytest.mark.parametrize("c", (1, 2), ids=("minus_identity", "unipotent_not_self_inverse"))
+def test_weinstein_refuses_a_value_off_the_center_or_duality(monkeypatch, data7, c):
+    """At p = 7, class 1 is -I, and class 2 is a unipotent class whose
+    inverse class is 3: one added there breaks s(I) = s(-I) or s = dual(s)."""
+    assert data7.table.classes[1].key == (-1,) and data7.table.classes[2].inverse_class == 3
+    _plant_in_s(monkeypatch, {c: 1})
+    with pytest.raises(VerificationError, match=r"^cusp-form character must be self-dual and trivial on the center$"):
+        weinstein_character(data7)
+
+
+def test_corollary_all_appear_refuses_a_negative_multiplicity():
+    data = get_data(23)
+    res = decompose_dl(data)
+    planted = res._replace(multiplicities={**res.multiplicities, ("principal", 2): Fraction(-1)})
+    with pytest.raises(VerificationError, match=r"^negative multiplicity -1 for principal\(2\) at p=23$"):
+        corollary_all_appear(data, planted)
+
+
+def test_corollary_odd_multiplicity_refuses_a_split_half():
+    data = get_data(23)
+    res = decompose_dl(data)
+    planted = res._replace(multiplicities={**res.multiplicities, ("exceptional_split_plus",): Fraction(1)})
+    with pytest.raises(VerificationError, match=r"^exceptional_split_plus appears despite a non-trivial central character at p=23$"):
+        corollary_odd_multiplicity(data, planted)
+
+
+def test_corollary_odd_multiplicity_refuses_an_even_multiplicity():
+    data = get_data(23)
+    res = decompose_dl(data)
+    planted = res._replace(multiplicities={**res.multiplicities, ("exceptional_nonsplit_plus",): Fraction(2)})
+    with pytest.raises(VerificationError, match=r"^odd-multiplicity mechanism fails at p=23: .*all_odd=False"):
+        corollary_odd_multiplicity(data, planted)
+
+
+def test_a_fit_outside_twelfths_is_a_failure():
+    """7 and 19 are both 7 mod 12; E on the split torus (k = 0) is a set of
+    one, so a fifth added to its coefficient at 19 moves only its fit, to
+    the slope 1/10."""
+    first, second = (decompose_dl(get_data(p)) for p in (7, 19))
+    planted = second._replace(coefficients={**second.coefficients, ("split", 0): second.coefficients[("split", 0)] + Fraction(1, 5)})
+    report = linearity_fit([first, planted])
+    assert [f["cell"] for f in report.failures] == [("E", "split", 7)]
+    assert report.failures[0]["reason"] == "fit (1/10, -7/10) is not in (1/12)Z"
+    assert ("E", "split", 7) not in report.fits
+
+
+@pytest.mark.parametrize("p", primes_in_range(7, 43))
+def test_the_decomposition_stays_in_exact_rationals(p):
+    """Every multiplicity and coefficient decompose_dl returns is a
+    Fraction, and every table value has int numerators over an int
+    denominator.  The coefficients are sum(...) / 2 and a fit is (c2 - c1) /
+    (p2 - p1): on int inputs either would silently be a float."""
+    data = get_data(p)
+    res = decompose_dl(data)
+    assert {type(m) for m in res.multiplicities.values()} == {type(c) for c in res.coefficients.values()} == {Fraction}
+    assert all(type(v.den) is int and all(type(c) is int for c in v.num.values()) for v in data.values)
+
+
+def test_linearity_fits_stay_in_exact_rationals():
+    fits = linearity_fit([decompose_dl(get_data(p)) for p in primes_in_range(7, 43)]).fits
+    assert fits and {type(x) for fit in fits.values() for x in fit} == {Fraction}
+
+
+def test_an_irrational_value_at_one_class_is_paired_in_the_integer_frame(data7):
+    """zeta_3 added at one class leaves the shift c at -1, so s - c holds a
+    value without closed coordinates there: closed_sum pairs it in the
+    integer frame (classfun._frame_dot), and the trivial row, the first
+    row, gets a non-rational multiplicity.  (zeta_3 added at every class
+    moves c with it, and s - c stays rational.)"""
+    values = list(weinstein_character(data7).values)
+    values[6] += root_of_unity(3)
+    with pytest.raises(VerificationError, match=r"^non-rational multiplicity for trivial at p=7$"):
+        decompose_dl(data7, ClassFunction(data7.table, values))

@@ -173,3 +173,32 @@ def test_a_root_of_unity_has_coordinates_in_signs(n):
     for u in exponents:
         _, terms = _canonicalize(n, {u: 1})
         assert set(terms.values()) <= {1, -1}, u
+
+
+@pytest.mark.parametrize("q", (0, 1, 2, -3, Fraction(1, 2), Fraction(-7, 3)))
+def test_a_rational_hashes_as_the_number_it_equals(q):
+    """Equal objects hash equal: a rational value is one set or dict key with
+    the int or Fraction it equals, however the value was reached."""
+    for v in (embed_rational(q), (embed_rational(q) + gauss_sum(7)) - gauss_sum(7)):
+        assert v == q and hash(v) == hash(q) == hash(Fraction(q))
+        assert q in {v} and v in {q} and Fraction(q) in {v}
+    assert hash(ZERO) == hash(0) == hash(Fraction(0)) and ZERO in {0}
+    assert hash(ONE) == hash(1) == hash(Fraction(1)) and ONE in {Fraction(1)}
+    assert (gauss_sum(7) ** 2) in {-7}
+
+
+def test_every_value_is_in_lowest_terms():
+    """Each operation leaves den > 0 and gcd(den, every numerator) = 1, so
+    equal values are structurally equal: (x + y) - y is x field for field,
+    and a sum of halves is one."""
+    import math
+    import random
+
+    rng = random.Random(36)
+    half = embed_rational(Fraction(1, 2))
+    assert half + half == ONE and (half + half).den == 1 and (half + half).num == {0: 1}
+    for _ in range(40):
+        x, y = (propchecks.random_cyc(rng, n, dens=(2, 4, 6)) for n in (12, 24))
+        for v in (x + y, x - y, x * y, x.scale(Fraction(4, 3)), x.conj(), CycNumber.from_text(x.to_text())):
+            assert v.den > 0 and math.gcd(v.den, *v.num.values()) == 1, v
+        assert (x + y) - y == x and ((x + y) - y).num == x.num and ((x + y) - y).den == x.den
