@@ -7,10 +7,12 @@ characters of both maximal tori.  The split virtual characters are computed
 twice, by induction from the Borel subgroup and by the closed form, and the
 two must agree exactly; that is the one thing the build proves.  The
 exceptional constituents are the halves (R +- delta)/2 of R(alpha), with
-delta the Gauss-sum correction, rather than a transcribed table.
-validate_table, which every command runs on every table, built or cached,
-pins every row to its family's closed values at every class and then
-checks orthonormality: a table that passes is the closed-form table.
+delta the Gauss-sum correction, rather than a transcribed table.  A build
+holds each row as its torus patterns and six other cells, and writes its
+cells out only when they are read.  validate_table, which every command
+runs on every table, built or cached, pins every row to its family's closed
+values and then checks orthonormality: a table that passes is the
+closed-form table.
 Whether that is the character table is not yet checked independently
 (orthonormality alone pins no table).  The irreducible table is all that
 is kept: every Deligne-Lusztig character is derived from it on demand.
@@ -19,11 +21,11 @@ is kept: every Deligne-Lusztig character is derived from it on demand.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from operator import itemgetter
+from math import gcd, lcm
+from operator import itemgetter, mul
 
 from .classfun import ClassFunction, inner_product
-from .cyclotomic import ONE, ZERO, CycNumber, gauss_sum
+from .cyclotomic import ONE, ZERO, CycNumber, coerce, gauss_sum
 from .group import (
     ConjugacyTable,
     GroupElement,
@@ -50,13 +52,30 @@ def quadratic_character_index(torus_order: int) -> int:
 
 class Irreducible:
     """A labelled irreducible character; label is a stable report key.  On
-    a table, ids is its row of ids into the table's values, and chi their
-    view.  Equal and hashed by (label, chi, degree): ids is not compared."""
+    a table, ids is its row of ids into the table's values, chi their view,
+    and six its ids at +-I and the four unipotent classes into the values
+    CharacterData.closed describes.  A pattern-form row also holds its
+    patterns (2a, k), split and nonsplit (validate_table), and its ids are
+    written out on first read; a cell-form row has patterns None.  Equal and
+    hashed by (label, chi, degree): ids is not compared."""
 
-    __slots__ = ("label", "chi", "degree", "ids")
+    __slots__ = ("label", "degree", "patterns", "six", "_ids", "_chi", "_data")
 
-    def __init__(self, label: tuple, chi: ClassFunction, degree: int, ids: tuple = ()):
-        self.label, self.chi, self.degree, self.ids = label, chi, degree, ids
+    def __init__(self, label: tuple, degree: int, data: "CharacterData", ids=None, patterns=None, six=()):
+        self.label, self.degree, self.patterns, self.six = label, degree, patterns, six
+        self._ids, self._chi, self._data = ids, None, data
+
+    @property
+    def ids(self) -> tuple[int, ...]:
+        if self._ids is None:
+            self._data._write_out()
+        return self._ids
+
+    @property
+    def chi(self) -> ClassFunction:
+        if self._chi is None:
+            self._chi = self._data.values.view(self._data.table, self.ids)
+        return self._chi
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
@@ -77,11 +96,13 @@ class Irreducible:
 class CharacterData:
     """Everything character-theoretic attached to one prime p >= 7.
 
-    The irreducible table is held interned: values lists each distinct value
-    once, ZERO first, and each irreducible carries its row of ids into that
-    list, so equal ids are equal values.  Validation, pairing, serialization
-    and the rebuild index the list instead of finding the distinct values
-    again.  Rows enter a table only through _set: by a build or a cache load.
+    values lists each distinct value of the irreducible table once, ZERO
+    first, and each irreducible carries its row of ids into it, so equal
+    ids are equal values.  A build holds the table in pattern form (per row
+    its patterns and six ids into six_values) and writes values and the id
+    rows out on first read (_write_out); a cache load holds it in cell form.
+    Rows enter a table only through _set_patterns (a build) or _set (a
+    cache load).
     """
 
     def __init__(self, p: int, _cached: dict | None = None):
@@ -90,6 +111,7 @@ class CharacterData:
         self.subgroups = {name: build_subgroup(self.table, name) for name in ("Z", "Gx_tilde", "Gy_tilde", "Gz_tilde")}
         self.split_torus = build_torus(self.table, "split")
         self.nonsplit_torus = build_torus(self.table, "nonsplit")
+        self.six_classes = [c for c, rec in enumerate(self.table.classes) if rec.kind in ("central", "unipotent")]
         if _cached is None:
             self._build_characters()
         else:
@@ -99,15 +121,29 @@ class CharacterData:
     def irreducibles(self) -> tuple[Irreducible, ...]:
         return self._irreducibles
 
+    @property
+    def values(self) -> "_Values":
+        if self._values is None:
+            self._write_out()
+        return self._values
+
     def _set(self, values: "_Values", entries: list[tuple[tuple, tuple, int]]):
-        """The table of (label, id row, degree) entries over values."""
-        self.values = values
-        self._irreducibles = tuple(
-            Irreducible(label, values.view(self.table, ids), degree, ids) for label, ids, degree in entries
-        )
+        """The cell-form table of (label, id row, degree) entries over values."""
+        self._values, self.six_values = values, None
+        six = itemgetter(*self.six_classes)
+        self._rows(Irreducible(label, degree, self, ids=ids, six=six(ids)) for label, ids, degree in entries)
+
+    def _set_patterns(self, six_values: "_Values", entries: list[tuple[tuple, int, tuple, tuple]]):
+        """The pattern-form table of (label, degree, patterns, six ids into
+        six_values) entries, on the torus cells the build read (_tori)."""
+        self._values, self.six_values = None, six_values
+        self._rows(Irreducible(label, degree, self, patterns=pats, six=six) for label, degree, pats, six in entries)
+
+    def _rows(self, irreducibles):
+        self._irreducibles = tuple(irreducibles)
         self._by_label = {irr.label: irr for irr in self._irreducibles}
         self._dl: dict[tuple[str, int], ClassFunction] = {}  # dl's rows, derived on first use
-        self._coordinates = None
+        self._coordinates = self._closed = None
         self._audited = False  # set by a passing validate_table only
 
     @property
@@ -117,36 +153,107 @@ class CharacterData:
             self._coordinates = ClosedCoordinates(self.p, self.values, self.values.ids)
         return self._coordinates
 
+    @property
+    def closed(self) -> "ClosedCoordinates":
+        """The closed coordinates the rows' six ids index: of six_values on
+        a pattern-form table, of values on a cell-form one."""
+        if self.six_values is None:
+            return self.coordinates
+        if self._closed is None:
+            self._closed = ClosedCoordinates(self.p, self.six_values, self.six_values.ids)
+        return self._closed
+
+    def column(self, c: int) -> list[int]:
+        """The ids into closed.cells of every row's cell at class c: off the
+        id rows of a cell-form table, and off the six ids or the patterns
+        (2a, k) of a pattern-form one, (a/2) c_kd at the class of g^(+-d)."""
+        if self.six_values is None:
+            return [irr.ids[c] for irr in self._irreducibles]
+        t, x = self._at[c]
+        if t is None:
+            return [irr.six[x] for irr in self._irreducibles]
+        n, torus_id = self._tori[t][0], self.closed.torus_id
+        return [a and torus_id(n, a, k * x % n) for a, k in (irr.patterns[t] for irr in self._irreducibles)]
+
     # -- construction --------------------------------------------------------
 
     def _build_characters(self):
-        """The irreducibles from the closed-form id rows of R_T^theta (split)
-        and -R_T^theta (anisotropic), once Borel induction agrees.  The rows
-        at k = 0 and |T|/2 are not irreducible, so their values go to a list
-        of their own: the table's holds only values its cells hold.
-
-        Every row is read off per-class ids, each distinct value made once,
-        and values are interned in the order their first cell appears: the
-        rows in the order of out, each class by class.  So the ids, and the
-        values list, are those of interning every cell's value in turn."""
+        """The irreducibles in pattern form, read off the closed forms of
+        R_T^theta (split) and -R_T^theta (anisotropic) once Borel induction
+        agrees.  A closed form has one of three shapes per class: {} on the
+        other torus, {d: c}, d in {0, n/2}, at the six cells (+-I and the
+        unipotent classes), and {d: u, n - d: u} at the class of g^(+-d) on
+        its own torus, one u for all.  So at theta_k the row's pattern there
+        is (2a, k) with a = +-u / den (- on the anisotropic torus), and its
+        six cells are +-c zeta_n^(kd) / den: read off the maps, never copied
+        from the families the pin compares them with.  St = R_split(1) - 1
+        and the exceptional halves are made from the rows at k = 0 and |T|/2.
+        The (class, dlog) of each torus cell is kept, for the write-out and
+        the pin."""
         p, table = self.p, self.table
-        self._check_borel_induction()
-        values, ends = _Values(), _Values()
-        inner, outer = {}, {}  # per torus, the id rows at 0 < k < |T|/2 and, into ends, the rows at k = 0, |T|/2
-        for torus, sign in (("split", 1), ("nonsplit", -1)):
-            half = torus_order(p, torus) // 2
-            inner[torus] = self._closed_rows(torus, range(1, half), values, sign)
-            outer[torus] = self._closed_rows(torus, (0, half), ends, sign)
-        out = [
-            (("trivial",), (values.intern(ONE),) * len(table), 1),
-            (("steinberg",), self._steinberg(outer["split"][0], ends, values), p),
-            *((("principal", k), row, p + 1) for k, row in enumerate(inner["split"], 1)),
-            *((("discrete", k), row, p - 1) for k, row in enumerate(inner["nonsplit"], 1)),
-        ]
-        halves = {}  # (id into ends, coefficient of tau) -> (ends[id] + coefficient tau)/2, for both tori
-        for torus in ("split", "nonsplit"):
-            out.extend(self._exceptional_pair(torus, outer[torus][1], ends, values, halves))
-        self._set(values, out)
+        forms = {torus: self._closed_form(torus) for torus in ("split", "nonsplit")}
+        self._check_borel_induction(forms["split"])
+        six_values, self._tori, rows, ends = _Values(), [], [], []
+        for t, (torus, sign, family, deg) in enumerate((("split", 1, "principal", p + 1), ("nonsplit", -1, "discrete", p - 1))):
+            n, den = torus_order(p, torus), p * (p - 1) if torus == "split" else 1
+            cells, own, six = [], set(), []
+            for c, dmap in enumerate(forms[torus]):
+                (d, u), *other = sorted(dmap.items()) or [(0, 0)]
+                if other == [(n - d, u)]:
+                    cells.append((c, d))
+                    own.add(u)
+                elif other or 2 * d % n:
+                    raise AssertionError(f"closed form {dmap} has none of the three shapes")
+                elif dmap:
+                    six.append((d, sign * u))
+            a, odd = divmod(2 * sign * max(own), den)
+            if odd or len(own) != 1 or len(six) != len(self.six_classes):
+                raise AssertionError(f"the {torus} closed form has no pattern")
+            self._tori.append((n, cells))
+            # a six cell's zeta_n^(kd), d in {0, n/2}, is 1 or (-1)^k: so its ids at even and odd k
+            six = [tuple(six_values.intern(CycNumber._from_numerators(1, {0: c * (-1) ** (k * (d > 0))}, den)) for d, c in six) for k in (0, 1)]
+            rows += [((family, k), deg, ((a, k), (0, 0))[:: 1 - 2 * t], six[k % 2]) for k in range(1, n // 2)]
+            ends.append([(((a, k), (0, 0))[:: 1 - 2 * t], six[k % 2]) for k in (0, n // 2)])  # R_T^theta_k at k = 0, n/2
+        if self.six_classes + [c for _, cells in self._tori for c, _ in cells] != list(range(len(table))):
+            raise AssertionError("the classes are not +-I and the unipotent classes, then each torus's")
+        self._at = [(None, j) for j in range(len(self.six_classes))] + [(t, d) for t, (_, cells) in enumerate(self._tori) for _, d in cells]
+        out = [(("trivial",), 1, ((1, 0), (1, 0)), (six_values.intern(ONE),) * len(self.six_classes))]
+        out += [(("steinberg",), p, *self._steinberg(*ends[0][0], six_values)), *rows]
+        halves = {}  # (value, coefficient of tau) -> (value + coefficient tau)/2, for both tori
+        for torus, (_, end) in zip(("split", "nonsplit"), ends):
+            out += self._exceptional_pair(torus, *end, six_values, halves)
+        self._set_patterns(six_values, out)
+
+    def _write_out(self):
+        """The id rows of a pattern-form table, and its values, interned in
+        the order of each value's first cell when every cell is interned in
+        turn: the principal and discrete rows first, each class by class.  A
+        torus cell with pattern (2a, k) at g^(+-d) is (a/2) c_x, x = kd mod
+        n, and c_x = c_(n - x), so per (n, 2a) a list by x holds the id of
+        each value interned; a row whose cells are all in the lists interns
+        nothing and is read off them, any other is interned cell by cell."""
+        values, six = _Values(), self.six_values
+        six_ids = [-1] * len(six)  # per six id, its value's id once interned
+        torus_ids = {}  # (n, 2a) -> the id of (a/2) c_x by x, -1 until interned
+        tori = [(n, [d for _, d in cells]) for n, cells in self._tori]
+        for irr in sorted(self._irreducibles, key=lambda irr: irr.label[0] not in ("principal", "discrete")):
+            if -1 in map(six_ids.__getitem__, irr.six):
+                for i in irr.six:
+                    six_ids[i] = values.intern(six[i])
+            ids = list(map(six_ids.__getitem__, irr.six))
+            for (n, ds), (a, k) in zip(tori, irr.patterns):
+                if not a:
+                    ids += (0,) * len(ds)
+                    continue
+                xs = [k * d % n for d in ds]
+                at = torus_ids.setdefault((n, a), [-1] * n)
+                if -1 in map(at.__getitem__, xs):
+                    for x in xs:
+                        if at[x] < 0:
+                            at[x] = at[-x % n] = values.intern(_cos(n, x, a))
+                ids += map(at.__getitem__, xs)
+            irr._ids = tuple(ids)
+        self._values = values
 
     def _build_borel_buckets(self) -> list[dict[int, int]]:
         """Per ambient class, how many Borel elements fuse there, by dlog of
@@ -208,49 +315,7 @@ class CharacterData:
                 out.append({})
         return out
 
-    def _closed_rows(self, torus_type: str, ks, values: "_Values", sign: int = 1) -> list[tuple[int, ...]]:
-        """The closed form of sign R_T^theta_k as one row of ids into values
-        per k in ks, each distinct value made once.
-
-        A class's closed form (_closed_form) has one of three shapes: {} on
-        the classes of the other torus, {d: c} at +-I and the unipotent-type
-        classes, and {d: u, -d: u} on its own torus.  At theta_k the value
-        is c zeta_n^e / den with e = k d mod n (zero for {}, read as {0: 0}),
-        or u (zeta_n^e + zeta_n^-e) / den, which is the same at e and n - e.
-        So a cell's value is a function of its shape's coefficient and e, or
-        min(e, n - e) for the pair: the classes of one (coefficient, shape)
-        share a memo keyed by that exponent, and a key's value is made and
-        interned at its first cell.  Interning is then in the order of each
-        value's first cell, as when every cell is interned in turn, and a
-        later cell gets the id interning its equal value would return.
-        """
-        p = self.p
-        n = torus_order(p, torus_type)
-        den = p * (p - 1) if torus_type == "split" else 1
-        memos: dict[tuple[int, bool], dict[int, int]] = {}  # per (coefficient, pair shape), exponent -> id
-        cells = []  # per class: (d, pair shape, coefficient, memo)
-        for dmap in self._closed_form(torus_type):
-            (d, c), *other = sorted(dmap.items()) or [(0, 0)]
-            pair = bool(other)
-            if other != ([(n - d, c)] if pair else []):
-                raise AssertionError(f"closed form {dmap} has none of the three shapes")
-            cells.append((d, pair, sign * c, memos.setdefault((sign * c, pair), {})))
-        rows = []
-        for k in ks:
-            row = []
-            for d, pair, c, memo in cells:
-                e = k * d % n
-                if pair and 2 * e > n:
-                    e = n - e
-                i = memo.get(e)
-                if i is None:
-                    raw = ({e: 2 * c} if 2 * e % n == 0 else {e: c, n - e: c}) if pair else {e: c}
-                    i = memo[e] = values.intern(CycNumber._from_numerators(n, raw, den))
-                row.append(i)
-            rows.append(tuple(row))
-        return rows
-
-    def _check_borel_induction(self):
+    def _check_borel_induction(self, closed_form: list[dict[int, int]]):
         """R for the split torus by Borel induction, against the closed form.
 
         Induction from B is linear in theta: at class c the induced value is
@@ -269,7 +334,7 @@ class CharacterData:
         p = self.p
         n, den = p - 1, p * (p - 1)
         unequal = []
-        for rec, bucket, closed in zip(self.table.classes, self._build_borel_buckets(), self._closed_form("split")):
+        for rec, bucket, closed in zip(self.table.classes, self._build_borel_buckets(), closed_form):
             induced = {d: count * rec.centralizer_order for d, count in bucket.items()}
             if induced != closed:
                 unequal.append((induced, closed))
@@ -281,31 +346,33 @@ class CharacterData:
                         f"split torus character k={k}: induction and closed form disagree at p={p}"
                     )
 
-    def _steinberg(self, r1: tuple[int, ...], ends: "_Values", values: "_Values") -> tuple[int, ...]:
-        """St = R_split(1) - 1 as a row of ids into values, from the row r1
-        of ids into ends of R_split(1), each distinct id's value less one
-        made once; with its norm checked.  validate_table's orthonormality
-        implies the check; it stays because it is the only
-        classfun.inner_product call on the verify path, whose traced count
-        the benchmark's tests require to be non-zero."""
-        row = values.keyed_row(r1, lambda i: ends[i] - ONE)
-        st = values.view(self.table, row)
+    def _steinberg(self, patterns: tuple, r1: tuple[int, ...], six_values: "_Values") -> tuple:
+        """St = R_split(1) - 1 as (patterns, six ids), from R_split(1)'s
+        patterns and six ids r1, with its norm checked.  A pattern (2a, 0)
+        is a at every class of its torus, so St's is (2a - 1, 0).
+        validate_table's orthonormality implies the check; it stays because
+        it is the only classfun.inner_product call on the verify path, whose
+        traced count the benchmark's tests require to be non-zero."""
+        six = tuple(six_values.intern(six_values[i] - ONE) for i in r1)
+        patterns = tuple((a - 1, 0) for a, _ in patterns)
+        cells = [six_values[i] for i in six]
+        for (a, _), (_, torus_cells) in zip(patterns, self._tori):
+            cells += [coerce(a)] * len(torus_cells)
+        st = ClassFunction._raw(self.table, tuple(cells))
         if inner_product(st, st).as_rational() != 1:
             raise TableValidationError(f"Steinberg norm is not 1 at p={self.p}")
-        return row
+        return patterns, six
 
-    def _exceptional_pair(
-        self, torus_type: str, base: tuple[int, ...], ends: "_Values", values: "_Values", halves: dict
-    ) -> list:
-        """The (label, id row, degree) entries of the two halves (base +
-        delta)/2 and (base - delta)/2 of base, the order-2-character virtual
-        character, given as a row of ids into ends.  A cell of plus with
-        base id b and coefficient c of delta in tau is (ends[b] + c tau)/2,
-        and minus there is plus at (b, -c): so halves, one memo for both
-        halves and both tori, makes each such value once per prime, from
-        one Gauss sum (gauss_sum is memoized).
+    def _exceptional_pair(self, torus_type: str, patterns: tuple, base: tuple[int, ...], six_values: "_Values", halves: dict) -> list:
+        """The (label, degree, patterns, six ids) entries of the two halves
+        (b + delta)/2 and (b - delta)/2 of b, the order-2-character virtual
+        character, given by its patterns and six ids base.  delta is zero on
+        the tori, so a half's pattern is (a, |T|/2) where b's is (2a, |T|/2).
+        At a six cell with value v and coefficient c of delta in tau, plus is
+        (v + c tau)/2 and minus is plus at (v, -c): halves, one memo for both
+        halves and both tori, makes each such value once per prime.
 
-        base is R(alpha) for the split torus and -R(alpha) for the anisotropic
+        b is R(alpha) for the split torus and -R(alpha) for the anisotropic
         one; delta is supported on the four unipotent-type classes, where it
         is the central sign times the residue symbol of the class parameter
         times the Gauss sum.  The overall sign of delta only swaps the pair,
@@ -314,7 +381,7 @@ class CharacterData:
 
         The build checks nothing here: validate_table, which audits every
         table a command uses, implies each check the pair once had.
-        - plus + minus == base holds by construction: (b + d)/2 + (b - d)/2 = b
+        - plus + minus == b holds by construction: (b + d)/2 + (b - d)/2 = b
           exactly, in any field.
         - The degree and the central character: the pin (_pin_rows) checks
           each stored degree against (p +- 1)/2, and every cell against the
@@ -323,7 +390,7 @@ class CharacterData:
         - Norm one and <plus, minus> = 0: both are pairs of the row
           orthonormality audit.
         """
-        p, table = self.p, self.table
+        p, classes = self.p, self.table.classes
         tau = gauss_sum(p)
         if torus_type == "split":
             deg = (p + 1) // 2
@@ -331,23 +398,20 @@ class CharacterData:
         else:
             deg = (p - 1) // 2
             center_sign = -legendre(-1, p)  # alpha(-I) on the larger torus
-        keys = []  # per class, (base id, the coefficient of delta in tau)
-        for b, rec in zip(base, table.classes):
-            if rec.kind == "unipotent":
-                sign, residue = rec.key
-                keys.append((b, residue * (1 if sign == 1 else center_sign)))
-            else:
-                keys.append((b, 0))
+        keys = []  # per six cell, (base value, the coefficient of delta in tau)
+        for i, c in zip(base, self.six_classes):
+            sign, *residue = classes[c].key
+            keys.append((six_values[i], residue[0] * (1 if sign == 1 else center_sign) if residue else 0))
 
-        def plus(key: tuple[int, int]) -> CycNumber:
-            v = halves.get(key)
-            if v is None:
-                v = halves[key] = (ends[key[0]] + tau.scale(key[1])).scale(Fraction(1, 2))
-            return v
+        def half(v: CycNumber, c: int) -> int:
+            if (v, c) not in halves:
+                halves[v, c] = six_values.intern((v + tau.scale(c)).scale(Fraction(1, 2)))
+            return halves[v, c]
 
+        patterns = tuple((a // 2, k) for a, k in patterns)
         return [
-            ((f"exceptional_{torus_type}_plus",), values.keyed_row(keys, plus), deg),
-            ((f"exceptional_{torus_type}_minus",), values.keyed_row(keys, lambda key: plus((key[0], -key[1]))), deg),
+            ((f"exceptional_{torus_type}_plus",), deg, patterns, tuple(half(v, c) for v, c in keys)),
+            ((f"exceptional_{torus_type}_minus",), deg, patterns, tuple(half(v, -c) for v, c in keys)),
         ]
 
     # -- lookups --------------------------------------------------------------
@@ -465,16 +529,6 @@ class _Values(list):
             self.append(v)
         return i
 
-    def keyed_row(self, keys: list, make) -> tuple[int, ...]:
-        """The ids of make(key) per key, each distinct key's value made and
-        interned once, at its first appearance: the ids of interning every
-        cell's value in turn, when make(key) is a function of key alone."""
-        ids = {}
-        for key in keys:
-            if key not in ids:
-                ids[key] = self.intern(make(key))
-        return tuple(map(ids.__getitem__, keys))
-
     def view(self, table: ConjugacyTable, ids) -> ClassFunction:
         return ClassFunction._raw(table, tuple(map(self.__getitem__, ids)))
 
@@ -488,17 +542,15 @@ class ClosedCoordinates:
     0 < e < n/2 and c_e irrational; no sign is needed, as -c_e = c_(n/2 - e).
     coords[i] is (R, S, 0, 0) for (R + S tau)/den (S = 0 for a rational), or
     (den, 0, n, e) for c_e, in integers over den, the least common denominator;
-    None where a value is none of these.  c_e is found by looking its value up
-    among the canonical c_e, 0 <= e <= n/2, of both tori (cos_ids holds their
-    ids, -1 for one the table lacks, and cos_terms their integer terms lifted
-    to order n), and r + s tau straight off v's integer numerators, which
-    must be one multiple of tau's off exponent 0 (_exact), so no v - s tau
-    is made; tau = gauss_sum(p) is made once per prime.  validate_table's
-    pin compares the torus cells with ids from cos_ids and the six other
-    cells with coords, and its pairs sum those six in coords and print a
-    failing pair's value; classfun.closed_sum, the pairing kernel of
-    cuspform.decompose_dl, sums in coords and assembles its value with
-    value.
+    None where a value is none of these.  r + s tau is read straight off v's
+    integer numerators (_exact); tau = gauss_sum(p) is made once per prime.
+    c_e is looked up among the canonical c_e, 0 <= e <= n/2, of its torus
+    (cosines), made per torus order on first use: the six-cell values of a
+    pattern-form table (rationals and r + s tau) make none.  The pin
+    compares six cells in coords, its pairs sum them there, and
+    classfun.closed_sum, the kernel of cuspform.decompose_dl, sums in
+    coords (a pattern-form row's torus cells from torus_cell) and assembles
+    its value with value.
     """
 
     def __init__(self, p: int, values: list[CycNumber], ids: dict):
@@ -506,16 +558,14 @@ class ClosedCoordinates:
         self.tau = tau = gauss_sum(p)
         self._t = next(e for e in tau.num if e)
         self._support = len(tau.num) - (0 in tau.num)
-        self.cos_ids, self.cos_terms, self._cos = {}, {}, {}
-        for n in (p - 1, p + 1):
-            cs = [_cos(n, e) for e in range(n // 2 + 1)]
-            self.cos_ids[n] = [ids.get(c, -1) for c in cs]
-            self.cos_terms[n] = [[(k * (n // c.order), a) for k, a in c.num.items()] for c in cs]
-            self._cos.update((c, (1, 0, n, e)) for e, c in enumerate(cs) if c.order > 1)
+        self.cosines = _PerOrder(lambda n: [_cos(n, e) for e in range(n // 2 + 1)])
+        self.cos_terms = _PerOrder(lambda n: [[(k * (n // c.order), a) for k, a in c.num.items()] for c in self.cosines[n]])
+        self._cos = _PerOrder(lambda n: {c: (1, 0, n, e) for e, c in enumerate(self.cosines[n]) if c.order > 1})
+        self._torus = {}  # (n, 2a, x) -> torus_id
         exact = [self._exact(v) for v in values]
         self.den = den = lcm(*(c.denominator for x in exact if x for c in x[:2]))
         self.coords = [x and (int(x[0] * den), int(x[1] * den), x[2], x[3]) for x in exact]
-        self.cells = list(zip(values, self.coords))  # (value, coordinates) by id
+        self.cells = list(zip(values, self.coords))  # (value, coordinates) by id, then torus_id's
 
     def _exact(self, v: CycNumber) -> tuple | None:
         """The coordinates of v in rationals: (r, s, 0, 0) for r + s tau,
@@ -525,15 +575,16 @@ class ClosedCoordinates:
         rest are compared by cross-multiplying, and r = (N_0 - D s tau_0)/D."""
         if v.order == 1:
             return (v.as_rational(), 0, 0, 0)
-        x = self._cos.get(v)
-        if x is None and v.order == self.p:
+        if v.order == self.p:
             num, tau, den = v.num, self.tau.num, v.den
             a, b = num.get(self._t, 0), tau[self._t]  # s = a / (D b)
             if a and len(num) - (0 in num) == self._support and all(
                 num.get(e, 0) * b == a * c for e, c in tau.items() if e
             ):
-                x = (Fraction(num.get(0, 0) * b - a * tau.get(0, 0), den * b), Fraction(a, den * b), 0, 0)
-        return x
+                return (Fraction(num.get(0, 0) * b - a * tau.get(0, 0), den * b), Fraction(a, den * b), 0, 0)
+            return None
+        n = next((n for n in (self.p - 1, self.p + 1) if n % v.order == 0), None)
+        return n and self._cos[n].get(v)
 
     def coordinate(self, v: CycNumber) -> tuple | None:
         """The coordinates of v over den: a table value's, or those of a
@@ -541,11 +592,24 @@ class ClosedCoordinates:
         i = self.ids.get(v)
         if i is not None:
             return self.coords[i]
+        if v.order == 1:
+            r, rest = divmod(v.num.get(0, 0) * self.den, v.den)
+            return None if rest else (r, 0, 0, 0)
         x = self._exact(v)
         if x is None:
             return None
         r, s = Fraction(x[0]) * self.den, Fraction(x[1]) * self.den
         return (r.numerator, s.numerator, x[2], x[3]) if r.denominator == s.denominator == 1 else None
+
+    def torus_id(self, n: int, a: int, x: int) -> int:
+        """The id in cells of (a/2) c_x on the torus of order n, appended on
+        first use past the values' own; 0 where it is zero."""
+        i = self._torus.get((n, a, x))
+        if i is None:
+            v = _cos(n, x, a)
+            i = self._torus[n, a, x] = len(self.cells) if v.num else 0
+            self.cells += [(v, self.coordinate(v))] if i else []
+        return i
 
     def value(self, rat: int, tau: int, hist: dict[int, dict[int, int]], scale: int) -> CycNumber:
         """(rat + tau g + sum_n sum_e hist[n][e] c_e) / scale in canonical
@@ -570,9 +634,25 @@ class ClosedCoordinates:
         return sum(parts, out)
 
 
-def _cos(n: int, e: int) -> CycNumber:
-    """c_e = zeta_n^e + zeta_n^-e in canonical form."""
-    return CycNumber._from_numerators(n, _exponents({1: 1, n - 1: 1}, e, n), 1)
+class _PerOrder(dict):
+    """A map from a torus order n to make(n), made on first use."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, n: int):
+        out = self[n] = self.make(n)
+        return out
+
+
+def _cos(n: int, e: int, a: int = 2) -> CycNumber:
+    """(a/2) c_e in canonical form, c_e = zeta_n^e + zeta_n^-e: the
+    rational 2 cos(2 pi j / m) where zeta_n^e has order m = 1, 2, 3, 4 or 6."""
+    c = {1: 2, 2: -2, 3: -1, 4: 0, 6: 1}.get(n // gcd(n, e))
+    if c is not None:
+        return CycNumber._from_numerators(1, {0: a * c}, 2)
+    return CycNumber._from_numerators(n, _exponents({1: a, n - 1: a}, e, n), 2)
 
 
 def dl_terms(p: int, torus_type: str, k: int) -> tuple[tuple[tuple, int], ...]:
@@ -629,9 +709,13 @@ def _exponents(dmap: dict[int, int], k: int, n: int) -> dict[int, int]:
 def _cos_sums(n: int) -> list[int]:
     """S(m) = sum_(0<d<n/2) c_md at 0 <= m < 2n, for even n, c_e = zeta_n^e
     + zeta_n^-e: the sum over all d of zeta_n^(md) is n [n | m], less its
-    terms at d = 0 (1) and d = n/2 ((-1)^m).  S(m) depends on m mod n only,
-    so the list also holds S(m) at -n <= m < 0, as Python indexes it."""
-    return [n * (m % n == 0) - 1 - (-1) ** m for m in range(2 * n)]
+    terms at d = 0 (1) and d = n/2 ((-1)^m), so -1 - (-1)^m off the
+    multiples of n (which are even) and n - 2 on them.  S(m) depends on m
+    mod n only, so the list also holds S(m) at -n <= m < 0, as Python
+    indexes it."""
+    sums = [-2, 0] * n  # -1 - (-1)^m
+    sums[0] = sums[n] = n - 2
+    return sums
 
 
 def validate_table(data: CharacterData) -> dict:
@@ -666,35 +750,42 @@ def validate_table(data: CharacterData) -> dict:
     the identity column X* X gives sum_chi |chi(1)|^2 = |C(1)| = |G|, and
     the pin makes each degree chi(1), so sum_chi degree^2 = |G|.
 
-    The checks work on the table's interned id rows (CharacterData.values, 0
-    for zero): equal ids are equal values.  Every pair i <= j is paired, in
-    lexicographic order, and the first that fails raises.
+    The pin takes one of two paths (_pin_rows).  A pattern-form table (a
+    build) holds per row its patterns (2a, k), read off the closed forms,
+    and its six-cell ids: the pin checks once per table that the torus
+    cells the build read are the tori's (the classes of each torus in
+    order, each holding g^d by its trace), and then compares each row's
+    patterns with its family's and its six cells with the family's closed
+    values, in O(1) per row; any difference sends the table, written out,
+    down the other path, which names the first differing cell.  A
+    cell-form table (a cache load, or a test's copy) is pinned cell by
+    cell: on a torus of order n each row's ids at the regular classes, those
+    of g^(+-d), 0 < d < n/2, each of size |G|/n, must be the ids its
+    family's pattern wants there (_torus_patterns), equal ids being equal
+    values, and its six cells are compared in closed coordinates.
 
     Orthonormality stays, although on a table the pin passed it is the
     orthonormality of the closed-form table: norm 1 is what a proof that
     the closed-form table is the character table would need.  Each pair is
-    paired in O(1) from the two rows' patterns, taken from their labels
-    (_families): the pin has passed, so on a torus of order n each row's
-    ids at the regular classes, those of g^(+-d), 0 < d < n/2, each of size
-    |G|/n, are the ids its family's pattern (2a, k) wants there
-    (_torus_patterns), those of a c_kd at the class of g^(+-d), and
-    equal ids are equal values; and its six other cells (+-I and the four
-    unipotent classes) hold their closed values r + s tau, tau the Gauss
-    sum.  So the pattern read from the label is the row's own.  c_e is
-    real and c_x c_y = c_(x+y) + c_(x-y), so the torus's part of |G|
-    <chi, psi> for (2a, k) and (2b, l) is (|G|/n) a b (S(k + l) + S(k -
-    l)), an integer by _cos_sums.  The six cells sum as in
-    classfun.closed_sum to R + S tau with R and S rational.  So |G|
-    <chi, psi> is R' + S tau with R' rational, and tau is irrational (tau^2
-    = +-p): the pair passes iff S = 0 and R' = delta_ij |G|.  A failing
-    pair's message prints (R' + S tau)/|G| in canonical form
+    paired in O(1) from the two rows' patterns, a pattern-form row's own and
+    a cell-form row's taken from its label (_families), which the pin has
+    made the row's own.  c_e is real and c_x c_y = c_(x+y) + c_(x-y), so
+    the torus's part of |G| <chi, psi> for (2a, k) and (2b, l) is (|G|/n) a
+    b (S(k + l) + S(k - l)), an integer by _cos_sums.  The six cells (+-I
+    and the four unipotent classes) hold their closed values r + s tau, tau
+    the Gauss sum, and sum as in classfun.closed_sum to R + S tau with R
+    and S rational.  So |G| <chi, psi> is R' + S tau with R' rational, and
+    tau is irrational (tau^2 = +-p): the pair passes iff S = 0 and R' =
+    delta_ij |G|.  _pair_rows sums each two family groups once; a failing
+    pair's message names the first failing pair i <= j in lexicographic
+    order and prints (R' + S tau)/|G| in canonical form
     (ClosedCoordinates.value).
     """
     table, irrs = data.table, data.irreducibles
     n = len(irrs)
     if n != len(table.classes):
         raise TableValidationError(f"{n} irreducibles for {len(table.classes)} classes at p={data.p}")
-    _pin_rows(data, _torus_patterns(data))
+    _pin_rows(data)
     _pair_rows(data)
     data._audited = True
     return {
@@ -709,7 +800,7 @@ def validate_table(data: CharacterData) -> dict:
 def ensure_audited(data: CharacterData):
     """validate_table(data), unless it has passed on data since the rows were
     last set: a build and a cache load both start unaudited
-    (CharacterData._set)."""
+    (CharacterData._rows)."""
     if not data._audited:
         validate_table(data)
 
@@ -731,24 +822,42 @@ def _families(p: int, k: int = 0) -> dict[str, tuple]:
     }
 
 
+def _family(families: dict, label: tuple) -> tuple:
+    """(degree, split pattern, nonsplit pattern, 2u, 2t) of label, from
+    _families(p) made once per prime: a label's parameter k is the k of
+    each of its patterns that is not zero."""
+    deg, split, nonsplit, u, t = families[label[0]]
+    if label[1:]:
+        split, nonsplit = (split[0], split[0] and label[1]), (nonsplit[0], nonsplit[0] and label[1])
+    return deg, split, nonsplit, u, t
+
+
+def _labels(p: int) -> dict:
+    """The p + 4 labels in the build's order: the constituents dl_terms
+    names across both tori, which decompose_dl reads."""
+    return dict.fromkeys(label for torus in ("split", "nonsplit") for k in range(torus_order(p, torus) // 2 + 1) for label, _ in dl_terms(p, torus, k))
+
+
 def _torus_patterns(data: CharacterData) -> list[tuple]:
     """Per torus, split then nonsplit, (torus, cells, wanted).  cells are the
     (class, d) of its regular classes, the generator's first, each with the
     dlog d of one of its two elements g^(+-d) (either gives the same
-    values).  wanted maps each family's pattern (2a, k) on the torus
+    values).  wanted maps each label's pattern (2a, k) on the torus
     (_families) to its ids at cells, -1 where the table lacks the value.
-    (a/2) c_kd is c_e for |a| = 2, the id cos_ids holds, and c_e/2 for |a|
+    (a/2) c_kd is c_e for |a| = 2, the id of cosines[e], and c_e/2 for |a|
     = 1, where kd is 0 or n/2: 1 at e = 0 and -1 at e = n/2."""
     p, table, ids = data.p, data.table, data.values.ids
+    families, labels = _families(p), _labels(p)
     out = []
     for side, torus in enumerate((data.split_torus, data.nonsplit_torus), 1):
         n, gen = torus.order, table.class_of(torus.generator)
         cells = {table.class_of(g): d for g, d in torus.dlog.items() if d % (n // 2)}
         cells = sorted(cells.items(), key=lambda cd: (cd[0] != gen, cd[0]))
-        lookup = {1: [ids.get(ONE, -1)] + [-1] * (n // 2 - 1) + [ids.get(-ONE, -1)], 2: data.coordinates.cos_ids[n]}
+        cos = [ids.get(c, -1) for c in data.coordinates.cosines[n]]
+        lookup = {1: [ids.get(ONE, -1)] + [-1] * (n // 2 - 1) + [ids.get(-ONE, -1)], 2: cos}
         # per 2a and x, the id of (a/2) c_x = +-c_e or +-c_e/2, e in [0, n/2]: -c_x = c_(x + n/2), c_x = c_(n - x)
         at = {a: [lookup[abs(a)][min(e, n - e)] for e in ((x + n // 2 * (a < 0)) % n for x in range(n))] for a in (-2, -1, 1, 2)}
-        own = sorted({family[side] for k in range(1, n // 2) for family in _families(p, k).values()})
+        own = sorted({_family(families, label)[side] for label in labels})
         wanted = {(0, 0): (0,) * len(cells)}  # the zero row
         wanted.update(((a, k), tuple([at[a][k * d % n] for _, d in cells])) for a, k in own if a)
         out.append((torus, cells, wanted))
@@ -756,59 +865,122 @@ def _torus_patterns(data: CharacterData) -> list[tuple]:
 
 
 def _pair_rows(data: CharacterData):
-    """Pair every i <= j in lexicographic order, each in O(1) from the two
-    rows' patterns, raising at the first pair that fails (validate_table).
-    A row's patterns (2a, k) split and (2b, l) nonsplit are its label's
-    family's (_families), and its key is the ids of its six other cells;
-    the six cells of each two keys are summed once."""
-    table, irrs, closed, p = data.table, data.irreducibles, data.coordinates, data.p
+    """Pair every i <= j, raising at the first pair in lexicographic order
+    that fails (validate_table), the pairs of each two family groups summed
+    once.
+
+    A row's pair data is its six ids g and its patterns (2a, k) split and
+    (2b, l) nonsplit, 0 <= k <= n/2 as the build and _families give them.
+    S(m) = n [n | m] - 1 - (-1)^m (_cos_sums), so S(k + k') + S(k - k') is
+    -2 - 2 (-1)^(k + k'), -4 or 0, where k is generic (0 < k < n/2) and k' is 0, n/2
+    or generic and not k, and n - 4 at k = k' generic.  So the rows fall
+    into groups keyed by g, 2a, 2b, and k where it is 0 or n/2 and its
+    parity where it is generic: the off-diagonal pairs of two groups have
+    one value, and so have the diagonal pairs of one group, as long as no
+    two rows share a generic k on a torus where neither pattern is zero,
+    which on a table the pin passed they do not (labels are distinct, and
+    a family's generic k is its label's).  A failing value names the first
+    pair it covers."""
+    table, irrs, closed, p = data.table, data.irreducibles, data.closed, data.p
     coords, eps, order, den2 = closed.coords, closed.eps, table.group_order, closed.den**2
     target = 4 * den2 * order  # 4 den^2 |G| <chi, chi>, the scale the rational parts are summed at
-    cells = [(c, rec.size) for c, rec in enumerate(table.classes) if rec.kind in ("central", "unipotent")]
-    sizes, six = [w for _, w in cells], itemgetter(*(c for c, _ in cells))
-    (ws, ss), (wn, sn) = ((den2 * order // t.order, _cos_sums(t.order)) for t in (data.split_torus, data.nonsplit_torus))
-    keys, pats = {}, []
-    for irr in irrs:
-        _, split, nonsplit, *_ = _families(p, *irr.label[1:])[irr.label[0]]
-        pats.append((keys.setdefault(six(irr.ids), len(keys)), *split, *nonsplit))
-    keys, sums = list(keys), {}  # per two keys, 4 R and S of their six cells, over den^2
-    for i, (g, a, k, b, l) in enumerate(pats):
-        for j in range(i, len(pats)):
-            h, a2, k2, b2, l2 = pats[j]
-            if (g, h) not in sums:
-                terms = [(w, *coords[u][:2], *coords[v][:2]) for w, u, v in zip(sizes, keys[g], keys[h])]
-                rat = 4 * sum(w * (r * r2 + p * s * s2) for w, r, s, r2, s2 in terms)
-                sums[g, h] = rat, sum(w * (eps * r * s2 + s * r2) for w, r, s, r2, s2 in terms)
-            rat, tau = sums[g, h]
-            rat += ws * a * a2 * (ss[k + k2] + ss[k - k2]) + wn * b * b2 * (sn[l + l2] + sn[l - l2])
-            if tau or rat != (i == j) * target:
-                value = closed.value(rat, 4 * tau, {}, target)
-                raise TableValidationError(f"<{irrs[i].name}, {irrs[j].name}> = {value.to_text()} at p={p}")
+    sizes = [table.classes[c].size for c in data.six_classes]
+    tori = [(den2 * order // n, _cos_sums(n), n) for n in (p - 1, p + 1)]  # |G| den^2 / n, S and n per torus
+    families, keys, rows, groups = _families(p), {}, [], {}
+    for i, irr in enumerate(irrs):
+        patterns = (a, k), (b, l) = irr.patterns or _family(families, irr.label)[1:3]
+        g = keys.setdefault(irr.six, len(keys))
+        rows.append((g, patterns))  # below, a generic k by its parity, as -2 or -1
+        groups.setdefault((g, a, k % 2 - 2 if 0 < 2 * k < p - 1 else k, b, l % 2 - 2 if 0 < 2 * l < p + 1 else l), []).append(i)
+    vectors = []  # per key, R, S, |c| R and |c| S of its six cells, over den
+    for key in keys:
+        r, s = zip(*(coords[i][:2] for i in key))
+        vectors.append((r, s, [*map(mul, sizes, r)], [*map(mul, sizes, s)]))
+
+    def value(i: int, j: int, grouped: bool) -> tuple[int, int]:
+        """4 den^2 |G| <chi_i, chi_j> as (R', S), by the parities where grouped."""
+        (g, x), (h, y) = rows[i], rows[j]
+        (_, _, wr, ws), (r, s, _, _) = vectors[g], vectors[h]
+        rat, tau = 4 * (sum(map(mul, wr, r)) + p * sum(map(mul, ws, s))), eps * sum(map(mul, wr, s)) + sum(map(mul, ws, r))
+        for (w, S, n), (a, k), (b, l) in zip(tori, x, y):
+            generic = grouped and (0 < 2 * k < n or 0 < 2 * l < n)
+            rat += w * a * b * ((k + l) % 2 - 1) * 4 if generic else w * a * b * (S[k + l] + S[k - l])
+        return rat, tau
+
+    failing, members = [], list(groups.values())
+    for x, first in enumerate(members):
+        if value(first[0], first[0], False) != (target, 0):
+            failing.append((first[0], first[0]))
+        for second in members[x + (len(first) == 1):]:
+            if value(first[0], second[0], True) != (0, 0):
+                failing.append(min((min(i, j), max(i, j)) for i in first for j in second if i != j))
+    if failing:
+        i, j = min(failing)
+        rat, tau = value(i, j, False)
+        raise TableValidationError(f"<{irrs[i].name}, {irrs[j].name}> = {closed.value(rat, 4 * tau, {}, target).to_text()} at p={p}")
 
 
-def _pin_rows(data: CharacterData, tori: list):
+def _six_closed(six: list[tuple], den: int, family: tuple) -> list[tuple]:
+    """Per six cell (class, s, *r), (class, coordinates over den or () where
+    they are not integers, rat, tau) of its family's closed value, (rat + tau
+    tau)/2: s^k deg at s I and s^k (u + t r tau) at the unipotent class
+    keyed (s, r), family being (deg, split, nonsplit, 2u, 2t) (_family) and
+    k its pattern parameter."""
+    deg, split, nonsplit, u, t = family
+    out, k = [], split[1] or nonsplit[1]
+    for c, s, *r in six:
+        rat, tau = (u, t * r[0]) if r else (2 * deg, 0)  # twice the value at s = 1
+        rat, tau = s**k * rat, s**k * tau
+        out.append((c, (rat * den // 2, tau * den // 2, 0, 0) if rat * den % 2 == tau * den % 2 == 0 else (), rat, tau))
+    return out
+
+
+def _pinned_by_pattern(data: CharacterData, families: dict, by_label: dict, six: list) -> bool:
+    """Whether a pattern-form table is its families' closed-form table: on
+    each torus its cells are the classes of the torus's kind in order, the
+    one holding g^d being the class of its trace (a regular semisimple class
+    is told by its trace), and every row's patterns are its family's and its
+    six cells its family's closed values."""
+    p, classes, closed, wanted = data.p, data.table.classes, data.closed, {}
+    for torus, (n, cells) in zip((data.split_torus, data.nonsplit_torus), data._tori):
+        traces = [2, torus.generator.trace]  # of g^d: tr g^(d+1) = tr g tr g^d - tr g^(d-1), as det g = 1
+        while len(traces) < n // 2:
+            traces.append((traces[1] * traces[-1] - traces[-2]) % p)
+        kind = f"{torus.torus_type}_semisimple"
+        if n != torus.order or [c for c, _ in cells] != [c for c, rec in enumerate(classes) if rec.kind == kind]:
+            return False
+        if [classes[c].trace for c, _ in cells] != [traces[d] for _, d in cells]:
+            return False
+    for label, irr in by_label.items():
+        family = _family(families, label)
+        key = (label[0], (family[1][1] or family[2][1]) % 2)
+        if key not in wanted:
+            wanted[key] = [x for _, x, _, _ in _six_closed(six, closed.den, family)]
+        if irr.patterns != family[1:3] or list(map(closed.coords.__getitem__, irr.six)) != wanted[key]:
+            return False
+    return True
+
+
+def _pin_rows(data: CharacterData, tori: list | None = None):
     """Each of the p + 4 labels once, with its family's degree, and then
-    every row, label by label in the build's order, equal to its family's
-    closed values at every class (validate_table).  The labels are the
-    constituents dl_terms names across both tori, and decompose_dl reads
-    them.
+    every row, label by label in the build's order (_labels), equal to its
+    family's closed values at every class (validate_table).  A pattern-form
+    table is compared by pattern (_pinned_by_pattern) unless tori is given;
+    one that differs anywhere is written out and compared cell by cell.
 
-    On each torus (tori, as _torus_patterns gives them) a row's ids at the
-    regular classes must be those of its family's pattern (2a, k): at the
-    class of g^(+-d), g the generator and n = |T|, (a/2) c_kd with c_e =
-    zeta_n^e + zeta_n^-e.  The generator's class comes first, so a table
-    with permuted labels fails there.  At the six other cells, the class of
-    s I (s = +-1) holds s^k deg and the unipotent class keyed (s, r) holds
-    s^k (u + t r tau), tau the Gauss sum, with k the family's pattern
-    parameter and (2u, 2t) its last two fields (_families).  These are
-    compared in the integer closed coordinates over den, never as values.
-    The first cell that differs raises, naming the row, its value there and
-    its family's."""
-    p, table, closed = data.p, data.table, data.coordinates
-    coords, den, families = closed.coords, closed.den, _families(p)
-    expected = dict.fromkeys(
-        label for torus in ("split", "nonsplit") for k in range(torus_order(p, torus)) for label, _ in dl_terms(p, torus, k)
-    )
+    Cell by cell, on each torus (tori, as _torus_patterns gives them) a
+    row's ids at the regular classes must be those of its family's pattern
+    (2a, k): at the class of g^(+-d), g the generator and n = |T|, (a/2)
+    c_kd with c_e = zeta_n^e + zeta_n^-e.  The generator's class comes
+    first, so a table with permuted labels fails there.  At the six other
+    cells, the class of s I (s = +-1) holds s^k deg and the unipotent class
+    keyed (s, r) holds s^k (u + t r tau), tau the Gauss sum, with k the
+    family's pattern parameter and (2u, 2t) its last two fields
+    (_families).  These are compared in the integer closed coordinates over
+    den, never as values.  The first cell that differs raises, naming the
+    row, its value there and its family's."""
+    p, table = data.p, data.table
+    families, expected = _families(p), _labels(p)
     by_label = {}
     for irr in data.irreducibles:
         if irr.label not in expected or irr.label in by_label:
@@ -816,25 +988,25 @@ def _pin_rows(data: CharacterData, tori: list):
         by_label[irr.label] = irr
         if irr.degree != families[irr.label[0]][0]:
             raise TableValidationError(f"{irr.name} has degree {irr.degree}, not {families[irr.label[0]][0]} at p={p}")
+    six = [(c, *table.classes[c].key) for c in data.six_classes]
+    if tori is None:
+        if data.six_values is not None and _pinned_by_pattern(data, families, by_label, six):
+            return
+        tori = _torus_patterns(data)
+    closed = data.coordinates
     on_tori = [(torus, cells, wanted, itemgetter(*(c for c, _ in cells))) for torus, cells, wanted in tori]
-    six = [(c, *rec.key) for c, rec in enumerate(table.classes) if rec.kind in ("central", "unipotent")]
 
     def off(irr: Irreducible, c: int, want: CycNumber, gen: str = ""):  # irr is not want at class c
         where = f"the {gen} torus generator" if gen else f"class {c} ({table.classes[c].kind})"
         return TableValidationError(f"{irr.name} is {irr.chi.values[c].to_text()} at {where}, not {want.to_text()} at p={p}")
 
     for label in expected:
-        irr = by_label[label]
-        deg, *patterns, u, t = _families(p, *label[1:])[label[0]]
-        for (torus, cells, wanted, get), pattern in zip(on_tori, patterns):
+        irr, family = by_label[label], _family(families, label)
+        for (torus, cells, wanted, get), pattern in zip(on_tori, family[1:3]):
             if get(irr.ids) != wanted[pattern]:
                 c, d = next(cd for cd, w in zip(cells, wanted[pattern]) if irr.ids[cd[0]] != w)
-                want = _cos(torus.order, pattern[1] * d).scale(Fraction(pattern[0], 2))
+                want = _cos(torus.order, pattern[1] * d, pattern[0])
                 raise off(irr, c, want, torus.torus_type if c == cells[0][0] else "")
-        k = patterns[0][1] or patterns[1][1]
-        for c, s, *r in six:
-            rat, tau = (u, t * r[0]) if r else (2 * deg, 0)  # twice the value at s = 1
-            rat, tau = s**k * rat, s**k * tau
-            x = coords[irr.ids[c]]
-            if x is None or (2 * x[0], 2 * x[1], x[2]) != (rat * den, tau * den, 0):
+        for c, x, rat, tau in _six_closed(six, closed.den, family):
+            if closed.coords[irr.ids[c]] != x:
                 raise off(irr, c, closed.value(rat, tau, {}, 2))

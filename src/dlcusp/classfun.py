@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from itertools import compress
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .cyclotomic import CycNumber, _common_frame, _raw_dot, coerce
 from .group import ConjugacyTable
@@ -85,17 +85,19 @@ def _frame_dot(triples, scale: int) -> CycNumber:
     return CycNumber._from_numerators(n, raw, den * den * scale)
 
 
-def closed_pairings(closed, table: ConjugacyTable, phi: Sequence[CycNumber], rows: Sequence[Sequence[int]]) -> list[CycNumber]:
+def closed_pairings(closed, table: ConjugacyTable, phi: Sequence[CycNumber], column: Callable) -> list[CycNumber]:
     """The pairings (1/|G|) sum |c| phi(c) conj(psi(c)) of the class function
-    with values phi with each psi in rows (one id per class into the values
-    closed describes, chartable.ClosedCoordinates), each by closed_sum over
-    the classes where neither is zero."""
+    with values phi with each row psi of a table, column(c) giving the ids
+    of every row's cell at class c into closed.cells (0 for zero,
+    chartable.ClosedCoordinates).  Each is closed_sum over the classes where
+    neither is zero, once per distinct row of ids there."""
     support = [c for c, v in enumerate(phi) if v.num]
     left = [(table.classes[c].size, phi[c], closed.coordinate(phi[c])) for c in support]
-    out, cell = [], closed.cells.__getitem__
-    for row in rows:
-        ids = list(map(row.__getitem__, support))  # id 0 is zero
-        out.append(closed_sum(closed, compress(left, ids), map(cell, filter(None, ids)), table.group_order))
+    out, sums, cell = [], {}, closed.cells.__getitem__
+    for ids in zip(*map(column, support)) if support else [()] * len(column(0)):
+        if ids not in sums:
+            sums[ids] = closed_sum(closed, compress(left, ids), map(cell, filter(None, ids)), table.group_order)
+        out.append(sums[ids])
     return out
 
 

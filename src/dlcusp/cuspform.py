@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple
 
 from .classfun import ClassFunction, closed_pairings, dual
@@ -184,13 +185,13 @@ def coefficient_line(label: str, torus_type: str, residue: int) -> tuple[Fractio
 
 
 def paper_coefficients(p: int) -> dict[tuple[str, str], Fraction]:
-    """Exact value of every table cell at this prime."""
+    """Exact value of every table cell at this prime: a p + b of
+    coefficient_line, summed as one integer over 12."""
     r = p % 12
-    out = {}
-    for (label, torus_type), offsets in _TABLE_OFFSETS.items():
-        a, b = coefficient_line(label, torus_type, r)
-        out[(label, torus_type)] = a * p + b
-    return out
+    return {
+        (label, torus_type): Fraction((1 if torus_type == "split" else -1) * (p - r) + 12 * offsets[r], 12)
+        for (label, torus_type), offsets in _TABLE_OFFSETS.items()
+    }
 
 
 # -- decomposition ------------------------------------------------------------
@@ -263,24 +264,26 @@ def decompose_dl(data: CharacterData, s: ClassFunction | None = None, reading: s
     ensure_audited(data)
     if s is None:
         s = weinstein_character(data)
-    mults: dict[tuple, Fraction] = {}
-    irrs, closed = data.irreducibles, data.coordinates
+    irrs, closed = data.irreducibles, data.closed
     counts = Counter(s.values)
     c = max(counts, key=counts.get)  # the first of the most frequent, as max keeps the first
-    shifted = [v - c for v in s.values]
-    for irr, value in zip(irrs, closed_pairings(closed, data.table, shifted, [irr.ids for irr in irrs])):
+    shifted = [ZERO if v == c else v - c for v in s.values]
+    mults: dict[tuple, Fraction] = {}
+    for irr, value in zip(irrs, closed_pairings(closed, data.table, shifted, data.column)):
         m = (value + c if irr.label == ("trivial",) else value).as_rational()
         if m is None:
             raise VerificationError(f"non-rational multiplicity for {irr.name} at p={p}")
         mults[irr.label] = m
 
+    den = lcm(*(m.denominator for m in mults.values()))  # the coefficients are integers over 2 den
+    num = {label: m.numerator * (den // m.denominator) for label, m in mults.items()}
     coeff: dict[tuple[str, int], Fraction] = {}
     labels: dict[tuple[str, int], ThetaSetLabel] = {}
     mismatches: list[dict] = []
     expected = paper_coefficients(p)
     for torus_type in TORI:
         for k in _zc_orbit_reps(p, torus_type):
-            c = coeff[(torus_type, k)] = sum(sign * mults[label] for label, sign in dl_terms(p, torus_type, k)) / 2
+            c = coeff[(torus_type, k)] = Fraction(sum(sign * num[label] for label, sign in dl_terms(p, torus_type, k)), 2 * den)
             lab = labels[(torus_type, k)] = classify_theta(p, torus_type, k, reading)
             want = expected[(lab.label, torus_type)]
             if c != want:
@@ -314,14 +317,17 @@ def _rebuild_differs_at(data: CharacterData, coeff: dict[tuple[str, int], Fracti
     chi, and the rebuild less s is sum (f_chi - m_chi) chi.  That is zero
     iff f_chi = m_chi for every row, so exact is f = m, with no class
     summed; and where f and m differ, its value at class c is the sum over
-    the differing rows alone (_first_class_off).
+    the differing rows alone (_first_class_off).  f and m are compared as
+    integers over the least common denominator of every c and m.
     """
     p = data.p
-    f: dict[tuple, Fraction] = {}
+    den = lcm(*(x.denominator for x in (*coeff.values(), *mults.values())))
+    f: dict[tuple, int] = {}  # den f_chi
     for (torus_type, k), c in coeff.items():
         for label, sign in dl_terms(p, torus_type, k):
-            f[label] = f.get(label, 0) + sign * c * orbit_weight(p, torus_type, k)
-    diff = [(x, irr.ids) for irr in data.irreducibles if (x := f.get(irr.label, 0) - mults[irr.label])]
+            f[label] = f.get(label, 0) + sign * c.numerator * (den // c.denominator) * orbit_weight(p, torus_type, k)
+    diff = [(Fraction(x, den), irr.ids) for irr in data.irreducibles
+            if (x := f.get(irr.label, 0) - mults[irr.label].numerator * (den // mults[irr.label].denominator))]
     return _first_class_off(data, diff) if diff else None
 
 
@@ -449,9 +455,9 @@ def corollary_all_appear(data: CharacterData, result: DecompositionResult | None
         result = decompose_dl(data)
     missing = []
     trivial_absent = False
-    for irr in data.irreducibles:
-        if irr.chi.values[0] != irr.chi.values[1]:
-            continue  # center acts non-trivially: not a character of the quotient
+    for irr, one, minus_one in zip(data.irreducibles, data.column(0), data.column(1)):
+        if one != minus_one:
+            continue  # center acts non-trivially (chi(I) != chi(-I), equal ids being equal values): not a character of the quotient
         m = result.multiplicities[irr.label]
         if m < 0:
             raise VerificationError(f"negative multiplicity {m} for {irr.name} at p={p}")

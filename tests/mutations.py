@@ -39,8 +39,8 @@ MUTATIONS = [
     # S(m) without its (-1)^m term: the torus part of every pattern pair is wrong
     (
         "src/dlcusp/chartable.py",
-        "n * (m % n == 0) - 1 - (-1) ** m",
-        "n * (m % n == 0) - 1",
+        "sums = [-2, 0] * n  # -1 - (-1)^m",
+        "sums = [-1, -1] * n",
         [
             "tests/test_chartable.py::test_cos_sums_are_the_canonical_sums",
             "tests/test_chartable.py::test_pattern_pairs_are_the_canonical_torus_sums",
@@ -54,15 +54,15 @@ MUTATIONS = [
         "x % n",
         [
             "tests/test_chartable.py::test_every_built_row_has_its_familys_pattern",
-            "tests/test_chartable.py::test_a_built_table_is_paired_by_its_patterns_alone",
+            "tests/test_chartable.py::test_audit_agrees_with_the_cell_by_cell_oracle",
             "tests/test_chartable.py::test_a_planted_row_gets_the_pins_oracle_message[p11-discrete1-negated-on-its-torus]",
         ],
     ),
     # the pairs run before the pin, on rows no pin has matched to their labels
     (
         "src/dlcusp/chartable.py",
-        "    _pin_rows(data, _torus_patterns(data))\n    _pair_rows(data)\n",
-        "    _pair_rows(data)\n    _pin_rows(data, _torus_patterns(data))\n",
+        "    _pin_rows(data)\n    _pair_rows(data)\n",
+        "    _pair_rows(data)\n    _pin_rows(data)\n",
         [
             "tests/test_chartable.py::test_audit_agrees_with_the_cell_by_cell_oracle",
             "tests/test_chartable.py::test_a_planted_row_gets_the_pins_oracle_message[p7-principal1-2-rotated]",
@@ -71,15 +71,15 @@ MUTATIONS = [
     # a pair check that never raises
     (
         "src/dlcusp/chartable.py",
-        "if tau or rat != (i == j) * target:",
-        "if False:",
+        "    if failing:\n",
+        "    if False:\n",
         ["tests/test_chartable.py::test_the_pair_check_fires_on_a_table_a_wrong_closed_form_pins"],
     ),
     # the pairs read each row's split pattern as its nonsplit one and back
     (
         "src/dlcusp/chartable.py",
-        "_, split, nonsplit, *_ = _families(",
-        "_, nonsplit, split, *_ = _families(",
+        "patterns = (a, k), (b, l) = irr.patterns or _family(families, irr.label)[1:3]",
+        "patterns = (a, k), (b, l) = (irr.patterns or _family(families, irr.label)[1:3])[::-1]",
         ["tests/test_chartable.py::test_validate_table", "tests/test_chartable.py::test_a_built_table_is_paired_by_its_patterns_alone"],
     ),
     # every closed sum without its tau coefficient
@@ -110,12 +110,15 @@ MUTATIONS = [
             "tests/test_chartable.py::test_faults_outside_closed_coordinates_get_the_oracles_message",
         ],
     ),
-    # _closed_rows with one memo for every class, keyed by the exponent alone
+    # the write-out interns the rows in the table's order, not the build's (principal and discrete first)
     (
         "src/dlcusp/chartable.py",
-        "memos.setdefault((sign * c, pair), {})",
-        "memos.setdefault(0, {})",
-        ["tests/test_chartable.py::test_closed_rows_equal_the_per_cell_oracle"],
+        'key=lambda irr: irr.label[0] not in ("principal", "discrete")',
+        "key=lambda irr: 0",
+        [
+            "tests/test_chartable.py::test_a_built_table_writes_out_the_cell_by_cell_build",
+            "tests/test_chartable.py::test_a_build_interns_values_in_the_order_of_their_first_cell",
+        ],
     ),
     # a cache load that inflates the whole stream, past the bound
     (
@@ -383,6 +386,61 @@ MUTATIONS = [
         "if len(packed) > MAX_CACHE_BYTES:",
         "if False:",
         ["tests/test_cli.py::test_a_cache_file_past_the_bound_is_refused_unread[one-byte-past]"],
+    ),
+    # the pair groups keyed without the parity of a generic k
+    (
+        "src/dlcusp/chartable.py",
+        "k % 2 - 2 if 0 < 2 * k < p - 1 else k, b, l % 2 - 2 if 0 < 2 * l < p + 1 else l",
+        "-2 if 0 < 2 * k < p - 1 else k, b, -2 if 0 < 2 * l < p + 1 else l",
+        ["tests/test_chartable.py::test_grouped_pairs_equal_the_pair_loop[odd-row-with-even-six-cells-13]"],
+    ),
+    # the diagonal pairs dropped: no norm is checked
+    (
+        "src/dlcusp/chartable.py",
+        "if value(first[0], first[0], False) != (target, 0):",
+        "if False:",
+        ["tests/test_chartable.py::test_grouped_pairs_equal_the_pair_loop[doubled-pattern-13]"],
+    ),
+    # a diagonal pair, k = k, summed as if its two ks were generic and distinct
+    (
+        "src/dlcusp/chartable.py",
+        "value(first[0], first[0], False)",
+        "value(first[0], first[0], True)",
+        ["tests/test_chartable.py::test_validate_table", "tests/test_chartable.py::test_grouped_pairs_pass_every_built_table[13]"],
+    ),
+    # the build's patterns copied from the families, not read off the closed form
+    (
+        "src/dlcusp/chartable.py",
+        "a, odd = divmod(2 * sign * max(own), den)",
+        "a, odd = 2 * sign, 0",
+        [
+            "tests/test_chartable.py::test_a_build_from_a_wrong_closed_form_is_refused[doubled-13]",
+            "tests/test_cli.py::test_a_fresh_build_is_audited_before_use",
+        ],
+    ),
+    # the pattern pin compares six cells only, not patterns
+    (
+        "src/dlcusp/chartable.py",
+        "if irr.patterns != family[1:3] or ",
+        "if ",
+        [
+            "tests/test_chartable.py::test_a_pattern_fault_gets_the_pins_oracle_message[wrong-k-13]",
+            "tests/test_chartable.py::test_a_pattern_fault_gets_the_pins_oracle_message[wrong-sign-of-a-7]",
+        ],
+    ),
+    # the pattern pin compares patterns only, not six-cell ids
+    (
+        "src/dlcusp/chartable.py",
+        " or list(map(closed.coords.__getitem__, irr.six)) != wanted[key]:",
+        ":",
+        ["tests/test_chartable.py::test_a_pattern_fault_gets_the_pins_oracle_message[wrong-six-id-13]"],
+    ),
+    # the pattern pin trusts the torus cells the build read
+    (
+        "src/dlcusp/chartable.py",
+        "if [classes[c].trace for c, _ in cells] != [traces[d] for _, d in cells]:",
+        "if False:",
+        ["tests/test_chartable.py::test_a_build_from_a_wrong_closed_form_is_refused[swapped-13]"],
     ),
 ]
 

@@ -322,11 +322,98 @@ def replay_rebuild_differs_at(data: CharacterData, coeff: dict, s: ClassFunction
     return None
 
 
+def closed_rows(data: CharacterData, torus_type: str, ks, values, sign: int = 1) -> list[tuple[int, ...]]:
+    """The closed form of sign R_T^theta_k as one row of ids into values
+    per k in ks, each distinct value made once: the cell-by-cell build that
+    CharacterData._write_out replaced, kept as the write-out's oracle
+    (closed_form_table) and checked against closed_rows_oracle.
+
+    A class's closed form (_closed_form) has one of three shapes: {} on
+    the classes of the other torus, {d: c} at +-I and the unipotent-type
+    classes, and {d: u, -d: u} on its own torus.  At theta_k the value
+    is c zeta_n^e / den with e = k d mod n (zero for {}, read as {0: 0}),
+    or u (zeta_n^e + zeta_n^-e) / den, which is the same at e and n - e.
+    So a cell's value is a function of its shape's coefficient and e, or
+    min(e, n - e) for the pair: the classes of one (coefficient, shape)
+    share a memo keyed by that exponent, and a key's value is made and
+    interned at its first cell.  Interning is then in the order of each
+    value's first cell, as when every cell is interned in turn, and a
+    later cell gets the id interning its equal value would return.
+    """
+    p = data.p
+    n = torus_order(p, torus_type)
+    den = p * (p - 1) if torus_type == "split" else 1
+    memos: dict[tuple[int, bool], dict[int, int]] = {}  # per (coefficient, pair shape), exponent -> id
+    cells = []  # per class: (d, pair shape, coefficient, memo)
+    for dmap in data._closed_form(torus_type):
+        (d, c), *other = sorted(dmap.items()) or [(0, 0)]
+        pair = bool(other)
+        assert other == ([(n - d, c)] if pair else []), f"closed form {dmap} has none of the three shapes"
+        cells.append((d, pair, sign * c, memos.setdefault((sign * c, pair), {})))
+    rows = []
+    for k in ks:
+        row = []
+        for d, pair, c, memo in cells:
+            e = k * d % n
+            if pair and 2 * e > n:
+                e = n - e
+            i = memo.get(e)
+            if i is None:
+                raw = ({e: 2 * c} if 2 * e % n == 0 else {e: c, n - e: c}) if pair else {e: c}
+                i = memo[e] = values.intern(CycNumber._from_numerators(n, raw, den))
+            row.append(i)
+        rows.append(tuple(row))
+    return rows
+
+
+def closed_form_table(data: CharacterData):
+    """(values, entries) of the table a build that writes every cell
+    makes, entries the (label, id row, degree) of each irreducible in the
+    table's order: the principal and discrete rows by closed_rows, then
+    the trivial row, St = R_split(1) - 1 and the exceptional halves (b +-
+    delta)/2 of b = R(alpha) (split) and -R(alpha) (anisotropic), each
+    distinct value interned at its first cell.  The oracle of a built
+    table's written-out values and id rows (CharacterData._write_out)."""
+    from dlcusp.chartable import _Values
+    from dlcusp.numtheory import legendre
+
+    p, table = data.p, data.table
+    values, ends, rows = _Values(), _Values(), {}
+    for torus, sign in (("split", 1), ("nonsplit", -1)):
+        half = torus_order(p, torus) // 2
+        rows[torus] = closed_rows(data, torus, range(1, half), values, sign)
+        rows[torus, "ends"] = closed_rows(data, torus, (0, half), ends, sign)
+    def keyed_row(keys: list, make) -> tuple[int, ...]:  # make(key) interned per key, once per distinct key
+        ids = {}
+        for key in keys:
+            if key not in ids:
+                ids[key] = values.intern(make(key))
+        return tuple(map(ids.__getitem__, keys))
+
+    out = [(("trivial",), (values.intern(ONE),) * len(table), 1)]
+    out.append((("steinberg",), keyed_row(rows["split", "ends"][0], lambda i: ends[i] - ONE), p))
+    out += [(("principal", k), row, p + 1) for k, row in enumerate(rows["split"], 1)]
+    out += [(("discrete", k), row, p - 1) for k, row in enumerate(rows["nonsplit"], 1)]
+    tau, halves = gauss_sum(p), {}
+
+    def plus(key):
+        if key not in halves:
+            halves[key] = (ends[key[0]] + tau.scale(key[1])).scale(Fraction(1, 2))
+        return halves[key]
+
+    for torus, deg, center_sign in (("split", (p + 1) // 2, legendre(-1, p)), ("nonsplit", (p - 1) // 2, -legendre(-1, p))):
+        keys = [(b, rec.key[1] * (1 if rec.key[0] == 1 else center_sign) if rec.kind == "unipotent" else 0)
+                for b, rec in zip(rows[torus, "ends"][1], table.classes)]
+        out.append(((f"exceptional_{torus}_plus",), keyed_row(keys, plus), deg))
+        out.append(((f"exceptional_{torus}_minus",), keyed_row(keys, lambda key: plus((key[0], -key[1]))), deg))
+    return values, out
+
+
 def closed_rows_oracle(data: CharacterData, torus_type: str, ks, values, sign: int = 1) -> list[tuple[int, ...]]:
     """The closed form of sign R_T^theta_k as one row of ids into values per
     k in ks, cell by cell: each cell's exponent map {k d mod n: c} made a
-    value and interned in turn.  The reference for the build's
-    CharacterData._closed_rows, which makes each distinct value once."""
+    value and interned in turn.  The reference for closed_rows, which makes
+    each distinct value once."""
     p = data.p
     n = p - 1 if torus_type == "split" else p + 1
     den = p * (p - 1) if torus_type == "split" else 1
@@ -464,6 +551,20 @@ def with_cell(data: CharacterData, row: int, cls: int, value: CycNumber) -> Char
     values = list(data.irreducibles[row].chi.values)
     values[cls] = value
     return with_row(data, row, ClassFunction(data.table, values))
+
+
+def with_pattern(data: CharacterData, row: int, patterns: tuple | None = None, six: tuple | None = None) -> CharacterData:
+    """A shallow copy of the pattern-form table data whose irreducible
+    number row has patterns and six ids (into data.six_values) where
+    given; its cells are written out from them on first read."""
+    import copy
+
+    broken = copy.copy(data)
+    entries = [(irr.label, irr.degree, irr.patterns, irr.six) for irr in data.irreducibles]
+    label, degree, old_patterns, old_six = entries[row]
+    entries[row] = (label, degree, patterns or old_patterns, six or old_six)
+    broken._set_patterns(data.six_values, entries)
+    return broken
 
 
 def mixed_trivial_steinberg(data: CharacterData) -> CharacterData:

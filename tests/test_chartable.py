@@ -468,10 +468,11 @@ def test_built_exceptional_pairs_pass_the_dropped_build_checks(p):
 
 @pytest.mark.parametrize("p", [*primes_in_range(7, 43), 101])
 def test_closed_rows_equal_the_per_cell_oracle(p):
-    """_closed_rows, which makes each distinct value once from per-class
-    keys, gives the id rows and the values list of making and interning
-    every cell's exponent map in turn: at every k of both tori, with the
-    sign 1 in increasing and the sign -1 in shuffled order of k."""
+    """propchecks.closed_rows, the write-out's oracle, which makes each
+    distinct value once from per-class keys, gives the id rows and the
+    values list of making and interning every cell's exponent map in turn:
+    at every k of both tori, with the sign 1 in increasing and the sign -1
+    in shuffled order of k."""
     import random
 
     from dlcusp.chartable import _Values
@@ -483,13 +484,13 @@ def test_closed_rows_equal_the_per_cell_oracle(p):
         shuffled = random.Random(p).sample(ks, len(ks))
         for sign, order in ((1, ks), (-1, shuffled)):
             got, want = _Values(), _Values()
-            assert data._closed_rows(torus, order, got, sign) == propchecks.closed_rows_oracle(data, torus, order, want, sign)
+            assert propchecks.closed_rows(data, torus, order, got, sign) == propchecks.closed_rows_oracle(data, torus, order, want, sign)
             assert list(got) == list(want), (torus, sign)
 
 
 @pytest.mark.parametrize("p", [*primes_in_range(7, 43), 101])
 def test_a_build_interns_values_in_the_order_of_their_first_cell(p):
-    """A build reads its rows off per-class ids, each distinct value made
+    """A build writes its cells out on first read, each distinct value made
     once; its values list and id rows are those of interning every cell's
     value in turn, in the order the build makes its rows: the principal and
     discrete rows, then the trivial, Steinberg and exceptional rows.  So
@@ -671,7 +672,7 @@ def test_borel_buckets_equal_the_per_element_oracle(p):
 
 def _closed(data, torus, ks, values, sign=1):
     """The closed-form rows of sign R_T^theta_k as class functions over values."""
-    return [values.view(data.table, row) for row in data._closed_rows(torus, ks, values, sign)]
+    return [values.view(data.table, row) for row in propchecks.closed_rows(data, torus, ks, values, sign)]
 
 
 @pytest.mark.parametrize("p", (7, 11, 13, 31))
@@ -685,7 +686,7 @@ def test_cells_of_a_build_share_their_values(p):
 
     data = get_data(p)
     values = _Values()
-    rows = data._closed_rows("split", range(p - 1), values) + data._closed_rows("nonsplit", range(p + 1), values)
+    rows = propchecks.closed_rows(data, "split", range(p - 1), values) + propchecks.closed_rows(data, "nonsplit", range(p + 1), values)
     assert sum(map(len, rows)) == 2 * p * (p + 4)
     assert len({i for row in rows for i in row}) == len(values) == p + 4
     assert len(data.values) == len(set(data.values)) == p + 12 - (p == 7) and data.values[0] == ZERO
@@ -1046,3 +1047,124 @@ def test_r_plus_s_tau_is_decoded_only_on_taus_exact_exponents(p):
     used = next(e for e in tau.num if e)
     for v in (tau + root_of_unity(p, spare), tau - root_of_unity(p, used).scale(tau.num[used])):
         assert v.order == p and closed._exact(v) is None, v
+
+
+# -- pattern form: the write-out, pattern faults and grouped pairs --------------------
+
+
+@pytest.mark.parametrize("p", primes_in_range(7, 101))
+def test_a_built_table_writes_out_the_cell_by_cell_build(p):
+    """A build holds its rows in pattern form and writes its cells out on
+    first read: its values, its id rows and its cache document are those
+    of the build that wrote every cell (propchecks.closed_form_table)."""
+    import copy
+
+    built = get_data(p)
+    values, entries = propchecks.closed_form_table(built)
+    oracle = copy.copy(built)
+    oracle._set(values, entries)
+    assert list(built.values) == list(values)
+    assert [irr.ids for irr in built.irreducibles] == [ids for _, ids, _ in entries]
+    assert built.to_cache_dict() == oracle.to_cache_dict()
+
+
+def _pattern_fault(fault):
+    """A planting of one fault in a pattern-form row: (label, patterns, six)."""
+    def plant(data):
+        row = next(i for i, irr in enumerate(data.irreducibles) if irr.label == fault[0])
+        return propchecks.with_pattern(data, row, *fault[1](data))
+    return plant
+
+
+_PATTERN_FAULTS = {
+    "wrong-k": (("principal", 1), lambda data: (((2, 2), (0, 0)), None)),
+    "wrong-sign-of-a": (("discrete", 2), lambda data: (((0, 0), (2, 2)), None)),
+    "wrong-sign-of-a-half": (("exceptional_split_minus",), lambda data: (((-1, (data.p - 1) // 2), (0, 0)), None)),
+    "wrong-six-id": (("principal", 1), lambda data: (None, (*data.irreducible("principal", 1).six[:1],
+                                                             *data.irreducible("principal", 2).six[1:2],
+                                                             *data.irreducible("principal", 1).six[2:]))),
+}
+
+
+@pytest.mark.parametrize("p", (7, 13, 43))
+@pytest.mark.parametrize("fault", _PATTERN_FAULTS.values(), ids=_PATTERN_FAULTS)
+def test_a_pattern_fault_gets_the_pins_oracle_message(p, fault):
+    """A pattern-form row with a wrong k, a wrong sign of a or a wrong
+    six-cell id is refused with the message of the pin's oracle on the
+    written-out table (propchecks.pin_message)."""
+    data = get_data(p)
+    broken = _pattern_fault(fault)(data)
+    want = propchecks.pin_message(data, broken)
+    assert want is not None and _outcome(validate_table, broken) == want
+
+
+def _wrong_nonsplit_form(fault):
+    """CharacterData._closed_form with the anisotropic map made wrong: its
+    own-torus coefficient doubled, or the maps of its first two classes
+    swapped."""
+    closed_form = CharacterData._closed_form
+
+    def wrong(self, torus_type):
+        form = closed_form(self, torus_type)
+        if torus_type == "nonsplit":
+            own = [c for c, dmap in enumerate(form) if len(dmap) == 2]
+            if fault == "doubled":
+                form = [{d: 2 * u for d, u in dmap.items()} if c in own else dmap for c, dmap in enumerate(form)]
+            else:
+                form[own[0]], form[own[1]] = form[own[1]], form[own[0]]
+        return form
+
+    return wrong
+
+
+@pytest.mark.parametrize("p", (7, 13, 29))
+@pytest.mark.parametrize("fault", ("doubled", "swapped"))
+def test_a_build_from_a_wrong_closed_form_is_refused(monkeypatch, p, fault):
+    """The build reads its patterns and torus cells off _closed_form, which
+    Borel induction does not check on the anisotropic torus.  A map made
+    wrong there, with a doubled coefficient or two classes' maps swapped,
+    gives a table the pin refuses, with its oracle's message: the patterns
+    are the maps', not their families'."""
+    built = get_data(p)
+    monkeypatch.setattr(CharacterData, "_closed_form", _wrong_nonsplit_form(fault))
+    broken = CharacterData(p)
+    want = propchecks.pin_message(built, broken)
+    assert want is not None and _outcome(validate_table, broken) == want
+
+
+_PAIR_PLANTS = {
+    "true": lambda data: data,
+    "odd-row-with-even-six-cells": lambda data: propchecks.with_pattern(
+        data, next(i for i, irr in enumerate(data.irreducibles) if irr.label == ("discrete", 3)), None,
+        data.irreducible("discrete", 2).six),
+    "doubled-pattern": lambda data: propchecks.with_pattern(data, 2, ((4, 1), (0, 0))),
+    "doubled-discrete-pattern": lambda data: propchecks.with_pattern(
+        data, next(i for i, irr in enumerate(data.irreducibles) if irr.label == ("discrete", 3)), ((0, 0), (-4, 3))),
+}
+
+
+@pytest.mark.parametrize("p", (7, 13, 31))
+@pytest.mark.parametrize("plant", _PAIR_PLANTS.values(), ids=_PAIR_PLANTS)
+def test_grouped_pairs_equal_the_pair_loop(p, plant):
+    """_pair_rows, which sums each two family groups once, names the pair
+    the cell-by-cell loop over every pair names (check_row_orthonormality),
+    or none, on a built table and on pattern-form tables the pin would
+    refuse: an odd row with an even row's six cells, which shares its group
+    but for the parity of k, and rows whose pattern is doubled, which only
+    their norms tell."""
+    from dlcusp.chartable import _pair_rows
+
+    broken = plant(get_data(p))
+    assert _outcome(_pair_rows, broken) == _outcome(propchecks.check_row_orthonormality, broken)
+
+
+@pytest.mark.parametrize("p", primes_in_range(7, 43))
+def test_grouped_pairs_pass_every_built_table(p):
+    """Every built table in 7..43, and the same table loaded from its cache
+    document, passes the grouped pairs, as it passes the loop over every
+    pair."""
+    from dlcusp.chartable import _pair_rows
+
+    data = get_data(p)
+    assert _outcome(_pair_rows, data) is None
+    assert _outcome(_pair_rows, CharacterData.from_json_dict(data.to_cache_dict())) is None

@@ -188,25 +188,28 @@ def test_closed_pairings_equal_the_per_class_reference(p):
     included: s + principal(1), s + R_split(2) (2 + c_e at split classes,
     without closed coordinates), s plus one exceptional half, and a class
     function of random table values, where tau times c_e and c_e of two
-    tori meet, each paired with every row."""
+    tori meet, each paired with every row, read off the patterns of a built
+    table and off the id rows of the same table loaded from its cache
+    document (CharacterData.column)."""
+    from dlcusp.chartable import CharacterData
     from dlcusp.classfun import closed_pairings
     from dlcusp.cuspform import weinstein_character
 
-    data = get_data(p)
-    s = weinstein_character(data)
+    built = get_data(p)
+    s = weinstein_character(built)
     rng = random.Random(p)
-    mixed = ClassFunction(data.table, [rng.choice(data.values) for _ in data.table.classes])
-    rows = [irr.ids for irr in data.irreducibles]
+    mixed = ClassFunction(built.table, [rng.choice(built.values) for _ in built.table.classes])
     irrational = 0
-    for phi in (
-        s + data.irreducible("principal", 1).chi,
-        s + data.dl("split", 2),
-        s + data.irreducible("exceptional_split_plus").chi,
-        mixed,
-    ):
-        want = [propchecks.naive_inner_product(phi, irr.chi) for irr in data.irreducibles]
-        assert closed_pairings(data.coordinates, data.table, phi.values, rows) == want
-        irrational += sum(v.as_rational() is None for v in want)
+    for data in (built, CharacterData.from_json_dict(built.to_cache_dict())):
+        for phi in (
+            s + built.irreducible("principal", 1).chi,
+            s + built.dl("split", 2),
+            s + built.irreducible("exceptional_split_plus").chi,
+            mixed,
+        ):
+            want = [propchecks.naive_inner_product(phi, irr.chi) for irr in data.irreducibles]
+            assert closed_pairings(data.closed, data.table, phi.values, data.column) == want
+            irrational += sum(v.as_rational() is None for v in want)
     assert irrational
 
 

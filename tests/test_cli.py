@@ -834,26 +834,27 @@ def test_a_cache_that_cannot_be_written_is_done_without(capsys, tmp_path):
 
 
 def test_a_fresh_build_is_audited_before_use(capsys, monkeypatch):
-    """A build whose closed form negates principal(1) at one split class is
-    refused by chartable and decompose, naming the row, as a cached table
-    with that fault is: every table a command uses is audited."""
-    closed_rows = CharacterData._closed_rows
+    """A build whose anisotropic closed form is negated on its own torus,
+    which Borel induction does not check, reads the discrete rows' pattern
+    off it as (2, k), not (-2, k): chartable and decompose refuse the
+    table, naming the first discrete row at the nonsplit torus generator,
+    as they refuse a cached table with a fault: every table a command uses
+    is audited."""
+    closed_form = CharacterData._closed_form
 
-    def faulty(self, torus_type, ks, values, sign=1):
-        rows = closed_rows(self, torus_type, ks, values, sign)
-        if torus_type == "split" and ks[0] == 1:  # the principal rows, k = 1 first
-            c = next(i for i, rec in enumerate(self.table.classes) if rec.kind == "split_semisimple")
-            row = list(rows[0])
-            row[c] = values.intern(-values[row[c]])
-            rows[0] = tuple(row)
-        return rows
+    def faulty(self, torus_type):
+        form = closed_form(self, torus_type)
+        if torus_type == "nonsplit":
+            form = [{d: -c for d, c in dmap.items()} if len(dmap) == 2 else dmap for dmap in form]
+        return form
 
-    monkeypatch.setattr(CharacterData, "_closed_rows", faulty)
+    monkeypatch.setattr(CharacterData, "_closed_form", faulty)
     for command in ("chartable", "decompose"):
         code = main([command, "7", "--no-cache"])
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
-        assert re.fullmatch(f"verification failure: {_BROKEN_ROW}\n", captured.err)
+        assert captured.err == ("verification failure: discrete(1) is 8: 1*z^1 + -1*z^3 at the nonsplit torus generator, "
+                                "not 8: -1*z^1 + 1*z^3 at p=7\n")
 
 
 def test_a_build_with_flipped_central_signs_fails_only_the_audit(capsys, monkeypatch):
