@@ -8,11 +8,12 @@ twice, by induction from the Borel subgroup and by the closed form, and the
 two must agree exactly; that is the one thing the build proves.  The
 exceptional constituents are the halves (R +- delta)/2 of R(alpha), with
 delta the Gauss-sum correction, rather than a transcribed table.  A build
-holds each row as its torus patterns and six other cells, and writes its
-cells out only when they are read.  validate_table, which every command
-runs on every table, built or cached, pins every row to its family's closed
-values and then checks orthonormality: a table that passes is the
-closed-form table.
+keeps each row as its torus patterns and six other cells, and writes its
+cells out from them.  validate_table, which every command runs on every
+table, built or cached, pins every row to its family's closed values and
+then checks orthonormality: a table that passes is the closed-form table.
+On a built table it reads the patterns and six cells, not the cells
+written out from them (validate_table, "What the audit reads").
 Whether that is the character table is not yet checked independently
 (orthonormality alone pins no table).  The irreducible table is all that
 is kept: every Deligne-Lusztig character is derived from it on demand.
@@ -21,6 +22,7 @@ is kept: every Deligne-Lusztig character is derived from it on demand.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 from operator import itemgetter, mul
 
@@ -54,28 +56,14 @@ class Irreducible:
     """A labelled irreducible character; label is a stable report key.  On
     a table, ids is its row of ids into the table's values, chi their view,
     and six its ids at +-I and the four unipotent classes into the values
-    CharacterData.closed describes.  A pattern-form row also holds its
-    patterns (2a, k), split and nonsplit (validate_table), and its ids are
-    written out on first read; a cell-form row has patterns None.  Equal and
-    hashed by (label, chi, degree): ids is not compared."""
+    CharacterData.closed describes.  A built row also holds its patterns
+    (2a, k), split and nonsplit (validate_table); a cached row has patterns
+    None.  Equal and hashed by (label, chi, degree): ids is not compared."""
 
-    __slots__ = ("label", "degree", "patterns", "six", "_ids", "_chi", "_data")
+    __slots__ = ("label", "chi", "degree", "ids", "patterns", "six")
 
-    def __init__(self, label: tuple, degree: int, data: "CharacterData", ids=None, patterns=None, six=()):
-        self.label, self.degree, self.patterns, self.six = label, degree, patterns, six
-        self._ids, self._chi, self._data = ids, None, data
-
-    @property
-    def ids(self) -> tuple[int, ...]:
-        if self._ids is None:
-            self._data._write_out()
-        return self._ids
-
-    @property
-    def chi(self) -> ClassFunction:
-        if self._chi is None:
-            self._chi = self._data.values.view(self._data.table, self.ids)
-        return self._chi
+    def __init__(self, label: tuple, chi: ClassFunction, degree: int, ids: tuple = (), patterns=None, six=()):
+        self.label, self.chi, self.degree, self.ids, self.patterns, self.six = label, chi, degree, ids, patterns, six
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
@@ -98,11 +86,11 @@ class CharacterData:
 
     values lists each distinct value of the irreducible table once, ZERO
     first, and each irreducible carries its row of ids into it, so equal
-    ids are equal values.  A build holds the table in pattern form (per row
-    its patterns and six ids into six_values) and writes values and the id
-    rows out on first read (_write_out); a cache load holds it in cell form.
-    Rows enter a table only through _set_patterns (a build) or _set (a
-    cache load).
+    ids are equal values.  A build also keeps per row its patterns and six
+    ids into six_values, which the audit reads in place of the cells, and
+    writes the cells out from them (_write_out); a cache load has the cells
+    only, and six_values None.  Rows enter a table only through
+    _set_patterns (a build) or _set (a cache load).
     """
 
     def __init__(self, p: int, _cached: dict | None = None):
@@ -121,26 +109,24 @@ class CharacterData:
     def irreducibles(self) -> tuple[Irreducible, ...]:
         return self._irreducibles
 
-    @property
-    def values(self) -> "_Values":
-        if self._values is None:
-            self._write_out()
-        return self._values
-
     def _set(self, values: "_Values", entries: list[tuple[tuple, tuple, int]]):
-        """The cell-form table of (label, id row, degree) entries over values."""
-        self._values, self.six_values = values, None
-        six = itemgetter(*self.six_classes)
-        self._rows(Irreducible(label, degree, self, ids=ids, six=six(ids)) for label, ids, degree in entries)
+        """The cached table of (label, id row, degree) entries over values."""
+        self.six_values, six = None, itemgetter(*self.six_classes)
+        self._rows(values, [(label, degree, ids, None, six(ids)) for label, ids, degree in entries])
 
     def _set_patterns(self, six_values: "_Values", entries: list[tuple[tuple, int, tuple, tuple]]):
-        """The pattern-form table of (label, degree, patterns, six ids into
-        six_values) entries, on the torus cells the build read (_tori)."""
-        self._values, self.six_values = None, six_values
-        self._rows(Irreducible(label, degree, self, patterns=pats, six=six) for label, degree, pats, six in entries)
+        """The built table of (label, degree, patterns, six ids into
+        six_values) entries, on the torus cells the build read (_tori), its
+        cells written out from them."""
+        self.six_values = six_values
+        values, ids = self._write_out(entries)
+        self._rows(values, [(label, degree, row, pats, six) for (label, degree, pats, six), row in zip(entries, ids)])
 
-    def _rows(self, irreducibles):
-        self._irreducibles = tuple(irreducibles)
+    def _rows(self, values: "_Values", rows: list[tuple]):
+        self.values, table = values, self.table
+        self._irreducibles = tuple(
+            Irreducible(label, values.view(table, ids), degree, ids, pats, six) for label, degree, ids, pats, six in rows
+        )
         self._by_label = {irr.label: irr for irr in self._irreducibles}
         self._dl: dict[tuple[str, int], ClassFunction] = {}  # dl's rows, derived on first use
         self._coordinates = self._closed = None
@@ -156,7 +142,7 @@ class CharacterData:
     @property
     def closed(self) -> "ClosedCoordinates":
         """The closed coordinates the rows' six ids index: of six_values on
-        a pattern-form table, of values on a cell-form one."""
+        a built table, of values on a cached one."""
         if self.six_values is None:
             return self.coordinates
         if self._closed is None:
@@ -165,8 +151,8 @@ class CharacterData:
 
     def column(self, c: int) -> list[int]:
         """The ids into closed.cells of every row's cell at class c: off the
-        id rows of a cell-form table, and off the six ids or the patterns
-        (2a, k) of a pattern-form one, (a/2) c_kd at the class of g^(+-d)."""
+        id rows of a cached table, and off the six ids or the patterns (2a,
+        k) of a built one, (a/2) c_kd at the class of g^(+-d)."""
         if self.six_values is None:
             return [irr.ids[c] for irr in self._irreducibles]
         t, x = self._at[c]
@@ -178,7 +164,7 @@ class CharacterData:
     # -- construction --------------------------------------------------------
 
     def _build_characters(self):
-        """The irreducibles in pattern form, read off the closed forms of
+        """The irreducibles by their patterns, read off the closed forms of
         R_T^theta (split) and -R_T^theta (anisotropic) once Borel induction
         agrees.  A closed form has one of three shapes per class: {} on the
         other torus, {d: c}, d in {0, n/2}, at the six cells (+-I and the
@@ -224,24 +210,27 @@ class CharacterData:
             out += self._exceptional_pair(torus, *end, six_values, halves)
         self._set_patterns(six_values, out)
 
-    def _write_out(self):
-        """The id rows of a pattern-form table, and its values, interned in
-        the order of each value's first cell when every cell is interned in
-        turn: the principal and discrete rows first, each class by class.  A
-        torus cell with pattern (2a, k) at g^(+-d) is (a/2) c_x, x = kd mod
-        n, and c_x = c_(n - x), so per (n, 2a) a list by x holds the id of
-        each value interned; a row whose cells are all in the lists interns
+    def _write_out(self, entries: list[tuple]) -> tuple["_Values", list[tuple[int, ...]]]:
+        """The values and the id rows, in entries' order, of the table of
+        (label, degree, patterns, six ids) entries, interned in the order of
+        each value's first cell when every cell is interned in turn: the
+        principal and discrete rows first, each class by class.  A torus
+        cell with pattern (2a, k) at g^(+-d) is (a/2) c_x, x = kd mod n, and
+        c_x = c_(n - x), so per (n, 2a) a list by x holds the id of each
+        value interned; a row whose cells are all in the lists interns
         nothing and is read off them, any other is interned cell by cell."""
         values, six = _Values(), self.six_values
         six_ids = [-1] * len(six)  # per six id, its value's id once interned
         torus_ids = {}  # (n, 2a) -> the id of (a/2) c_x by x, -1 until interned
         tori = [(n, [d for _, d in cells]) for n, cells in self._tori]
-        for irr in sorted(self._irreducibles, key=lambda irr: irr.label[0] not in ("principal", "discrete")):
-            if -1 in map(six_ids.__getitem__, irr.six):
-                for i in irr.six:
+        rows = [()] * len(entries)
+        for r in sorted(range(len(entries)), key=lambda r: entries[r][0][0] not in ("principal", "discrete")):
+            _, _, patterns, row_six = entries[r]
+            if -1 in map(six_ids.__getitem__, row_six):
+                for i in row_six:
                     six_ids[i] = values.intern(six[i])
-            ids = list(map(six_ids.__getitem__, irr.six))
-            for (n, ds), (a, k) in zip(tori, irr.patterns):
+            ids = list(map(six_ids.__getitem__, row_six))
+            for (n, ds), (a, k) in zip(tori, patterns):
                 if not a:
                     ids += (0,) * len(ds)
                     continue
@@ -252,8 +241,8 @@ class CharacterData:
                         if at[x] < 0:
                             at[x] = at[-x % n] = values.intern(_cos(n, x, a))
                 ids += map(at.__getitem__, xs)
-            irr._ids = tuple(ids)
-        self._values = values
+            rows[r] = tuple(ids)
+        return values, rows
 
     def _build_borel_buckets(self) -> list[dict[int, int]]:
         """Per ambient class, how many Borel elements fuse there, by dlog of
@@ -546,11 +535,10 @@ class ClosedCoordinates:
     integer numerators (_exact); tau = gauss_sum(p) is made once per prime.
     c_e is looked up among the canonical c_e, 0 <= e <= n/2, of its torus
     (cosines), made per torus order on first use: the six-cell values of a
-    pattern-form table (rationals and r + s tau) make none.  The pin
-    compares six cells in coords, its pairs sum them there, and
-    classfun.closed_sum, the kernel of cuspform.decompose_dl, sums in
-    coords (a pattern-form row's torus cells from torus_cell) and assembles
-    its value with value.
+    built table (rationals and r + s tau) make none.  The pin compares six
+    cells in coords, its pairs sum them there, and classfun.closed_sum, the
+    kernel of cuspform.decompose_dl, sums in coords (a built row's torus
+    cells from torus_id) and assembles its value with value.
     """
 
     def __init__(self, p: int, values: list[CycNumber], ids: dict):
@@ -750,26 +738,37 @@ def validate_table(data: CharacterData) -> dict:
     the identity column X* X gives sum_chi |chi(1)|^2 = |C(1)| = |G|, and
     the pin makes each degree chi(1), so sum_chi degree^2 = |G|.
 
-    The pin takes one of two paths (_pin_rows).  A pattern-form table (a
-    build) holds per row its patterns (2a, k), read off the closed forms,
-    and its six-cell ids: the pin checks once per table that the torus
-    cells the build read are the tori's (the classes of each torus in
-    order, each holding g^d by its trace), and then compares each row's
-    patterns with its family's and its six cells with the family's closed
-    values, in O(1) per row; any difference sends the table, written out,
-    down the other path, which names the first differing cell.  A
-    cell-form table (a cache load, or a test's copy) is pinned cell by
-    cell: on a torus of order n each row's ids at the regular classes, those
-    of g^(+-d), 0 < d < n/2, each of size |G|/n, must be the ids its
-    family's pattern wants there (_torus_patterns), equal ids being equal
-    values, and its six cells are compared in closed coordinates.
+    The pin takes one of two paths (_pin_rows).  A built table holds per
+    row its patterns (2a, k), read off the closed forms, and its six-cell
+    ids: the pin checks once per table that the torus cells the build read
+    are the tori's (the classes of each torus in order, each holding g^d
+    by its trace), and then compares each row's patterns with its family's
+    and its six cells with the family's closed values, in O(1) per row;
+    any difference sends the table down the other path, which names the
+    first differing cell.  A cached table (or a test's copy) is pinned
+    cell by cell: on a torus of order n each row's ids at the regular
+    classes, those of g^(+-d), 0 < d < n/2, each of size |G|/n, must be the
+    ids its family's pattern wants there (_torus_patterns), equal ids being
+    equal values, and its six cells are compared in closed coordinates.
+
+    What the audit reads.  On a cached table, every cell.  On a built
+    table, the patterns and six cells, and not the cells written out from
+    them (CharacterData._write_out): those are right as far as the
+    write-out is, and no audit reads them before a command does.  chartable
+    prints a fresh build's written-out cells, and dl, the corollaries
+    command's odd-multiplicity check and a failure message read them, as
+    they are; verify and decompose read the patterns.  The tests hold the write-out to a cell-by-cell oracle at
+    every prime in 7..101 (propchecks.closed_form_table), and a cache file
+    written from a build is pinned cell by cell when it is next loaded, so
+    a write-out fault is refused there.  Reading the written-out cells here
+    would cost about what writing them out does, O(p^2) per table.
 
     Orthonormality stays, although on a table the pin passed it is the
     orthonormality of the closed-form table: norm 1 is what a proof that
     the closed-form table is the character table would need.  Each pair is
-    paired in O(1) from the two rows' patterns, a pattern-form row's own and
-    a cell-form row's taken from its label (_families), which the pin has
-    made the row's own.  c_e is real and c_x c_y = c_(x+y) + c_(x-y), so
+    paired in O(1) from the two rows' patterns, a built row's own and a
+    cached row's taken from its label (_families), which the pin has made
+    the row's own.  c_e is real and c_x c_y = c_(x+y) + c_(x-y), so
     the torus's part of |G| <chi, psi> for (2a, k) and (2b, l) is (|G|/n) a
     b (S(k + l) + S(k - l)), an integer by _cos_sums.  The six cells (+-I
     and the four unipotent classes) hold their closed values r + s tau, tau
@@ -866,58 +865,48 @@ def _torus_patterns(data: CharacterData) -> list[tuple]:
 
 def _pair_rows(data: CharacterData):
     """Pair every i <= j, raising at the first pair in lexicographic order
-    that fails (validate_table), the pairs of each two family groups summed
-    once.
+    that fails (validate_table), with one pair summed for all the pairs of
+    each two family groups.
 
     A row's pair data is its six ids g and its patterns (2a, k) split and
     (2b, l) nonsplit, 0 <= k <= n/2 as the build and _families give them.
     S(m) = n [n | m] - 1 - (-1)^m (_cos_sums), so S(k + k') + S(k - k') is
-    -2 - 2 (-1)^(k + k'), -4 or 0, where k is generic (0 < k < n/2) and k' is 0, n/2
+    -2 - 2 (-1)^(k + k') where k is generic (0 < k < n/2) and k' is 0, n/2
     or generic and not k, and n - 4 at k = k' generic.  So the rows fall
     into groups keyed by g, 2a, 2b, and k where it is 0 or n/2 and its
-    parity where it is generic: the off-diagonal pairs of two groups have
-    one value, and so have the diagonal pairs of one group, as long as no
-    two rows share a generic k on a torus where neither pattern is zero,
+    parity where it is generic: the pairs i != j of two groups, or of one,
+    have one value, and so have the diagonal pairs of one group, as long as
+    no two rows share a generic k on a torus where neither pattern is zero,
     which on a table the pin passed they do not (labels are distinct, and
-    a family's generic k is its label's).  A failing value names the first
-    pair it covers."""
+    a family's generic k is its label's).  The groups are in the order of
+    their first rows, so of each such set of pairs the one summed, that of
+    the first rows it can take, is its first: the first failing sum names
+    the first failing pair."""
     table, irrs, closed, p = data.table, data.irreducibles, data.closed, data.p
     coords, eps, order, den2 = closed.coords, closed.eps, table.group_order, closed.den**2
     target = 4 * den2 * order  # 4 den^2 |G| <chi, chi>, the scale the rational parts are summed at
     sizes = [table.classes[c].size for c in data.six_classes]
-    tori = [(den2 * order // n, _cos_sums(n), n) for n in (p - 1, p + 1)]  # |G| den^2 / n, S and n per torus
+    (ws, ss), (wn, sn) = ((den2 * order // n, _cos_sums(n)) for n in (p - 1, p + 1))  # |G| den^2 / n and S per torus
     families, keys, rows, groups = _families(p), {}, [], {}
     for i, irr in enumerate(irrs):
-        patterns = (a, k), (b, l) = irr.patterns or _family(families, irr.label)[1:3]
+        (a, k), (b, l) = irr.patterns or _family(families, irr.label)[1:3]
         g = keys.setdefault(irr.six, len(keys))
-        rows.append((g, patterns))  # below, a generic k by its parity, as -2 or -1
+        rows.append((g, a, k, b, l))  # and in its group's key, a generic k by its parity, as -2 or -1
         groups.setdefault((g, a, k % 2 - 2 if 0 < 2 * k < p - 1 else k, b, l % 2 - 2 if 0 < 2 * l < p + 1 else l), []).append(i)
     vectors = []  # per key, R, S, |c| R and |c| S of its six cells, over den
     for key in keys:
         r, s = zip(*(coords[i][:2] for i in key))
         vectors.append((r, s, [*map(mul, sizes, r)], [*map(mul, sizes, s)]))
-
-    def value(i: int, j: int, grouped: bool) -> tuple[int, int]:
-        """4 den^2 |G| <chi_i, chi_j> as (R', S), by the parities where grouped."""
-        (g, x), (h, y) = rows[i], rows[j]
-        (_, _, wr, ws), (r, s, _, _) = vectors[g], vectors[h]
-        rat, tau = 4 * (sum(map(mul, wr, r)) + p * sum(map(mul, ws, s))), eps * sum(map(mul, wr, s)) + sum(map(mul, ws, r))
-        for (w, S, n), (a, k), (b, l) in zip(tori, x, y):
-            generic = grouped and (0 < 2 * k < n or 0 < 2 * l < n)
-            rat += w * a * b * ((k + l) % 2 - 1) * 4 if generic else w * a * b * (S[k + l] + S[k - l])
-        return rat, tau
-
-    failing, members = [], list(groups.values())
-    for x, first in enumerate(members):
-        if value(first[0], first[0], False) != (target, 0):
-            failing.append((first[0], first[0]))
-        for second in members[x + (len(first) == 1):]:
-            if value(first[0], second[0], True) != (0, 0):
-                failing.append(min((min(i, j), max(i, j)) for i in first for j in second if i != j))
-    if failing:
-        i, j = min(failing)
-        rat, tau = value(i, j, False)
-        raise TableValidationError(f"<{irrs[i].name}, {irrs[j].name}> = {closed.value(rat, 4 * tau, {}, target).to_text()} at p={p}")
+    firsts = [m[0] for m in groups.values()]
+    pairs = [(i, i) for i in firsts] + [(m[0], m[1]) for m in groups.values() if m[1:]] + [*combinations(firsts, 2)]
+    for i, j in sorted(pairs):
+        (g, a, k, b, l), (h, a2, k2, b2, l2) = rows[i], rows[j]
+        (_, _, wr, wt), (r, s, _, _) = vectors[g], vectors[h]
+        rat = 4 * (sum(map(mul, wr, r)) + p * sum(map(mul, wt, s)))
+        rat += ws * a * a2 * (ss[k + k2] + ss[k - k2]) + wn * b * b2 * (sn[l + l2] + sn[l - l2])
+        tau = eps * sum(map(mul, wr, s)) + sum(map(mul, wt, r))
+        if tau or rat != (i == j) * target:
+            raise TableValidationError(f"<{irrs[i].name}, {irrs[j].name}> = {closed.value(rat, 4 * tau, {}, target).to_text()} at p={p}")
 
 
 def _six_closed(six: list[tuple], den: int, family: tuple) -> list[tuple]:
@@ -936,7 +925,8 @@ def _six_closed(six: list[tuple], den: int, family: tuple) -> list[tuple]:
 
 
 def _pinned_by_pattern(data: CharacterData, families: dict, by_label: dict, six: list) -> bool:
-    """Whether a pattern-form table is its families' closed-form table: on
+    """Whether a built table's patterns and six cells are its families'
+    closed-form table's: on
     each torus its cells are the classes of the torus's kind in order, the
     one holding g^d being the class of its trace (a regular semisimple class
     is told by its trace), and every row's patterns are its family's and its
@@ -961,15 +951,14 @@ def _pinned_by_pattern(data: CharacterData, families: dict, by_label: dict, six:
     return True
 
 
-def _pin_rows(data: CharacterData, tori: list | None = None):
+def _pin_rows(data: CharacterData):
     """Each of the p + 4 labels once, with its family's degree, and then
     every row, label by label in the build's order (_labels), equal to its
-    family's closed values at every class (validate_table).  A pattern-form
-    table is compared by pattern (_pinned_by_pattern) unless tori is given;
-    one that differs anywhere is written out and compared cell by cell.
+    family's closed values at every class (validate_table).  A built table
+    is compared by pattern (_pinned_by_pattern); a cached one, and a built
+    one that differs anywhere, cell by cell.
 
-    Cell by cell, on each torus (tori, as _torus_patterns gives them) a
-    row's ids at the regular classes must be those of its family's pattern
+    Cell by cell, on each torus (as _torus_patterns gives it) a row's ids at the regular classes must be those of its family's pattern
     (2a, k): at the class of g^(+-d), g the generator and n = |T|, (a/2)
     c_kd with c_e = zeta_n^e + zeta_n^-e.  The generator's class comes
     first, so a table with permuted labels fails there.  At the six other
@@ -989,12 +978,10 @@ def _pin_rows(data: CharacterData, tori: list | None = None):
         if irr.degree != families[irr.label[0]][0]:
             raise TableValidationError(f"{irr.name} has degree {irr.degree}, not {families[irr.label[0]][0]} at p={p}")
     six = [(c, *table.classes[c].key) for c in data.six_classes]
-    if tori is None:
-        if data.six_values is not None and _pinned_by_pattern(data, families, by_label, six):
-            return
-        tori = _torus_patterns(data)
+    if data.six_values is not None and _pinned_by_pattern(data, families, by_label, six):
+        return
     closed = data.coordinates
-    on_tori = [(torus, cells, wanted, itemgetter(*(c for c, _ in cells))) for torus, cells, wanted in tori]
+    on_tori = [(torus, cells, wanted, itemgetter(*(c for c, _ in cells))) for torus, cells, wanted in _torus_patterns(data)]
 
     def off(irr: Irreducible, c: int, want: CycNumber, gen: str = ""):  # irr is not want at class c
         where = f"the {gen} torus generator" if gen else f"class {c} ({table.classes[c].kind})"

@@ -71,15 +71,15 @@ MUTATIONS = [
     # a pair check that never raises
     (
         "src/dlcusp/chartable.py",
-        "    if failing:\n",
-        "    if False:\n",
+        "        if tau or rat != (i == j) * target:\n",
+        "        if False:\n",
         ["tests/test_chartable.py::test_the_pair_check_fires_on_a_table_a_wrong_closed_form_pins"],
     ),
     # the pairs read each row's split pattern as its nonsplit one and back
     (
         "src/dlcusp/chartable.py",
-        "patterns = (a, k), (b, l) = irr.patterns or _family(families, irr.label)[1:3]",
-        "patterns = (a, k), (b, l) = (irr.patterns or _family(families, irr.label)[1:3])[::-1]",
+        "(a, k), (b, l) = irr.patterns or _family(families, irr.label)[1:3]",
+        "(a, k), (b, l) = (irr.patterns or _family(families, irr.label)[1:3])[::-1]",
         ["tests/test_chartable.py::test_validate_table", "tests/test_chartable.py::test_a_built_table_is_paired_by_its_patterns_alone"],
     ),
     # every closed sum without its tau coefficient
@@ -113,8 +113,8 @@ MUTATIONS = [
     # the write-out interns the rows in the table's order, not the build's (principal and discrete first)
     (
         "src/dlcusp/chartable.py",
-        'key=lambda irr: irr.label[0] not in ("principal", "discrete")',
-        "key=lambda irr: 0",
+        'key=lambda r: entries[r][0][0] not in ("principal", "discrete")',
+        "key=lambda r: 0",
         [
             "tests/test_chartable.py::test_a_built_table_writes_out_the_cell_by_cell_build",
             "tests/test_chartable.py::test_a_build_interns_values_in_the_order_of_their_first_cell",
@@ -397,15 +397,15 @@ MUTATIONS = [
     # the diagonal pairs dropped: no norm is checked
     (
         "src/dlcusp/chartable.py",
-        "if value(first[0], first[0], False) != (target, 0):",
-        "if False:",
+        "pairs = [(i, i) for i in firsts] + ",
+        "pairs = ",
         ["tests/test_chartable.py::test_grouped_pairs_equal_the_pair_loop[doubled-pattern-13]"],
     ),
-    # a diagonal pair, k = k, summed as if its two ks were generic and distinct
+    # a pair at k = k summed as if its two ks were generic and distinct: S(0) read as S(2)
     (
         "src/dlcusp/chartable.py",
-        "value(first[0], first[0], False)",
-        "value(first[0], first[0], True)",
+        "ss[k - k2]",
+        "ss[k - k2 or 2]",
         ["tests/test_chartable.py::test_validate_table", "tests/test_chartable.py::test_grouped_pairs_pass_every_built_table[13]"],
     ),
     # the build's patterns copied from the families, not read off the closed form

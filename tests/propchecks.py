@@ -554,9 +554,9 @@ def with_cell(data: CharacterData, row: int, cls: int, value: CycNumber) -> Char
 
 
 def with_pattern(data: CharacterData, row: int, patterns: tuple | None = None, six: tuple | None = None) -> CharacterData:
-    """A shallow copy of the pattern-form table data whose irreducible
-    number row has patterns and six ids (into data.six_values) where
-    given; its cells are written out from them on first read."""
+    """A shallow copy of the built table data whose irreducible number row
+    has patterns and six ids (into data.six_values) where given; its cells
+    are written out from them."""
     import copy
 
     broken = copy.copy(data)

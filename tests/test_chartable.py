@@ -490,8 +490,8 @@ def test_closed_rows_equal_the_per_cell_oracle(p):
 
 @pytest.mark.parametrize("p", [*primes_in_range(7, 43), 101])
 def test_a_build_interns_values_in_the_order_of_their_first_cell(p):
-    """A build writes its cells out on first read, each distinct value made
-    once; its values list and id rows are those of interning every cell's
+    """A build writes its cells out from its patterns, each distinct value
+    made once; its values list and id rows are those of interning every cell's
     value in turn, in the order the build makes its rows: the principal and
     discrete rows, then the trivial, Steinberg and exceptional rows.  So
     the cache bytes do not depend on how the values were found."""
@@ -927,7 +927,7 @@ def test_the_pair_check_fires_on_a_table_a_wrong_closed_form_pins(monkeypatch, d
     passes; the pairs then fail, with the message of the cell-by-cell pair
     loop (propchecks.check_row_orthonormality)."""
     import dlcusp.chartable
-    from dlcusp.chartable import _pin_rows, _torus_patterns
+    from dlcusp.chartable import _pin_rows
 
     families = dlcusp.chartable._families
 
@@ -944,7 +944,7 @@ def test_the_pair_check_fires_on_a_table_a_wrong_closed_form_pins(monkeypatch, d
                       for rec, v in zip(table.classes, irr.chi.values)]
             broken = propchecks.with_row(broken, row, ClassFunction(table, values))
     monkeypatch.setattr(dlcusp.chartable, "_families", wrong)
-    _pin_rows(broken, _torus_patterns(broken))
+    _pin_rows(broken)
     want = _outcome(propchecks.check_row_orthonormality, broken)
     assert want == "<trivial, discrete(2)> = 1: 4/7 at p=7"  # s^k sums to 0 over the unipotent classes at odd k
     assert _outcome(validate_table, broken) == want
@@ -997,12 +997,12 @@ def test_each_label_must_name_its_row(data13, relabel, message):
 
 @pytest.mark.parametrize("p", primes_in_range(7, 43))
 def test_built_labels_name_their_rows(p):
-    """Every built table passes the pin, so its conditions are the paper's:
-    theta_k at the torus generators and +tau at the class (1, 1)."""
-    from dlcusp.chartable import _pin_rows, _torus_patterns
+    """Every built table passes the pin cell by cell, on its cached copy,
+    so its conditions are the paper's: theta_k at the torus generators and
+    +tau at the class (1, 1)."""
+    from dlcusp.chartable import _pin_rows
 
-    data = get_data(p)
-    _pin_rows(data, _torus_patterns(data))
+    _pin_rows(CharacterData.from_json_dict(get_data(p).to_cache_dict()))
 
 
 @pytest.mark.parametrize(
@@ -1023,12 +1023,12 @@ def test_the_pin_names_a_planted_cell(data7, label, cls, value, message):
     """Single-cell faults at cells that no check but orthonormality read
     before the pin, given to the pin alone: its message names the row, the
     class, the cell's value there and its family's."""
-    from dlcusp.chartable import _pin_rows, _torus_patterns
+    from dlcusp.chartable import _pin_rows
 
     row = next(i for i, irr in enumerate(data7.irreducibles) if irr.label == label)
     broken = propchecks.with_cell(data7, row, cls, value(data7))
     with pytest.raises(TableValidationError, match=f"^{message} at p=7$"):
-        _pin_rows(broken, _torus_patterns(broken))
+        _pin_rows(broken)
 
 
 @pytest.mark.parametrize("p", (7, 13))
@@ -1049,13 +1049,13 @@ def test_r_plus_s_tau_is_decoded_only_on_taus_exact_exponents(p):
         assert v.order == p and closed._exact(v) is None, v
 
 
-# -- pattern form: the write-out, pattern faults and grouped pairs --------------------
+# -- patterns: the write-out, pattern faults and grouped pairs --------------------
 
 
 @pytest.mark.parametrize("p", primes_in_range(7, 101))
 def test_a_built_table_writes_out_the_cell_by_cell_build(p):
-    """A build holds its rows in pattern form and writes its cells out on
-    first read: its values, its id rows and its cache document are those
+    """A build keeps its rows' patterns and writes its cells out from
+    them: its values, its id rows and its cache document are those
     of the build that wrote every cell (propchecks.closed_form_table)."""
     import copy
 
@@ -1069,7 +1069,7 @@ def test_a_built_table_writes_out_the_cell_by_cell_build(p):
 
 
 def _pattern_fault(fault):
-    """A planting of one fault in a pattern-form row: (label, patterns, six)."""
+    """A planting of one fault in a built row: (label, patterns, six)."""
     def plant(data):
         row = next(i for i, irr in enumerate(data.irreducibles) if irr.label == fault[0])
         return propchecks.with_pattern(data, row, *fault[1](data))
@@ -1089,7 +1089,7 @@ _PATTERN_FAULTS = {
 @pytest.mark.parametrize("p", (7, 13, 43))
 @pytest.mark.parametrize("fault", _PATTERN_FAULTS.values(), ids=_PATTERN_FAULTS)
 def test_a_pattern_fault_gets_the_pins_oracle_message(p, fault):
-    """A pattern-form row with a wrong k, a wrong sign of a or a wrong
+    """A built row with a wrong k, a wrong sign of a or a wrong
     six-cell id is refused with the message of the pin's oracle on the
     written-out table (propchecks.pin_message)."""
     data = get_data(p)
@@ -1148,7 +1148,7 @@ _PAIR_PLANTS = {
 def test_grouped_pairs_equal_the_pair_loop(p, plant):
     """_pair_rows, which sums each two family groups once, names the pair
     the cell-by-cell loop over every pair names (check_row_orthonormality),
-    or none, on a built table and on pattern-form tables the pin would
+    or none, on a built table and on planted tables the pin would
     refuse: an odd row with an even row's six cells, which shares its group
     but for the parity of k, and rows whose pattern is doubled, which only
     their norms tell."""

@@ -838,8 +838,8 @@ def test_a_fresh_build_is_audited_before_use(capsys, monkeypatch):
     which Borel induction does not check, reads the discrete rows' pattern
     off it as (2, k), not (-2, k): chartable and decompose refuse the
     table, naming the first discrete row at the nonsplit torus generator,
-    as they refuse a cached table with a fault: every table a command uses
-    is audited."""
+    as they refuse a cached table with a fault: the data a build's cells are
+    written out from is audited before any command uses the table."""
     closed_form = CharacterData._closed_form
 
     def faulty(self, torus_type):
@@ -855,6 +855,33 @@ def test_a_fresh_build_is_audited_before_use(capsys, monkeypatch):
         assert code == 1 and captured.out == ""
         assert captured.err == ("verification failure: discrete(1) is 8: 1*z^1 + -1*z^3 at the nonsplit torus generator, "
                                 "not 8: -1*z^1 + 1*z^3 at p=7\n")
+
+
+def test_a_write_out_fault_is_printed_by_a_build_and_refused_by_its_next_load(capsys, monkeypatch, tmp_path):
+    """The audit reads a built table's patterns and six cells, not the cells
+    written out from them (chartable.validate_table, "What the audit
+    reads").  A write-out that negates principal(1) at one split class is
+    printed by chartable as it is, and verify and decompose, which read
+    the patterns, pass; the cache file written from that build holds the
+    fault, and its next load is refused by the cell-by-cell pin."""
+    write_out = CharacterData._write_out
+
+    def faulty(self, entries):
+        values, rows = write_out(self, entries)
+        r = next(r for r, entry in enumerate(entries) if entry[0] == ("principal", 1))
+        c = next(c for c, rec in enumerate(self.table.classes) if rec.kind == "split_semisimple")
+        rows[r] = (*rows[r][:c], values.intern(-values[rows[r][c]]), *rows[r][c + 1:])
+        return values, rows
+
+    monkeypatch.setattr(CharacterData, "_write_out", faulty)
+    code, out = run(capsys, "chartable", "7", "--format", "json", "--cache-dir", str(tmp_path))
+    row = next(irr for irr in json.loads(out)["irreducibles"] if irr["label"] == ["principal", 1])
+    assert code == 0 and row["values"][6] == "1: 1"  # the write-out's cell, not the closed value 1: -1
+    code, out = run(capsys, "verify", "--range", "7", "7", "--format", "json", "--no-timestamp", "--no-cache")
+    assert code == 0 and json.loads(out)["aggregate"] == "pass"
+    code, out = run(capsys, "decompose", "7", "--no-cache")
+    assert code == 0 and "exact reconstruction: True   coefficient table match: True" in out
+    _refused(capsys, tmp_path, 7, _BROKEN_ROW)
 
 
 def test_a_build_with_flipped_central_signs_fails_only_the_audit(capsys, monkeypatch):
