@@ -8,12 +8,13 @@ twice, by induction from the Borel subgroup and by the closed form, and the
 two must agree exactly; that is the one thing the build proves.  The
 exceptional constituents are the halves (R +- delta)/2 of R(alpha), with
 delta the Gauss-sum correction, rather than a transcribed table.  A build
-keeps each row as its torus patterns and six other cells, and writes its
-cells out from them.  validate_table, which every command runs on every
-table, built or cached, pins every row to its family's closed values and
-then checks orthonormality: a table that passes is the closed-form table.
-On a built table it reads the patterns and six cells, not the cells
-written out from them (validate_table, "What the audit reads").
+holds each row as its torus patterns and six other cells, a cache file
+stores just that, and a table's cells are written out from them only when
+they are read.  validate_table, which every command runs on every table,
+built or cached, pins every row to its family's closed values and then
+checks orthonormality: a table that passes is the closed-form table.  It
+reads the patterns and six cells; cells written out after it has passed
+are pinned as they are written (validate_table, "What the audit reads").
 Whether that is the character table is not yet checked independently
 (orthonormality alone pins no table).  The irreducible table is all that
 is kept: every Deligne-Lusztig character is derived from it on demand.
@@ -40,7 +41,7 @@ from .group import (
 from .numtheory import legendre
 
 SCHEMA = "dlcusp-chartable/1"  # the full table with DL rows, as chartable --format json prints it
-CACHE_SCHEMA = "dlcusp-chartable/3"  # the interned irreducible table a cache file stores
+CACHE_SCHEMA = "dlcusp-chartable/4"  # the pattern-form irreducible table a cache file stores
 
 
 class TableValidationError(Exception):
@@ -54,16 +55,30 @@ def quadratic_character_index(torus_order: int) -> int:
 
 class Irreducible:
     """A labelled irreducible character; label is a stable report key.  On
-    a table, ids is its row of ids into the table's values, chi their view,
-    and six its ids at +-I and the four unipotent classes into the values
-    CharacterData.closed describes.  A built row also holds its patterns
-    (2a, k), split and nonsplit (validate_table); a cached row has patterns
+    a table, ids is its row of ids into the table's values and chi their
+    view, and six its ids at +-I and the four unipotent classes into the
+    values CharacterData.closed describes.  A row of a built or loaded table
+    holds its patterns (2a, k), split and nonsplit (validate_table), and its
+    ids are written out on first read; a test's cell-form copy has patterns
     None.  Equal and hashed by (label, chi, degree): ids is not compared."""
 
-    __slots__ = ("label", "chi", "degree", "ids", "patterns", "six")
+    __slots__ = ("label", "degree", "patterns", "six", "_ids", "_chi", "_data")
 
-    def __init__(self, label: tuple, chi: ClassFunction, degree: int, ids: tuple = (), patterns=None, six=()):
-        self.label, self.chi, self.degree, self.ids, self.patterns, self.six = label, chi, degree, ids, patterns, six
+    def __init__(self, label: tuple, degree: int, data: "CharacterData", ids=None, patterns=None, six=()):
+        self.label, self.degree, self.patterns, self.six = label, degree, patterns, six
+        self._ids, self._chi, self._data = ids, None, data
+
+    @property
+    def ids(self) -> tuple[int, ...]:
+        if self._ids is None:
+            self._data._write_out()
+        return self._ids
+
+    @property
+    def chi(self) -> ClassFunction:
+        if self._chi is None:
+            self._chi = self._data.values.view(self._data.table, self.ids)
+        return self._chi
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
@@ -86,11 +101,11 @@ class CharacterData:
 
     values lists each distinct value of the irreducible table once, ZERO
     first, and each irreducible carries its row of ids into it, so equal
-    ids are equal values.  A build also keeps per row its patterns and six
-    ids into six_values, which the audit reads in place of the cells, and
-    writes the cells out from them (_write_out); a cache load has the cells
-    only, and six_values None.  Rows enter a table only through
-    _set_patterns (a build) or _set (a cache load).
+    ids are equal values.  A build or a cache load holds the table in
+    pattern form, per row its patterns and six ids into six_values, which
+    the audit reads, and writes values and the id rows out on first read
+    (_write_out).  Rows enter a table only through _set_patterns (a build
+    or a cache load) or _set (a test's cell-form copy, six_values None).
     """
 
     def __init__(self, p: int, _cached: dict | None = None):
@@ -109,24 +124,25 @@ class CharacterData:
     def irreducibles(self) -> tuple[Irreducible, ...]:
         return self._irreducibles
 
+    @property
+    def values(self) -> "_Values":
+        if self._values is None:
+            self._write_out()
+        return self._values
+
     def _set(self, values: "_Values", entries: list[tuple[tuple, tuple, int]]):
-        """The cached table of (label, id row, degree) entries over values."""
-        self.six_values, six = None, itemgetter(*self.six_classes)
-        self._rows(values, [(label, degree, ids, None, six(ids)) for label, ids, degree in entries])
+        """The cell-form table of (label, id row, degree) entries over values."""
+        self._values, self.six_values, six = values, None, itemgetter(*self.six_classes)
+        self._rows(Irreducible(label, degree, self, ids, None, six(ids)) for label, ids, degree in entries)
 
     def _set_patterns(self, six_values: "_Values", entries: list[tuple[tuple, int, tuple, tuple]]):
-        """The built table of (label, degree, patterns, six ids into
-        six_values) entries, on the torus cells the build read (_tori), its
-        cells written out from them."""
-        self.six_values = six_values
-        values, ids = self._write_out(entries)
-        self._rows(values, [(label, degree, row, pats, six) for (label, degree, pats, six), row in zip(entries, ids)])
+        """The pattern-form table of (label, degree, patterns, six ids into
+        six_values) entries, on the torus cells of _tori."""
+        self._values, self.six_values = None, six_values
+        self._rows(Irreducible(label, degree, self, None, pats, six) for label, degree, pats, six in entries)
 
-    def _rows(self, values: "_Values", rows: list[tuple]):
-        self.values, table = values, self.table
-        self._irreducibles = tuple(
-            Irreducible(label, values.view(table, ids), degree, ids, pats, six) for label, degree, ids, pats, six in rows
-        )
+    def _rows(self, irreducibles):
+        self._irreducibles = tuple(irreducibles)
         self._by_label = {irr.label: irr for irr in self._irreducibles}
         self._dl: dict[tuple[str, int], ClassFunction] = {}  # dl's rows, derived on first use
         self._coordinates = self._closed = None
@@ -151,8 +167,8 @@ class CharacterData:
 
     def column(self, c: int) -> list[int]:
         """The ids into closed.cells of every row's cell at class c: off the
-        id rows of a cached table, and off the six ids or the patterns (2a,
-        k) of a built one, (a/2) c_kd at the class of g^(+-d)."""
+        id rows of a cell-form copy, and off the six ids or the patterns (2a,
+        k) of a pattern-form table, (a/2) c_kd at the class of g^(+-d)."""
         if self.six_values is None:
             return [irr.ids[c] for irr in self._irreducibles]
         t, x = self._at[c]
@@ -175,34 +191,23 @@ class CharacterData:
         from the families the pin compares them with.  St = R_split(1) - 1
         and the exceptional halves are made from the rows at k = 0 and |T|/2.
         The (class, dlog) of each torus cell is kept, for the write-out and
-        the pin."""
-        p, table = self.p, self.table
+        the pin (_set_tori)."""
+        p = self.p
         forms = {torus: self._closed_form(torus) for torus in ("split", "nonsplit")}
         self._check_borel_induction(forms["split"])
-        six_values, self._tori, rows, ends = _Values(), [], [], []
+        six_values, tori, rows, ends = _Values(), [], [], []
         for t, (torus, sign, family, deg) in enumerate((("split", 1, "principal", p + 1), ("nonsplit", -1, "discrete", p - 1))):
             n, den = torus_order(p, torus), p * (p - 1) if torus == "split" else 1
-            cells, own, six = [], set(), []
-            for c, dmap in enumerate(forms[torus]):
-                (d, u), *other = sorted(dmap.items()) or [(0, 0)]
-                if other == [(n - d, u)]:
-                    cells.append((c, d))
-                    own.add(u)
-                elif other or 2 * d % n:
-                    raise AssertionError(f"closed form {dmap} has none of the three shapes")
-                elif dmap:
-                    six.append((d, sign * u))
+            cells, own, six = _shapes(forms[torus], n)
             a, odd = divmod(2 * sign * max(own), den)
             if odd or len(own) != 1 or len(six) != len(self.six_classes):
                 raise AssertionError(f"the {torus} closed form has no pattern")
-            self._tori.append((n, cells))
+            tori.append(cells)
             # a six cell's zeta_n^(kd), d in {0, n/2}, is 1 or (-1)^k: so its ids at even and odd k
-            six = [tuple(six_values.intern(CycNumber._from_numerators(1, {0: c * (-1) ** (k * (d > 0))}, den)) for d, c in six) for k in (0, 1)]
+            six = [tuple(six_values.intern(CycNumber._from_numerators(1, {0: sign * c * (-1) ** (k * (d > 0))}, den)) for d, c in six) for k in (0, 1)]
             rows += [((family, k), deg, ((a, k), (0, 0))[:: 1 - 2 * t], six[k % 2]) for k in range(1, n // 2)]
             ends.append([(((a, k), (0, 0))[:: 1 - 2 * t], six[k % 2]) for k in (0, n // 2)])  # R_T^theta_k at k = 0, n/2
-        if self.six_classes + [c for _, cells in self._tori for c, _ in cells] != list(range(len(table))):
-            raise AssertionError("the classes are not +-I and the unipotent classes, then each torus's")
-        self._at = [(None, j) for j in range(len(self.six_classes))] + [(t, d) for t, (_, cells) in enumerate(self._tori) for _, d in cells]
+        self._set_tori(tori)
         out = [(("trivial",), 1, ((1, 0), (1, 0)), (six_values.intern(ONE),) * len(self.six_classes))]
         out += [(("steinberg",), p, *self._steinberg(*ends[0][0], six_values)), *rows]
         halves = {}  # (value, coefficient of tau) -> (value + coefficient tau)/2, for both tori
@@ -210,27 +215,55 @@ class CharacterData:
             out += self._exceptional_pair(torus, *end, six_values, halves)
         self._set_patterns(six_values, out)
 
-    def _write_out(self, entries: list[tuple]) -> tuple["_Values", list[tuple[int, ...]]]:
-        """The values and the id rows, in entries' order, of the table of
-        (label, degree, patterns, six ids) entries, interned in the order of
-        each value's first cell when every cell is interned in turn: the
-        principal and discrete rows first, each class by class.  A torus
-        cell with pattern (2a, k) at g^(+-d) is (a/2) c_x, x = kd mod n, and
-        c_x = c_(n - x), so per (n, 2a) a list by x holds the id of each
-        value interned; a row whose cells are all in the lists interns
-        nothing and is read off them, any other is interned cell by cell."""
-        values, six = _Values(), self.six_values
+    def _set_tori(self, tori: list[list[tuple[int, int]]]):
+        """_tori, per torus (n, the (class, dlog) of its regular classes as
+        _shapes reads them off the closed form), and _at, per class, (None,
+        its place among the six cells) or (torus, dlog): a build and a cache
+        load both take them from the closed forms, never from a file."""
+        self._tori = [(torus_order(self.p, torus), cells) for torus, cells in zip(("split", "nonsplit"), tori)]
+        if self.six_classes + [c for cells in tori for c, _ in cells] != list(range(len(self.table))):
+            raise AssertionError("the classes are not +-I and the unipotent classes, then each torus's")
+        self._at = [(None, j) for j in range(len(self.six_classes))] + [(t, d) for t, cells in enumerate(tori) for _, d in cells]
+
+    def _write_out(self):
+        """Write a pattern-form table's cells out (_written_cells).  On a
+        table that has passed validate_table they are pinned cell by cell
+        (_pin_cells) before any is read: a fault raises the pin's message
+        and leaves the table as it was, unwritten.  So every cell a command
+        reads has been pinned."""
+        self._values, rows = self._written_cells()
+        for irr, ids in zip(self._irreducibles, rows):
+            irr._ids = ids
+        if self._audited:
+            try:
+                _pin_cells(self)
+            except BaseException:
+                self._values = self._coordinates = None
+                for irr in self._irreducibles:
+                    irr._ids = irr._chi = None
+                raise
+
+    def _written_cells(self) -> tuple["_Values", list[tuple[int, ...]]]:
+        """The values and the id rows, in the table's order, of a
+        pattern-form table, interned in the order of each value's first cell
+        when every cell is interned in turn: the principal and discrete rows
+        first, each class by class.  A torus cell with pattern (2a, k) at
+        g^(+-d) is (a/2) c_x, x = kd mod n, and c_x = c_(n - x), so per (n,
+        2a) a list by x holds the id of each value interned; a row whose
+        cells are all in the lists interns nothing and is read off them, any
+        other is interned cell by cell."""
+        values, six, irrs = _Values(), self.six_values, self._irreducibles
         six_ids = [-1] * len(six)  # per six id, its value's id once interned
         torus_ids = {}  # (n, 2a) -> the id of (a/2) c_x by x, -1 until interned
         tori = [(n, [d for _, d in cells]) for n, cells in self._tori]
-        rows = [()] * len(entries)
-        for r in sorted(range(len(entries)), key=lambda r: entries[r][0][0] not in ("principal", "discrete")):
-            _, _, patterns, row_six = entries[r]
-            if -1 in map(six_ids.__getitem__, row_six):
-                for i in row_six:
+        rows = [()] * len(irrs)
+        for r in sorted(range(len(irrs)), key=lambda r: irrs[r].label[0] not in ("principal", "discrete")):
+            irr = irrs[r]
+            if -1 in map(six_ids.__getitem__, irr.six):
+                for i in irr.six:
                     six_ids[i] = values.intern(six[i])
-            ids = list(map(six_ids.__getitem__, row_six))
-            for (n, ds), (a, k) in zip(tori, patterns):
+            ids = list(map(six_ids.__getitem__, irr.six))
+            for (n, ds), (a, k) in zip(tori, irr.patterns):
                 if not a:
                     ids += (0,) * len(ds)
                     continue
@@ -254,24 +287,26 @@ class CharacterData:
         class_of's memo proof the index reads only the trace, which b does
         not change: the buckets are those of the per-b loop.  What goes is
         the det = 1 check of elements whose determinant is a a^-1 = 1 by
-        construction.  At a = +-1 the class also depends on b (the identity,
-        -I or a unipotent-type class), so each element is classified.
+        construction.  At a = s = +-1 the class also depends on b: b = 0 is
+        sI, and [[s, b], [0, s]] with b != 0 lies in the unipotent-type class
+        keyed (s, (sb/p)) (_unipotent_residue of g or -g reads det [Nv | v]
+        = sb).  So the b != 0 are counted by the residue of sb, read off one
+        set of squares, and one b of each residue is classified.
         """
         p, table = self.p, self.table
-        adlog = {}
-        for g, d in self.split_torus.dlog.items():
-            adlog[g.a] = d
+        adlog = {g.a: d for g, d in self.split_torus.dlog.items()}
+        squares = {b * b % p for b in range(1, p)}
         buckets: list[dict[int, int]] = [dict() for _ in range(len(table))]
-        for a in range(1, p):
-            d = adlog[a]
-            ainv = pow(a, -1, p)
-            if a == 1 or a == p - 1:
-                for b in range(p):
-                    i = table.class_of(GroupElement(p, a, b, 0, ainv))
-                    buckets[i][d] = buckets[i].get(d, 0) + 1
-            else:
-                i = table.class_of(GroupElement(p, a, 0, 0, ainv))
-                buckets[i][d] = buckets[i].get(d, 0) + p
+        for a in range(2, p - 1):
+            i, d = table.class_of(GroupElement(p, a, 0, 0, pow(a, -1, p))), adlog[a]
+            buckets[i][d] = buckets[i].get(d, 0) + p
+        for s in (1, p - 1):
+            by_residue = {}  # residue of sb -> [the first such b, how many]
+            for b in range(1, p):
+                by_residue.setdefault(s * b % p in squares, [b, 0])[1] += 1
+            for b, count in [(0, 1), *by_residue.values()]:
+                i, d = table.class_of(GroupElement(p, s, b, 0, s)), adlog[s]
+                buckets[i][d] = buckets[i].get(d, 0) + count
         return buckets
 
     def _closed_form(self, torus_type: str) -> list[dict[int, int]]:
@@ -443,7 +478,8 @@ class CharacterData:
         read off chi's id row; only the two-term rows are summed per cell."""
         texts = [v.to_text() for v in self.values]
         negated = [(-v).to_text() for v in self.values]
-        doc = self._document(SCHEMA, _class_records(self.table), lambda irr: {"values": [texts[i] for i in irr.ids]})
+        rows = [{"label": list(irr.label), "degree": irr.degree, "values": [texts[i] for i in irr.ids]} for irr in self.irreducibles]
+        doc = {"schema": SCHEMA, "p": self.p, "classes": _class_records(self.table), "irreducibles": rows}
         for torus in ("split", "nonsplit"):
             doc[f"dl_{torus}"] = rows = []
             for k in range(torus_order(self.p, torus)):
@@ -456,47 +492,56 @@ class CharacterData:
         return doc
 
     def to_cache_dict(self) -> dict:
-        """The document a cache file stores and from_json_dict reads: each
-        class's identity [kind, *key], each distinct value's text once (zero
-        first), and per irreducible its label, degree and row of ids into
+        """The document a cache file stores and from_json_dict reads, the
+        table as a build holds it: each class's identity [kind, *key], the
+        text of each of six_values (zero first), and per irreducible its
+        label, degree, split and nonsplit patterns [2a, k] and six ids into
         those texts."""
-        doc = self._document(CACHE_SCHEMA, _class_keys(self.table), lambda irr: {"ids": list(irr.ids)})
-        return {**doc, "values": [v.to_text() for v in self.values]}
-
-    def _document(self, schema: str, classes: list, cells) -> dict:
-        rows = [{"label": list(irr.label), "degree": irr.degree, **cells(irr)} for irr in self.irreducibles]
-        return {"schema": schema, "p": self.p, "classes": classes, "irreducibles": rows}
+        rows = [
+            {"label": list(irr.label), "degree": irr.degree, "split": list(irr.patterns[0]),
+             "nonsplit": list(irr.patterns[1]), "six": list(irr.six)}
+            for irr in self.irreducibles
+        ]
+        return {"schema": CACHE_SCHEMA, "p": self.p, "classes": _class_keys(self.table),
+                "six_values": [v.to_text() for v in self.six_values], "irreducibles": rows}
 
     def _load_characters(self, doc: dict):
-        """The irreducibles of a to_cache_dict document.  Every text is
-        parsed and must be canonical; the texts must be distinct with zero
-        first, since the audit reads equal ids as equal values; and every
-        id row must hold one int in range per class, each degree must be an
+        """The irreducibles of a to_cache_dict document, in pattern form on
+        the torus cells the closed forms give (_set_tori), as a build's.
+        Every text is parsed and must be canonical; the texts must be
+        distinct with zero first, since the audit reads equal ids as equal
+        values; every six-id row must hold one int in range per six cell;
+        each pattern must be a pair of ints [2a, k] with 0 <= k <= |T|/2, as
+        a build's, which the pairs read (_pair_rows); each degree must be an
         int and each label [str] or [str, int] (a bool is neither: it would
-        compare equal to 1 and print as true).  Each text's order must
-        divide N = p(p^2 - 1)/2 = lcm(p - 1, p, p + 1), as every character
-        value of SL2(F_p) lies in Q(zeta_N); the bound is read before any
-        parse, since parsing factors the order.  Anything else raises
-        ValueError (or the TypeError/KeyError of a wrong shape)."""
-        if doc.get("schema") != CACHE_SCHEMA or doc.get("p") != self.p:
+        compare equal to 1 and print as true).  Each text's order must divide
+        N = p(p^2 - 1)/2 = lcm(p - 1, p, p + 1), as every character value of
+        SL2(F_p) lies in Q(zeta_N); the bound is read before any parse, since
+        parsing factors the order.  Anything else raises ValueError (or the
+        TypeError/KeyError of a wrong shape)."""
+        p = self.p
+        if doc.get("schema") != CACHE_SCHEMA or doc.get("p") != p:
             raise ValueError("character-table document does not match this prime/schema")
         if doc["classes"] != _class_keys(self.table):
             raise ValueError("cached class data disagrees with a fresh build")
-        values, texts, field = _Values(), doc["values"], self.p * (self.p**2 - 1) // 2
+        six_values, texts, field, orders = _Values(), doc["six_values"], p * (p**2 - 1) // 2, (p - 1, p + 1)
         if not all(0 < n and field % n == 0 for n in (int(t.partition(":")[0]) for t in texts)):
             raise ValueError("a cached value lies outside Q(zeta_N), N = p(p^2 - 1)/2")
-        if [values.intern(CycNumber.from_text(t)) for t in texts] != list(range(len(texts))):
+        if [six_values.intern(CycNumber.from_text(t)) for t in texts] != list(range(len(texts))):
             raise ValueError("cached values are not distinct with zero first")
         entries = []
         for d in doc["irreducibles"]:
-            ids, label = tuple(d["ids"]), d["label"]
-            if len(ids) != len(self.table) or set(map(type, ids)) != {int} or min(ids) < 0 or max(ids) >= len(values):
-                raise ValueError("a cached id row is not one value id per class")
+            six, label, patterns = tuple(d["six"]), d["label"], (d["split"], d["nonsplit"])
+            if len(six) != len(self.six_classes) or set(map(type, six)) != {int} or min(six) < 0 or max(six) >= len(six_values):
+                raise ValueError("a cached six-id row is not one value id per six cell")
+            if not all(isinstance(x, list) and [*map(type, x)] == [int, int] and 0 <= x[1] <= n // 2 for x, n in zip(patterns, orders)):
+                raise ValueError("a cached pattern is not a pair of ints [2a, k], 0 <= k <= |T|/2")
             shape = [type(d["degree"])] + ([*map(type, label)] if isinstance(label, list) else [])
             if shape not in ([int, str], [int, str, int]):
                 raise ValueError("a cached degree is not an int, or a label not [str] or [str, int]")
-            entries.append((tuple(label), ids, d["degree"]))
-        self._set(values, entries)
+            entries.append((tuple(label), d["degree"], tuple(map(tuple, patterns)), six))
+        self._set_tori([_shapes(self._closed_form(torus), torus_order(p, torus))[0] for torus in ("split", "nonsplit")])
+        self._set_patterns(six_values, entries)
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "CharacterData":
@@ -662,6 +707,24 @@ def dl_terms(p: int, torus_type: str, k: int) -> tuple[tuple[tuple, int], ...]:
     return (((("principal" if sign > 0 else "discrete"), m), sign),)
 
 
+def _shapes(form: list[dict[int, int]], n: int) -> tuple[list, set, list]:
+    """A closed form on a torus of order n read by its three shapes per
+    class (CharacterData._build_characters): the (class, d) of each class
+    {d: u, n - d: u} of its own torus, the set of those u, and the (d, c)
+    of each six cell {d: c}, d in {0, n/2}; {} is the other torus's."""
+    cells, own, six = [], set(), []
+    for c, dmap in enumerate(form):
+        (d, u), *other = sorted(dmap.items()) or [(0, 0)]
+        if other == [(n - d, u)]:
+            cells.append((c, d))
+            own.add(u)
+        elif other or 2 * d % n:
+            raise AssertionError(f"closed form {dmap} has none of the three shapes")
+        elif dmap:
+            six.append((d, u))
+    return cells, own, six
+
+
 def _class_keys(table: ConjugacyTable) -> list[list]:
     """Each class's identity [kind, *key], as a cache document stores it and
     is checked against: a fresh build derives every other field from it."""
@@ -738,37 +801,37 @@ def validate_table(data: CharacterData) -> dict:
     the identity column X* X gives sum_chi |chi(1)|^2 = |C(1)| = |G|, and
     the pin makes each degree chi(1), so sum_chi degree^2 = |G|.
 
-    The pin takes one of two paths (_pin_rows).  A built table holds per
-    row its patterns (2a, k), read off the closed forms, and its six-cell
-    ids: the pin checks once per table that the torus cells the build read
-    are the tori's (the classes of each torus in order, each holding g^d
-    by its trace), and then compares each row's patterns with its family's
-    and its six cells with the family's closed values, in O(1) per row;
-    any difference sends the table down the other path, which names the
-    first differing cell.  A cached table (or a test's copy) is pinned
-    cell by cell: on a torus of order n each row's ids at the regular
-    classes, those of g^(+-d), 0 < d < n/2, each of size |G|/n, must be the
-    ids its family's pattern wants there (_torus_patterns), equal ids being
-    equal values, and its six cells are compared in closed coordinates.
+    The pin takes one of two paths (_pin_rows).  A built or loaded table
+    holds per row its patterns (2a, k) and its six-cell ids, and its torus
+    cells (_tori) come from the closed forms, never from a file: the pin
+    checks once per table that those are the tori's cells (the classes of
+    each torus in order, each holding g^d by its trace), and then compares
+    each row's patterns with its family's and its six cells with the
+    family's closed values, in O(1) per row; any difference sends the table
+    down the other path, which names the first differing cell.  A table
+    whose cells are written out (a test's copy, or one read before its
+    audit) is pinned cell by cell (_pin_cells): on a torus of order n each
+    row's ids at the regular classes, those of g^(+-d), 0 < d < n/2, each
+    of size |G|/n, must be the ids its family's pattern wants there
+    (_torus_patterns), equal ids being equal values, and its six cells are
+    compared in closed coordinates.
 
-    What the audit reads.  On a cached table, every cell.  On a built
-    table, the patterns and six cells, and not the cells written out from
-    them (CharacterData._write_out): those are right as far as the
-    write-out is, and no audit reads them before a command does.  chartable
-    prints a fresh build's written-out cells, and dl, the corollaries
-    command's odd-multiplicity check and a failure message read them, as
-    they are; verify and decompose read the patterns.  The tests hold the write-out to a cell-by-cell oracle at
-    every prime in 7..101 (propchecks.closed_form_table), and a cache file
-    written from a build is pinned cell by cell when it is next loaded, so
-    a write-out fault is refused there.  Reading the written-out cells here
-    would cost about what writing them out does, O(p^2) per table.
+    What the audit reads.  The patterns and six cells, and no cell written
+    out from them: verify and decompose read the patterns too, and pay for
+    no cell.  The cells are written out when first read (chartable, dl,
+    the corollaries command's odd-multiplicity check, a failure message),
+    and a write-out on a table that has passed pins every cell it writes,
+    cell by cell (CharacterData._write_out), so a write-out fault is
+    refused with the pin's message before any command reads a cell.  The
+    tests also hold the write-out to a cell-by-cell oracle at every prime in
+    7..101 (propchecks.closed_form_table).
 
     Orthonormality stays, although on a table the pin passed it is the
     orthonormality of the closed-form table: norm 1 is what a proof that
     the closed-form table is the character table would need.  Each pair is
-    paired in O(1) from the two rows' patterns, a built row's own and a
-    cached row's taken from its label (_families), which the pin has made
-    the row's own.  c_e is real and c_x c_y = c_(x+y) + c_(x-y), so
+    paired in O(1) from the two rows' patterns, a pattern-form row's own
+    and a cell-form row's taken from its label (_families), which the pin
+    has made the row's own.  c_e is real and c_x c_y = c_(x+y) + c_(x-y), so
     the torus's part of |G| <chi, psi> for (2a, k) and (2b, l) is (|G|/n) a
     b (S(k + l) + S(k - l)), an integer by _cos_sums.  The six cells (+-I
     and the four unipotent classes) hold their closed values r + s tau, tau
@@ -869,7 +932,8 @@ def _pair_rows(data: CharacterData):
     each two family groups.
 
     A row's pair data is its six ids g and its patterns (2a, k) split and
-    (2b, l) nonsplit, 0 <= k <= n/2 as the build and _families give them.
+    (2b, l) nonsplit, 0 <= k <= n/2 as the build, the cache load and
+    _families give them.
     S(m) = n [n | m] - 1 - (-1)^m (_cos_sums), so S(k + k') + S(k - k') is
     -2 - 2 (-1)^(k + k') where k is generic (0 < k < n/2) and k' is 0, n/2
     or generic and not k, and n - 4 at k = k' generic.  So the rows fall
@@ -925,9 +989,9 @@ def _six_closed(six: list[tuple], den: int, family: tuple) -> list[tuple]:
 
 
 def _pinned_by_pattern(data: CharacterData, families: dict, by_label: dict, six: list) -> bool:
-    """Whether a built table's patterns and six cells are its families'
-    closed-form table's: on
-    each torus its cells are the classes of the torus's kind in order, the
+    """Whether a pattern-form table's patterns and six cells are its
+    families' closed-form table's: on each torus its cells (_tori) are the
+    classes of the torus's kind in order, the
     one holding g^d being the class of its trace (a regular semisimple class
     is told by its trace), and every row's patterns are its family's and its
     six cells its family's closed values."""
@@ -954,20 +1018,10 @@ def _pinned_by_pattern(data: CharacterData, families: dict, by_label: dict, six:
 def _pin_rows(data: CharacterData):
     """Each of the p + 4 labels once, with its family's degree, and then
     every row, label by label in the build's order (_labels), equal to its
-    family's closed values at every class (validate_table).  A built table
-    is compared by pattern (_pinned_by_pattern); a cached one, and a built
-    one that differs anywhere, cell by cell.
-
-    Cell by cell, on each torus (as _torus_patterns gives it) a row's ids at the regular classes must be those of its family's pattern
-    (2a, k): at the class of g^(+-d), g the generator and n = |T|, (a/2)
-    c_kd with c_e = zeta_n^e + zeta_n^-e.  The generator's class comes
-    first, so a table with permuted labels fails there.  At the six other
-    cells, the class of s I (s = +-1) holds s^k deg and the unipotent class
-    keyed (s, r) holds s^k (u + t r tau), tau the Gauss sum, with k the
-    family's pattern parameter and (2u, 2t) its last two fields
-    (_families).  These are compared in the integer closed coordinates over
-    den, never as values.  The first cell that differs raises, naming the
-    row, its value there and its family's."""
+    family's closed values at every class (validate_table).  A pattern-form
+    table whose cells are not written out is compared by pattern
+    (_pinned_by_pattern); any other table, and one that differs anywhere,
+    cell by cell (_pin_cells)."""
     p, table = data.p, data.table
     families, expected = _families(p), _labels(p)
     by_label = {}
@@ -978,8 +1032,27 @@ def _pin_rows(data: CharacterData):
         if irr.degree != families[irr.label[0]][0]:
             raise TableValidationError(f"{irr.name} has degree {irr.degree}, not {families[irr.label[0]][0]} at p={p}")
     six = [(c, *table.classes[c].key) for c in data.six_classes]
-    if data.six_values is not None and _pinned_by_pattern(data, families, by_label, six):
-        return
+    if data.six_values is None or data._values is not None or not _pinned_by_pattern(data, families, by_label, six):
+        _pin_cells(data)
+
+
+def _pin_cells(data: CharacterData):
+    """Every row of a table whose p + 4 labels are each there once, label
+    by label in the build's order (_labels), equal to its family's closed
+    values at every class, read off its written-out cells.
+
+    On each torus (as _torus_patterns gives it) a row's ids at the regular
+    classes must be those of its family's pattern (2a, k): at the class of g^(+-d), g the generator and n = |T|, (a/2)
+    c_kd with c_e = zeta_n^e + zeta_n^-e.  The generator's class comes
+    first, so a table with permuted labels fails there.  At the six other
+    cells, the class of s I (s = +-1) holds s^k deg and the unipotent class
+    keyed (s, r) holds s^k (u + t r tau), tau the Gauss sum, with k the
+    family's pattern parameter and (2u, 2t) its last two fields
+    (_families).  These are compared in the integer closed coordinates over
+    den, never as values.  The first cell that differs raises, naming the
+    row, its value there and its family's."""
+    p, table, families = data.p, data.table, _families(data.p)
+    six = [(c, *table.classes[c].key) for c in data.six_classes]
     closed = data.coordinates
     on_tori = [(torus, cells, wanted, itemgetter(*(c for c, _ in cells))) for torus, cells, wanted in _torus_patterns(data)]
 
@@ -987,8 +1060,8 @@ def _pin_rows(data: CharacterData):
         where = f"the {gen} torus generator" if gen else f"class {c} ({table.classes[c].kind})"
         return TableValidationError(f"{irr.name} is {irr.chi.values[c].to_text()} at {where}, not {want.to_text()} at p={p}")
 
-    for label in expected:
-        irr, family = by_label[label], _family(families, label)
+    for label in _labels(p):
+        irr, family = data.irreducible(*label), _family(families, label)
         for (torus, cells, wanted, get), pattern in zip(on_tori, family[1:3]):
             if get(irr.ids) != wanted[pattern]:
                 c, d = next(cd for cd, w in zip(cells, wanted[pattern]) if irr.ids[cd[0]] != w)

@@ -15,7 +15,6 @@ import sys
 import tempfile
 import time
 import zlib
-from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
 
@@ -42,16 +41,19 @@ from .numtheory import is_prime, primes_in_range
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 
-# The largest prime any command accepts.  One prime's time grows about as
-# p^2: verify --range p p --no-cache took 0.17-0.22 s and 17.5-17.7 MB peak
-# RSS at p = 199, and 0.56-0.78 s and 26.4-26.7 MB at p = 599 (CPython 3.11,
-# a shared 2-core host, ten runs each).  Above the bound, a typo such as --range 7
+# The largest prime any command accepts.  verify --range p p --no-cache
+# writes no cell out, and its stages at p = 599 sum to about 0.05 s; the
+# process took 0.13-0.14 s and 17.4-17.6 MB peak RSS at p = 199, and
+# 0.11-0.17 s and 18.6-18.8 MB at p = 599, most of it interpreter start
+# (CPython 3.11, a shared 2-core host, ten runs each; tests/stages.py's
+# medians are in BENCH_38).  Above the bound, a typo such as --range 7
 # 1000000000000 is refused before any prime search instead of running for days.
 MAX_PRIME = 600
 
 # The most bytes a cache load reads from a file, and the most it inflates:
-# the document at p = 599 is 0.31 MB on disk and 1.1 MB inflated, so a file
-# past the bound is not a document, and it is rebuilt without being read in full.
+# the document at p = 599 is 9,264 bytes on disk and 85 KB inflated, so a
+# file past the bound is not a document, and it is rebuilt without being read
+# in full.
 MAX_CACHE_BYTES = 16 << 20
 
 
@@ -60,7 +62,8 @@ def _json_dump(obj) -> str:
 
 
 def _timestamp() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
+    """The UTC time to the second, as datetime's isoformat gives it, without importing datetime."""
+    return time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
 
 
 # -- cache ---------------------------------------------------------------------
@@ -248,10 +251,11 @@ def cmd_chartable(parser, args) -> int:
     if args.format == "json":
         print(_json_dump(data.to_json_dict()))
         return EXIT_OK
+    rows = [irr.chi.values for irr in data.irreducibles]  # written out, and so pinned, before a line is printed
     print(f"irreducible characters of SL2(F_{p}): {len(data.irreducibles)}")
-    for irr in data.irreducibles:
+    for irr, values in zip(data.irreducibles, rows):
         print(f"  {irr.name:<28} degree {irr.degree}")
-        print("    " + " | ".join(v.to_text() for v in irr.chi.values))
+        print("    " + " | ".join(v.to_text() for v in values))
     return EXIT_OK
 
 

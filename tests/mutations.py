@@ -113,7 +113,7 @@ MUTATIONS = [
     # the write-out interns the rows in the table's order, not the build's (principal and discrete first)
     (
         "src/dlcusp/chartable.py",
-        'key=lambda r: entries[r][0][0] not in ("principal", "discrete")',
+        'key=lambda r: irrs[r].label[0] not in ("principal", "discrete")',
         "key=lambda r: 0",
         [
             "tests/test_chartable.py::test_a_built_table_writes_out_the_cell_by_cell_build",
@@ -441,6 +441,45 @@ MUTATIONS = [
         "if [classes[c].trace for c, _ in cells] != [traces[d] for _, d in cells]:",
         "if False:",
         ["tests/test_chartable.py::test_a_build_from_a_wrong_closed_form_is_refused[swapped-13]"],
+    ),
+    # a cached pattern loaded whatever its shape
+    (
+        "src/dlcusp/chartable.py",
+        "if not all(isinstance(x, list) and [*map(type, x)] == [int, int] and 0 <= x[1] <= n // 2 for x, n in zip(patterns, orders)):",
+        "if False:",
+        [
+            "tests/test_cli.py::test_cache_of_any_malformed_shape_is_rebuilt[pattern-triple]",
+            "tests/test_cli.py::test_cache_of_any_malformed_shape_is_rebuilt[pattern-bool]",
+            "tests/test_cli.py::test_cache_of_any_malformed_shape_is_rebuilt[pattern-k-past-half]",
+        ],
+    ),
+    # a load that takes its torus cells from the file, not from the closed forms
+    (
+        "src/dlcusp/chartable.py",
+        'self._set_tori([_shapes(self._closed_form(torus), torus_order(p, torus))[0] for torus in ("split", "nonsplit")])',
+        'self._set_tori([[tuple(cell) for cell in cells] for cells in doc["tori"]])',
+        ["tests/test_cli.py::test_a_load_takes_its_torus_cells_from_the_tori"],
+    ),
+    # cells written out on an audited table are read unpinned
+    (
+        "src/dlcusp/chartable.py",
+        "        if self._audited:\n",
+        "        if False:\n",
+        ["tests/test_cli.py::test_a_write_out_fault_is_refused_when_the_cells_are_written_out"],
+    ),
+    # a table whose cells were written out before its audit is pinned by pattern alone
+    (
+        "src/dlcusp/chartable.py",
+        "data.six_values is None or data._values is not None or not _pinned_by_pattern(",
+        "data.six_values is None or not _pinned_by_pattern(",
+        ["tests/test_chartable.py::test_cells_written_out_before_the_audit_are_pinned_by_it"],
+    ),
+    # every b != 0 of a = +-1 counted at one residue, so in one unipotent-type class
+    (
+        "src/dlcusp/chartable.py",
+        "by_residue.setdefault(s * b % p in squares, [b, 0])",
+        "by_residue.setdefault(True, [b, 0])",
+        ["tests/test_chartable.py::test_borel_buckets_equal_the_per_element_oracle[7]"],
     ),
 ]
 

@@ -310,8 +310,8 @@ def test_the_audit_holds_no_memo_of_products():
 
 
 def _cells(doc):
-    """The value ids of every cell of a cache document's irreducibles."""
-    return [i for d in doc["irreducibles"] for i in d["ids"]]
+    """The value ids of every six cell of a cache document's irreducibles."""
+    return [i for d in doc["irreducibles"] for i in d["six"]]
 
 
 def test_cache_load_parses_each_distinct_text_once(data7, monkeypatch):
@@ -322,7 +322,7 @@ def test_cache_load_parses_each_distinct_text_once(data7, monkeypatch):
     seen = []
     monkeypatch.setattr(CycNumber, "from_text", classmethod(lambda cls, text: seen.append(text) or parse(text)))
     loaded = CharacterData.from_json_dict(doc)
-    assert seen == doc["values"] and len(seen) == len(set(seen)) < len(_cells(doc))
+    assert seen == doc["six_values"] and len(seen) == len(set(seen)) < len(_cells(doc))
     assert loaded.to_cache_dict() == doc
     ones = [v for irr in loaded.irreducibles for v in irr.chi.values if v == 1]
     assert len(ones) > 1 and all(v is ones[0] for v in ones)  # equal cells share one value
@@ -354,16 +354,17 @@ def test_each_text_written_once_gives_the_per_cell_document(p):
     """Writing each distinct value's text once changes no cell: on a built
     table and on one loaded from its own cache document, the chartable
     document is the per-cell one, and the cache document's texts at its
-    id rows are the irreducibles' cells."""
+    six ids are the irreducibles' six cells."""
     built = get_data(p)
     loaded = CharacterData.from_json_dict(built.to_cache_dict())
+    six = built.six_classes
     for data in (built, loaded):
         want = _per_cell_document(data)
         assert data.to_json_dict() == want
         cache = data.to_cache_dict()
-        texts = [[cache["values"][i] for i in d["ids"]] for d in cache["irreducibles"]]
-        assert texts == [d["values"] for d in want["irreducibles"]]
-        assert len(cache["values"]) == len({t for row in texts for t in row})
+        texts = [[cache["six_values"][i] for i in d["six"]] for d in cache["irreducibles"]]
+        assert texts == [[d["values"][c] for c in six] for d in want["irreducibles"]]
+        assert len(cache["six_values"]) == len({t for row in texts for t in row}) + ("1: 0" not in sum(texts, []))
 
 
 def test_non_canonical_copy_of_a_repeated_text_is_rebuilt(data7, tmp_path):
@@ -373,9 +374,9 @@ def test_non_canonical_copy_of_a_repeated_text_is_rebuilt(data7, tmp_path):
     from dlcusp.cli import load_character_data
 
     doc = data7.to_cache_dict()
-    one = doc["values"].index("1: 1")
-    assert _cells(doc).count(one) > 10
-    doc["values"][one] = "1: 2/2"
+    one = doc["six_values"].index("1: 1")
+    assert _cells(doc).count(one) >= 6  # the trivial row's six cells
+    doc["six_values"][one] = "1: 2/2"
     with pytest.raises(ValueError, match="non-canonical"):
         CharacterData.from_json_dict(doc)
     cachefiles.write(tmp_path, 7, doc)
@@ -1055,7 +1056,7 @@ def test_r_plus_s_tau_is_decoded_only_on_taus_exact_exponents(p):
 @pytest.mark.parametrize("p", primes_in_range(7, 101))
 def test_a_built_table_writes_out_the_cell_by_cell_build(p):
     """A build keeps its rows' patterns and writes its cells out from
-    them: its values, its id rows and its cache document are those
+    them: its values, its id rows and its chartable document are those
     of the build that wrote every cell (propchecks.closed_form_table)."""
     import copy
 
@@ -1065,7 +1066,31 @@ def test_a_built_table_writes_out_the_cell_by_cell_build(p):
     oracle._set(values, entries)
     assert list(built.values) == list(values)
     assert [irr.ids for irr in built.irreducibles] == [ids for _, ids, _ in entries]
-    assert built.to_cache_dict() == oracle.to_cache_dict()
+    assert built.to_json_dict() == oracle.to_json_dict()
+
+
+def test_cells_written_out_before_the_audit_are_pinned_by_it(monkeypatch):
+    """A table whose cells are read before its audit has them written out
+    unpinned; its audit then pins them cell by cell, so a write-out fault
+    is refused with the pin's message, though the patterns are right."""
+    written_cells = CharacterData._written_cells
+
+    def faulty(self):
+        values, rows = written_cells(self)
+        r = next(r for r, irr in enumerate(self.irreducibles) if irr.label == ("principal", 1))
+        rows[r] = (*rows[r][:6], values.intern(-values[rows[r][6]]), *rows[r][7:])
+        return values, rows
+
+    monkeypatch.setattr(CharacterData, "_written_cells", faulty)
+    data = CharacterData(7)
+    assert data.irreducible("principal", 1).chi.values[6] == 1
+    with pytest.raises(TableValidationError, match=r"^principal\(1\) is 1: 1 at class 6 \(split_semisimple\), not 1: -1 at p=7$"):
+        validate_table(data)
+    fresh = CharacterData(7)
+    validate_table(fresh)
+    with pytest.raises(TableValidationError, match=r"^principal\(1\) is 1: 1 at class 6"):
+        fresh.irreducible("principal", 1).chi
+    assert fresh._values is None and fresh._audited  # left unwritten, and still audited
 
 
 def _pattern_fault(fault):
@@ -1094,8 +1119,9 @@ def test_a_pattern_fault_gets_the_pins_oracle_message(p, fault):
     written-out table (propchecks.pin_message)."""
     data = get_data(p)
     broken = _pattern_fault(fault)(data)
+    got = _outcome(validate_table, broken)  # first, on the table in pattern form: pin_message writes its cells out
     want = propchecks.pin_message(data, broken)
-    assert want is not None and _outcome(validate_table, broken) == want
+    assert want is not None and got == want
 
 
 def _wrong_nonsplit_form(fault):
@@ -1128,8 +1154,9 @@ def test_a_build_from_a_wrong_closed_form_is_refused(monkeypatch, p, fault):
     built = get_data(p)
     monkeypatch.setattr(CharacterData, "_closed_form", _wrong_nonsplit_form(fault))
     broken = CharacterData(p)
+    got = _outcome(validate_table, broken)  # first, on the table in pattern form: pin_message writes its cells out
     want = propchecks.pin_message(built, broken)
-    assert want is not None and _outcome(validate_table, broken) == want
+    assert want is not None and got == want
 
 
 _PAIR_PLANTS = {

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from dlcusp.chartable import CharacterData, validate_table
+from dlcusp.classfun import ClassFunction
 from dlcusp.cli import builtin_table_markdown, load_character_data, main, render_cell
 
 import cachefiles
@@ -436,34 +437,54 @@ def _row_of(doc, label):
     return next(d for d in doc["irreducibles"] if d["label"] == label)
 
 
-def _ids_of(doc, label):
-    return _row_of(doc, label)["ids"]
+def _six_of(doc, label):
+    return _row_of(doc, label)["six"]
+
+
+def _schema_3_document(data) -> dict:
+    """The document a cache file of schema 3 held: every distinct value's
+    text, and per irreducible its row of ids into them."""
+    from dlcusp.chartable import _class_keys
+
+    rows = [{"label": list(irr.label), "degree": irr.degree, "ids": list(irr.ids)} for irr in data.irreducibles]
+    return {"schema": "dlcusp-chartable/3", "p": data.p, "classes": _class_keys(data.table),
+            "values": [v.to_text() for v in data.values], "irreducibles": rows}
 
 
 def _fault(shape, doc):
-    """Put one fault of a schema-2 document's shape into doc."""
-    ids = _ids_of(doc, ["principal", 1])
+    """Put one fault of a schema-4 document's shape into doc."""
+    six, texts = _six_of(doc, ["principal", 1]), doc["six_values"]
     if shape == "inner":  # a number where the irreducibles go
         doc["irreducibles"] = [5]
     elif shape in ("id-out-of-range", "id-negative", "id-bool", "id-float"):
-        ids[2] = {"id-out-of-range": len(doc["values"]), "id-negative": -1, "id-bool": True, "id-float": 1.0}[shape]
+        six[2] = {"id-out-of-range": len(texts), "id-negative": -1, "id-bool": True, "id-float": 1.0}[shape]
     elif shape == "row-length":
-        ids.pop()
+        six.pop()
     elif shape == "equal-texts":  # a second copy of a value, one cell pointing at it
-        doc["values"].append(doc["values"][ids[2]])
-        ids[2] = len(doc["values"]) - 1
+        texts.append(texts[six[2]])
+        six[2] = len(texts) - 1
     elif shape == "zero-not-first":
-        values = doc["values"]
-        values[0], values[1] = values[1], values[0]
+        texts[0], texts[1] = texts[1], texts[0]
     elif shape == "non-canonical":
-        doc["values"][doc["values"].index("1: 1")] = "1: 2/2"
+        texts[texts.index("1: 1")] = "1: 2/2"
     elif shape == "zero-denominator":
-        doc["values"][doc["values"].index("1: 1")] = "1: 1/0"
+        texts[texts.index("1: 1")] = "1: 1/0"
     elif shape == "huge-order":  # a prime order: parsing would factor it by trial division for ages
-        doc["values"][-1] = f"{2**89 - 1}: 1*z^1"
+        texts[-1] = f"{2**89 - 1}: 1*z^1"
     elif shape == "schema-1":
         doc.clear()
         doc.update(CharacterData(7).to_json_dict())
+    elif shape == "schema-3":  # the stale interned table of every cell
+        doc.clear()
+        doc.update(_schema_3_document(CharacterData(7)))
+    elif shape == "pattern-triple":
+        _row_of(doc, ["principal", 1])["split"] = [2, 1, 0]
+    elif shape == "pattern-bool":  # [2, True] == [2, 1]
+        _row_of(doc, ["principal", 1])["split"] = [2, True]
+    elif shape == "pattern-string":
+        _row_of(doc, ["discrete", 1])["nonsplit"] = "-2, 1"
+    elif shape == "pattern-k-past-half":  # past |T|/2 = 3 on the split torus at p = 7
+        _row_of(doc, ["principal", 1])["split"] = [2, 5]
     elif shape == "degree-bool":  # true == 1, so it would pass the audit as the trivial degree
         _row_of(doc, ["trivial"])["degree"] = True
     elif shape == "degree-float":
@@ -501,7 +522,8 @@ def _file_fault(shape, fresh) -> bytes:
     "shape",
     ["array", "string", "number", "null", "inner", "id-out-of-range", "id-negative", "id-bool", "id-float",
      "row-length", "equal-texts", "zero-not-first", "non-canonical", "zero-denominator", "huge-order", "schema-1",
-     "nested", "degree-bool", "degree-float", "label-bool", "label-string", "label-empty", "class-key",
+     "schema-3", "pattern-triple", "pattern-bool", "pattern-string", "pattern-k-past-half", "nested",
+     "degree-bool", "degree-float", "label-bool", "label-string", "label-empty", "class-key",
      "truncated", "bad-crc", "bytes-after-stream", "plain-json", "zeros-past-bound", "padded-past-bound", "sparse"],
 )
 def test_cache_of_any_malformed_shape_is_rebuilt(capsys, tmp_path, shape):
@@ -513,7 +535,7 @@ def test_cache_of_any_malformed_shape_is_rebuilt(capsys, tmp_path, shape):
         text = json.dumps({"array": [1, 2], "string": "sl2", "number": 7, "null": None}[shape])
     elif shape in ("truncated", "bad-crc", "bytes-after-stream", "plain-json", "zeros-past-bound", "padded-past-bound"):
         blob = _file_fault(shape, fresh)
-    elif shape != "sparse":  # right schema and prime (or the stale schema 1), one fault inside
+    elif shape != "sparse":  # right schema and prime (or a stale schema, 1 or 3), one fault inside
         doc = json.loads(json.dumps(fresh))
         _fault(shape, doc)
         text = json.dumps(doc)
@@ -617,16 +639,11 @@ def test_version_flag(capsys):
 
 
 def _corrupted_cache(directory):
-    """A p = 7 cache whose principal(1) is negated at one split class."""
-    from dlcusp.cyclotomic import CycNumber
-
+    """A p = 7 cache whose principal(1) has the split pattern (-2, 2) for
+    (2, 1): -c_2 = c_1 = 1 at the split torus generator g, and -c_4 = 1
+    for c_2 = -1 at g^2, class 6."""
     doc = CharacterData(7).to_cache_dict()
-    values, ids = doc["values"], _ids_of(doc, ["principal", 1])
-    cls = next(i for i, c in enumerate(doc["classes"]) if c[0] == "split_semisimple" and ids[i] != 0)
-    negated = (-CycNumber.from_text(values[ids[cls]])).to_text()
-    if negated not in values:
-        values.append(negated)
-    ids[cls] = values.index(negated)
+    _row_of(doc, ["principal", 1])["split"] = [-2, 2]
     cachefiles.write(directory, 7, doc)
     return str(directory)
 
@@ -660,18 +677,19 @@ def test_verify_reports_why_a_check_failed(capsys, tmp_path, cache_dir):
 
 
 def test_cache_document_holds_only_the_irreducible_table(capsys, tmp_path):
-    """The cache stores what validate_table audits, interned on one line:
-    each class by its kind and key, each distinct text once, and per
-    irreducible an id row; DL rows are derived."""
+    """The cache stores what validate_table audits, on one line: each class
+    by its kind and key, the text of each distinct value at +-I and the
+    unipotent classes once, and per irreducible its label, degree, split
+    and nonsplit patterns and six ids; no cell of a torus, and no DL row."""
     code, _ = run(capsys, "decompose", "7", "--cache-dir", str(tmp_path))
     text = cachefiles.read_text(tmp_path, 7)
     doc = json.loads(text)
-    assert code == 0 and sorted(doc) == ["classes", "irreducibles", "p", "schema", "values"]
-    assert doc["schema"] == "dlcusp-chartable/3" and "\n" not in text
+    assert code == 0 and sorted(doc) == ["classes", "irreducibles", "p", "schema", "six_values"]
+    assert doc["schema"] == "dlcusp-chartable/4" and "\n" not in text
     assert doc["classes"] == [[r.kind, *r.key] for r in CharacterData(7).table.classes]
-    assert len(doc["values"]) == len(set(doc["values"])) and doc["values"][0] == "1: 0"
-    assert all(sorted(d) == ["degree", "ids", "label"] and len(d["ids"]) == len(doc["classes"])
-               for d in doc["irreducibles"])
+    assert len(doc["six_values"]) == len(set(doc["six_values"])) and doc["six_values"][0] == "1: 0"
+    assert all(sorted(d) == ["degree", "label", "nonsplit", "six", "split"] and len(d["six"]) == 6
+               and len(d["split"]) == len(d["nonsplit"]) == 2 for d in doc["irreducibles"])
 
 
 def test_old_format_dl_rows_are_never_read(capsys, tmp_path):
@@ -736,6 +754,15 @@ def _refused(capsys, tmp_path, p, message):
     assert re.search(f"^      reason table_valid: {message}$", out, re.M)
 
 
+def _refused_as_cached(capsys, monkeypatch, tmp_path, broken, message):
+    """chartable and verify, given the table broken as the cache hit at its
+    prime, both fail with message."""
+    import dlcusp.cli
+
+    monkeypatch.setattr(dlcusp.cli, "load_character_data", lambda p, cache_dir: (broken, True))
+    _refused(capsys, tmp_path, broken.p, message)
+
+
 def test_swapped_cached_degrees_are_refused(capsys, tmp_path):
     """Swapping the degree fields of principal(1) and discrete(1) keeps the
     degree-square sum; the audit of each label's degree names the row."""
@@ -789,15 +816,18 @@ def test_swapped_cached_labels_are_refused(capsys, tmp_path, swap, message):
     ids=("p11", "p31", "p17_with_negatives", "p31_with_negatives", "p43_with_negatives", "p101_with_negatives",
          "p7_minus_u", "p13_minus_u"),
 )
-def test_cached_table_with_swapped_columns_is_refused(capsys, tmp_path, p, pairs, message):
-    """Swapping two columns of equal class size in every id row keeps every
-    pairing, every degree and duality; the audit still names the row."""
-    doc = CharacterData(p).to_cache_dict()
-    for d in doc["irreducibles"]:
+def test_cached_table_with_swapped_columns_is_refused(capsys, monkeypatch, tmp_path, p, pairs, message):
+    """Swapping two columns of equal class size in every row keeps every
+    pairing, every degree and duality; the audit still names the row.  A
+    cache file holds no cell, so the table is a with_row copy, which the
+    commands get as a cache hit."""
+    data = broken = CharacterData(p)
+    for row, irr in enumerate(data.irreducibles):
+        values = list(irr.chi.values)
         for a, b in pairs:
-            d["ids"][a], d["ids"][b] = d["ids"][b], d["ids"][a]
-    cachefiles.write(tmp_path, p, doc)
-    _refused(capsys, tmp_path, p, message)
+            values[a], values[b] = values[b], values[a]
+        broken = propchecks.with_row(broken, row, ClassFunction(data.table, values))
+    _refused_as_cached(capsys, monkeypatch, tmp_path, broken, message)
 
 
 @pytest.mark.parametrize(
@@ -809,14 +839,14 @@ def test_cached_table_with_swapped_columns_is_refused(capsys, tmp_path, p, pairs
     ],
     ids=("p7_mixed", "p29_mixed", "p29_reflected"),
 )
-def test_a_cached_table_that_only_the_pin_refuses_is_refused(capsys, tmp_path, p, craft, message):
-    """Two orthonormal tables that are not the character table, written as
-    cache documents: the trivial and Steinberg rows mixed by a rational
-    reflection, and every row reflected in the indicator of the
-    unipotent-type classes.  Each keeps every degree, duality and the
-    center, and (b) every torus cell too; the pin names the trivial row."""
-    cachefiles.write(tmp_path, p, craft(CharacterData(p)).to_cache_dict())
-    _refused(capsys, tmp_path, p, message)
+def test_a_cached_table_that_only_the_pin_refuses_is_refused(capsys, monkeypatch, tmp_path, p, craft, message):
+    """Two orthonormal tables that are not the character table, given to
+    the commands as cache hits (with_row copies, as a cache file holds no
+    cell): the trivial and Steinberg rows mixed by a rational reflection,
+    and every row reflected in the indicator of the unipotent-type
+    classes.  Each keeps every degree, duality and the center, and (b)
+    every torus cell too; the pin names the trivial row."""
+    _refused_as_cached(capsys, monkeypatch, tmp_path, craft(CharacterData(p)), message)
 
 
 def test_a_cache_that_cannot_be_written_is_done_without(capsys, tmp_path):
@@ -857,31 +887,75 @@ def test_a_fresh_build_is_audited_before_use(capsys, monkeypatch):
                                 "not 8: -1*z^1 + 1*z^3 at p=7\n")
 
 
-def test_a_write_out_fault_is_printed_by_a_build_and_refused_by_its_next_load(capsys, monkeypatch, tmp_path):
-    """The audit reads a built table's patterns and six cells, not the cells
-    written out from them (chartable.validate_table, "What the audit
-    reads").  A write-out that negates principal(1) at one split class is
-    printed by chartable as it is, and verify and decompose, which read
-    the patterns, pass; the cache file written from that build holds the
-    fault, and its next load is refused by the cell-by-cell pin."""
-    write_out = CharacterData._write_out
+def test_a_write_out_fault_is_refused_when_the_cells_are_written_out(capsys, monkeypatch, tmp_path):
+    """The audit reads a table's patterns and six cells, and cells written
+    out after it has passed are pinned as they are written
+    (chartable.validate_table, "What the audit reads").  A write-out that
+    negates principal(1) at one split class is refused with the pin's
+    message by chartable, which reads every cell, on a build and on a
+    load of the cache file that build wrote; verify and decompose, which
+    read no cell, pass.  The file holds patterns only, so without the
+    fault its load prints the build's table."""
+    written_cells = CharacterData._written_cells
 
-    def faulty(self, entries):
-        values, rows = write_out(self, entries)
-        r = next(r for r, entry in enumerate(entries) if entry[0] == ("principal", 1))
+    def faulty(self):
+        values, rows = written_cells(self)
+        r = next(r for r, irr in enumerate(self.irreducibles) if irr.label == ("principal", 1))
         c = next(c for c, rec in enumerate(self.table.classes) if rec.kind == "split_semisimple")
         rows[r] = (*rows[r][:c], values.intern(-values[rows[r][c]]), *rows[r][c + 1:])
         return values, rows
 
-    monkeypatch.setattr(CharacterData, "_write_out", faulty)
-    code, out = run(capsys, "chartable", "7", "--format", "json", "--cache-dir", str(tmp_path))
-    row = next(irr for irr in json.loads(out)["irreducibles"] if irr["label"] == ["principal", 1])
-    assert code == 0 and row["values"][6] == "1: 1"  # the write-out's cell, not the closed value 1: -1
-    code, out = run(capsys, "verify", "--range", "7", "7", "--format", "json", "--no-timestamp", "--no-cache")
-    assert code == 0 and json.loads(out)["aggregate"] == "pass"
+    monkeypatch.setattr(CharacterData, "_written_cells", faulty)
+    for _ in range(2):  # the build writes the file, and the second run loads it
+        code = main(["chartable", "7", "--cache-dir", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == "" and cachefiles.path(tmp_path, 7).is_file()
+        assert re.fullmatch(f"verification failure: {_BROKEN_ROW}\n", captured.err)
+    code, out = run(capsys, "verify", "--range", "7", "7", "--format", "json", "--no-timestamp", "--cache-dir", str(tmp_path))
+    assert code == 0 and json.loads(out)["aggregate"] == "pass" and json.loads(out)["cache_hits"] == 1
     code, out = run(capsys, "decompose", "7", "--no-cache")
     assert code == 0 and "exact reconstruction: True   coefficient table match: True" in out
-    _refused(capsys, tmp_path, 7, _BROKEN_ROW)
+    monkeypatch.undo()
+    assert run(capsys, "chartable", "7", "--format", "json", "--cache-dir", str(tmp_path)) == \
+        run(capsys, "chartable", "7", "--format", "json", "--no-cache")
+
+
+@pytest.mark.parametrize(
+    "p, fault",
+    [
+        (13, lambda doc: _row_of(doc, ["principal", 1]).update(split=[2, 2])),
+        (13, lambda doc: _row_of(doc, ["discrete", 2]).update(nonsplit=[2, 2])),
+        (7, lambda doc: _row_of(doc, ["exceptional_split_minus"]).update(split=[-1, 3])),
+        (13, lambda doc: doc["six_values"].__setitem__(doc["six_values"].index("1: 14"), "1: 1000")),
+        (13, lambda doc: _six_of(doc, ["principal", 1]).__setitem__(1, _six_of(doc, ["principal", 2])[1])),
+    ],
+    ids=("wrong-k", "wrong-sign-of-a", "wrong-sign-of-a-half", "six-text", "six-id"),
+)
+def test_a_cached_pattern_or_six_fault_gets_the_pins_oracle_message(capsys, tmp_path, p, fault):
+    """A cache file with a wrong pattern, six text or six id loads, falls
+    through the pattern pin and is refused with the message of the pin's
+    oracle on its written-out cells (propchecks.pin_message)."""
+    doc = CharacterData(p).to_cache_dict()
+    fault(doc)
+    want = propchecks.pin_message(CharacterData(p), CharacterData.from_json_dict(doc))
+    assert want is not None
+    cachefiles.write(tmp_path, p, doc)
+    _refused(capsys, tmp_path, p, re.escape(want))
+
+
+def test_a_load_takes_its_torus_cells_from_the_tori(capsys, tmp_path):
+    """A cache file stores no torus cell: the load reads them off the
+    closed forms, as the build does.  A document that carries wrong ones
+    (each torus's dlogs rotated by one class) under a key of its own is a
+    cache hit that passes, and prints the build's table."""
+    data = CharacterData(7)
+    doc = data.to_cache_dict()
+    doc["tori"] = [[[c, d] for (c, _), (_, d) in zip(cells, cells[1:] + cells[:1])] for _, cells in data._tori]
+    cachefiles.write(tmp_path, 7, doc)
+    code, out = run(capsys, "verify", "--range", "7", "7", "--format", "json", "--no-timestamp", "--cache-dir", str(tmp_path))
+    assert code == 0 and json.loads(out)["cache_hits"] == 1
+    assert run(capsys, "chartable", "7", "--format", "json", "--cache-dir", str(tmp_path)) == \
+        run(capsys, "chartable", "7", "--format", "json", "--no-cache")
 
 
 def test_a_build_with_flipped_central_signs_fails_only_the_audit(capsys, monkeypatch):
@@ -983,6 +1057,27 @@ def test_importing_the_cli_leaves_the_process_pool_out():
     """No run pays for importing a process pool, and only a run that forks
     pays for pickle."""
     assert _loaded_by_importing_the_cli("concurrent.futures.process", "multiprocessing", "pickle") == []
+
+
+def test_importing_the_cli_leaves_datetime_out():
+    """Every invocation starts without datetime: the report's timestamp
+    comes from time (cli._timestamp)."""
+    assert _loaded_by_importing_the_cli("datetime") == []
+
+
+@pytest.mark.parametrize("epoch", (0, 951782400, 1792627199))
+def test_the_timestamp_is_datetimes_isoformat(monkeypatch, epoch):
+    """At a fixed second, cli._timestamp gives the text of
+    datetime.now(timezone.utc).isoformat(timespec="seconds")."""
+    import time
+    from datetime import datetime, timezone
+
+    import dlcusp.cli
+
+    gmtime = time.gmtime
+    monkeypatch.setattr(dlcusp.cli.time, "gmtime", lambda: gmtime(epoch))
+    want = datetime.fromtimestamp(epoch, timezone.utc).isoformat(timespec="seconds")
+    assert dlcusp.cli._timestamp() == want
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
